@@ -272,7 +272,8 @@ def type_enumerate(n: int, a: int) -> list[EmpiricalDistribution]:
             prev = b
         counts.append(n + a - 1 - prev - 1)
         out.append(EmpiricalDistribution(n=n, counts=tuple(counts)))
-    assert len(out) == total <= (n + 1) ** a
+    if not len(out) == total <= (n + 1) ** a:
+        raise BoundViolation(f"{len(out)} types enumerated, expected {total} <= (n+1)^a")
     return out
 
 
@@ -318,7 +319,8 @@ def typical_set(p, n: int, alpha: float) -> set:
     bound = 1.0 - a / alpha**2 if alpha > 0.0 else -math.inf
     # float slack only: the Chebyshev argument already covers sequences
     # dropped by rounding at the window boundary
-    assert mass + 1e-12 >= bound
+    if mass + 1e-12 < bound:
+        raise BoundViolation(f"typical set mass {mass} below guarantee {bound}")
     return members
 
 

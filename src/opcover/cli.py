@@ -327,6 +327,10 @@ _RV = {
     ]
 }
 
+# The cutting-plane LP behind cover-capacity and product-cover meets its
+# cuts to 1e-10; a finer tol stalls for its full 2000 rounds and fails.
+_LP_TOL = {"type": "number", "minimum": 1e-10}
+
 PARAMS_SCHEMAS = {
     "tail-mc": {
         "type": "object",
@@ -376,7 +380,7 @@ PARAMS_SCHEMAS = {
         "additionalProperties": False,
         "properties": {
             "hypergraph": _HYPERGRAPH,
-            "tol": {"type": "number", "exclusiveMinimum": 0},
+            "tol": _LP_TOL,
         },
     },
     "product-cover": {
@@ -386,7 +390,7 @@ PARAMS_SCHEMAS = {
         "properties": {
             "hypergraph": _HYPERGRAPH,
             "n_values": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-            "tol": {"type": "number", "exclusiveMinimum": 0},
+            "tol": _LP_TOL,
         },
     },
     "typicality": {
@@ -459,7 +463,7 @@ PARAMS_SCHEMAS = {
         "additionalProperties": False,
         "properties": {
             "which": {"enum": [1, 2, 3]},
-            "dim": {"type": "integer", "minimum": 2, "maximum": 16},
+            "dim": {"type": "integer", "minimum": 2, "maximum": 6},
             "count": {"type": "integer", "minimum": 1, "maximum": 100000},
         },
     },
@@ -618,12 +622,15 @@ def _run_tail_mc(params: dict, seed: int):
     rv = _load_rv(params["rv"], seeds[0])
     method = params["method"]
     trials = int(params.get("trials", 0))
+    # The schema's numbers a and delta stand for a * I and delta * I,
+    # as chernoff's a and m already do.
+    eye = np.eye(rv.dim)
     if method == "markov":
-        report = concentration.markov_tail(rv, params["a"])
+        report = concentration.markov_tail(rv, params["a"] * eye)
     elif method == "chebyshev":
-        report = concentration.chebyshev_tail(rv, params["delta"])
+        report = concentration.chebyshev_tail(rv, params["delta"] * eye)
     elif method == "weak-law":
-        report = concentration.weak_law_tail(rv, params["n"], params["delta"], trials, seeds[1])
+        report = concentration.weak_law_tail(rv, params["n"], params["delta"] * eye, trials, seeds[1])
     elif method in ("chernoff-upper", "chernoff-lower"):
         side = method.split("-")[1]
         report = concentration.chernoff_tail(

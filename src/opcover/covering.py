@@ -363,7 +363,8 @@ def covering_randomized(g: QuantumHypergraph, p, seed: int) -> CoveringResult:
         counts = np.zeros(g.num_edges, dtype=np.int64)
         counts[support[0]] = k
         deg = _degree_from_counts(g, counts)
-        assert linalg.psd_leq(np.eye(g.dim), deg)  # ceil(1/mu) copies always cover
+        if not linalg.psd_leq(np.eye(g.dim), deg):
+            raise BoundViolation(f"{k} = ceil(1/mu) copies of the edge fail to cover")
         beyond = k > formula
         return CoveringResult(
             kind="randomized-covering",
@@ -443,7 +444,8 @@ def classical_covering_sample(
     keep = q >= tau / nv  # strict drop below the threshold, ties stay
     excluded = tuple(int(v) for v in np.flatnonzero(~keep))
     excluded_mass = float(q[~keep].sum())
-    assert excluded_mass <= tau + 1e-12
+    if excluded_mass > tau + 1e-12:
+        raise BoundViolation(f"excluded vertices carry mass {excluded_mass} > tau = {tau}")
 
     formula = 1.0 + g.eta * nv * (2.0 * LN2 * math.log2(2.0 * nv)) / (eps * eps * tau)
     base, stages = _sample_plan(formula, p, draws)
@@ -524,7 +526,8 @@ def quantum_covering_sample(
     pi0 = linalg.hermitize((u * small.astype(float)) @ u.conj().T)
     pi1 = linalg.hermitize((u * (~small).astype(float)) @ u.conj().T)
     excluded_mass = float(w[small].sum())
-    assert excluded_mass <= tau + 1e-12
+    if excluded_mass > tau + 1e-12:
+        raise BoundViolation(f"excluded eigenspace carries mass {excluded_mass} > tau = {tau}")
     proj = linalg.hermitize(pi1 @ rho @ pi1)
 
     formula = 1.0 + g.eta * g.dim * (2.0 * LN2 * math.log2(2.0 * g.dim)) / (eps * eps * tau)
@@ -650,6 +653,14 @@ def product_hypergraph(g: QuantumHypergraph, n: int) -> QuantumHypergraph:
     return QuantumHypergraph(g.dim**n, edges, g.eta**n)
 
 
+def _common_kernel(deg: np.ndarray) -> bool:
+    """Whether the edges summing to deg share a (near-)kernel.
+
+    Then no multiset, fractional weighting or edge mixture covers it.
+    """
+    return linalg.min_eigenvalue(deg) <= linalg.psd_tolerance(deg)
+
+
 def covering_number_bruteforce(g: QuantumHypergraph, n: int):
     """Exact covering number of the n-fold power by multiset search.
 
@@ -660,8 +671,7 @@ def covering_number_bruteforce(g: QuantumHypergraph, n: int):
     m = gn.num_edges
     if m > 20:
         raise ValueError("edge set too large for exhaustive search")
-    deg_all = degree(gn)
-    if linalg.min_eigenvalue(deg_all) <= linalg.psd_tolerance(deg_all):
+    if _common_kernel(degree(gn)):
         return math.inf
     stack = np.stack(gn.edges)
     eye = np.eye(gn.dim)
@@ -678,31 +688,24 @@ def covering_number_bruteforce(g: QuantumHypergraph, n: int):
         k += 1
 
 
-def generalized_covering_number(g: QuantumHypergraph, n: int, tol: float = 1e-9) -> float:
-    """Least total weight of a fractional covering of the n-fold power.
+def _fractional_cover(stack: np.ndarray, deg: np.ndarray, tol: float) -> tuple[np.ndarray, float, int]:
+    """Cutting-plane solution of min sum(v) over v >= 0 with sum_j v_j E_j >= identity.
 
-    Solves min sum(v) over v >= 0 with sum_j v_j E_j >= identity by
-    cutting planes: the semi-infinite constraint set {<psi|.|psi> >= 1}
-    is grown one least-covered eigenvector at a time, the finite LP is
-    re-solved, and the loop stops once the weighted degree's least
-    eigenvalue reaches 1 - tol.  The returned weights are rescaled to
-    exact feasibility, so the value is achievable and at most a factor
-    1/(1 - tol) above the true optimum.
+    stack holds the edges E_j and deg their sum, which must have no
+    common kernel.  The semi-infinite constraint set {<psi|.|psi> >= 1}
+    is grown from the eigenbasis of deg by deficient eigenvectors, the
+    finite LP is re-solved, and the loop stops once the weighted
+    degree's least eigenvalue lam reaches 1 - tol.  Returns the LP
+    weights v, lam and the number of LP rounds.  Every finite cut set
+    relaxes the problem, so sum(v) never exceeds the optimum and v / lam
+    is feasible: the optimum lies in [sum(v), sum(v) / lam].
     """
-    if g.num_edges**n > 256 or g.dim**n > 64:
-        raise ValueError("product too large for the cutting-plane solver")
-    gn = product_hypergraph(g, n)
-    stack = np.stack(gn.edges)
-    deg_all = degree(gn)
-    if linalg.min_eigenvalue(deg_all) <= linalg.psd_tolerance(deg_all):
-        raise ValueError("edges share a common kernel, no fractional covering exists")
-
-    _, u = linalg.eigh(deg_all)
-    cuts = [u[:, i] for i in range(gn.dim)]
-    rows = [-np.real(np.einsum("i,kij,j->k", psi.conj(), stack, psi)) for psi in cuts]
-    for _ in range(2000):
+    dim = stack.shape[-1]
+    _, u = linalg.eigh(deg)
+    rows = [-np.real(np.einsum("i,kij,j->k", u[:, i].conj(), stack, u[:, i])) for i in range(dim)]
+    for rounds in range(1, 2001):
         res = linprog(
-            c=np.ones(gn.num_edges),
+            c=np.ones(stack.shape[0]),
             A_ub=np.array(rows),
             b_ub=-np.ones(len(rows)),
             bounds=(0, None),
@@ -720,42 +723,31 @@ def generalized_covering_number(g: QuantumHypergraph, n: int, tol: float = 1e-9)
         w, u = linalg.eigh(linalg.hermitize(np.tensordot(v, stack, axes=1)))
         lam = float(w[0])
         if lam >= 1.0 - tol:
-            return float(v.sum() / lam)
+            return v, lam, rounds
         # cut along every deficient eigenvector, not just the least one;
         # one cut per round can stall arbitrarily close to feasibility
-        for i in range(gn.dim):
+        for i in range(dim):
             if w[i] < 1.0:
                 rows.append(-np.real(np.einsum("i,kij,j->k", u[:, i].conj(), stack, u[:, i])))
     raise RuntimeError("cutting planes did not converge")
 
 
-def _project_simplex(x: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u)
-    idx = np.nonzero(u * np.arange(1, x.size + 1) > (css - 1.0))[0][-1]
-    return np.maximum(x - (css[idx] - 1.0) / (idx + 1.0), 0.0)
+def generalized_covering_number(g: QuantumHypergraph, n: int, tol: float = 1e-9) -> float:
+    """Least total weight of a fractional covering of the n-fold power.
 
-
-def _ternary_max(fun, lo: float, hi: float, iters: int = 110) -> tuple[float, float]:
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if fun(m1) < fun(m2):
-            lo = m1
-        else:
-            hi = m2
-    t = 0.5 * (lo + hi)
-    return t, fun(t)
-
-
-def _grid_then_ternary(fun, points: int = 81) -> tuple[float, float]:
-    ts = np.linspace(0.0, 1.0, points)
-    vals = [fun(t) for t in ts]
-    i = int(np.argmax(vals))  # ties go to the lowest index
-    lo = ts[max(0, i - 1)]
-    hi = ts[min(points - 1, i + 1)]
-    return _ternary_max(fun, float(lo), float(hi))
+    Solves min sum(v) over v >= 0 with sum_j v_j E_j >= identity by
+    cutting planes (see _fractional_cover).  The returned weights are
+    rescaled to exact feasibility, so the value is achievable and at
+    most a factor 1/(1 - tol) above the true optimum.
+    """
+    if g.num_edges**n > 256 or g.dim**n > 64:
+        raise ValueError("product too large for the cutting-plane solver")
+    gn = product_hypergraph(g, n)
+    deg = degree(gn)
+    if _common_kernel(deg):
+        raise ValueError("edges share a common kernel, no fractional covering exists")
+    v, lam, _ = _fractional_cover(np.stack(gn.edges), deg, tol)
+    return float(v.sum() / lam)
 
 
 @dataclass(frozen=True)
@@ -781,60 +773,29 @@ class CapacityResult:
 def covering_capacity(g: QuantumHypergraph, tol: float = 1e-9) -> CapacityResult:
     """Exponential growth rate of product covering numbers, in bits.
 
-    Maximizes the least eigenvalue of the edge mixture over the simplex
-    (concave, so projected subgradient ascent from uniform and vertex
-    starts converges globally), then polishes families of up to three
-    edges on a grid with ternary refinement.  The capacity is -log2 of
-    the optimum; a family whose mixtures are all singular has infinite
-    capacity, which is returned as math.inf rather than raised.
+    The capacity is -log2 of max_P lambda_min(sum_E P(E) E), which LP
+    duality equates with 1 / c~, the reciprocal fractional covering
+    number.  It is read off the fractional-covering LP with a certified
+    bracket: with LP weights v and lam the least eigenvalue of
+    sum_j v_j E_j, the witness v / sum(v) attains value = lam / sum(v),
+    and the optimum lies in [value, value_upper], value_upper =
+    1 / sum(v), a bracket at most a factor 1/(1 - tol) wide.
+    iterations counts LP rounds.  A family whose mixtures are all
+    singular has infinite capacity, which is returned as math.inf (with
+    a uniform witness) rather than raised.
     """
-    m = g.num_edges
-    stack = np.stack(g.edges)
-
-    def value_at(pvec: np.ndarray) -> float:
-        return linalg.min_eigenvalue(np.tensordot(pvec, stack, axes=1))
-
-    best_p = np.full(m, 1.0 / m)
-    best_f = value_at(best_p)
-    iterations = 0
-    starts = [np.full(m, 1.0 / m)] + [np.eye(m)[i] for i in range(m)]
-    for start in starts:
-        p = start.copy()
-        for t in range(1, 801):
-            iterations += 1
-            mix = linalg.hermitize(np.tensordot(p, stack, axes=1))
-            w, u = linalg.eigh(mix)
-            if w[0] > best_f + 1e-15:  # ties keep the earlier start
-                best_f, best_p = float(w[0]), p.copy()
-            psi = u[:, 0]
-            grad = np.real(np.einsum("i,kij,j->k", psi.conj(), stack, psi))
-            p = _project_simplex(p + (0.25 / math.sqrt(t)) * grad)
-
-    polished = False
-    if m == 1:
-        best_p, best_f = np.array([1.0]), value_at(np.array([1.0]))
-    elif m == 2:
-        t, f = _grid_then_ternary(lambda t: value_at(np.array([1.0 - t, t])))
-        if f > best_f:
-            best_p, best_f, polished = np.array([1.0 - t, t]), f, True
-    elif m == 3:
-        def inner(t0: float) -> tuple[float, float]:
-            return _grid_then_ternary(
-                lambda s: value_at(np.array([t0, (1.0 - t0) * s, (1.0 - t0) * (1.0 - s)])),
-                points=41,
-            )
-
-        t0, f = _grid_then_ternary(lambda t: inner(t)[1])
-        if f > best_f:
-            s = inner(t0)[0]
-            best_p = np.array([t0, (1.0 - t0) * s, (1.0 - t0) * (1.0 - s)])
-            best_f, polished = f, True
-
-    best_f = value_at(best_p)
-    details = {"polished": polished, "starts": len(starts), "tol": tol}
-    if best_f <= 1e-12:
-        return CapacityResult(math.inf, 0.0, best_p, iterations, dict(details, singular=True))
-    return CapacityResult(-math.log2(best_f), best_f, best_p, iterations, details)
+    deg = degree(g)
+    if _common_kernel(deg):
+        m = g.num_edges
+        return CapacityResult(math.inf, 0.0, np.full(m, 1.0 / m), 0, {"tol": tol, "singular": True})
+    v, lam, rounds = _fractional_cover(np.stack(g.edges), deg, tol)
+    total = float(v.sum())
+    value = lam / total
+    # lam can round a few ulps above 1; the upper end never drops below
+    # what the witness attains
+    upper = max(lam, 1.0) / total
+    return CapacityResult(-math.log2(value), value, v / total, rounds,
+                          {"tol": tol, "value_upper": upper})
 
 
 def product_covering_table(g: QuantumHypergraph, n_values, tol: float = 1e-8) -> list[dict]:

@@ -255,7 +255,8 @@ def quantize_distribution(weights, K: int) -> list:
     fractional = [s - f for s, f in zip(scaled, floors)]
     leftover = K - sum(floors)
     order = sorted(range(len(exact)), key=lambda i: (-fractional[i], i))
-    assert 0 <= leftover <= sum(1 for f in fractional if f > 0)
+    if not 0 <= leftover <= sum(1 for f in fractional if f > 0):
+        raise BoundViolation(f"{leftover} leftover quanta exceed the fractional weights")
     for i in order[:leftover]:
         floors[i] += 1
     return [Fraction(f, K) for f in floors]

@@ -144,14 +144,11 @@ def herm_log(a, base: float = 2.0) -> np.ndarray:
 
 
 def herm_power(a, s: float) -> np.ndarray:
+    """A**s on the support; kernel eigenvalues stay 0 for every s (pinv convention)."""
     w, u = _clamped_eigs(a, "power")
     out = np.zeros_like(w)
     pos = w > 0
     out[pos] = w[pos] ** s
-    if s >= 0:
-        # 0**s is fine for s >= 0 except s == 0, where we use the support
-        # convention (kernel stays kernel, matching pinv-style usage).
-        out[~pos] = 0.0 if s != 0 else 0.0
     return hermitize((u * out) @ u.conj().T)
 
 

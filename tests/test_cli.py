@@ -589,6 +589,40 @@ class TestMain:
         assert cli.main(["sweep", "--config", str(path)]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "method, flags",
+        [
+            ("markov", ["a=0.8"]),
+            ("chebyshev", ["delta=0.3"]),
+            ("weak-law", ["n=4", "delta=0.3"]),
+        ],
+    )
+    def test_single_operator_tails_take_scalar_multiples_of_identity(self, method, flags, capsys):
+        args = ["tail-mc", "--param", 'rv={"kind":"random","dim":2,"atoms":3}',
+                "--param", f"method={method}", "--seed", "5"]
+        for flag in flags:
+            args += ["--param", flag]
+        assert cli.main(args) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["trials"] == 0
+        assert float(res["exact_or_empirical"]) <= float(res["bound"])
+
+    @pytest.mark.parametrize(
+        "args, path",
+        [
+            (["conjecture-probe", "--param", "which=1", "--param", "dim=7",
+              "--param", "count=1"], ["params", "dim"]),
+            # below the LP's own feasibility tolerance the cutting planes stall
+            (["cover-capacity", "--param", 'hypergraph={"kind":"orthogonal-pair"}',
+              "--param", "tol=1e-12"], ["params", "tol"]),
+        ],
+    )
+    def test_param_beyond_library_range_exits_2(self, args, path, capsys):
+        assert cli.main(args + ["--seed", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "schema-violation"
+        assert err["path"] == path
+
     def test_sweep_missing_axis_exits_2(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"template": BSC_CONFIG, "values": [1]}))

@@ -24,7 +24,7 @@ from opcover.covering import (
     replay_covering_result,
 )
 from opcover.linalg import LN2, BoundViolation
-from opcover.rng import make_rng, random_effect
+from opcover.rng import make_rng, random_effect, spawn_seeds
 
 E0 = np.diag([1.0, 0.0])
 E1 = np.diag([0.0, 1.0])
@@ -431,6 +431,12 @@ class TestCoveringCapacity:
         g2 = QuantumHypergraph(2, [E0, 0.5 * E0], 1.0)
         assert math.isinf(covering_capacity(g2).bits)
 
+    def test_singular_family_reports_uniform_witness(self):
+        cap = covering_capacity(QuantumHypergraph(2, [E0, 0.5 * E0], 1.0), tol=1e-7)
+        assert np.array_equal(cap.witness, [0.5, 0.5])
+        assert cap.iterations == 0
+        assert cap.details == {"tol": 1e-7, "singular": True}
+
     def test_diagonal_matches_lp(self):
         rng = make_rng(71)
         for _ in range(3):
@@ -438,6 +444,15 @@ class TestCoveringCapacity:
             g = QuantumHypergraph(3, diags, 1.0)
             cap = covering_capacity(g)
             assert cap.value == pytest.approx(lp_capacity_diagonal(g), abs=1e-7)
+
+    def test_witness_attains_bracket(self):
+        graphs = [orthogonal_pair(), random_hypergraph(spawn_seeds(5, 5)[0], dim=3, num_edges=4)]
+        graphs += [random_hypergraph(seed, dim=2, num_edges=2) for seed in (301, 302, 303)]
+        for g in graphs:
+            cap = covering_capacity(g, tol=1e-10)
+            attained = linalg.min_eigenvalue(np.tensordot(cap.witness, np.stack(g.edges), axes=1))
+            assert attained == pytest.approx(cap.value, abs=1e-12)
+            assert cap.value <= cap.details["value_upper"] <= cap.value / (1.0 - 1e-10)
 
     def test_json(self):
         cap = covering_capacity(orthogonal_pair())
@@ -460,6 +475,15 @@ class TestProductRelations:
                 assert ct <= c + 1e-6
                 upper = 1.0 + 8.0 * LN2 * math.log2(g.dim**n) * 2.0 ** (cap.bits * n)
                 assert c <= upper + 1e-6
+
+    def test_chain_with_four_edges(self):
+        # four or more edges, where an uncertified ascent undershot the
+        # optimum and broke 2^{2C} <= c_tilde_2
+        g = random_hypergraph(spawn_seeds(5, 5)[0], dim=3, num_edges=4)
+        cap = covering_capacity(g, tol=1e-10)
+        for n in (1, 2):
+            ct = generalized_covering_number(g, n, tol=1e-9)
+            assert 2.0 ** (cap.bits * n) <= ct + 1e-6
 
     def test_table_rows(self):
         from opcover.covering import product_covering_table

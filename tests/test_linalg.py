@@ -204,3 +204,18 @@ def test_hermitian_validation():
         linalg.require_density(np.diag([0.9, 0.3]))
     with pytest.raises(ValueError):
         linalg.require_density(np.diag([1.5, -0.5]))
+
+
+def test_library_has_no_bare_asserts():
+    # asserts vanish under python -O; proven inequalities raise BoundViolation
+    import ast
+    import pathlib
+
+    src = pathlib.Path(linalg.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
