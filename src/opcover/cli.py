@@ -327,9 +327,10 @@ _RV = {
     ]
 }
 
-# The cutting-plane LP behind cover-capacity and product-cover meets its
-# cuts to 1e-10; a finer tol stalls for its full 2000 rounds and fails.
-_LP_TOL = {"type": "number", "minimum": 1e-10}
+# The cutting-plane LP behind cover-capacity and product-cover rejects a
+# tol finer than its own feasibility tolerance.
+_LP_TOL = {"type": "number", "minimum": covering.LP_FEASIBILITY_TOL}
+_UNIT = {"minimum": 0, "maximum": 1}
 
 PARAMS_SCHEMAS = {
     "tail-mc": {
@@ -352,14 +353,20 @@ PARAMS_SCHEMAS = {
             "delta": {"type": "number", "exclusiveMinimum": 0},
         },
         "allOf": [
-            {"if": {"properties": {"method": {"const": "markov"}}}, "then": {"required": ["a"]}},
+            {
+                "if": {"properties": {"method": {"const": "markov"}}},
+                "then": {"required": ["a"], "properties": {"a": {"minimum": 0}}},
+            },
             {"if": {"properties": {"method": {"const": "chebyshev"}}}, "then": {"required": ["delta"]}},
             {"if": {"properties": {"method": {"const": "weak-law"}}}, "then": {"required": ["n", "delta"]}},
             {
                 "if": {"properties": {"method": {"enum": ["chernoff-upper", "chernoff-lower"]}}},
-                "then": {"required": ["n", "a", "m"]},
+                "then": {"required": ["n", "a", "m"], "properties": {"a": _UNIT, "m": _UNIT}},
             },
-            {"if": {"properties": {"method": {"const": "two-sided"}}}, "then": {"required": ["n", "eps"]}},
+            {
+                "if": {"properties": {"method": {"const": "two-sided"}}},
+                "then": {"required": ["n", "eps"], "properties": {"eps": {"maximum": 0.5}}},
+            },
         ],
     },
     "cover-sample": {

@@ -32,6 +32,12 @@ from .rng import make_rng, random_effect, spawn_seeds
 RETRY_SEEDS = 64
 ESCALATION_STAGES = 4  # draw counts 1x, 2x, 4x, 8x
 MAX_BRUTEFORCE_MULTISETS = 5_000_000
+# Brute force gathers multisets in chunks of at most this many complex
+# entries (chunk x k x D^2) before one batched order check.
+BRUTEFORCE_CHUNK_ENTRIES = 1 << 14
+# The cutting-plane LP meets its cuts to this feasibility tolerance, so a
+# finer covering tol would stall for the full round budget.
+LP_FEASIBILITY_TOL = 1e-10
 # Expanding a draw list bigger than this is almost certainly a mistake;
 # the multiplicity map is the intended representation at that scale.
 MAX_MATERIALIZED_DRAWS = 1_000_000
@@ -131,15 +137,14 @@ class QuantumHypergraph:
             m = linalg.require_hermitian(e, name="edge")
             if m.shape != (self.dim, self.dim):
                 raise ValueError("edge dimension mismatch")
-            w = np.linalg.eigvalsh(m)
-            tol = linalg.PSD_TOL * max(1.0, abs(float(w[0])), abs(float(w[-1])))
-            if w[0] < -tol:
-                raise ValueError("edge is not positive semidefinite")
-            if w[-1] > min(1.0, self.eta) + tol:
-                raise ValueError("edge exceeds the eta cap")
             mats.append(m)
         if not mats:
             raise ValueError("at least one edge required")
+        stack = np.stack(mats)
+        if not linalg.is_psd(stack).all():
+            raise ValueError("edge is not positive semidefinite")
+        if not linalg.psd_leq(stack, min(1.0, self.eta) * np.eye(self.dim)).all():
+            raise ValueError("edge exceeds the eta cap")
         self.edges = tuple(mats)
 
     @property
@@ -682,8 +687,10 @@ def covering_number_bruteforce(g: QuantumHypergraph, n: int):
         budget -= math.comb(m + k - 1, k)
         if budget < 0:
             raise RuntimeError("multiset search budget exceeded")
-        for combo in itertools.combinations_with_replacement(range(m), k):
-            if linalg.psd_leq(eye, stack[list(combo)].sum(axis=0)):
+        combos = itertools.combinations_with_replacement(range(m), k)
+        chunk = max(1, BRUTEFORCE_CHUNK_ENTRIES // (k * gn.dim**2))
+        while block := list(itertools.islice(combos, chunk)):
+            if linalg.psd_leq(eye, stack[np.array(block)].sum(axis=1)).any():
                 return k
         k += 1
 
@@ -700,6 +707,8 @@ def _fractional_cover(stack: np.ndarray, deg: np.ndarray, tol: float) -> tuple[n
     relaxes the problem, so sum(v) never exceeds the optimum and v / lam
     is feasible: the optimum lies in [sum(v), sum(v) / lam].
     """
+    if not tol >= LP_FEASIBILITY_TOL:
+        raise ValueError(f"tol must be >= {LP_FEASIBILITY_TOL}, the LP's feasibility tolerance")
     dim = stack.shape[-1]
     _, u = linalg.eigh(deg)
     rows = [-np.real(np.einsum("i,kij,j->k", u[:, i].conj(), stack, u[:, i])) for i in range(dim)]
@@ -713,8 +722,8 @@ def _fractional_cover(stack: np.ndarray, deg: np.ndarray, tol: float) -> tuple[n
             # default feasibility tolerances let the LP sit up to 1e-7
             # below the cuts, which would stall lam short of 1 - tol
             options={
-                "primal_feasibility_tolerance": 1e-10,
-                "dual_feasibility_tolerance": 1e-10,
+                "primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
+                "dual_feasibility_tolerance": LP_FEASIBILITY_TOL,
             },
         )
         if not res.success:

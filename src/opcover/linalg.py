@@ -34,9 +34,11 @@ def as_matrix(a) -> np.ndarray:
 
 
 def hermitize(a) -> np.ndarray:
-    """Average away the anti-Hermitian part (numerical hygiene only)."""
-    m = as_matrix(a)
-    return (m + m.conj().T) / 2
+    """Average away the anti-Hermitian part of a matrix or stack (numerical hygiene only)."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def is_hermitian(a, tol: float = HERM_TOL) -> bool:
@@ -71,26 +73,30 @@ def psd_tolerance(a) -> float:
     return PSD_TOL * max(1.0, spectral_norm(a))
 
 
-def is_psd(a, tol: float | None = None) -> bool:
-    m = hermitize(a)
+def is_psd(a, tol: float | None = None) -> np.bool_ | np.ndarray:
+    """Whether a matrix, or each matrix of a stack (..., d, d), is PSD.
+
+    One eigensolve; the default tolerance PSD_TOL * max(1, |w|) comes from
+    that same spectrum w.  Returns a numpy bool of the leading shape.
+    """
+    w = np.linalg.eigvalsh(hermitize(a))
     if tol is None:
-        tol = psd_tolerance(m)
-    return min_eigenvalue(m) >= -tol
+        tol = PSD_TOL * np.maximum(1.0, np.abs(w).max(axis=-1))
+    return w[..., 0] >= -tol
 
 
-def psd_leq(a, b) -> bool:
-    """Loewner order a <= b, up to the package PSD tolerance."""
-    diff = hermitize(b) - hermitize(a)
-    return min_eigenvalue(diff) >= -psd_tolerance(diff)
+def psd_leq(a, b) -> np.bool_ | np.ndarray:
+    """Loewner order a <= b up to the PSD tolerance; stacks broadcast like b - a."""
+    return is_psd(np.subtract(b, a))
 
 
-def not_dominated(x, a) -> bool:
+def not_dominated(x, a) -> np.bool_ | np.ndarray:
     """Decide the tail event "x is NOT <= a" (strict order violation)."""
-    return not psd_leq(x, a)
+    return ~psd_leq(x, a)
 
 
-def in_operator_interval(x, lower, upper) -> bool:
-    return psd_leq(lower, x) and psd_leq(x, upper)
+def in_operator_interval(x, lower, upper) -> np.bool_ | np.ndarray:
+    return psd_leq(lower, x) & psd_leq(x, upper)
 
 
 def require_density(rho, tol: float = 1e-9, name: str = "rho") -> np.ndarray:

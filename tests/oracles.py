@@ -72,3 +72,19 @@ def multinomial_pmf(n: int, counts, probs) -> float:
     for p, c in zip(probs, counts):
         out *= p**c
     return out
+
+
+def half_integer_sum_pmf(probs, n: int) -> list[Fraction]:
+    """Exact law of a sum of n i.i.d. draws from {0, 1/2, 1}.
+
+    probs are the Fraction probabilities of 0, 1/2 and 1; entry h of the
+    result is Pr{sum = h/2}, by a dynamic program over the half-units.
+    """
+    pmf = [Fraction(1)]
+    for _ in range(n):
+        nxt = [Fraction(0)] * (len(pmf) + 2)
+        for h, mass in enumerate(pmf):
+            for step, p in enumerate(probs):
+                nxt[h + step] += mass * p
+        pmf = nxt
+    return pmf

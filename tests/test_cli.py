@@ -393,6 +393,26 @@ class TestCsvFormat:
             "3,8,8.0,8.0\n"
         )
 
+    def test_exact_tail_golden_file(self):
+        # n = 45 with three qubit atoms gives 1,081 compositions, more
+        # than one enumeration chunk
+        rv = {"kind": "matrices", "probs": [0.3, 0.3, 0.4], "values": [
+            {"dim": 2, "re": [[0.1, 0.0], [0.0, 0.6]]},
+            {"dim": 2, "re": [[0.4, 0.4], [0.4, 0.4]]},
+            {"dim": 2, "re": [[0.5, 0.2], [0.2, 0.3]], "im": [[0.0, 0.1], [-0.1, 0.0]]},
+        ]}
+        texts = []
+        for params in ({"rv": rv, "method": "chernoff-upper", "n": 45, "a": 0.7, "m": 0.6},
+                       {"rv": rv, "method": "weak-law", "n": 45, "delta": 0.1}):
+            _, rows = cli._execute({"command": "tail-mc", "params": params, "seed": 11})
+            texts.append(csv_text(CSV_COLUMNS["tail-mc"], rows))
+        assert texts == [
+            "method,n,trials,probability,stderr,bound\n"
+            "chernoff-upper,45,0,3.5229459656588107e-06,0.0,0.7566221769395095\n",
+            "method,n,trials,probability,stderr,bound\n"
+            "weak-law,45,0,0.002244687065511068,0.0,0.21533333333333335\n",
+        ]
+
 
 # ---------------------------------------------------------------------------
 
@@ -619,6 +639,24 @@ class TestMain:
     )
     def test_param_beyond_library_range_exits_2(self, args, path, capsys):
         assert cli.main(args + ["--seed", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "schema-violation"
+        assert err["path"] == path
+
+    @pytest.mark.parametrize(
+        "flags, path",
+        [
+            (["method=markov", "a=-1"], ["params", "a"]),
+            (["method=chernoff-upper", "n=5", "a=1.5", "m=0.5"], ["params", "a"]),
+            (["method=chernoff-upper", "n=5", "a=0.9", "m=1.2"], ["params", "m"]),
+            (["method=two-sided", "n=5", "eps=0.7"], ["params", "eps"]),
+        ],
+    )
+    def test_tail_param_out_of_domain_exits_2(self, flags, path, capsys):
+        args = ["tail-mc", "--param", 'rv={"kind":"random","dim":2,"atoms":3}', "--seed", "1"]
+        for flag in flags:
+            args += ["--param", flag]
+        assert cli.main(args) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "schema-violation"
         assert err["path"] == path

@@ -6,6 +6,7 @@ import pytest
 
 from opcover import linalg
 from opcover.concentration import (
+    ENUMERATION_CHUNK_ENTRIES,
     OperatorRV,
     TailReport,
     bernstein_bound,
@@ -20,7 +21,7 @@ from opcover.concentration import (
 )
 from opcover.rng import make_rng
 
-from oracles import binom_tail_ge, binom_tail_le, brute_force_tail
+from oracles import binom_tail_ge, binom_tail_le, brute_force_tail, half_integer_sum_pmf
 
 E0 = np.diag([1.0, 0.0])
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -228,6 +229,18 @@ class TestEnumerationEngine:
         rv = OperatorRV.scalar([0.2] * 5, [0.0, 0.25, 0.5, 0.75, 1.0])
         with pytest.raises(ValueError, match="enumeration"):
             exact_tail(rv, 2000, lambda s: False)
+
+    def test_chunked_enumeration_matches_exact_law(self):
+        # 5,151 compositions of n = 100 into 3 atoms span several chunks
+        probs = [Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)]
+        rv = OperatorRV.scalar([float(p) for p in probs], [0.0, 0.5, 1.0])
+        n = 100
+        assert math.comb(n + 2, 2) > ENUMERATION_CHUNK_ENTRIES
+        pmf = half_integer_sum_pmf(probs, n)
+        for threshold in (60.0, 70.0):
+            got = exact_tail(rv, n, lambda s: linalg.not_dominated(s, np.array([[threshold]])))
+            want = sum(pmf[int(2 * threshold) + 1:])
+            assert got == pytest.approx(float(want), abs=1e-12)
 
     def test_mc_doubling_halves_stderr(self):
         rv = coin()

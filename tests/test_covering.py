@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -459,6 +460,16 @@ class TestCoveringCapacity:
         obj = cap.to_json()
         assert obj["bits"] == pytest.approx(1.0, abs=1e-6)
         assert len(obj["witness"]) == 2
+
+
+    def test_tol_below_lp_feasibility_rejected_at_once(self):
+        g = random_hypergraph(spawn_seeds(5, 5)[0], dim=3, num_edges=4)
+        for solve in (lambda: covering_capacity(g, tol=1e-12),
+                      lambda: generalized_covering_number(g, 1, tol=1e-12)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="tol must be >="):
+                solve()
+            assert time.perf_counter() - start < 1.0
 
 
 class TestProductRelations:

@@ -219,3 +219,41 @@ def test_library_has_no_bare_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_psd_order_on_stacks_matches_each_matrix():
+    rng = make_rng(31)
+    for dim in (1, 2, 3):
+        a = np.stack([random_hermitian(rng, dim) for _ in range(12)]).reshape(3, 4, dim, dim)
+        b = a + np.stack([random_psd(rng, dim) - 0.1 * np.eye(dim) for _ in range(12)]).reshape(a.shape)
+        x = (a + b) / 2
+        got = (linalg.is_psd(b - a), linalg.psd_leq(a, b), linalg.in_operator_interval(x, a, b))
+        for g in got:
+            assert g.shape == (3, 4)
+        for i in np.ndindex(3, 4):
+            assert got[0][i] == linalg.is_psd(b[i] - a[i])
+            assert got[1][i] == linalg.psd_leq(a[i], b[i])
+            assert got[2][i] == linalg.in_operator_interval(x[i], a[i], b[i])
+        # one bound broadcast against the whole stack
+        bound = np.eye(dim)
+        leq = linalg.psd_leq(x, bound)
+        assert [bool(leq[i]) for i in np.ndindex(3, 4)] == [
+            bool(linalg.psd_leq(x[i], bound)) for i in np.ndindex(3, 4)
+        ]
+    # violations inside the relative tolerance still count as ordered
+    a = np.diag([0.2, 0.3])
+    pair = np.stack([a + 1e-11 * np.eye(2), a + 1e-6 * np.eye(2)])
+    assert linalg.psd_leq(pair, a).tolist() == [True, False]
+
+
+def test_psd_leq_makes_one_eigensolve(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert linalg.psd_leq(np.diag([0.2, 0.3]), np.diag([0.2, 0.5]))
+    assert calls == [(2, 2)]
