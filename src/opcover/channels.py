@@ -12,10 +12,14 @@ state, merge degenerate eigenvalues into eigenspace classes, and keep
 the product eigenvectors whose class occupation counts stay within
 alpha standard deviations of their means.  All trace guarantees are
 Chebyshev bounds, so they hold on every instance, not just on average.
+A projector is diagonal in the product of its letter eigenbases, so it
+is stored factored (letter bases plus the admissible product-index
+mask) and no builder forms a d^n x d^n matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -25,7 +29,8 @@ import numpy as np
 from . import linalg
 from .linalg import BoundViolation, check_distribution
 
-# Largest product dimension d^n a projector builder will materialize.
+# Largest product dimension d^n of a typical projector or a dense product
+# output (the projector builders themselves allocate no d^n x d^n matrix).
 MAX_TENSOR_DIM = 4096
 # Sequence spaces larger than this are refused by typical_set.
 MAX_SEQUENCE_SPACE = 1_000_000
@@ -33,10 +38,6 @@ MAX_TYPES = 5_000_000
 # Eigenvalues closer than this merge into one eigenspace class before
 # any typicality test; keeps the construction basis-independent.
 DEGENERACY_ATOL = 1e-9
-
-# O(dim^3) projector invariant checks are skipped above this size; the
-# construction is diagonal in a single product eigenbasis either way.
-_VALIDATE_DIM = 1024
 
 
 class CQChannel:
@@ -367,18 +368,60 @@ def _factor_system(state) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np
     return values, basis, ids, masses
 
 
+def letter_systems(channel: CQChannel) -> dict:
+    """Eigensystem of every letter state, keyed by input symbol.
+
+    Pass the result as `systems` to conditional_typical_projector to
+    share one eigendecomposition per letter across many sequences.
+    """
+    return {x: _factor_system(w) for x, w in enumerate(channel.states)}
+
+
+def _check_factor(basis, values, letter) -> None:
+    """A factor basis must be unitary and diagonalize its letter state."""
+    w = linalg.as_matrix(letter)
+    d = w.shape[0]
+    if np.shape(values) != (d,):
+        raise ValueError("factor spectrum length must match the letter dimension")
+    if basis is None:
+        resid = w - np.diag(values)
+    else:
+        u = np.asarray(basis)
+        if u.shape != (d, d):
+            raise ValueError("factor basis must be square of the letter dimension")
+        if np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-10:
+            raise ValueError("factor basis is not unitary within 1e-10")
+        resid = w @ u - u * values
+    if linalg.frobenius(resid) > 1e-9:
+        raise ValueError("factor basis does not diagonalize its letter state within 1e-9")
+
+
 @dataclass(frozen=True)
 class TypicalProjector:
-    """Frequency-typical subspace projector for a product state.
+    """Frequency-typical subspace projector for a product state, stored factored.
 
-    `range_basis` holds an orthonormal basis of the range as columns,
-    which is what downstream range-compression consumes.  `trace_mass`
-    is the exact overlap of the reference product state with the range,
-    guaranteed to reach `mass_bound` by Chebyshev counting.
+    The projector is diagonal in a product eigenbasis.  Factor i has the
+    orthonormal eigenbasis `factor_bases[i]` (columns; None marks a
+    diagonal letter whose eigenbasis is the standard basis) and the
+    eigenvalues `factor_values[i]` of its letter state.  `mask` lists
+    the flat indices (first factor most significant) of the product
+    eigenvectors spanning the range, strictly increasing, and `probs`
+    their reference eigenvalues.  `trace_mass` is the exact overlap of
+    the reference product state with the range, guaranteed to reach
+    `mass_bound` by Chebyshev counting.
+
+    Validation is factored and runs at every size: unitary factor bases
+    that diagonalize their letters and an in-range increasing mask make
+    the product projector Hermitian, idempotent and commuting with the
+    reference state.  The dense `projector` and `range_basis` (range
+    columns) are built lazily on first access, for tests and small-D
+    callers; nothing in the package reads them.
     """
 
-    projector: np.ndarray
-    range_basis: np.ndarray
+    factor_bases: tuple
+    factor_values: tuple
+    mask: np.ndarray
+    probs: np.ndarray
     n: int
     alpha: float
     kind: str  # "unconditional" | "conditional"
@@ -386,82 +429,90 @@ class TypicalProjector:
     sequence: tuple[int, ...] | None
     trace_mass: float
     mass_bound: float
-    rank: int
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        pi = self.projector
-        dim = pi.shape[0]
-        if pi.shape != (dim, dim):
-            raise ValueError("projector must be square")
-        if self.range_basis.shape != (dim, self.rank):
-            raise ValueError("range basis shape must be dim x rank")
+        factors = (self.factor_bases, self.factor_values, self.letter_states)
+        if any(len(f) != self.n for f in factors):
+            raise ValueError("need one basis, spectrum and letter state per factor")
+        checked = set()
+        for factor in zip(*factors):
+            key = tuple(id(f) for f in factor)
+            if key not in checked:
+                checked.add(key)
+                _check_factor(*factor)
+        mask = self.mask
+        if mask.ndim != 1 or not np.issubdtype(mask.dtype, np.integer):
+            raise ValueError("mask must be a 1-d integer array")
+        if self.probs.shape != mask.shape:
+            raise ValueError("probs must hold one eigenvalue per mask index")
+        if mask.size and (mask[0] < 0 or mask[-1] >= self.dim or (np.diff(mask) <= 0).any()):
+            raise ValueError("mask must be strictly increasing inside [0, dim)")
         if not self.trace_mass + 1e-12 >= self.mass_bound:
             raise BoundViolation(
                 f"typical mass {self.trace_mass} below guarantee {self.mass_bound}"
             )
-        if dim <= _VALIDATE_DIM:
-            if np.abs(pi - pi.conj().T).max() > 1e-10:
-                raise ValueError("projector is not Hermitian")
-            if linalg.frobenius(pi @ pi - pi) > 1e-9:
-                raise ValueError("projector is not idempotent within 1e-9")
-            if linalg.commutator_norm(pi, self.reference_state()) > 1e-9 * dim:
-                raise ValueError("projector does not commute with its reference state")
+
+    @property
+    def factor_dims(self) -> tuple[int, ...]:
+        return tuple(len(v) for v in self.factor_values)
 
     @property
     def dim(self) -> int:
-        return int(self.projector.shape[0])
+        return math.prod(self.factor_dims)
+
+    @property
+    def rank(self) -> int:
+        return int(self.mask.size)
+
+    @functools.cached_property
+    def digits(self) -> np.ndarray:
+        """Per-factor eigenvector index of every range vector, shape (n, rank)."""
+        return np.array(np.unravel_index(self.mask, self.factor_dims)).reshape(self.n, self.rank)
+
+    @functools.cached_property
+    def range_basis(self) -> np.ndarray:
+        """Orthonormal range basis as columns, shape (dim, rank)."""
+        cols = np.ones((1, self.rank), dtype=np.complex128)
+        for basis, d, k in zip(self.factor_bases, self.factor_dims, self.digits):
+            b = np.eye(d) if basis is None else basis
+            cols = (cols[:, None, :] * b[:, k][None, :, :]).reshape(-1, self.rank)
+        return cols
+
+    @functools.cached_property
+    def projector(self) -> np.ndarray:
+        """Dense dim x dim projector onto the range."""
+        basis = self.range_basis
+        return linalg.hermitize(basis @ basis.conj().T)
 
     def reference_state(self) -> np.ndarray:
         """The product state the projector was built for."""
         return linalg.kron_all(self.letter_states)
 
 
-def _product_mask(factor_values, blocks) -> tuple[list[int], list[float], float, float]:
+def _product_mask(factor_values, blocks) -> tuple[np.ndarray, np.ndarray]:
     """Admissible product eigenvectors and their reference eigenvalues.
 
     blocks: list of (factor positions, class targets, class windows,
-    class ids array of that block's factor).  Returns (flat indices,
-    eigenvalue products, min product, max product).
+    class ids array of that block's factor).  Flat indices run over
+    mixed-radix digit arrays, first factor most significant.  Returns
+    (ascending flat indices, eigenvalue products), each product a
+    running product of the clipped factor eigenvalues in factor order.
     """
-    n = len(factor_values)
-    dims = [len(v) for v in factor_values]
-    mask: list[int] = []
-    probs: list[float] = []
-    lo, hi = math.inf, 0.0
-    for flat, combo in enumerate(itertools.product(*(range(d) for d in dims))):
-        ok = True
-        for positions, targets, widths, ids in blocks:
-            occ = [0] * len(targets)
-            for i in positions:
-                occ[ids[combo[i]]] += 1
-            if any(abs(occ[c] - targets[c]) > widths[c] for c in range(len(targets))):
-                ok = False
-                break
-        if not ok:
-            continue
-        mask.append(flat)
-        prob = math.prod(max(0.0, float(factor_values[i][combo[i]])) for i in range(n))
-        probs.append(prob)
-        lo, hi = min(lo, prob), max(hi, prob)
-    return mask, probs, lo, hi
-
-
-def _assemble_projector(factor_bases, dims, mask) -> tuple[np.ndarray, np.ndarray]:
-    """(projector, orthonormal range basis) from a product-index mask."""
-    total = math.prod(dims)
-    if all(b is None for b in factor_bases):
-        basis = np.zeros((total, len(mask)), dtype=np.complex128)
-        for col, flat in enumerate(mask):
-            basis[flat, col] = 1.0
-        pi = np.zeros((total, total), dtype=np.complex128)
-        pi[mask, mask] = 1.0
-        return pi, basis
-    full = linalg.kron_all(
-        np.eye(d) if b is None else b for b, d in zip(factor_bases, dims)
-    )
-    basis = full[:, mask]
-    return linalg.hermitize(basis @ basis.conj().T), basis
+    dims = tuple(len(v) for v in factor_values)
+    digits = np.indices(dims).reshape(len(dims), -1)
+    ok = np.ones(digits.shape[1], dtype=bool)
+    for positions, targets, widths, ids in blocks:
+        classes = np.asarray(ids)[digits[list(positions)]]
+        for c in range(len(targets)):
+            occ = (classes == c).sum(axis=0)
+            ok &= np.abs(occ - targets[c]) <= widths[c]
+    mask = np.flatnonzero(ok)
+    probs = np.ones(mask.size)
+    for values, k in zip(factor_values, digits[:, mask]):
+        values = np.asarray(values, dtype=float)
+        probs = probs * np.where(values > 0.0, values, 0.0)[k]
+    return mask, probs
 
 
 def _window(masses, n_block: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -470,20 +521,23 @@ def _window(masses, n_block: int, alpha: float) -> tuple[np.ndarray, np.ndarray]
     return targets, widths
 
 
-def _exponent_report(rank, n, entropy_bits, denom, lo, hi) -> dict:
+def _exponent_report(probs, n, entropy_bits, denom) -> dict:
     """Measured exponent constants for the rank and sandwich bounds.
 
     The guaranteed versions carry a universal constant inherited from
     cited work, so these are diagnostics, never assertions.
     """
+    rank = len(probs)
+    lo = float(probs.min()) if rank else None
+    hi = float(probs.max()) if rank else None
     out = {
         "rank": int(rank),
         "entropy_bits": float(entropy_bits),
         "rank_exponent_constant": None,
         "lower_sandwich_constant": None,
         "upper_sandwich_constant": None,
-        "min_restricted_eigenvalue": None if rank == 0 else float(lo),
-        "max_restricted_eigenvalue": None if rank == 0 else float(hi),
+        "min_restricted_eigenvalue": lo,
+        "max_restricted_eigenvalue": hi,
     }
     if rank > 0 and denom > 0.0:
         out["rank_exponent_constant"] = (math.log2(rank) - n * entropy_bits) / denom
@@ -507,46 +561,50 @@ def typical_projector(rho, n: int, alpha: float) -> TypicalProjector:
     _check_build_size(d, n, alpha)
     values, basis, ids, masses = _factor_system(rho)
     targets, widths = _window(masses, n, alpha)
-    blocks = [(range(n), targets, widths, ids)]
-    mask, probs, lo, hi = _product_mask([values] * n, blocks)
-    pi, range_basis = _assemble_projector([basis] * n, [d] * n, mask)
-    trace_mass = math.fsum(probs)
+    mask, probs = _product_mask([values] * n, [(range(n), targets, widths, ids)])
     bound = 1.0 - d / alpha**2 if alpha > 0.0 else -math.inf
     entropy = linalg.shannon_entropy(np.clip(values, 0.0, 1.0))
-    details = _exponent_report(len(mask), n, entropy, d * alpha * math.sqrt(n), lo, hi)
+    details = _exponent_report(probs, n, entropy, d * alpha * math.sqrt(n))
     details["class_masses"] = masses.tolist()
     return TypicalProjector(
-        projector=pi,
-        range_basis=range_basis,
+        factor_bases=(basis,) * n,
+        factor_values=(values,) * n,
+        mask=mask,
+        probs=probs,
         n=n,
         alpha=float(alpha),
         kind="unconditional",
         letter_states=(rho,) * n,
         sequence=None,
-        trace_mass=trace_mass,
+        trace_mass=math.fsum(probs),
         mass_bound=bound,
-        rank=len(mask),
         details=details,
     )
 
 
-def conditional_typical_projector(channel: CQChannel, xn, alpha: float) -> TypicalProjector:
+def conditional_typical_projector(
+    channel: CQChannel, xn, alpha: float, *, systems: dict | None = None
+) -> TypicalProjector:
     """Projector onto jointly typical eigenvectors of a product output.
 
     Tensor factors group into blocks by input symbol; each block gets
     the unconditional construction for its letter state at deviation
     alpha, and the blocks tensor together.  The retained mass is at
-    least 1 - a*d/alpha^2 by a union bound over blocks.
+    least 1 - a*d/alpha^2 by a union bound over blocks.  `systems`
+    may carry letter_systems(channel), computed once for many calls.
     """
     xn = _check_sequence(xn, channel.alphabet_size)
     n = len(xn)
     d = channel.dim
     _check_build_size(d, n, alpha)
-    systems = {x: _factor_system(channel.states[x]) for x in set(xn)}
+    symbols = sorted(set(xn))
+    if systems is None:
+        systems = {x: _factor_system(channel.states[x]) for x in symbols}
+    letters = {x: channel.states[x] for x in symbols}
     blocks = []
     block_details = []
     entropy = 0.0
-    for x in sorted(set(xn)):
+    for x in symbols:
         values, _, ids, masses = systems[x]
         positions = [i for i, s in enumerate(xn) if s == x]
         targets, widths = _window(masses, len(positions), alpha)
@@ -554,7 +612,7 @@ def conditional_typical_projector(channel: CQChannel, xn, alpha: float) -> Typic
         entropy += len(positions) / n * linalg.shannon_entropy(np.clip(values, 0.0, 1.0))
         # the admissible set factorizes across blocks, so the block
         # masses multiply to trace_mass; kept per block for diagnosis
-        _, bprobs, _, _ = _product_mask(
+        _, bprobs = _product_mask(
             [values] * len(positions),
             [(range(len(positions)), targets, widths, ids)],
         )
@@ -566,27 +624,23 @@ def conditional_typical_projector(channel: CQChannel, xn, alpha: float) -> Typic
                 "block_mass": math.fsum(bprobs),
             }
         )
-    factor_values = [systems[x][0] for x in xn]
-    mask, probs, lo, hi = _product_mask(factor_values, blocks)
-    pi, range_basis = _assemble_projector(
-        [systems[x][1] for x in xn], [d] * n, mask
-    )
-    trace_mass = math.fsum(probs)
+    mask, probs = _product_mask([systems[x][0] for x in xn], blocks)
     a = channel.alphabet_size
     bound = 1.0 - a * d / alpha**2 if alpha > 0.0 else -math.inf
-    details = _exponent_report(len(mask), n, entropy, d * a * alpha * math.sqrt(n), lo, hi)
+    details = _exponent_report(probs, n, entropy, d * a * alpha * math.sqrt(n))
     details["blocks"] = block_details
     return TypicalProjector(
-        projector=pi,
-        range_basis=range_basis,
+        factor_bases=tuple(systems[x][1] for x in xn),
+        factor_values=tuple(systems[x][0] for x in xn),
+        mask=mask,
+        probs=probs,
         n=n,
         alpha=float(alpha),
         kind="conditional",
-        letter_states=tuple(channel.states[x] for x in xn),
+        letter_states=tuple(letters[x] for x in xn),
         sequence=xn,
-        trace_mass=trace_mass,
+        trace_mass=math.fsum(probs),
         mass_bound=bound,
-        rank=len(mask),
         details=details,
     )
 
@@ -605,8 +659,10 @@ def cross_typical_mass(channel: CQChannel, xn, alpha: float) -> tuple[float, Typ
 
     Builds the unconditional projector of the single-letter mixture
     under the sequence's empirical distribution, at widened deviation
-    alpha*sqrt(a), and traces the product output W^n_{xn} against it.
-    The same Chebyshev count keeps this above 1 - a*d/alpha^2.
+    alpha*sqrt(a), and traces the product output W^n_{xn} against it:
+    the sum over range vectors of prod_i <v_{k_i}| W_{x_i} |v_{k_i}>,
+    read off a per-letter table of diagonal overlaps.  The same
+    Chebyshev count keeps this above 1 - a*d/alpha^2.
     """
     xn = _check_sequence(xn, channel.alphabet_size)
     if alpha <= 0.0:
@@ -615,8 +671,16 @@ def cross_typical_mass(channel: CQChannel, xn, alpha: float) -> tuple[float, Typ
     t = EmpiricalDistribution.from_sequence(xn, a)
     mix = output_state(t.probabilities(), channel)
     proj = typical_projector(mix, len(xn), alpha * math.sqrt(a))
-    wn = tensor_output(xn, channel)
-    mass = float(np.einsum("ij,ji->", wn, proj.projector).real)
+    v = proj.factor_bases[0]
+    if v is None:
+        overlaps = np.diagonal(channel.states, axis1=1, axis2=2).real
+    else:
+        # overlaps[x, j] = <v_j| W_x |v_j>
+        overlaps = np.einsum("ji,xjk,ki->xi", v.conj(), channel.states, v).real
+    terms = np.ones(proj.rank)
+    for x, k in zip(xn, proj.digits):
+        terms = terms * overlaps[x, k]
+    mass = math.fsum(terms)
     bound = 1.0 - a * channel.dim / alpha**2
     if mass + 1e-9 < bound:
         raise BoundViolation(f"cross typical mass {mass} below guarantee {bound}")

@@ -122,15 +122,16 @@ class QuantumHypergraph:
     """Finite family of effect operators on a d-dimensional space.
 
     Every edge E satisfies 0 <= E <= identity and E <= eta * identity,
-    up to the package PSD tolerance.
+    up to the package PSD tolerance.  With eta=None the cap is the
+    tightest one, min(1, largest edge spectral norm), read off the
+    same spectrum that validates the edges.
     """
 
-    def __init__(self, dim: int, edges, eta: float):
+    def __init__(self, dim: int, edges, eta: float | None):
         self.dim = int(dim)
         if self.dim <= 0:
             raise ValueError("dim must be positive")
-        self.eta = float(eta)
-        if self.eta < 0:
+        if eta is not None and float(eta) < 0:
             raise ValueError("eta must be nonnegative")
         mats = []
         for e in edges:
@@ -140,10 +141,14 @@ class QuantumHypergraph:
             mats.append(m)
         if not mats:
             raise ValueError("at least one edge required")
-        stack = np.stack(mats)
-        if not linalg.is_psd(stack).all():
+        # One eigensolve decides both orders: E >= 0 on the spectrum w, and
+        # cap*I - E >= 0 on its spectrum cap - w, each with its own tolerance.
+        w = np.linalg.eigvalsh(np.stack(mats))
+        if (w[:, 0] < -linalg.spectral_tolerance(w)).any():
             raise ValueError("edge is not positive semidefinite")
-        if not linalg.psd_leq(stack, min(1.0, self.eta) * np.eye(self.dim)).all():
+        self.eta = min(1.0, float(np.abs(w).max())) if eta is None else float(eta)
+        gap = min(1.0, self.eta) - w
+        if (gap[:, -1] < -linalg.spectral_tolerance(gap)).any():
             raise ValueError("edge exceeds the eta cap")
         self.edges = tuple(mats)
 
@@ -663,7 +668,8 @@ def _common_kernel(deg: np.ndarray) -> bool:
 
     Then no multiset, fractional weighting or edge mixture covers it.
     """
-    return linalg.min_eigenvalue(deg) <= linalg.psd_tolerance(deg)
+    w = np.linalg.eigvalsh(linalg.hermitize(deg))
+    return w[0] <= linalg.spectral_tolerance(w)
 
 
 def covering_number_bruteforce(g: QuantumHypergraph, n: int):

@@ -30,7 +30,9 @@ from .channels import (
     MAX_TENSOR_DIM,
     CQChannel,
     EmpiricalDistribution,
+    TypicalProjector,
     conditional_typical_projector,
+    letter_systems,
     output_state,
     tensor_output,
     type_enumerate,
@@ -354,6 +356,28 @@ class RegularizationResult:
         )
 
 
+def _basis_overlap(outer, inner, d: int) -> np.ndarray:
+    """outer^dagger inner for two letter eigenbases (None is the standard basis)."""
+    if outer is None:
+        return np.eye(d) if inner is None else inner
+    return outer.conj().T if inner is None else outer.conj().T @ inner
+
+
+def _sandwiched_edge(outer: TypicalProjector, inner: TypicalProjector, overlaps) -> np.ndarray:
+    """Compression of Pi W Pi to the range of `outer`, with Pi = `inner`.
+
+    W is inner's reference product state, diagonal in inner's product
+    eigenbasis, so Pi W Pi = sum_k probs_k |u_k><u_k| over inner's range
+    vectors.  With M[j, k] = <v_j|u_k> = prod_i overlaps[i][j_i, k_i]
+    over outer's range vectors v_j, the edge is M diag(probs) M^dagger:
+    no dim x dim matrix is formed.
+    """
+    m = np.ones((outer.rank, inner.rank), dtype=np.complex128)
+    for o, j, k in zip(overlaps, outer.digits, inner.digits):
+        m = m * o[np.ix_(j, k)]
+    return linalg.hermitize((m * inner.probs) @ m.conj().T)
+
+
 def resolvability_regularize(
     P,
     channel: CQChannel,
@@ -435,6 +459,7 @@ def resolvability_regularize(
         return wn_cache[xn]
 
     sqrt_a = math.sqrt(a)
+    systems = letter_systems(channel)
     active = []
     for i, t in enumerate(types):
         if quantized[i] == 0:
@@ -445,16 +470,21 @@ def resolvability_regularize(
         mix_proj = typical_projector(mixture, n, alpha * sqrt_a)
         if mix_proj.rank == 0:
             raise ValueError("mixture typical projector has empty range; alpha too small")
-        basis = mix_proj.range_basis
-        edges = []
-        for xn in seqs:
-            cond_proj = conditional_typical_projector(channel, xn, alpha).projector
-            sandwiched = cond_proj @ block_output(xn) @ cond_proj
-            edges.append(linalg.hermitize(basis.conj().T @ sandwiched @ basis))
-        eta = max(linalg.spectral_norm(e) for e in edges)
-        if eta <= 0.0:
+        v_mix = mix_proj.factor_bases[0]
+        overlaps = {x: _basis_overlap(v_mix, system[1], d) for x, system in systems.items()}
+        edges = [
+            _sandwiched_edge(
+                mix_proj,
+                conditional_typical_projector(channel, xn, alpha, systems=systems),
+                [overlaps[x] for x in xn],
+            )
+            for xn in seqs
+        ]
+        # eta = min(1, largest edge norm) comes off the one batched
+        # eigensolve that validates the edges
+        graph = QuantumHypergraph(mix_proj.rank, edges, None)
+        if graph.eta <= 0.0:
             raise ValueError("typical projection annihilated every edge; alpha too small")
-        graph = QuantumHypergraph(mix_proj.rank, edges, min(1.0, float(eta)))
         formula = 1.0 + graph.eta * graph.dim * (
             2.0 * LN2 * math.log2(2.0 * graph.dim)
         ) / (eps * eps * tau)

@@ -69,19 +69,27 @@ def min_eigenvalue(a) -> float:
     return float(np.linalg.eigvalsh(hermitize(a))[0])
 
 
+def spectral_tolerance(w):
+    """PSD tolerance PSD_TOL * max(1, max|w|) read off a spectrum w.
+
+    For a stack of spectra (..., d) it returns one tolerance per spectrum.
+    """
+    return PSD_TOL * np.maximum(1.0, np.abs(w).max(axis=-1))
+
+
 def psd_tolerance(a) -> float:
-    return PSD_TOL * max(1.0, spectral_norm(a))
+    return float(spectral_tolerance(np.linalg.eigvalsh(hermitize(a))))
 
 
 def is_psd(a, tol: float | None = None) -> np.bool_ | np.ndarray:
     """Whether a matrix, or each matrix of a stack (..., d, d), is PSD.
 
-    One eigensolve; the default tolerance PSD_TOL * max(1, |w|) comes from
-    that same spectrum w.  Returns a numpy bool of the leading shape.
+    One eigensolve; the default tolerance comes from that same spectrum
+    (spectral_tolerance).  Returns a numpy bool of the leading shape.
     """
     w = np.linalg.eigvalsh(hermitize(a))
     if tol is None:
-        tol = PSD_TOL * np.maximum(1.0, np.abs(w).max(axis=-1))
+        tol = spectral_tolerance(w)
     return w[..., 0] >= -tol
 
 
@@ -112,10 +120,8 @@ def require_density(rho, tol: float = 1e-9, name: str = "rho") -> np.ndarray:
 def _clamped_eigs(a, name: str) -> tuple[np.ndarray, np.ndarray]:
     # Eigenvalues in (-tol, 0) are clamped to zero; anything more negative
     # is a hard error for sqrt/log/inverse-type functions.
-    m = hermitize(a)
-    w, u = np.linalg.eigh(m)
-    tol = psd_tolerance(m)
-    if w[0] < -tol:
+    w, u = np.linalg.eigh(hermitize(a))
+    if w[0] < -spectral_tolerance(w):
         raise ValueError(f"{name}: negative eigenvalue {w[0]} below tolerance")
     return np.clip(w, 0.0, None), u
 

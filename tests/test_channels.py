@@ -1,11 +1,13 @@
+import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from opcover import linalg
+from opcover import channels, linalg
 from opcover.channels import (
     CQChannel,
     EmpiricalDistribution,
@@ -452,7 +454,87 @@ class TestConditionalProjector:
         assert np.allclose(basis @ basis.conj().T, proj.projector, atol=1e-12)
 
 
+class TestFactoredProjector:
+    def test_build_at_full_size_stays_small(self):
+        # one dense 4096 x 4096 complex array alone is 268 MB
+        rho = random_density(make_rng(71), 2)
+        ch = CQChannel([random_density(make_rng(72), 2) for _ in range(2)])
+        for build in (
+            lambda: typical_projector(rho, 12, 3.0),
+            lambda: conditional_typical_projector(ch, (0, 1) * 6, 3.0),
+        ):
+            tracemalloc.start()
+            try:
+                proj = build()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert proj.dim == 4096
+            assert peak < 32 * 2**20
+
+    def test_non_unitary_factor_basis_rejected_above_old_validation_size(self):
+        proj = typical_projector(random_density(make_rng(73), 2), 11, 2.0)
+        assert proj.dim == 2048
+        basis = proj.factor_bases[0]
+        assert basis is not None
+        with pytest.raises(ValueError, match="not unitary"):
+            dataclasses.replace(proj, factor_bases=(1.01 * basis,) * 11)
+
+    def test_basis_must_diagonalize_its_letter(self):
+        proj = typical_projector(random_density(make_rng(74), 2), 3, 2.0)
+        swapped = proj.factor_bases[0][:, ::-1]
+        with pytest.raises(ValueError, match="diagonalize"):
+            dataclasses.replace(proj, factor_bases=(swapped,) * 3)
+        diag = typical_projector(np.diag([0.7, 0.3]), 3, 2.0)
+        assert diag.factor_bases == (None,) * 3
+        with pytest.raises(ValueError, match="diagonalize"):
+            dataclasses.replace(diag, factor_values=(np.array([0.3, 0.7]),) * 3)
+
+    def test_mask_must_increase_inside_dim(self):
+        proj = typical_projector(np.diag([0.7, 0.3]), 3, 1e9)
+        assert proj.rank == 8
+        for mask in ([1, 0, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 4, 5, 6, 8], [0, 0, 1, 2, 3, 4, 5, 6]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                dataclasses.replace(proj, mask=np.array(mask))
+
+    def test_dense_views_are_lazy(self):
+        proj = typical_projector(random_density(make_rng(75), 2), 4, 2.0)
+        assert "projector" not in vars(proj) and "range_basis" not in vars(proj)
+        assert proj.projector is proj.projector  # built once, then cached
+
+    def test_mask_and_probs_match_itertools_enumeration(self):
+        ch = CQChannel([random_density(make_rng(76), 3), np.diag([0.5, 0.3, 0.2])])
+        xn = (0, 1, 1, 0, 1)
+        proj = conditional_typical_projector(ch, xn, 1.5)
+        values = proj.factor_values
+        expected = {}
+        for flat, combo in enumerate(itertools.product(range(3), repeat=5)):
+            expected[flat] = math.prod(max(0.0, float(values[i][combo[i]])) for i in range(5))
+        assert proj.rank > 0
+        for flat, prob in zip(proj.mask.tolist(), proj.probs.tolist()):
+            assert prob == expected[flat]  # same running product, bit for bit
+        assert proj.digits.shape == (5, proj.rank)
+        assert (np.ravel_multi_index(tuple(proj.digits), (3,) * 5) == proj.mask).all()
+
+
 class TestCrossTypicalMass:
+    def test_matches_dense_trace_without_dense_output(self, monkeypatch):
+        rng = make_rng(67)
+        cases = [(embed_classical([[0.6, 0.4], [0.1, 0.9]]), (0, 1, 1, 0, 1))]
+        for dim, n, a in [(2, 4, 2), (2, 6, 3), (3, 3, 2), (3, 5, 2), (2, 5, 2)]:
+            ch = CQChannel([random_density(rng, dim) for _ in range(a)])
+            cases.append((ch, tuple(int(s) for s in rng.integers(0, a, size=n))))
+
+        def no_dense(*args):
+            raise AssertionError("cross_typical_mass built a dense product output")
+
+        for ch, xn in cases:
+            with monkeypatch.context() as m:
+                m.setattr(channels, "tensor_output", no_dense)
+                mass, proj = cross_typical_mass(ch, xn, 2.5)
+            dense = float(np.einsum("ij,ji->", tensor_output(xn, ch), proj.projector).real)
+            assert abs(mass - dense) <= 1e-12
+
     def test_frozen_example_bound(self):
         mass, proj = cross_typical_mass(self.channel(), (0, 0, 0, 1, 1, 1), 3.0)
         assert mass >= 1.0 - 4.0 / 9.0

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from opcover import cli, identification
+from opcover import channels, cli, identification
 from opcover.channels import CQChannel
 from opcover.cli import (
     CSV_COLUMNS,
@@ -412,6 +412,73 @@ class TestCsvFormat:
             "method,n,trials,probability,stderr,bound\n"
             "weak-law,45,0,0.002244687065511068,0.0,0.21533333333333335\n",
         ]
+
+
+class TestTypicalityGolden:
+    """Typicality payloads at n=10, texts taken before projectors were stored factored."""
+
+    STATE = {
+        "command": "typicality",
+        "params": {"mode": "state", "state": {"kind": "random", "dim": 2}, "n": 10, "alpha": 2.0},
+        "seed": 3,
+    }
+    CONDITIONAL = {
+        "command": "typicality",
+        "params": {
+            "mode": "conditional",
+            "channel": {"kind": "random", "dim": 2, "inputs": 2},
+            "sequence": [0, 1, 1, 0, 1, 0, 0, 1, 1, 1],
+            "alpha": 3.0,
+        },
+        "seed": 5,
+    }
+
+    def test_state_mode_payload(self):
+        assert canonical_json(run(self.STATE).results) == (
+            '{"alpha":2.0,'
+            '"details":{"class_masses":[0.16159674988095088,0.8384032501190493],'
+            '"entropy_bits":0.6381158396713169,'
+            '"lower_sandwich_constant":0.25989319977425124,'
+            '"max_restricted_eigenvalue":0.17160483977726204,'
+            '"min_restricted_eigenvalue":0.0012287641662116038,"rank":176,'
+            '"rank_exponent_constant":0.0852449830312113,'
+            '"upper_sandwich_constant":0.30344588269101114},"dim":1024,'
+            '"kind":"unconditional","mass_bound":0.5,"n":10,"rank":176,'
+            '"trace_mass":0.9366943926422245}'
+        )
+
+    def test_conditional_mode_payload(self):
+        assert canonical_json(run(self.CONDITIONAL).results) == (
+            '{"alpha":3.0,"details":{"blocks":[{"block_mass":0.9909206671047321,'
+            '"class_masses":[0.03996303070568746,0.9600369692943126],"length":4,'
+            '"symbol":0},{"block_mass":0.9958697701907516,'
+            '"class_masses":[0.06197998926645738,0.9380200107335427],"length":6,'
+            '"symbol":1}],"entropy_bits":0.29800212656180014,'
+            '"lower_sandwich_constant":0.2697166771375362,'
+            '"max_restricted_eigenvalue":0.5786613136291249,'
+            '"min_restricted_eigenvalue":0.00010516559781310826,"rank":110,'
+            '"rank_exponent_constant":0.10017406377128639,'
+            '"upper_sandwich_constant":0.057732975041979835},"dim":1024,'
+            '"kind":"conditional","mass_bound":0.5555555555555556,"n":10,"rank":110,'
+            '"trace_mass":0.9868279370268559}'
+        )
+
+    def test_dense_views_never_built(self, monkeypatch):
+        def dense(self):
+            raise AssertionError("dense projector view built")
+
+        monkeypatch.setattr(channels.TypicalProjector, "projector", property(dense))
+        monkeypatch.setattr(channels.TypicalProjector, "range_basis", property(dense))
+        law = {"kind": "uniform", "n": 4}
+        overrides = {
+            "channel": {"kind": "random", "dim": 2, "inputs": 2}, "P": law, "lambda": 0.6,
+            "alpha": 3.0, "eps": 0.45, "tau": 0.45, "draws": 64,
+        }
+        paper = {"channel": ZERO_PLUS, "P": law, "lambda": 0.6}
+        run(self.STATE)
+        run(self.CONDITIONAL)
+        run({"command": "resolvability", "params": overrides, "seed": 13})
+        run({"command": "resolvability", "params": paper, "seed": 14})
 
 
 # ---------------------------------------------------------------------------

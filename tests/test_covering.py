@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from opcover import linalg
+from opcover import covering, linalg
 from opcover.covering import (
     CapacityResult,
     ClassicalHypergraph,
@@ -86,6 +86,44 @@ class TestHypergraphTypes:
             QuantumHypergraph(3, [np.eye(2)], 1.0)
         with pytest.raises(ValueError, match="at least one edge"):
             QuantumHypergraph(2, [], 1.0)
+
+    def test_quantum_validation_makes_one_eigensolve(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return eigvalsh(m)
+
+        def no_eigh(m):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        edges = [0.5 * E0, 0.25 * PLUS, np.diag([0.3, 0.1])]
+        g = QuantumHypergraph(2, edges, 0.5)
+        assert calls == [(3, 2, 2)] and g.eta == 0.5
+        # eta=None: the tight cap from that same spectrum
+        tight = QuantumHypergraph(2, edges, None)
+        assert calls == [(3, 2, 2), (3, 2, 2)] and tight.eta == 0.5
+        # the common-kernel test behind brute force, LP and capacity
+        assert not covering._common_kernel(np.diag([0.5, 1e-3]))
+        assert covering._common_kernel(E0)
+        assert calls[2:] == [(2, 2), (2, 2)]
+
+    def test_tight_eta_is_the_largest_edge_norm(self):
+        rng = make_rng(83)
+        edges = [0.7 * random_effect(rng, 3) for _ in range(4)]
+        g = QuantumHypergraph(3, edges, None)
+        assert g.eta == max(linalg.spectral_norm(e) for e in edges)
+        with pytest.raises(ValueError, match="eta cap"):
+            QuantumHypergraph(2, [1.5 * E0], None)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            QuantumHypergraph(2, [np.diag([-0.2, 0.5])], None)
+        with pytest.raises(ValueError, match="eta cap"):
+            QuantumHypergraph(2, [np.diag([0.5, 0.5 + 1e-6])], 0.5)
+        # within the relative PSD tolerance both orders still hold
+        assert QuantumHypergraph(2, [np.diag([-1e-11, 0.5 + 1e-11])], 0.5).num_edges == 1
 
     def test_quantum_average_and_json(self):
         g = QuantumHypergraph(2, [E0, PLUS], 1.0)

@@ -12,9 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opcover import linalg
-from opcover.channels import CQChannel, EmpiricalDistribution, embed_classical, type_enumerate
+from opcover.channels import (
+    CQChannel,
+    EmpiricalDistribution,
+    conditional_typical_projector,
+    embed_classical,
+    output_state,
+    tensor_output,
+    type_enumerate,
+    typical_projector,
+)
 from opcover.identification import (
     QIDCode,
+    _basis_overlap,
+    _sandwiched_edge,
     RegularizationResult,
     approximation_preserves_id,
     check_sequence_distribution,
@@ -31,7 +42,7 @@ from opcover.identification import (
     uniform_distribution,
 )
 from opcover.linalg import BoundViolation
-from opcover.rng import make_rng, random_distribution, random_effect
+from opcover.rng import make_rng, random_density, random_distribution, random_effect
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -516,6 +527,45 @@ class TestRegularize:
                 per_type_details=(),
                 certified=False,
             )
+
+
+class TestFactoredSandwich:
+    MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]])
+
+    def channels(self, rng):
+        return {
+            # every letter and the mixture diagonal: None bases throughout
+            "diagonal": embed_classical([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]]),
+            # diagonal letter next to a rotated one
+            "mixed": CQChannel([np.diag([0.7, 0.3]), random_density(rng, 2)]),
+            # rotated letters whose balanced mixture is I/2 (diagonal)
+            "rotated": CQChannel([0.8 * rho + 0.1 * np.eye(2) for rho in (PLUS, self.MINUS)]),
+            "quantum": CQChannel([random_density(rng, 2) for _ in range(3)]),
+        }
+
+    def test_edge_matches_dense_sandwich(self):
+        rng = make_rng(89)
+        branches = set()
+        for name, ch in self.channels(rng).items():
+            a, d = ch.alphabet_size, ch.dim
+            for n in range(1, 6):
+                xn = tuple(int(s) for s in rng.permutation(np.arange(n) % a))
+                t = EmpiricalDistribution.from_sequence(xn, a)
+                mix = typical_projector(output_state(t.probabilities(), ch), n, 2.0 * math.sqrt(a))
+                cond = conditional_typical_projector(ch, xn, 2.0)
+                overlaps = [
+                    _basis_overlap(mix.factor_bases[i], cond.factor_bases[i], d) for i in range(n)
+                ]
+                edge = _sandwiched_edge(mix, cond, overlaps)
+                pi, basis = cond.projector, mix.range_basis
+                dense = basis.conj().T @ pi @ tensor_output(xn, ch) @ pi @ basis
+                assert edge.shape == (mix.rank, mix.rank)
+                assert np.abs(edge - dense).max() <= 1e-12, (name, n)
+                branches.update(
+                    (m is None, c is None) for m, c in zip(mix.factor_bases, cond.factor_bases)
+                )
+        # every pairing of standard (None) and rotated letter bases occurred
+        assert branches == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestApproximation:

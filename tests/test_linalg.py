@@ -257,3 +257,24 @@ def test_psd_leq_makes_one_eigensolve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     assert linalg.psd_leq(np.diag([0.2, 0.3]), np.diag([0.2, 0.5]))
     assert calls == [(2, 2)]
+
+
+def test_herm_sqrt_makes_one_eigensolve(monkeypatch):
+    calls = []
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def counted_eigh(m):
+        calls.append("eigh")
+        return eigh(m)
+
+    def counted_eigvalsh(m):
+        calls.append("eigvalsh")
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    root = linalg.herm_sqrt(np.diag([0.25, 0.0]) - 1e-12 * np.eye(2))
+    assert calls == ["eigh"]
+    assert np.allclose(root, np.diag([0.5, 0.0]), atol=1e-6)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        linalg.herm_sqrt(np.diag([0.25, -1e-6]))
