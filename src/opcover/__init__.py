@@ -38,12 +38,13 @@ from .identification import (
     strong_converse_bound,
     uniform_distribution,
 )
-from .linalg import BoundViolation
+from .linalg import BoundViolation, DomainError
 
 __all__ = [
     "BoundViolation",
     "CQChannel",
     "ClassicalHypergraph",
+    "DomainError",
     "OperatorRV",
     "QIDCode",
     "QuantumHypergraph",

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import BoundViolation, check_distribution
+from .linalg import BoundViolation, DomainError, check_distribution
+from .rng import make_rng, random_density
 
 # Largest product dimension d^n of a typical projector or a dense product
 # output (the projector builders themselves allocate no d^n x d^n matrix).
@@ -90,6 +91,13 @@ class CQChannel:
         return ch
 
 
+def random_channel(seed: int, inputs: int, dim: int) -> CQChannel:
+    """Seeded channel of `inputs` random density operators on C^dim."""
+    linalg.require_positive(inputs=inputs)
+    rng = make_rng(seed)
+    return CQChannel([random_density(rng, dim) for _ in range(inputs)])
+
+
 def embed_classical(w) -> CQChannel:
     """Lift a row-stochastic matrix to a channel of diagonal states.
 
@@ -129,7 +137,7 @@ def _check_sequence(xn, alphabet_size: int) -> tuple[int, ...]:
     if not xn:
         raise ValueError("symbol sequence must be nonempty")
     if any(x < 0 or x >= alphabet_size for x in xn):
-        raise ValueError(f"symbols must lie in 0..{alphabet_size - 1}")
+        raise DomainError(f"symbols must lie in 0..{alphabet_size - 1}", "sequence")
     return xn
 
 
@@ -195,8 +203,7 @@ def capacity(channel: CQChannel, tol: float = 1e-9, max_iter: int = 200_000) -> 
     iteration stops once the duality gap max_x D(W_x || PW) - I(P)
     drops to tol, which certifies the answer to that absolute accuracy.
     """
-    if tol <= 0.0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter at least 1")
+    linalg.require_positive(tol=tol, max_iter=max_iter)
     a = channel.alphabet_size
     letter_entropies = [linalg.von_neumann_entropy(w) for w in channel.states]
     p = np.full(a, 1.0 / a)
@@ -647,9 +654,9 @@ def conditional_typical_projector(
 
 def _check_build_size(d: int, n: int, alpha: float) -> None:
     if n < 1:
-        raise ValueError("n must be a positive integer")
-    if alpha < 0.0:
-        raise ValueError("alpha must be nonnegative")
+        raise DomainError("n must be a positive integer", "n")
+    if not alpha >= 0.0:
+        raise DomainError("alpha must be nonnegative", "alpha")
     if d ** n > MAX_TENSOR_DIM:
         raise ValueError(f"product dimension {d}^{n} exceeds {MAX_TENSOR_DIM}")
 

@@ -7,14 +7,21 @@ rows with a fixed per-command column set, so outputs can be diffed
 byte-for-byte: identical (config, seed, version) always reproduce the
 identical results payload.  Wall-clock time lives outside the payload.
 
-Exit codes: 0 success, 2 config rejected by the schema (a machine
-readable error with the offending field path goes to stderr), 3 the
-computation itself failed (bound violation, domain error, ...).
+The schema checks the shape of a config (types, required fields, the
+variant of each nested object); whether a parameter lies in range is
+decided once, by the library entry point that receives it, which raises
+linalg.DomainError naming it.
+
+Exit codes: 0 success, 2 config rejected by the schema or by a library
+domain check (a machine readable error with the offending field path
+goes to stderr), 3 the computation itself failed (bound violation,
+invalid matrix or distribution, ...).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import hashlib
@@ -28,12 +35,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from . import channels, concentration, covering, identification, linalg
-from .linalg import BoundViolation
-from .rng import make_rng, random_density, random_distribution, random_effect, spawn_seeds
+from .linalg import BoundViolation, DomainError
+from .rng import make_rng, random_density, spawn_seeds
 
 COMMANDS = (
     "tail-mc",
@@ -152,7 +160,9 @@ def csv_text(columns, rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# config schema
+# config schema: shape only.  The two ranges left guard fields the CLI
+# decodes itself and no library entry point receives: a matrix payload's
+# dim and the bsc crossover probability p.
 
 _MATRIX = {
     "type": "object",
@@ -216,8 +226,8 @@ _CHANNEL = {
             "additionalProperties": False,
             "properties": {
                 "kind": {"const": "random"},
-                "inputs": {"type": "integer", "minimum": 1},
-                "dim": {"type": "integer", "minimum": 1},
+                "inputs": {"type": "integer"},
+                "dim": {"type": "integer"},
             },
         },
     ]
@@ -230,8 +240,8 @@ _HYPERGRAPH = {
             "required": ["dim", "edges", "eta"],
             "additionalProperties": False,
             "properties": {
-                "dim": {"type": "integer", "minimum": 1},
-                "eta": {"type": "number", "exclusiveMinimum": 0},
+                "dim": {"type": "integer"},
+                "eta": {"type": "number"},
                 "edges": {"type": "array", "minItems": 1, "items": _MATRIX},
             },
         },
@@ -241,9 +251,9 @@ _HYPERGRAPH = {
             "additionalProperties": False,
             "properties": {
                 "kind": {"const": "random"},
-                "dim": {"type": "integer", "minimum": 1},
-                "num_edges": {"type": "integer", "minimum": 1},
-                "eta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+                "dim": {"type": "integer"},
+                "num_edges": {"type": "integer"},
+                "eta": {"type": "number"},
             },
         },
         {
@@ -263,7 +273,7 @@ _DISTRIBUTION = {
             "additionalProperties": False,
             "properties": {
                 "kind": {"const": "uniform"},
-                "n": {"type": "integer", "minimum": 1},
+                "n": {"type": "integer"},
             },
         },
         {
@@ -272,8 +282,8 @@ _DISTRIBUTION = {
             "additionalProperties": False,
             "properties": {
                 "kind": {"const": "random"},
-                "n": {"type": "integer", "minimum": 1},
-                "support": {"type": "integer", "minimum": 1},
+                "n": {"type": "integer"},
+                "support": {"type": "integer"},
             },
         },
         {
@@ -320,17 +330,12 @@ _RV = {
             "additionalProperties": False,
             "properties": {
                 "kind": {"const": "random"},
-                "dim": {"type": "integer", "minimum": 1},
-                "atoms": {"type": "integer", "minimum": 2},
+                "dim": {"type": "integer"},
+                "atoms": {"type": "integer"},
             },
         },
     ]
 }
-
-# The cutting-plane LP behind cover-capacity and product-cover rejects a
-# tol finer than its own feasibility tolerance.
-_LP_TOL = {"type": "number", "minimum": covering.LP_FEASIBILITY_TOL}
-_UNIT = {"minimum": 0, "maximum": 1}
 
 PARAMS_SCHEMAS = {
     "tail-mc": {
@@ -345,28 +350,22 @@ PARAMS_SCHEMAS = {
                     "chernoff-upper", "chernoff-lower", "two-sided",
                 ]
             },
-            "n": {"type": "integer", "minimum": 1},
-            "trials": {"type": "integer", "minimum": 0},
+            "n": {"type": "integer"},
+            "trials": {"type": "integer"},
             "a": {"type": "number"},
             "m": {"type": "number"},
-            "eps": {"type": "number", "exclusiveMinimum": 0},
-            "delta": {"type": "number", "exclusiveMinimum": 0},
+            "eps": {"type": "number"},
+            "delta": {"type": "number"},
         },
         "allOf": [
-            {
-                "if": {"properties": {"method": {"const": "markov"}}},
-                "then": {"required": ["a"], "properties": {"a": {"minimum": 0}}},
-            },
+            {"if": {"properties": {"method": {"const": "markov"}}}, "then": {"required": ["a"]}},
             {"if": {"properties": {"method": {"const": "chebyshev"}}}, "then": {"required": ["delta"]}},
             {"if": {"properties": {"method": {"const": "weak-law"}}}, "then": {"required": ["n", "delta"]}},
             {
                 "if": {"properties": {"method": {"enum": ["chernoff-upper", "chernoff-lower"]}}},
-                "then": {"required": ["n", "a", "m"], "properties": {"a": _UNIT, "m": _UNIT}},
+                "then": {"required": ["n", "a", "m"]},
             },
-            {
-                "if": {"properties": {"method": {"const": "two-sided"}}},
-                "then": {"required": ["n", "eps"], "properties": {"eps": {"maximum": 0.5}}},
-            },
+            {"if": {"properties": {"method": {"const": "two-sided"}}}, "then": {"required": ["n", "eps"]}},
         ],
     },
     "cover-sample": {
@@ -375,10 +374,10 @@ PARAMS_SCHEMAS = {
         "additionalProperties": False,
         "properties": {
             "hypergraph": _HYPERGRAPH,
-            "eps": {"type": "number", "exclusiveMinimum": 0},
-            "tau": {"type": "number", "exclusiveMinimum": 0},
+            "eps": {"type": "number"},
+            "tau": {"type": "number"},
             "p": {"type": "array", "minItems": 1, "items": {"type": "number"}},
-            "draws": {"type": "integer", "minimum": 1},
+            "draws": {"type": "integer"},
         },
     },
     "cover-capacity": {
@@ -387,7 +386,7 @@ PARAMS_SCHEMAS = {
         "additionalProperties": False,
         "properties": {
             "hypergraph": _HYPERGRAPH,
-            "tol": _LP_TOL,
+            "tol": {"type": "number"},
         },
     },
     "product-cover": {
@@ -396,8 +395,8 @@ PARAMS_SCHEMAS = {
         "additionalProperties": False,
         "properties": {
             "hypergraph": _HYPERGRAPH,
-            "n_values": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-            "tol": _LP_TOL,
+            "n_values": {"type": "array", "items": {"type": "integer"}},
+            "tol": {"type": "number"},
         },
     },
     "typicality": {
@@ -406,7 +405,7 @@ PARAMS_SCHEMAS = {
         "additionalProperties": False,
         "properties": {
             "mode": {"enum": ["state", "conditional"]},
-            "alpha": {"type": "number", "exclusiveMinimum": 0},
+            "alpha": {"type": "number"},
             "state": {
                 "oneOf": [
                     _MATRIX,
@@ -416,17 +415,17 @@ PARAMS_SCHEMAS = {
                         "additionalProperties": False,
                         "properties": {
                             "kind": {"const": "random"},
-                            "dim": {"type": "integer", "minimum": 1},
+                            "dim": {"type": "integer"},
                         },
                     },
                 ]
             },
-            "n": {"type": "integer", "minimum": 1},
+            "n": {"type": "integer"},
             "channel": _CHANNEL,
             "sequence": {
                 "type": "array",
                 "minItems": 1,
-                "items": {"type": "integer", "minimum": 0},
+                "items": {"type": "integer"},
             },
         },
         "allOf": [
@@ -446,8 +445,8 @@ PARAMS_SCHEMAS = {
         "additionalProperties": False,
         "properties": {
             "channel": _CHANNEL,
-            "tol": {"type": "number", "exclusiveMinimum": 0},
-            "max_iter": {"type": "integer", "minimum": 1},
+            "tol": {"type": "number"},
+            "max_iter": {"type": "integer"},
         },
     },
     "resolvability": {
@@ -457,11 +456,11 @@ PARAMS_SCHEMAS = {
         "properties": {
             "channel": _CHANNEL,
             "P": _DISTRIBUTION,
-            "lambda": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            "alpha": {"type": "number", "exclusiveMinimum": 0},
-            "eps": {"type": "number", "exclusiveMinimum": 0},
-            "tau": {"type": "number", "exclusiveMinimum": 0},
-            "draws": {"type": "integer", "minimum": 1},
+            "lambda": {"type": "number"},
+            "alpha": {"type": "number"},
+            "eps": {"type": "number"},
+            "tau": {"type": "number"},
+            "draws": {"type": "integer"},
         },
     },
     "conjecture-probe": {
@@ -470,8 +469,8 @@ PARAMS_SCHEMAS = {
         "additionalProperties": False,
         "properties": {
             "which": {"enum": [1, 2, 3]},
-            "dim": {"type": "integer", "minimum": 2, "maximum": 6},
-            "count": {"type": "integer", "minimum": 1, "maximum": 100000},
+            "dim": {"type": "integer"},
+            "count": {"type": "integer"},
         },
     },
     "qid-eval": {
@@ -488,9 +487,9 @@ PARAMS_SCHEMAS = {
                         "additionalProperties": False,
                         "properties": {
                             "kind": {"const": "random"},
-                            "n": {"type": "integer", "minimum": 1},
-                            "messages": {"type": "integer", "minimum": 1},
-                            "support": {"type": "integer", "minimum": 1},
+                            "n": {"type": "integer"},
+                            "messages": {"type": "integer"},
+                            "support": {"type": "integer"},
                         },
                     },
                     {
@@ -498,7 +497,7 @@ PARAMS_SCHEMAS = {
                         "required": ["n", "entries"],
                         "additionalProperties": False,
                         "properties": {
-                            "n": {"type": "integer", "minimum": 1},
+                            "n": {"type": "integer"},
                             "entries": {"type": "array", "minItems": 1},
                         },
                     },
@@ -535,16 +534,36 @@ SWEEP_SCHEMA = {
 }
 
 
+# One validator per schema, built once; the schemas themselves are
+# checked against their metaschema by the test suite, not per call.
+_CONFIG_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+_PARAMS_VALIDATORS = {command: validator_for(s)(s) for command, s in PARAMS_SCHEMAS.items()}
+_SWEEP_VALIDATOR = validator_for(SWEEP_SCHEMA)(SWEEP_SCHEMA)
+
+
+def _validate(validator, instance, *prefix) -> None:
+    """Raise ConfigError for the error jsonschema.validate would raise, path prefixed."""
+    error = best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise ConfigError(error.message, (*prefix, *error.absolute_path)) from error
+
+
 def validate_config(config: dict) -> None:
     """Raise ConfigError carrying the offending field path."""
+    _validate(_CONFIG_VALIDATOR, config)
+    _validate(_PARAMS_VALIDATORS[config["command"]], config["params"], "params")
+
+
+@contextlib.contextmanager
+def _domain(*fields):
+    """Turn a library DomainError into a ConfigError at ["params", *fields, param].
+
+    Also a decorator: each loader of a nested params object names it.
+    """
     try:
-        jsonschema.validate(instance=config, schema=CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(exc.message, tuple(exc.absolute_path)) from exc
-    try:
-        jsonschema.validate(instance=config["params"], schema=PARAMS_SCHEMAS[config["command"]])
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(exc.message, ("params", *exc.absolute_path)) from exc
+        yield
+    except DomainError as exc:
+        raise ConfigError(str(exc), ("params", *fields, exc.param)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +573,7 @@ _ZERO = np.array([[1.0, 0.0], [0.0, 0.0]])
 _PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
 
 
+@_domain("channel")
 def _load_channel(spec: dict, seed: int) -> channels.CQChannel:
     kind = spec["kind"] if "kind" in spec else "states"
     if kind == "bsc":
@@ -569,11 +589,11 @@ def _load_channel(spec: dict, seed: int) -> channels.CQChannel:
     if kind == "zero-plus":
         return channels.CQChannel([_ZERO, _PLUS])
     if kind == "random":
-        rng = make_rng(seed)
-        return channels.CQChannel([random_density(rng, spec["dim"]) for _ in range(spec["inputs"])])
+        return channels.random_channel(seed, spec["inputs"], spec["dim"])
     raise ConfigError(f"unknown channel kind {kind!r}", ("params", "channel"))
 
 
+@_domain("hypergraph")
 def _load_hypergraph(spec: dict, seed: int) -> covering.QuantumHypergraph:
     if "kind" not in spec:
         return covering.QuantumHypergraph.from_json(spec)
@@ -584,6 +604,7 @@ def _load_hypergraph(spec: dict, seed: int) -> covering.QuantumHypergraph:
     raise ConfigError(f"unknown hypergraph kind {spec['kind']!r}", ("params", "hypergraph"))
 
 
+@_domain("P")
 def _load_distribution(spec: dict, alphabet_size: int, seed: int) -> dict:
     if spec["kind"] == "uniform":
         return identification.uniform_distribution(alphabet_size, spec["n"])
@@ -593,29 +614,22 @@ def _load_distribution(spec: dict, alphabet_size: int, seed: int) -> dict:
     return identification.check_sequence_distribution(entries, alphabet_size=alphabet_size)
 
 
+@_domain("rv")
 def _load_rv(spec: dict, seed: int) -> concentration.OperatorRV:
     if spec["kind"] == "scalar":
         return concentration.OperatorRV.scalar(spec["probs"], spec["values"])
     if spec["kind"] == "matrices":
         return concentration.OperatorRV(spec["probs"], [linalg.matrix_from_json(m) for m in spec["values"]])
-    rng = make_rng(seed)
-    values = [random_effect(rng, spec["dim"]) for _ in range(spec["atoms"])]
-    return concentration.OperatorRV(random_distribution(rng, spec["atoms"]), values)
+    return concentration.OperatorRV.random(seed, spec["dim"], spec["atoms"])
 
 
+@_domain("code")
 def _load_code(spec: dict, channel: channels.CQChannel, seed: int) -> identification.QIDCode:
     if spec.get("kind") != "random":
         return identification.QIDCode.from_json(spec)
-    n, m, support = spec["n"], spec["messages"], spec["support"]
-    seeds = spawn_seeds(seed, 2 * m)
-    entries = []
-    for i in range(m):
-        dist = identification.random_sparse_distribution(
-            seeds[2 * i], channel.alphabet_size, n, support
-        )
-        effect = random_effect(make_rng(seeds[2 * i + 1]), channel.dim**n)
-        entries.append((dist, effect))
-    return identification.QIDCode(n, entries)
+    return identification.random_qid_code(
+        seed, channel, spec["n"], spec["messages"], spec["support"]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +708,8 @@ def _run_typicality(params: dict, seed: int):
     if params["mode"] == "state":
         spec = params["state"]
         if spec.get("kind") == "random":
-            rho = random_density(make_rng(seed), spec["dim"])
+            with _domain("state"):
+                rho = random_density(make_rng(seed), spec["dim"])
         else:
             rho = linalg.matrix_from_json(spec)
         proj = channels.typical_projector(rho, params["n"], params["alpha"])
@@ -840,7 +855,8 @@ class RunRecord:
 
 def _execute(config: dict) -> tuple[RunRecord, list]:
     start = time.perf_counter()
-    results, rows = HANDLERS[config["command"]](config["params"], config["seed"])
+    with _domain():
+        results, rows = HANDLERS[config["command"]](config["params"], config["seed"])
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     record = RunRecord(config_hash(config), tool_version(), json_safe(results), elapsed_ms)
     return record, rows
@@ -1039,13 +1055,11 @@ _NUMERIC_FAILURES = (BoundViolation, ValueError, RuntimeError, ArithmeticError, 
 
 def _run_main(args) -> int:
     config = _build_config(args)
-    try:
-        validate_config(config)
-    except ConfigError as exc:
-        _emit_error({"error": "schema-violation", "path": exc.path, "message": str(exc)})
-        return 2
+    validate_config(config)
     try:
         record, rows = _execute(config)
+    except ConfigError:
+        raise  # a library domain check, reported by main with exit 2
     except _NUMERIC_FAILURES as exc:
         _emit_error({
             "error": "numeric-failure",
@@ -1082,22 +1096,9 @@ def _sweep_main(args) -> int:
         if args.seed is not None:
             template["seed"] = args.seed
         _apply_param_flags(template["params"], args.param)
-    try:
-        jsonschema.validate(instance=spec, schema=SWEEP_SCHEMA)
-        records, text = sweep(spec["template"], spec["axis"], spec["values"])
-    except jsonschema.ValidationError as exc:
-        _emit_error({
-            "error": "schema-violation",
-            "path": list(exc.absolute_path),
-            "message": exc.message,
-        })
-        return 2
-    except ConfigError as exc:
-        _emit_error({"error": "schema-violation", "path": exc.path, "message": str(exc)})
-        return 2
-    except _NUMERIC_FAILURES as exc:
-        _emit_error({"error": "numeric-failure", "type": type(exc).__name__, "message": str(exc)})
-        return 3
+    _validate(_SWEEP_VALIDATOR, spec)
+    # sweep raises only ConfigError; a failing run becomes a row
+    records, text = sweep(spec["template"], spec["axis"], spec["values"])
 
     if spec.get("format") == "json":
         payload = canonical_json({

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import LN2, BoundViolation
-from .rng import make_rng, random_effect, random_hermitian, spawn_seeds
+from .linalg import LN2, BoundViolation, DomainError
+from .rng import make_rng, random_distribution, random_effect, random_hermitian, spawn_seeds
 
 # Exact enumeration is allowed while the number of distinct multisets of
 # draws stays below this; beyond it callers must pass trials > 0.
@@ -24,6 +24,8 @@ MAX_ENUMERATION = 2_000_000
 # exact_tail tests compositions in chunks whose stacked sums hold at most
 # this many complex entries (chunk x D^2), so memory stays flat for any D.
 ENUMERATION_CHUNK_ENTRIES = 4096
+# Most random instances one conjecture probe samples.
+MAX_PROBE_COUNT = 100_000
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,14 @@ class OperatorRV:
     @classmethod
     def scalar(cls, probs, values) -> "OperatorRV":
         return cls(probs, [np.array([[v]], dtype=complex) for v in values])
+
+    @classmethod
+    def random(cls, seed: int, dim: int, atoms: int) -> "OperatorRV":
+        """Seeded RV: `atoms` random effects on C^dim under a random law."""
+        linalg.require_positive(atoms=atoms)
+        rng = make_rng(seed)
+        values = [random_effect(rng, dim) for _ in range(atoms)]
+        return cls(random_distribution(rng, atoms), values)
 
     @property
     def dim(self) -> int:
@@ -175,7 +185,7 @@ def mc_tail(rv: OperatorRV, n: int, trials: int, seed: int, event) -> tuple[floa
     event maps the stack (trials, d, d) of sums to booleans.
     """
     if trials <= 0:
-        raise ValueError("trials must be positive for Monte Carlo")
+        raise DomainError("trials must be positive for Monte Carlo", "trials")
     rng = make_rng(seed)
     idx = rng.choice(rv.size, size=(trials, n), p=rv.probs)
     counts = np.zeros((trials, rv.size))
@@ -212,7 +222,7 @@ def markov_tail(rv: OperatorRV, a) -> TailReport:
     """
     a = linalg.require_hermitian(a, name="A")
     if not linalg.is_psd(a):
-        raise ValueError("A must be PSD")
+        raise DomainError("A must be PSD", "a")
     m = rv.mean()
     if not linalg.is_psd(m):
         raise ValueError("markov_tail needs a PSD-valued random variable")
@@ -230,7 +240,7 @@ def chebyshev_tail(rv: OperatorRV, delta) -> TailReport:
     """Operator Chebyshev: Pr{|X - M| not <= Delta} <= Tr(S^2 Delta^-2)."""
     delta = linalg.require_hermitian(delta, name="Delta")
     if linalg.min_eigenvalue(delta) <= linalg.PSD_TOL:
-        raise ValueError("Delta must be positive definite")
+        raise DomainError("Delta must be positive definite", "delta")
     m = rv.mean()
     hits = linalg.not_dominated(np.stack([linalg.abs_herm(x - m) for x in rv.values]), delta)
     exact = min(1.0, sum(rv.probs[hits].tolist(), 0.0))
@@ -244,10 +254,10 @@ def chebyshev_tail(rv: OperatorRV, delta) -> TailReport:
 def weak_law_tail(rv: OperatorRV, n: int, delta, trials: int = 0, seed: int = 0) -> TailReport:
     """Pr{(1/n) sum X_i outside [M - Delta, M + Delta]} <= Tr(S^2 Delta^-2)/n."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DomainError("n must be >= 1", "n")
     delta = linalg.require_hermitian(delta, name="Delta")
     if linalg.min_eigenvalue(delta) <= linalg.PSD_TOL:
-        raise ValueError("Delta must be positive definite")
+        raise DomainError("Delta must be positive definite", "delta")
     m = rv.mean()
     lower, upper = m - delta, m + delta
     bound = float(np.trace(rv.variance() @ linalg.herm_power(delta, -2.0)).real) / n
@@ -284,21 +294,23 @@ def chernoff_tail(rv: OperatorRV, n: int, a: float, m: float, side: str = "upper
     D(1-a || 1-m) = D(a || m).
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DomainError("n must be >= 1", "n")
     if not rv.in_unit_interval():
         raise ValueError("chernoff_tail needs atoms in [0, 1]")
-    if not (0.0 <= a <= 1.0 and 0.0 <= m <= 1.0):
-        raise ValueError("a and m must lie in [0, 1]")
+    if not 0.0 <= a <= 1.0:
+        raise DomainError("a must lie in [0, 1]", "a")
+    if not 0.0 <= m <= 1.0:
+        raise DomainError("m must lie in [0, 1]", "m")
     eye = np.eye(rv.dim)
     mean = rv.mean()
     if side == "upper":
         if a < m:
-            raise ValueError("upper tail needs a >= m")
+            raise DomainError("upper tail needs a >= m", "a")
         if not linalg.psd_leq(mean, m * eye):
             raise ValueError("upper tail needs mean <= m * identity")
     elif side == "lower":
         if a > m:
-            raise ValueError("lower tail needs a <= m")
+            raise DomainError("lower tail needs a <= m", "a")
         if not linalg.psd_leq(m * eye, mean):
             raise ValueError("lower tail needs mean >= m * identity")
     else:
@@ -320,9 +332,9 @@ def two_sided_chernoff(rv: OperatorRV, n: int, eps: float,
                        trials: int = 0, seed: int = 0) -> TailReport:
     """Two-sided bound 2d * 2^(-n eps^2 mu / (2 ln 2)), mu = min eig of the mean."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DomainError("n must be >= 1", "n")
     if not 0.0 <= eps <= 0.5:
-        raise ValueError("eps must lie in [0, 1/2]")
+        raise DomainError("eps must lie in [0, 1/2]", "eps")
     if not rv.in_unit_interval():
         raise ValueError("two_sided_chernoff needs atoms in [0, 1]")
     m = rv.mean()
@@ -435,9 +447,11 @@ def conjecture_probe(which: int, dim: int, count: int, seed: int) -> ConjectureR
     This is a probe: nothing here asserts that a conjecture is true.
     """
     if which not in _PROBES:
-        raise ValueError(f"unknown conjecture {which}; expected 1, 2 or 3")
+        raise DomainError(f"unknown conjecture {which}; expected 1, 2 or 3", "which")
     if not 1 <= dim <= 6:
-        raise ValueError("dim must lie in 1..6")
+        raise DomainError("dim must lie in 1..6", "dim")
+    if not 1 <= count <= MAX_PROBE_COUNT:
+        raise DomainError(f"count must lie in 1..{MAX_PROBE_COUNT}", "count")
     probe = _PROBES[which]
     slacks: list[float] = []
     details: list[dict] = []
@@ -453,7 +467,7 @@ def conjecture_probe(which: int, dim: int, count: int, seed: int) -> ConjectureR
         which=which,
         dim=dim,
         instances=count,
-        min_slack=min(slacks) if slacks else math.nan,
+        min_slack=min(slacks),
         violations=violations,
         slacks=slacks,
         details=details,

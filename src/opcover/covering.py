@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import linalg
-from .linalg import LN2, BoundViolation, check_distribution as _check_distribution
+from .linalg import LN2, BoundViolation, DomainError, check_distribution as _check_distribution
 from .rng import make_rng, random_effect, spawn_seeds
 
 RETRY_SEEDS = 64
@@ -129,10 +129,9 @@ class QuantumHypergraph:
 
     def __init__(self, dim: int, edges, eta: float | None):
         self.dim = int(dim)
-        if self.dim <= 0:
-            raise ValueError("dim must be positive")
-        if eta is not None and float(eta) < 0:
-            raise ValueError("eta must be nonnegative")
+        linalg.require_positive(dim=self.dim)
+        if eta is not None:
+            linalg.require_positive(eta=float(eta))
         mats = []
         for e in edges:
             m = linalg.require_hermitian(e, name="edge")
@@ -200,6 +199,9 @@ class QuantumHypergraph:
 
 def random_hypergraph(seed: int, dim: int, num_edges: int, eta: float = 1.0) -> QuantumHypergraph:
     """Seeded random effect family with eigenvalues below eta."""
+    linalg.require_positive(num_edges=num_edges)
+    if not 0.0 < eta <= 1.0:
+        raise DomainError("eta must lie in (0, 1]", "eta")
     rng = make_rng(seed)
     edges = [eta * random_effect(rng, dim) for _ in range(num_edges)]
     return QuantumHypergraph(dim, edges, eta)
@@ -425,8 +427,7 @@ def _vector_leq(x: np.ndarray, y: np.ndarray) -> bool:
 def _sample_plan(formula: float, p: np.ndarray, draws):
     """Base draw count and escalation depth shared by both samplers."""
     if draws is not None:
-        if draws < 1:
-            raise ValueError("draws must be positive")
+        linalg.require_positive(draws=draws)
         return int(draws), 1
     if np.count_nonzero(p) == 1:
         return 1, ESCALATION_STAGES  # point mass reproduces the mixture exactly
@@ -446,8 +447,7 @@ def classical_covering_sample(
     prescribed.  When all edges carry one common total mass q <= 1 the
     total variation ||Q - Qbar||_1 <= 2 eps + 2 tau is also enforced.
     """
-    if eps <= 0 or tau <= 0:
-        raise ValueError("eps and tau must be positive")
+    linalg.require_positive(eps=eps, tau=tau)
     p = _check_distribution(p, g.num_edges)
     q = g.mean_measure(p)
     nv = g.num_vertices
@@ -525,8 +525,7 @@ def quantum_covering_sample(
     ||rho - rhobar||_1 <= (eps + tau) + sqrt(8 (eps + tau)) is enforced
     as well.
     """
-    if eps <= 0 or tau <= 0:
-        raise ValueError("eps and tau must be positive")
+    linalg.require_positive(eps=eps, tau=tau)
     p = _check_distribution(p, g.num_edges)
     rho = g.edge_average(p)
     if linalg.spectral_norm(rho) == 0.0:
@@ -654,7 +653,7 @@ def replay_covering_result(
 def product_hypergraph(g: QuantumHypergraph, n: int) -> QuantumHypergraph:
     """n-fold tensor power: every length-n word of edges is an edge."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise DomainError("n must be at least 1", "n")
     if g.dim**n > 4096:
         raise ValueError("product dimension overflow")
     if n == 1:
@@ -713,8 +712,6 @@ def _fractional_cover(stack: np.ndarray, deg: np.ndarray, tol: float) -> tuple[n
     relaxes the problem, so sum(v) never exceeds the optimum and v / lam
     is feasible: the optimum lies in [sum(v), sum(v) / lam].
     """
-    if not tol >= LP_FEASIBILITY_TOL:
-        raise ValueError(f"tol must be >= {LP_FEASIBILITY_TOL}, the LP's feasibility tolerance")
     dim = stack.shape[-1]
     _, u = linalg.eigh(deg)
     rows = [-np.real(np.einsum("i,kij,j->k", u[:, i].conj(), stack, u[:, i])) for i in range(dim)]
@@ -747,6 +744,13 @@ def _fractional_cover(stack: np.ndarray, deg: np.ndarray, tol: float) -> tuple[n
     raise RuntimeError("cutting planes did not converge")
 
 
+def _require_lp_tol(tol: float) -> None:
+    if not tol >= LP_FEASIBILITY_TOL:
+        raise DomainError(
+            f"tol must be >= {LP_FEASIBILITY_TOL}, the LP's feasibility tolerance", "tol"
+        )
+
+
 def generalized_covering_number(g: QuantumHypergraph, n: int, tol: float = 1e-9) -> float:
     """Least total weight of a fractional covering of the n-fold power.
 
@@ -755,6 +759,7 @@ def generalized_covering_number(g: QuantumHypergraph, n: int, tol: float = 1e-9)
     rescaled to exact feasibility, so the value is achievable and at
     most a factor 1/(1 - tol) above the true optimum.
     """
+    _require_lp_tol(tol)
     if g.num_edges**n > 256 or g.dim**n > 64:
         raise ValueError("product too large for the cutting-plane solver")
     gn = product_hypergraph(g, n)
@@ -799,6 +804,7 @@ def covering_capacity(g: QuantumHypergraph, tol: float = 1e-9) -> CapacityResult
     singular has infinite capacity, which is returned as math.inf (with
     a uniform witness) rather than raised.
     """
+    _require_lp_tol(tol)
     deg = degree(g)
     if _common_kernel(deg):
         m = g.num_edges
@@ -819,6 +825,9 @@ def product_covering_table(g: QuantumHypergraph, n_values, tol: float = 1e-8) ->
     Brute force entries degrade to None where the edge set outgrows the
     exhaustive-search budget instead of failing the whole table.
     """
+    n_values = list(n_values)
+    if not all(n >= 1 for n in n_values):
+        raise DomainError("n_values must be at least 1", "n_values")
     cap = covering_capacity(g, tol)
     rows = []
     for n in n_values:

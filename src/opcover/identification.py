@@ -39,8 +39,8 @@ from .channels import (
     typical_projector,
 )
 from .covering import QuantumHypergraph, quantum_covering_sample
-from .linalg import LN2, BoundViolation
-from .rng import make_rng, random_distribution, spawn_seeds
+from .linalg import LN2, BoundViolation, DomainError
+from .rng import make_rng, random_distribution, random_effect, spawn_seeds
 
 DEFAULT_PROBE_LAMBDAS = (0.9, 0.75, 0.6, 0.45, 0.3)
 
@@ -86,6 +86,7 @@ def check_sequence_distribution(entries, n: int | None = None, alphabet_size: in
 
 def uniform_distribution(alphabet_size: int, n: int) -> dict:
     """Exact uniform distribution on the full sequence space."""
+    linalg.require_positive(n=n)
     space = alphabet_size**n
     if space > MAX_SEQUENCE_SPACE:
         raise ValueError(f"sequence space {alphabet_size}^{n} exceeds {MAX_SEQUENCE_SPACE}")
@@ -95,11 +96,12 @@ def uniform_distribution(alphabet_size: int, n: int) -> dict:
 
 def random_sparse_distribution(seed: int, alphabet_size: int, n: int, support: int) -> dict:
     """Seeded random distribution on `support` distinct sequences."""
+    linalg.require_positive(n=n)
     space = alphabet_size**n
     if space > MAX_SEQUENCE_SPACE:
         raise ValueError(f"sequence space {alphabet_size}^{n} exceeds {MAX_SEQUENCE_SPACE}")
     if not 1 <= support <= space:
-        raise ValueError("support must lie between 1 and the sequence space size")
+        raise DomainError("support must lie between 1 and the sequence space size", "support")
     rng = make_rng(seed)
     picks = sorted(int(i) for i in rng.choice(space, size=support, replace=False))
     weights = random_distribution(rng, support)
@@ -124,8 +126,7 @@ class QIDCode:
 
     def __init__(self, n: int, entries):
         self.n = int(n)
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        linalg.require_positive(n=self.n)
         checked = []
         dim = None
         for dist, effect in entries:
@@ -166,6 +167,18 @@ class QIDCode:
             for e in obj["entries"]
         ]
         return cls(obj["n"], entries)
+
+
+def random_qid_code(seed: int, channel: CQChannel, n: int, messages: int, support: int) -> QIDCode:
+    """Seeded code: per message a random sparse input law and a random test effect."""
+    linalg.require_positive(messages=messages)
+    seeds = spawn_seeds(seed, 2 * messages)
+    entries = []
+    for i in range(messages):
+        dist = random_sparse_distribution(seeds[2 * i], channel.alphabet_size, n, support)
+        effect = random_effect(make_rng(seeds[2 * i + 1]), channel.dim**n)
+        entries.append((dist, effect))
+    return QIDCode(n, entries)
 
 
 def evaluate_qid_code(code: QIDCode, channel: CQChannel) -> tuple[float, float, np.ndarray]:
@@ -276,7 +289,7 @@ def quantization_resolution(n: int, a: int, lam) -> int:
         raise ValueError("n and a must be positive integers")
     lam_exact = Fraction(str(lam))
     if not 0 < lam_exact < 1:
-        raise ValueError("lambda must lie strictly between 0 and 1")
+        raise DomainError("lambda must lie strictly between 0 and 1", "lambda")
     return math.ceil(Fraction(3 * (int(n) + 1) ** int(a)) / lam_exact)
 
 
@@ -411,7 +424,9 @@ def resolvability_regularize(
     """
     lam = float(lam)
     if not 0.0 < lam < 1.0:
-        raise ValueError("lambda must lie strictly between 0 and 1")
+        raise DomainError("lambda must lie strictly between 0 and 1", "lambda")
+    if draws is not None:
+        linalg.require_positive(draws=draws)
     if max_stages < 1:
         raise ValueError("max_stages must be positive")
     a = channel.alphabet_size
@@ -429,8 +444,7 @@ def resolvability_regularize(
         eps = lam * lam / 1200.0
     if tau is None:
         tau = lam * lam / 1200.0
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    linalg.require_positive(alpha=alpha, eps=eps, tau=tau)
 
     lam_exact = Fraction(str(lam))
     K = quantization_resolution(n, a, lam)
@@ -500,8 +514,6 @@ def resolvability_regularize(
         )
 
     if draws is not None:
-        if draws < 1:
-            raise ValueError("draws must be positive")
         base, stages = int(draws), 1
     else:
         base = max(1, max(math.floor(rec["formula"]) for rec in active))

@@ -26,6 +26,26 @@ class BoundViolation(RuntimeError):
     """A proven inequality failed numerically; indicates a bug upstream."""
 
 
+class DomainError(ValueError):
+    """A parameter lies outside the domain its statement holds on.
+
+    `param` names the offending argument (as the CLI params spell it),
+    so a caller can point at the field; matrix and distribution validity
+    failures stay plain ValueErrors.
+    """
+
+    def __init__(self, message: str, param: str):
+        super().__init__(message)
+        self.param = param
+
+
+def require_positive(**values) -> None:
+    """Raise DomainError naming the first keyword argument that is not > 0."""
+    for param, value in values.items():
+        if not value > 0:
+            raise DomainError(f"{param} must be positive", param)
+
+
 def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -4,6 +4,7 @@ All stochastic entry points in this package take an explicit integer
 seed and build a Philox counter-based generator from it.  Sub-streams
 (per retry, per sweep run, per type class) are derived by SeedSequence
 spawning, so results never depend on execution order or worker count.
+A dimension or support size below 1 raises linalg.DomainError.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ def spawn_seeds(seed: int, n: int) -> list[int]:
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    linalg.require_positive(dim=dim)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     # fix phases so the distribution is exactly Haar
@@ -32,11 +34,13 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+    linalg.require_positive(dim=dim)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return linalg.hermitize(z) * scale
 
 
 def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
+    linalg.require_positive(dim=dim)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return linalg.hermitize(z @ z.conj().T)
 
@@ -54,6 +58,7 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+    linalg.require_positive(dim=dim)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     return np.outer(v, v.conj())
@@ -65,4 +70,5 @@ def random_projector(rng: np.random.Generator, dim: int, rank: int) -> np.ndarra
 
 
 def random_distribution(rng: np.random.Generator, k: int) -> np.ndarray:
+    linalg.require_positive(k=k)
     return rng.dirichlet(np.ones(k))

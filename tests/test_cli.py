@@ -122,6 +122,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config({"command": "capacity", "params": bad_params, "seed": 1})
 
+    def test_schemas_are_not_rechecked_per_call(self, monkeypatch):
+        from jsonschema.validators import validator_for
+
+        def recheck(cls, schema):
+            raise AssertionError("schema checked against its metaschema per call")
+
+        monkeypatch.setattr(validator_for(cli.CONFIG_SCHEMA), "check_schema", classmethod(recheck))
+        validate_config(BSC_CONFIG)
+        with pytest.raises(ConfigError) as err:
+            validate_config({"command": "capacity", "params": {"channel": {"kind": "bsc"}}, "seed": 1})
+        assert err.value.path == ["params", "channel"]
+
     def test_lambda_open_interval(self):
         for lam in (0.0, 1.0, -0.2, 1.5):
             cfg = {
@@ -129,8 +141,9 @@ class TestValidation:
                 "params": {"channel": ZERO_PLUS, "P": {"kind": "uniform", "n": 2}, "lambda": lam},
                 "seed": 1,
             }
-            with pytest.raises(ConfigError):
-                validate_config(cfg)
+            with pytest.raises(ConfigError) as err:
+                run(cfg)
+            assert err.value.path == ["params", "lambda"]
 
 
 # ---------------------------------------------------------------------------
@@ -733,3 +746,162 @@ class TestMain:
         path.write_text(json.dumps({"template": BSC_CONFIG, "values": [1]}))
         assert cli.main(["sweep", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "schema-violation"
+
+
+# ---------------------------------------------------------------------------
+# parameter domains: the schema checks shape, the library checks ranges
+
+ABOVE_ONE = math.nextafter(1.0, 2.0)
+BELOW_ZERO = math.nextafter(0.0, -1.0)
+BELOW_LP_TOL = math.nextafter(1e-10, 0.0)
+HALF_DIAG = {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]]}
+EXPLICIT_GRAPH = {"dim": 2, "eta": 1.0, "edges": [HALF_DIAG]}
+RANDOM_GRAPH = {"kind": "random", "dim": 2, "num_edges": 2}
+RANDOM_RV = {"kind": "random", "dim": 2, "atoms": 3}
+SAMPLE = {"hypergraph": {"kind": "orthogonal-pair"}, "eps": 0.5, "tau": 0.5}
+STATE = {"mode": "state", "state": {"kind": "random", "dim": 2}, "n": 3, "alpha": 2.0}
+CONDITIONAL = {"mode": "conditional", "channel": ZERO_PLUS, "sequence": [0, 1, 1], "alpha": 2.0}
+RESOLVE = {"channel": ZERO_PLUS, "P": {"kind": "uniform", "n": 2}, "lambda": 0.6,
+           "alpha": 3.0, "eps": 0.45, "tau": 0.45, "draws": 16}
+RANDOM_CODE = {"kind": "random", "n": 1, "messages": 2, "support": 1}
+EXPLICIT_CODE = {"n": 1, "entries": [{"P": [[[0], 1.0]], "D": HALF_DIAG}]}
+
+
+def _with(base: dict, **changes) -> dict:
+    return {**base, **changes}
+
+
+# One case per range keyword the schema used to carry, at its just-outside
+# value: exit 2 at the offending field's path, or exit 0 (path None) where
+# the library's domain is wider than the old schema range.
+BOUNDARY_CASES = [
+    ("capacity", {"channel": {"kind": "random", "inputs": 0, "dim": 2}},
+     ["params", "channel", "inputs"]),
+    ("capacity", {"channel": {"kind": "random", "inputs": 2, "dim": 0}},
+     ["params", "channel", "dim"]),
+    ("capacity", {"channel": ZERO_PLUS, "tol": 0}, ["params", "tol"]),
+    ("capacity", {"channel": ZERO_PLUS, "max_iter": 0}, ["params", "max_iter"]),
+    ("cover-capacity", {"hypergraph": _with(EXPLICIT_GRAPH, dim=0)}, ["params", "hypergraph", "dim"]),
+    ("cover-capacity", {"hypergraph": _with(EXPLICIT_GRAPH, eta=0)}, ["params", "hypergraph", "eta"]),
+    ("cover-capacity", {"hypergraph": _with(RANDOM_GRAPH, dim=0)}, ["params", "hypergraph", "dim"]),
+    ("cover-capacity", {"hypergraph": _with(RANDOM_GRAPH, num_edges=0)},
+     ["params", "hypergraph", "num_edges"]),
+    ("cover-capacity", {"hypergraph": _with(RANDOM_GRAPH, eta=0)}, ["params", "hypergraph", "eta"]),
+    ("cover-capacity", {"hypergraph": _with(RANDOM_GRAPH, eta=ABOVE_ONE)},
+     ["params", "hypergraph", "eta"]),
+    ("cover-capacity", {"hypergraph": EXPLICIT_GRAPH, "tol": BELOW_LP_TOL}, ["params", "tol"]),
+    ("product-cover", {"hypergraph": EXPLICIT_GRAPH, "n_values": [0]}, ["params", "n_values"]),
+    ("product-cover", {"hypergraph": EXPLICIT_GRAPH, "n_values": [1], "tol": BELOW_LP_TOL},
+     ["params", "tol"]),
+    ("cover-sample", _with(SAMPLE, eps=0), ["params", "eps"]),
+    ("cover-sample", _with(SAMPLE, tau=0), ["params", "tau"]),
+    ("cover-sample", _with(SAMPLE, draws=0), ["params", "draws"]),
+    ("typicality", _with(STATE, alpha=0), None),
+    ("typicality", _with(CONDITIONAL, alpha=0), None),
+    ("typicality", _with(STATE, state={"kind": "random", "dim": 0}), ["params", "state", "dim"]),
+    ("typicality", _with(STATE, n=0), ["params", "n"]),
+    ("typicality", _with(CONDITIONAL, sequence=[0, -1]), ["params", "sequence"]),
+    ("resolvability", _with(RESOLVE, **{"lambda": 0}), ["params", "lambda"]),
+    ("resolvability", _with(RESOLVE, **{"lambda": 1}), ["params", "lambda"]),
+    ("resolvability", _with(RESOLVE, alpha=0), ["params", "alpha"]),
+    ("resolvability", _with(RESOLVE, eps=0), ["params", "eps"]),
+    ("resolvability", _with(RESOLVE, tau=0), ["params", "tau"]),
+    ("resolvability", _with(RESOLVE, draws=0), ["params", "draws"]),
+    ("resolvability", _with(RESOLVE, P={"kind": "uniform", "n": 0}), ["params", "P", "n"]),
+    ("resolvability", _with(RESOLVE, P={"kind": "random", "n": 0, "support": 1}), ["params", "P", "n"]),
+    ("resolvability", _with(RESOLVE, P={"kind": "random", "n": 2, "support": 0}),
+     ["params", "P", "support"]),
+    ("tail-mc", {"rv": _with(RANDOM_RV, dim=0), "method": "markov", "a": 0.8}, ["params", "rv", "dim"]),
+    ("tail-mc", {"rv": _with(RANDOM_RV, atoms=1), "method": "markov", "a": 0.8}, None),
+    ("tail-mc", {"rv": _with(RANDOM_RV, atoms=0), "method": "markov", "a": 0.8},
+     ["params", "rv", "atoms"]),
+    ("tail-mc", {"rv": RANDOM_RV, "method": "weak-law", "n": 0, "delta": 0.3}, ["params", "n"]),
+    ("tail-mc", {"rv": RANDOM_RV, "method": "two-sided", "n": 5, "eps": 0.3, "trials": -1},
+     ["params", "trials"]),
+    ("tail-mc", {"rv": RANDOM_RV, "method": "two-sided", "n": 5, "eps": 0}, None),
+    ("tail-mc", {"rv": RANDOM_RV, "method": "two-sided", "n": 5, "eps": math.nextafter(0.5, 1.0)},
+     ["params", "eps"]),
+    ("tail-mc", {"rv": RANDOM_RV, "method": "chebyshev", "delta": 0}, ["params", "delta"]),
+    # A = a * I: a must clear the PSD tolerance to be negative
+    ("tail-mc", {"rv": RANDOM_RV, "method": "markov", "a": -1e-6}, ["params", "a"]),
+    ("tail-mc", {"rv": RANDOM_RV, "method": "chernoff-upper", "n": 5, "a": BELOW_ZERO, "m": 0.5},
+     ["params", "a"]),
+    ("tail-mc", {"rv": RANDOM_RV, "method": "chernoff-upper", "n": 5, "a": ABOVE_ONE, "m": 0.5},
+     ["params", "a"]),
+    ("tail-mc", {"rv": RANDOM_RV, "method": "chernoff-lower", "n": 5, "a": 0.0, "m": BELOW_ZERO},
+     ["params", "m"]),
+    ("tail-mc", {"rv": RANDOM_RV, "method": "chernoff-upper", "n": 5, "a": 0.9, "m": ABOVE_ONE},
+     ["params", "m"]),
+    ("conjecture-probe", {"which": 3, "dim": 1, "count": 2}, None),
+    ("conjecture-probe", {"which": 1, "dim": 7, "count": 1}, ["params", "dim"]),
+    ("conjecture-probe", {"which": 1, "dim": 2, "count": 0}, ["params", "count"]),
+    ("conjecture-probe", {"which": 1, "dim": 2, "count": 100_001}, ["params", "count"]),
+    ("qid-eval", {"channel": ZERO_PLUS, "code": _with(RANDOM_CODE, n=0)}, ["params", "code", "n"]),
+    ("qid-eval", {"channel": ZERO_PLUS, "code": _with(RANDOM_CODE, messages=0)},
+     ["params", "code", "messages"]),
+    ("qid-eval", {"channel": ZERO_PLUS, "code": _with(RANDOM_CODE, support=0)},
+     ["params", "code", "support"]),
+    ("qid-eval", {"channel": ZERO_PLUS, "code": _with(EXPLICIT_CODE, n=0)}, ["params", "code", "n"]),
+]
+
+
+class TestParameterDomains:
+    @pytest.mark.parametrize(
+        "command, params, path",
+        BOUNDARY_CASES,
+        ids=[f"{i:02d}-{c}-{'runs' if p is None else '.'.join(p[1:])}"
+             for i, (c, _, p) in enumerate(BOUNDARY_CASES)],
+    )
+    def test_boundary_value_exits_0_or_2_with_field_path(self, command, params, path, capsys):
+        args = [command, "--seed", "1"]
+        for key, value in params.items():
+            args += ["--param", f"{key}={json.dumps(value)}"]
+        code = cli.main(args)
+        out, err = capsys.readouterr()
+        if path is None:
+            assert code == 0, err
+            assert "results" in json.loads(out)
+        else:
+            assert code == 2, err
+            payload = json.loads(err)
+            assert set(payload) == {"error", "path", "message"}
+            assert payload["error"] == "schema-violation"
+            assert payload["path"] == path
+
+    def test_params_schemas_keep_only_decoded_field_ranges(self):
+        range_keywords = {"minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"}
+        found, seen = [], set()
+
+        def walk(node, where):
+            if id(node) in seen:
+                return
+            seen.add(id(node))
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    if key in range_keywords:
+                        found.append((where[-2:], key, value))
+                    walk(value, where + (key,))
+            elif isinstance(node, list):
+                for item in node:
+                    walk(item, where)
+
+        walk(cli.PARAMS_SCHEMAS, ())
+        assert sorted(found) == [
+            (("properties", "dim"), "minimum", 1),  # a matrix payload's dim
+            (("properties", "p"), "maximum", 0.5),  # the bsc crossover p
+            (("properties", "p"), "minimum", 0),
+        ]
+
+    def test_every_schema_is_valid_against_its_metaschema(self):
+        from jsonschema.validators import validator_for
+
+        for schema in (cli.CONFIG_SCHEMA, cli.SWEEP_SCHEMA, *cli.PARAMS_SCHEMAS.values()):
+            validator_for(schema).check_schema(schema)
+
+    def test_domain_error_from_execute_is_a_config_error(self):
+        cfg = {"command": "capacity", "params": {"channel": ZERO_PLUS, "tol": -1.0}, "seed": 1}
+        validate_config(cfg)
+        with pytest.raises(ConfigError) as err:
+            cli._execute(cfg)
+        assert err.value.path == ["params", "tol"]
+        assert str(err.value) == "tol must be positive"
