@@ -2,7 +2,8 @@
 
 A channel here is a finite family of density operators indexed by input
 symbols; classical channels embed as commuting diagonal families.  The
-module computes output statistics, Holevo information and its maximum,
+module computes output statistics, Holevo information and its maximum
+(the capacity, by active-set Newton with a duality-gap certificate),
 and the type-class machinery (typical sequences, typical projectors,
 conditional typical projectors) whose quantitative guarantees drive the
 covering constructions downstream.
@@ -39,6 +40,16 @@ MAX_TYPES = 5_000_000
 # Eigenvalues closer than this merge into one eigenspace class before
 # any typicality test; keeps the construction basis-independent.
 DEGENERACY_ATOL = 1e-9
+# A letter with more weight than this in ker(sigma) has D(W_x || sigma) = +inf.
+KERNEL_WEIGHT_TOL = 1e-12
+# Projected-Hessian eigenvalues within this fraction of the largest
+# magnitude count as flat: I(P) is linear along them.
+FLAT_CURVATURE = 1e-10
+# Armijo sufficient-increase fraction and the backtracking budget.
+ARMIJO = 1e-4
+MAX_HALVINGS = 40
+# Changes of I(P) this small are float noise at the scale of bits.
+INFO_NOISE = 1e-14
 
 
 class CQChannel:
@@ -180,50 +191,153 @@ class CapacitySolution:
         }
 
 
-def _divergences_from_output(channel: CQChannel, letter_entropies, sigma) -> np.ndarray:
-    """D(W_x || sigma) in bits for all x at once.
+def _divergences_from_output(
+    channel: CQChannel, letter_entropies, sigma
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D(W_x || sigma) in bits for all x at once, from one eigh of sigma.
 
-    Kernel directions of sigma are skipped; the callers keep every
-    letter inside sigma's support, so the skipped weight is float dust.
+    A letter with more than KERNEL_WEIGHT_TOL of its weight in ker sigma
+    gets D = +inf, so no duality gap can be certified at such a point.
+    Also returns sigma's support spectrum s and the letters rotated into
+    sigma's eigenbasis and cut to that support, shape (a, k, k), which
+    is all the Hessian needs.
     """
     s, v = linalg.eigh(sigma)
-    s = np.clip(s, 0.0, None)
     pos = s > 1e-15
+    rotated = v.conj().T @ channel.states @ v
     # weights[x, j] = <v_j| W_x |v_j>
-    weights = np.einsum("ji,xjk,ki->xi", v.conj(), channel.states, v).real
-    weights = np.clip(weights, 0.0, None)
-    cross = weights[:, pos] @ np.log2(s[pos])
-    return -np.asarray(letter_entropies) - cross
+    weights = np.clip(np.diagonal(rotated, axis1=1, axis2=2).real, 0.0, None)
+    div = -np.asarray(letter_entropies) - weights[:, pos] @ np.log2(s[pos])
+    div[weights[:, ~pos].sum(axis=1) > KERNEL_WEIGHT_TOL] = np.inf
+    return div, s[pos], rotated[:, pos][:, :, pos]
+
+
+def _information_hessian(s, rotated) -> np.ndarray:
+    """Hessian of I(P) in bits: H_xy = -(1/ln 2) sum_ij conj(W~_x)_ij L_ij (W~_y)_ij.
+
+    W~ are the letters in sigma's eigenbasis and L is the Daleckii-Krein
+    matrix of ln at sigma's eigenvalues s: (ln s_i - ln s_j)/(s_i - s_j),
+    1/s_i on the diagonal.  Near the diagonal L is read off
+    log1p(u)/u / s_j with u = s_i/s_j - 1, which has no cancellation.
+    """
+    u = s[:, None] / s[None, :] - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = (np.log(s)[:, None] - np.log(s)[None, :]) / (s[:, None] - s[None, :])
+        near = np.where(u == 0.0, 1.0, np.log1p(u) / u) / s[None, :]
+    divided = np.where(np.abs(u) < 0.5, near, far)
+    flat = rotated.reshape(len(rotated), -1)
+    h = -((flat.conj() * divided.ravel()) @ flat.T).real / linalg.LN2
+    return (h + h.T) / 2
+
+
+def _face_direction(p, grad, hess) -> np.ndarray:
+    """Ascent direction on one face, in the plane sum(delta) = 0.
+
+    Eigendirections of the reduced Hessian with curvature get the
+    Newton coefficient.  Along the flat ones I(P) is linear, so the
+    gradient part there is scaled until, on top of the Newton part, it
+    drives one letter exactly onto the face boundary.
+    """
+    plane = np.linalg.svd(np.ones((1, p.size)))[2][1:].T  # orthonormal, sums 0
+    lam, vec = np.linalg.eigh(plane.T @ hess @ plane)
+    coef = vec.T @ (plane.T @ grad)
+    curved = lam < -FLAT_CURVATURE * np.abs(lam).max(initial=0.0)
+    newton = plane @ (vec[:, curved] @ (-coef[curved] / lam[curved]))
+    flat = plane @ (vec[:, ~curved] @ coef[~curved])
+    shrink = flat < 0.0
+    if not shrink.any():
+        return newton
+    ratios = np.maximum(p + newton, 0.0)[shrink] / -flat[shrink]
+    block = np.flatnonzero(shrink)[ratios.argmin()]
+    delta = newton + ratios.min() * flat
+    if ratios.min() > 0.0:
+        delta[block] = -p[block]  # so the ratio test lands it on exactly 0
+    elif p[block] == 0.0:
+        delta[block] = -np.inf  # a letter at 0 blocks the flat part: it leaves the face
+    return delta
+
+
+def _newton_direction(p, div, info, s, rotated) -> np.ndarray:
+    """Newton direction on the face {p_x > 0} and {D_x > I}.
+
+    A letter at 0 whose component comes out negative leaves the face
+    and the direction is recomputed, so the face shrinks to a fixpoint.
+    """
+    face = (p > 0.0) | (div > info)
+    hess = _information_hessian(s, rotated)
+    while True:
+        idx = np.flatnonzero(face)
+        delta = np.zeros_like(p)
+        if idx.size > 1:
+            delta[idx] = _face_direction(p[idx], div[idx], hess[np.ix_(idx, idx)])
+        leaving = face & (p == 0.0) & (delta < 0.0)
+        if not leaving.any():
+            return delta
+        face &= ~leaving
 
 
 def capacity(channel: CQChannel, tol: float = 1e-9, max_iter: int = 200_000) -> CapacitySolution:
-    """Maximize Holevo information by multiplicative ascent from uniform.
+    """Maximize Holevo information by active-set Newton with a duality-gap certificate.
 
-    Each round scales p(x) by 2^{D(W_x || PW)} and renormalizes; the
-    iteration stops once the duality gap max_x D(W_x || PW) - I(P)
-    drops to tol, which certifies the answer to that absolute accuracy.
+    From the uniform law, each step takes one eigh of sigma = sum_x
+    p(x) W_x; the divergences D(W_x || sigma) are the gradient and
+    Daleckii-Krein divided differences give the Hessian.  The Newton
+    direction on the active face is cut by a ratio test, which sets the
+    letters that reach 0 to exactly 0, and then by Armijo backtracking
+    on I(P).  A step that lowers the gap while I(P) moves by float
+    noise only is accepted too.  The sole stopping rule is the duality
+    gap max_x D(W_x || sigma) - I(P) <= tol, which certifies `bits` to
+    that absolute accuracy.  `iterations` counts the iterates examined,
+    the uniform start included: one more than the Newton steps taken,
+    of which there are at most max_iter - 1.  A step that no
+    backtracking can make acceptable raises RuntimeError at once.
     """
     linalg.require_positive(tol=tol, max_iter=max_iter)
     a = channel.alphabet_size
-    letter_entropies = [linalg.von_neumann_entropy(w) for w in channel.states]
-    p = np.full(a, 1.0 / a)
-    for it in range(1, max_iter + 1):
+    spectra = np.clip(np.linalg.eigvalsh(channel.states), 0.0, 1.0)
+    letter_entropies = [linalg.shannon_entropy(w) for w in spectra]
+
+    def evaluate(p):
         sigma = linalg.hermitize(np.tensordot(p, channel.states, axes=1))
-        div = _divergences_from_output(channel, letter_entropies, sigma)
-        info = float(p @ div)
-        gap = float(div.max() - info)
+        div, s, rotated = _divergences_from_output(channel, letter_entropies, sigma)
+        info = float(p[p > 0.0] @ div[p > 0.0])
+        return div, info, float(div.max()) - info, s, rotated
+
+    p = np.full(a, 1.0 / a)
+    div, info, gap, s, rotated = evaluate(p)
+    for it in range(1, max_iter + 1):
         if gap <= tol:
             return CapacitySolution(
                 bits=max(0.0, info),
-                input_distribution=p.copy(),
+                input_distribution=p,
                 gap=gap,
                 iterations=it,
             )
-        p = p * np.exp2(div - div.max())
-        p = p / p.sum()
-    raise RuntimeError(
-        f"capacity iteration still has gap {gap} after {max_iter} rounds"
-    )
+        if it == max_iter:
+            break
+        delta = _newton_direction(p, div, info, s, rotated)
+        slope = float(div @ delta)
+        falling = delta < 0.0
+        ratios = p[falling] / -delta[falling]
+        t = min(1.0, ratios.min(initial=math.inf))
+        hits = falling.copy()
+        hits[falling] = ratios <= t
+        for _ in range(MAX_HALVINGS):
+            trial = np.maximum(p + t * delta, 0.0)
+            trial[hits] = 0.0
+            trial = trial / trial.sum()
+            state = evaluate(trial)
+            rise = state[1] - info
+            if math.isfinite(state[2]) and (
+                (rise > INFO_NOISE and rise >= ARMIJO * t * slope)
+                or (state[2] < gap and rise >= -INFO_NOISE)
+            ):
+                p, (div, info, gap, s, rotated) = trial, state
+                break
+            t, hits = t / 2.0, np.zeros_like(hits)
+        else:
+            raise RuntimeError(f"capacity Newton ascent stalled at gap {gap} after {it - 1} steps")
+    raise RuntimeError(f"capacity Newton ascent still has gap {gap} after {max_iter - 1} steps")
 
 
 # ---------------------------------------------------------------------------

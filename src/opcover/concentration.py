@@ -220,6 +220,7 @@ def markov_tail(rv: OperatorRV, a) -> TailReport:
     If supp(A) does not contain supp(mean) the bound is vacuous and the
     report is flagged trivial (bound = inf) rather than failing.
     """
+    linalg.require_finite(a, "a")
     a = linalg.require_hermitian(a, name="A")
     if not linalg.is_psd(a):
         raise DomainError("A must be PSD", "a")
@@ -238,6 +239,7 @@ def markov_tail(rv: OperatorRV, a) -> TailReport:
 
 def chebyshev_tail(rv: OperatorRV, delta) -> TailReport:
     """Operator Chebyshev: Pr{|X - M| not <= Delta} <= Tr(S^2 Delta^-2)."""
+    linalg.require_finite(delta, "delta")
     delta = linalg.require_hermitian(delta, name="Delta")
     if linalg.min_eigenvalue(delta) <= linalg.PSD_TOL:
         raise DomainError("Delta must be positive definite", "delta")
@@ -255,6 +257,7 @@ def weak_law_tail(rv: OperatorRV, n: int, delta, trials: int = 0, seed: int = 0)
     """Pr{(1/n) sum X_i outside [M - Delta, M + Delta]} <= Tr(S^2 Delta^-2)/n."""
     if n < 1:
         raise DomainError("n must be >= 1", "n")
+    linalg.require_finite(delta, "delta")
     delta = linalg.require_hermitian(delta, name="Delta")
     if linalg.min_eigenvalue(delta) <= linalg.PSD_TOL:
         raise DomainError("Delta must be positive definite", "delta")

@@ -46,6 +46,12 @@ def require_positive(**values) -> None:
             raise DomainError(f"{param} must be positive", param)
 
 
+def require_finite(a, param: str) -> None:
+    """Raise DomainError naming `param` unless every entry of a is finite."""
+    if not np.isfinite(np.asarray(a)).all():
+        raise DomainError(f"{param} must be finite", param)
+
+
 def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -23,9 +23,9 @@ from opcover.channels import (
     typical_projector,
     typical_set,
 )
-from opcover.rng import make_rng, random_density, random_distribution
+from opcover.rng import make_rng, random_density, random_distribution, random_state, spawn_seeds
 
-from oracles import classical_capacity_oracle
+from oracles import blahut_arimoto_capacity, classical_capacity_oracle
 
 KET0 = np.diag([1.0, 0.0])
 KET1 = np.diag([0.0, 1.0])
@@ -218,6 +218,59 @@ class TestCapacity:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             capacity(CQChannel([PLUS]), tol=0.0)
+
+    def test_letter_in_kernel_has_infinite_divergence(self):
+        # vertex p = (1, 0): sigma = |0><0| and |+> has weight 1/2 in ker sigma
+        ch = CQChannel([KET0, PLUS])
+        div = channels._divergences_from_output(ch, [0.0, 0.0], KET0)[0]
+        assert div.tolist() == [0.0, math.inf]
+
+    @pytest.mark.parametrize("kind", ["qubit", "qutrit", "near-duplicate", "pure-pair"])
+    def test_matches_blahut_arimoto_oracle(self, kind):
+        rng = make_rng(53)
+        for trial in range(6):
+            dim = 2 + trial % 2
+            if kind == "pure-pair":
+                states = [random_state(rng, dim) for _ in range(2)]
+            else:
+                dim = {"qubit": 2, "qutrit": 3}.get(kind, dim)
+                states = [random_density(rng, dim) for _ in range(2 + trial % 3)]
+            if kind == "near-duplicate":
+                # the first letter pulled 0.02 of the way to the maximally mixed state
+                states.append(0.98 * states[0] + 0.02 * np.eye(dim) / dim)
+            sol = capacity(CQChannel(states), tol=1e-9)
+            oracle = blahut_arimoto_capacity(states, tol=1e-9)
+            assert sol.gap <= 1e-9
+            assert sol.bits >= oracle - 1e-12
+            assert abs(sol.bits - oracle) <= 1e-9
+
+    def test_near_duplicate_rows_certify_in_few_steps(self):
+        # criterion 7's instance 9: rows 1 and 2 nearly coincide and the
+        # optimum puts no weight on row 1, which plain Blahut-Arimoto
+        # took 80,399 rounds to squeeze out
+        rng = make_rng(spawn_seeds(970, 20)[9])
+        rows = np.stack([random_distribution(rng, 2) for _ in range(3)])
+        sol = capacity(embed_classical(rows), tol=1e-9)
+        assert sol.gap <= 1e-9
+        assert sol.iterations - 1 <= 10  # Newton steps after the uniform start
+        assert sol.input_distribution[1] == 0.0
+
+    def test_tol_below_double_precision_fails_fast(self):
+        # no float gap reaches 1e-300 except by landing on <= 0; a stalled
+        # ascent must raise well before max_iter would stop it
+        rng = make_rng(59)
+        outcomes = set()
+        for _ in range(12):
+            ch = CQChannel([random_density(rng, 2) for _ in range(3)])
+            try:
+                sol = capacity(ch, tol=1e-300, max_iter=50)
+            except RuntimeError as err:
+                assert "stalled" in str(err)
+                outcomes.add("stalled")
+            else:
+                assert sol.gap <= 1e-300
+                outcomes.add("certified")
+        assert "stalled" in outcomes
 
 
 class TestTypes:

@@ -868,6 +868,22 @@ class TestParameterDomains:
             assert payload["error"] == "schema-violation"
             assert payload["path"] == path
 
+    @pytest.mark.parametrize(
+        "method, field, extra",
+        [("markov", "a", {}), ("chebyshev", "delta", {}), ("weak-law", "delta", {"n": 5})],
+        ids=["markov", "chebyshev", "weak-law"],
+    )
+    def test_nan_tail_scalar_exits_2_with_field_path(self, method, field, extra, capsys):
+        params = {"rv": RANDOM_RV, "method": method, **extra}
+        args = ["tail-mc", "--seed", "1", "--param", f"{field}=NaN"]
+        for key, value in params.items():
+            args += ["--param", f"{key}={json.dumps(value)}"]
+        code = cli.main(args)
+        payload = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert payload["path"] == ["params", field]
+        assert payload["message"] == f"{field} must be finite"
+
     def test_params_schemas_keep_only_decoded_field_ranges(self):
         range_keywords = {"minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"}
         found, seen = [], set()

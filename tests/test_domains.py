@@ -109,6 +109,9 @@ CASES = [
     ("tau", lambda: _resolve(tau=0.0)),
     ("tau", lambda: _resolve(tau=-0.5)),
     ("draws", lambda: _resolve(draws=0)),
+    ("a", lambda: concentration.markov_tail(_rv(), math.nan * EYE)),
+    ("delta", lambda: concentration.chebyshev_tail(_rv(), math.nan * EYE)),
+    ("delta", lambda: concentration.weak_law_tail(_rv(), 2, np.diag([math.inf, 0.1]))),
 ]
 
 
