@@ -654,7 +654,7 @@ def product_hypergraph(g: QuantumHypergraph, n: int) -> QuantumHypergraph:
     """n-fold tensor power: every length-n word of edges is an edge."""
     if n < 1:
         raise DomainError("n must be at least 1", "n")
-    if g.dim**n > 4096:
+    if g.dim ** min(n, 13) > 4096:  # d^13 > 4096 for d >= 2
         raise ValueError("product dimension overflow")
     if n == 1:
         return g
@@ -677,10 +677,10 @@ def covering_number_bruteforce(g: QuantumHypergraph, n: int):
     Returns math.inf when the edges share a common (near-)kernel, so no
     multiset can ever cover.
     """
+    if g.num_edges ** min(n, 5) > 20:  # before any product edge is built; m^5 > 20 for m >= 2
+        raise ValueError("edge set too large for exhaustive search")
     gn = product_hypergraph(g, n)
     m = gn.num_edges
-    if m > 20:
-        raise ValueError("edge set too large for exhaustive search")
     if _common_kernel(degree(gn)):
         return math.inf
     stack = np.stack(gn.edges)
@@ -744,32 +744,6 @@ def _fractional_cover(stack: np.ndarray, deg: np.ndarray, tol: float) -> tuple[n
     raise RuntimeError("cutting planes did not converge")
 
 
-def _require_lp_tol(tol: float) -> None:
-    if not tol >= LP_FEASIBILITY_TOL:
-        raise DomainError(
-            f"tol must be >= {LP_FEASIBILITY_TOL}, the LP's feasibility tolerance", "tol"
-        )
-
-
-def generalized_covering_number(g: QuantumHypergraph, n: int, tol: float = 1e-9) -> float:
-    """Least total weight of a fractional covering of the n-fold power.
-
-    Solves min sum(v) over v >= 0 with sum_j v_j E_j >= identity by
-    cutting planes (see _fractional_cover).  The returned weights are
-    rescaled to exact feasibility, so the value is achievable and at
-    most a factor 1/(1 - tol) above the true optimum.
-    """
-    _require_lp_tol(tol)
-    if g.num_edges**n > 256 or g.dim**n > 64:
-        raise ValueError("product too large for the cutting-plane solver")
-    gn = product_hypergraph(g, n)
-    deg = degree(gn)
-    if _common_kernel(deg):
-        raise ValueError("edges share a common kernel, no fractional covering exists")
-    v, lam, _ = _fractional_cover(np.stack(gn.edges), deg, tol)
-    return float(v.sum() / lam)
-
-
 @dataclass(frozen=True)
 class CapacityResult:
     """Covering capacity in bits with its optimizing edge distribution."""
@@ -804,7 +778,10 @@ def covering_capacity(g: QuantumHypergraph, tol: float = 1e-9) -> CapacityResult
     singular has infinite capacity, which is returned as math.inf (with
     a uniform witness) rather than raised.
     """
-    _require_lp_tol(tol)
+    if not tol >= LP_FEASIBILITY_TOL:
+        raise DomainError(
+            f"tol must be >= {LP_FEASIBILITY_TOL}, the LP's feasibility tolerance", "tol"
+        )
     deg = degree(g)
     if _common_kernel(deg):
         m = g.num_edges
@@ -819,11 +796,41 @@ def covering_capacity(g: QuantumHypergraph, tol: float = 1e-9) -> CapacityResult
                           {"tol": tol, "value_upper": upper})
 
 
+def _power(base: float, n) -> float:
+    """base**n, or math.inf past the float range."""
+    try:
+        return base**n
+    except OverflowError:
+        return math.inf
+
+
+def generalized_covering_number(g: QuantumHypergraph, n: int, tol: float = 1e-9) -> float:
+    """Least total weight of a fractional covering of the n-fold power.
+
+    c~_n = c~_1^n: if sum_j v_j E_j >= I then sum v_j v_k E_j (x) E_k >= I,
+    and a dual Y tensors to Y (x) Y as tr(Y (x) Y . E_j (x) E_k) = tr(Y E_j) tr(Y E_k).
+    So one n = 1 LP (covering_capacity) gives (sum(v) / lam)^n =
+    value^-n, achievable and at most a factor (1 - tol)^-n above the
+    optimum; past the float range it is math.inf.
+    """
+    if n < 1:
+        raise DomainError("n must be at least 1", "n")
+    cap = covering_capacity(g, tol)
+    if math.isinf(cap.bits):
+        raise ValueError("edges share a common kernel, no fractional covering exists")
+    return _power(1.0 / cap.value, n)
+
+
 def product_covering_table(g: QuantumHypergraph, n_values, tol: float = 1e-8) -> list[dict]:
     """Rows of (n, exact, fractional, capacity) covering numbers.
 
     Brute force entries degrade to None where the edge set outgrows the
     exhaustive-search budget instead of failing the whole table.
+    c~_n = c~_1^n: if sum_j v_j E_j >= I then sum v_j v_k E_j (x) E_k >= I,
+    and a dual Y tensors to Y (x) Y as tr(Y (x) Y . E_j (x) E_k) = tr(Y E_j) tr(Y E_k).
+    So one n = 1 LP (covering_capacity) gives c_tilde_n = value^-n and
+    pow2_Cn = 2^(bits n); c_tilde_n is None only for a common kernel
+    (infinite bits).  Entries past the float range are math.inf.
     """
     n_values = list(n_values)
     if not all(n >= 1 for n in n_values):
@@ -835,16 +842,7 @@ def product_covering_table(g: QuantumHypergraph, n_values, tol: float = 1e-8) ->
             c_n = covering_number_bruteforce(g, n)
         except (ValueError, RuntimeError):
             c_n = None
-        try:
-            c_tilde = generalized_covering_number(g, n, tol)
-        except ValueError:
-            c_tilde = None  # common kernel, nothing fractional covers either
-        rows.append(
-            {
-                "n": int(n),
-                "c_n": c_n,
-                "c_tilde_n": c_tilde,
-                "pow2_Cn": math.inf if math.isinf(cap.bits) else 2.0 ** (cap.bits * n),
-            }
-        )
+        c_tilde = None if math.isinf(cap.bits) else _power(1.0 / cap.value, n)
+        rows.append({"n": int(n), "c_n": c_n, "c_tilde_n": c_tilde,
+                     "pow2_Cn": _power(2.0, cap.bits * n)})
     return rows

@@ -7,11 +7,13 @@ searches.  Slow is fine here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import comb
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def binom_pmf(n: int, k: int, p: Fraction) -> Fraction:
@@ -72,6 +74,37 @@ def blahut_arimoto_capacity(states, tol=1e-9, max_iter=500_000):
         p = p * np.exp2(div - div.max())
         p = p / p.sum()
     raise AssertionError("Blahut-Arimoto oracle did not converge")
+
+
+def product_fractional_cover(edges, n, tol=1e-9, max_rounds=2000):
+    """Fractional covering number of the n-fold tensor power, by its own LP.
+
+    Solves min sum(v) over v >= 0 with sum_w v_w E_w >= identity over
+    all m^n dense product edges E_w = E_w1 (x) ... (x) E_wn, by cutting
+    planes: cuts <psi|.|psi> >= 1 start from the eigenbasis of the
+    edge sum and grow by every eigenvector of the weighted degree below
+    1.  Returns sum(v) / lam once its least eigenvalue lam reaches
+    1 - tol, a feasible value at most a factor 1/(1 - tol) above the
+    optimum.  Exponential in n, so only n <= 3.
+    """
+    if not 1 <= n <= 3:
+        raise ValueError("the product LP oracle takes n in 1..3")
+    edges = [np.asarray(e, dtype=complex) for e in edges]
+    stack = np.array([functools.reduce(np.kron, w) for w in itertools.product(edges, repeat=n)])
+    cuts = list(np.linalg.eigh(stack.sum(axis=0))[1].T)
+    for _ in range(max_rounds):
+        rows = [-np.real(np.einsum("i,kij,j->k", c.conj(), stack, c)) for c in cuts]
+        res = linprog(np.ones(len(stack)), A_ub=np.array(rows), b_ub=-np.ones(len(rows)),
+                      bounds=(0, None), method="highs",
+                      options={"primal_feasibility_tolerance": 1e-10,
+                               "dual_feasibility_tolerance": 1e-10})
+        if not res.success:
+            raise AssertionError(f"product LP oracle failed: {res.message}")
+        w, u = np.linalg.eigh(np.tensordot(res.x, stack, axes=1))
+        if w[0] >= 1.0 - tol:
+            return float(res.x.sum() / w[0])
+        cuts.extend(u[:, w < 1.0].T)
+    raise AssertionError("product LP oracle did not converge")
 
 
 def brute_force_tail(probs, values, n, event) -> float:

@@ -642,6 +642,15 @@ class TestMain:
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["results"]["bits"] > 0
 
+    def test_product_cover_past_float_range_exits_0_with_inf(self, capsys):
+        code = cli.main([
+            "product-cover", "--param", 'hypergraph={"kind":"orthogonal-pair"}',
+            "--param", "n_values=[1,2000]", "--seed", "1",
+        ])
+        assert code == 0
+        row = json.loads(capsys.readouterr().out)["results"]["rows"][1]
+        assert row == {"n": 2000, "c_n": None, "c_tilde_n": "inf", "pow2_Cn": "inf"}
+
     def test_config_file_missing_exits_2(self, capsys):
         assert cli.main(["capacity", "--config", "/nonexistent.json"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "schema-violation"

@@ -26,6 +26,7 @@ from opcover.covering import (
 )
 from opcover.linalg import LN2, BoundViolation
 from opcover.rng import make_rng, random_effect, spawn_seeds
+from oracles import product_fractional_cover
 
 E0 = np.diag([1.0, 0.0])
 E1 = np.diag([0.0, 1.0])
@@ -374,6 +375,10 @@ class TestProductHypergraph:
         g = QuantumHypergraph(8, [np.eye(8)], 1.0)
         with pytest.raises(ValueError, match="overflow"):
             product_hypergraph(g, 5)
+        start = time.perf_counter()  # a huge n costs no huge integer power
+        with pytest.raises(ValueError, match="overflow"):
+            product_hypergraph(QuantumHypergraph(3, [np.eye(3)], 1.0), 10**7)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestCoveringNumbers:
@@ -434,6 +439,29 @@ class TestCoveringNumbers:
         g = QuantumHypergraph(2, [E0], 1.0)
         with pytest.raises(ValueError, match="kernel"):
             generalized_covering_number(g, 1)
+
+    def test_generalized_multiplicative_against_product_lp(self):
+        # c~_n = c~_1^n: one n = 1 LP against the oracle's m^n-edge
+        # product LP, both in their (1 - tol)^-n brackets
+        s = spawn_seeds(5, 5)
+        for seed, dim, m, top in ((s[0], 2, 2, 3), (s[0], 2, 3, 2), (s[1], 2, 3, 3),
+                                  (s[0], 3, 4, 2)):
+            g = random_hypergraph(seed, dim=dim, num_edges=m)
+            for n in range(1, top + 1):
+                want = product_fractional_cover(g.edges, n, tol=1e-9)
+                got = generalized_covering_number(g, n, tol=1e-9)
+                assert got == pytest.approx(want, rel=n * 1e-9)
+
+    def test_bruteforce_fails_before_building_product(self, monkeypatch):
+        def no_product(*args):
+            raise AssertionError("product built")
+
+        monkeypatch.setattr(covering, "product_hypergraph", no_product)
+        for n in (5, 8, 10**8):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="too large"):
+                covering_number_bruteforce(orthogonal_pair(), n)
+            assert time.perf_counter() - start < 0.1
 
 
 class TestCoveringCapacity:
@@ -542,6 +570,33 @@ class TestProductRelations:
         assert rows[0]["c_n"] == 2 and rows[1]["c_n"] == 4
         assert rows[0]["c_tilde_n"] == pytest.approx(2.0, abs=1e-6)
         assert rows[1]["pow2_Cn"] == pytest.approx(4.0, rel=1e-6)
+
+    def test_table_solves_one_lp_past_the_old_caps(self, monkeypatch):
+        calls = []
+        solve = covering._fractional_cover
+        monkeypatch.setattr(covering, "_fractional_cover",
+                            lambda *a: calls.append(1) or solve(*a))
+        start = time.perf_counter()
+        rows = covering.product_covering_table(orthogonal_pair(), range(1, 31))
+        assert time.perf_counter() - start < 1.0
+        assert len(calls) == 1
+        for r in rows:
+            assert r["c_tilde_n"] == pytest.approx(2.0 ** r["n"], rel=1e-6)
+            assert r["pow2_Cn"] == pytest.approx(2.0 ** r["n"], rel=1e-6)
+        # n = 4 exceeds the multiset budget, n >= 5 the 20-edge cap
+        assert [r["c_n"] for r in rows[:3]] == [2, 4, 8]
+        assert all(r["c_n"] is None for r in rows[3:])
+
+    def test_table_past_float_range_is_inf(self):
+        (row,) = covering.product_covering_table(orthogonal_pair(), [2000])
+        assert row == {"n": 2000, "c_n": None, "c_tilde_n": math.inf, "pow2_Cn": math.inf}
+        assert generalized_covering_number(orthogonal_pair(), 2000) == math.inf
+
+    def test_table_common_kernel(self):
+        rows = covering.product_covering_table(QuantumHypergraph(2, [E0], 1.0), [1, 3])
+        assert [r["c_n"] for r in rows] == [math.inf, math.inf]
+        assert [r["c_tilde_n"] for r in rows] == [None, None]
+        assert [r["pow2_Cn"] for r in rows] == [math.inf, math.inf]
 
 
 class TestResultSerialization:
