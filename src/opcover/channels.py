@@ -28,15 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import BoundViolation, DomainError, check_distribution
+from .linalg import (MAX_SEQUENCE_SPACE, MAX_TENSOR_DIM, MAX_TYPES, BoundViolation, DomainError,
+                     check_distribution)
 from .rng import make_rng, random_density
 
-# Largest product dimension d^n of a typical projector or a dense product
-# output (the projector builders themselves allocate no d^n x d^n matrix).
-MAX_TENSOR_DIM = 4096
-# Sequence spaces larger than this are refused by typical_set.
-MAX_SEQUENCE_SPACE = 1_000_000
-MAX_TYPES = 5_000_000
 # Eigenvalues closer than this merge into one eigenspace class before
 # any typicality test; keeps the construction basis-independent.
 DEGENERACY_ATOL = 1e-9
@@ -105,6 +100,7 @@ class CQChannel:
 def random_channel(seed: int, inputs: int, dim: int) -> CQChannel:
     """Seeded channel of `inputs` random density operators on C^dim."""
     linalg.require_positive(inputs=inputs)
+    linalg.require_matrices(dim, inputs, "inputs")
     rng = make_rng(seed)
     return CQChannel([random_density(rng, dim) for _ in range(inputs)])
 
@@ -136,10 +132,8 @@ def output_state(p, channel: CQChannel) -> np.ndarray:
 def tensor_output(xn, channel: CQChannel) -> np.ndarray:
     """Product output W_{x_1} (x) ... (x) W_{x_n} for a symbol sequence."""
     xn = _check_sequence(xn, channel.alphabet_size)
-    if channel.dim ** len(xn) > MAX_TENSOR_DIM:
-        raise ValueError(
-            f"tensor output dimension {channel.dim}^{len(xn)} exceeds {MAX_TENSOR_DIM}"
-        )
+    linalg.require_size("sequence", channel.dim, MAX_TENSOR_DIM, exponent=len(xn), message=(
+        f"tensor output dimension {channel.dim}^{len(xn)} exceeds {MAX_TENSOR_DIM}"))
     return linalg.kron_all(channel.states[x] for x in xn)
 
 
@@ -383,8 +377,7 @@ def type_enumerate(n: int, a: int) -> list[EmpiricalDistribution]:
     if n < 1 or a < 1:
         raise ValueError("need n >= 1 and a >= 1")
     total = math.comb(n + a - 1, a - 1)
-    if total > MAX_TYPES:
-        raise ValueError(f"{total} types exceed the enumeration cap {MAX_TYPES}")
+    linalg.require_size("n", total, MAX_TYPES, f"{total} types exceed the enumeration cap {MAX_TYPES}")
     out = []
     for bars in itertools.combinations(range(n + a - 1), a - 1):
         counts = []
@@ -424,8 +417,8 @@ def typical_set(p, n: int, alpha: float) -> set:
         raise ValueError("n must be a positive integer")
     if alpha < 0.0:
         raise ValueError("alpha must be nonnegative")
-    if a ** n > MAX_SEQUENCE_SPACE:
-        raise ValueError(f"sequence space {a}^{n} exceeds {MAX_SEQUENCE_SPACE}")
+    linalg.require_size("n", a, MAX_SEQUENCE_SPACE, exponent=n, message=(
+        f"sequence space {a}^{n} exceeds {MAX_SEQUENCE_SPACE}"))
     targets = n * p
     widths = alpha * np.sqrt(n * np.clip(p * (1.0 - p), 0.0, None))
     members = set()
@@ -717,7 +710,7 @@ def conditional_typical_projector(
     xn = _check_sequence(xn, channel.alphabet_size)
     n = len(xn)
     d = channel.dim
-    _check_build_size(d, n, alpha)
+    _check_build_size(d, n, alpha, "sequence")
     symbols = sorted(set(xn))
     if systems is None:
         systems = {x: _factor_system(channel.states[x]) for x in symbols}
@@ -766,13 +759,13 @@ def conditional_typical_projector(
     )
 
 
-def _check_build_size(d: int, n: int, alpha: float) -> None:
+def _check_build_size(d: int, n: int, alpha: float, param: str = "n") -> None:
     if n < 1:
         raise DomainError("n must be a positive integer", "n")
     if not alpha >= 0.0:
         raise DomainError("alpha must be nonnegative", "alpha")
-    if d ** n > MAX_TENSOR_DIM:
-        raise ValueError(f"product dimension {d}^{n} exceeds {MAX_TENSOR_DIM}")
+    linalg.require_size(param, d, MAX_TENSOR_DIM, exponent=n, message=(
+        f"product dimension {d}^{n} exceeds {MAX_TENSOR_DIM}"))
 
 
 def cross_typical_mass(channel: CQChannel, xn, alpha: float) -> tuple[float, TypicalProjector]:

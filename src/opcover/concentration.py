@@ -15,17 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import LN2, BoundViolation, DomainError
+from .linalg import LN2, MAX_ENUMERATION, MAX_PROBE_COUNT, BoundViolation, DomainError
 from .rng import make_rng, random_distribution, random_effect, random_hermitian, spawn_seeds
 
-# Exact enumeration is allowed while the number of distinct multisets of
-# draws stays below this; beyond it callers must pass trials > 0.
-MAX_ENUMERATION = 2_000_000
 # exact_tail tests compositions in chunks whose stacked sums hold at most
 # this many complex entries (chunk x D^2), so memory stays flat for any D.
-ENUMERATION_CHUNK_ENTRIES = 4096
-# Most random instances one conjecture probe samples.
-MAX_PROBE_COUNT = 100_000
+ENUMERATION_CHUNK_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -86,6 +81,7 @@ class OperatorRV:
     def random(cls, seed: int, dim: int, atoms: int) -> "OperatorRV":
         """Seeded RV: `atoms` random effects on C^dim under a random law."""
         linalg.require_positive(atoms=atoms)
+        linalg.require_matrices(dim, atoms, "atoms")
         rng = make_rng(seed)
         values = [random_effect(rng, dim) for _ in range(atoms)]
         return cls(random_distribution(rng, atoms), values)
@@ -163,11 +159,11 @@ def exact_tail(rv: OperatorRV, n: int, event) -> float:
     event maps a stack (N, d, d) of sums to N booleans; it sees the
     compositions in chunks and hits are added in composition order.
     """
-    if _num_multisets(n, rv.size) > MAX_ENUMERATION:
-        raise ValueError(
-            "enumeration size overflow: i.i.d. sum has too many distinct "
-            "multisets; pass trials > 0 for Monte Carlo"
-        )
+    linalg.require_size(
+        "n", _num_multisets(n, rv.size), MAX_ENUMERATION,
+        "enumeration size overflow: i.i.d. sum has too many distinct "
+        "multisets; pass trials > 0 for Monte Carlo",
+    )
     total = 0.0
     comps = _compositions(n, rv.size)
     chunk = max(1, ENUMERATION_CHUNK_ENTRIES // rv.dim**2)
@@ -186,6 +182,8 @@ def mc_tail(rv: OperatorRV, n: int, trials: int, seed: int, event) -> tuple[floa
     """
     if trials <= 0:
         raise DomainError("trials must be positive for Monte Carlo", "trials")
+    # idx holds trials x n draws and the sums trials x d x d entries
+    linalg.require_size("trials", trials * max(n, rv.dim**2), linalg.MAX_TENSOR_DIM**2)
     rng = make_rng(seed)
     idx = rng.choice(rv.size, size=(trials, n), p=rv.probs)
     counts = np.zeros((trials, rv.size))
@@ -453,8 +451,9 @@ def conjecture_probe(which: int, dim: int, count: int, seed: int) -> ConjectureR
         raise DomainError(f"unknown conjecture {which}; expected 1, 2 or 3", "which")
     if not 1 <= dim <= 6:
         raise DomainError("dim must lie in 1..6", "dim")
-    if not 1 <= count <= MAX_PROBE_COUNT:
+    if not count >= 1:
         raise DomainError(f"count must lie in 1..{MAX_PROBE_COUNT}", "count")
+    linalg.require_size("count", count, MAX_PROBE_COUNT, f"count must lie in 1..{MAX_PROBE_COUNT}")
     probe = _PROBES[which]
     slacks: list[float] = []
     details: list[dict] = []

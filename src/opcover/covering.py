@@ -26,21 +26,18 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import linalg
-from .linalg import LN2, BoundViolation, DomainError, check_distribution as _check_distribution
+from .linalg import (LN2, MAX_BRUTEFORCE_EDGES, MAX_BRUTEFORCE_MULTISETS, MAX_MATERIALIZED_DRAWS,
+                     MAX_TENSOR_DIM, BoundViolation, DomainError, check_distribution as _check_distribution)
 from .rng import make_rng, random_effect, spawn_seeds
 
 RETRY_SEEDS = 64
 ESCALATION_STAGES = 4  # draw counts 1x, 2x, 4x, 8x
-MAX_BRUTEFORCE_MULTISETS = 5_000_000
 # Brute force gathers multisets in chunks of at most this many complex
 # entries (chunk x k x D^2) before one batched order check.
 BRUTEFORCE_CHUNK_ENTRIES = 1 << 14
 # The cutting-plane LP meets its cuts to this feasibility tolerance, so a
 # finer covering tol would stall for the full round budget.
 LP_FEASIBILITY_TOL = 1e-10
-# Expanding a draw list bigger than this is almost certainly a mistake;
-# the multiplicity map is the intended representation at that scale.
-MAX_MATERIALIZED_DRAWS = 1_000_000
 
 
 class ClassicalHypergraph:
@@ -200,6 +197,7 @@ class QuantumHypergraph:
 def random_hypergraph(seed: int, dim: int, num_edges: int, eta: float = 1.0) -> QuantumHypergraph:
     """Seeded random effect family with eigenvalues below eta."""
     linalg.require_positive(num_edges=num_edges)
+    linalg.require_matrices(dim, num_edges, "num_edges")
     if not 0.0 < eta <= 1.0:
         raise DomainError("eta must lie in (0, 1]", "eta")
     rng = make_rng(seed)
@@ -246,8 +244,8 @@ class CoveringResult:
 
     @property
     def picked_edge_indices(self) -> list:
-        if self.num_draws > MAX_MATERIALIZED_DRAWS:
-            raise ValueError("draw list too large to materialize, use edge_multiplicities")
+        linalg.require_size("num_draws", self.num_draws, MAX_MATERIALIZED_DRAWS,
+                            "draw list too large to materialize, use edge_multiplicities")
         out = []
         for i in sorted(self.edge_multiplicities):
             out.extend([i] * self.edge_multiplicities[i])
@@ -611,9 +609,7 @@ def replay_covering_result(
     if result.kind == "randomized-covering":
         deg = _degree_from_counts(g, counts)
         checks = {
-            "is_covering": is_covering(g, result.picked_edge_indices)
-            if result.num_draws <= MAX_MATERIALIZED_DRAWS
-            else linalg.psd_leq(np.eye(g.dim), deg),
+            "is_covering": linalg.psd_leq(np.eye(g.dim), deg),
             "average_matches": bool(np.allclose(deg, result.sampled_average, atol=1e-10)),
         }
     elif result.kind in ("classical-sample", "quantum-sample"):
@@ -651,11 +647,11 @@ def replay_covering_result(
 
 
 def product_hypergraph(g: QuantumHypergraph, n: int) -> QuantumHypergraph:
-    """n-fold tensor power: every length-n word of edges is an edge."""
+    """n-fold tensor power: m^n word edges of side d^n, within one MAX_TENSOR_DIM^2 budget."""
     if n < 1:
         raise DomainError("n must be at least 1", "n")
-    if g.dim ** min(n, 13) > 4096:  # d^13 > 4096 for d >= 2
-        raise ValueError("product dimension overflow")
+    linalg.require_size("n", g.num_edges * g.dim**2, MAX_TENSOR_DIM**2, exponent=n,
+                        message="product dimension overflow")
     if n == 1:
         return g
     edges = [linalg.kron_all(word) for word in itertools.product(g.edges, repeat=n)]
@@ -675,29 +671,38 @@ def covering_number_bruteforce(g: QuantumHypergraph, n: int):
     """Exact covering number of the n-fold power by multiset search.
 
     Returns math.inf when the edges share a common (near-)kernel, so no
-    multiset can ever cover.
+    multiset can ever cover.  The search starts at c_n >= c~_1^n, read off
+    the n = 1 LP, and refuses each k whose multisets overrun the budget.
     """
-    if g.num_edges ** min(n, 5) > 20:  # before any product edge is built; m^5 > 20 for m >= 2
-        raise ValueError("edge set too large for exhaustive search")
+    return _bruteforce(g, n, covering_capacity(g))
+
+
+def _bruteforce(g: QuantumHypergraph, n: int, cap: CapacityResult):
+    """Brute force given the n = 1 LP; every count is checked before the product is built."""
+    m = linalg.require_size("n", g.num_edges, MAX_BRUTEFORCE_EDGES, exponent=n,
+                            message="edge set too large for exhaustive search")
+    if math.isinf(cap.bits):
+        return math.inf
+    # every cover is a fractional one: k >= c~_1^n >= (1 / value_upper)^n;
+    # a multiset of k edges holds k draws, so k must fit the budget as well
+    floor = _power(1.0 / cap.details["value_upper"], n) * (1.0 - 1e-9)
+    message = "multiset search budget exceeded"
+    k = max(1, math.ceil(linalg.require_size("n", floor, MAX_BRUTEFORCE_MULTISETS, message)))
+    walked = linalg.require_size("n", math.comb(m + k - 1, k), MAX_BRUTEFORCE_MULTISETS, message)
     gn = product_hypergraph(g, n)
-    m = gn.num_edges
     if _common_kernel(degree(gn)):
         return math.inf
     stack = np.stack(gn.edges)
     eye = np.eye(gn.dim)
-    max_trace = float(max(np.trace(e).real for e in gn.edges))
-    k = max(1, math.ceil(gn.dim / max_trace - 1e-9))  # trace comparison floor
-    budget = MAX_BRUTEFORCE_MULTISETS
     while True:
-        budget -= math.comb(m + k - 1, k)
-        if budget < 0:
-            raise RuntimeError("multiset search budget exceeded")
         combos = itertools.combinations_with_replacement(range(m), k)
         chunk = max(1, BRUTEFORCE_CHUNK_ENTRIES // (k * gn.dim**2))
         while block := list(itertools.islice(combos, chunk)):
             if linalg.psd_leq(eye, stack[np.array(block)].sum(axis=1)).any():
                 return k
         k += 1
+        walked += math.comb(m + k - 1, k)
+        linalg.require_size("n", walked, MAX_BRUTEFORCE_MULTISETS, message)
 
 
 def _fractional_cover(stack: np.ndarray, deg: np.ndarray, tol: float) -> tuple[np.ndarray, float, int]:
@@ -839,8 +844,8 @@ def product_covering_table(g: QuantumHypergraph, n_values, tol: float = 1e-8) ->
     rows = []
     for n in n_values:
         try:
-            c_n = covering_number_bruteforce(g, n)
-        except (ValueError, RuntimeError):
+            c_n = _bruteforce(g, n, cap)
+        except DomainError:
             c_n = None
         c_tilde = None if math.isinf(cap.bits) else _power(1.0 / cap.value, n)
         rows.append({"n": int(n), "c_n": c_n, "c_tilde_n": c_tilde,

@@ -26,8 +26,6 @@ import numpy as np
 
 from . import linalg
 from .channels import (
-    MAX_SEQUENCE_SPACE,
-    MAX_TENSOR_DIM,
     CQChannel,
     EmpiricalDistribution,
     TypicalProjector,
@@ -39,7 +37,7 @@ from .channels import (
     typical_projector,
 )
 from .covering import QuantumHypergraph, quantum_covering_sample
-from .linalg import LN2, BoundViolation, DomainError
+from .linalg import LN2, MAX_SEQUENCE_SPACE, MAX_TENSOR_DIM, BoundViolation, DomainError
 from .rng import make_rng, random_distribution, random_effect, spawn_seeds
 
 DEFAULT_PROBE_LAMBDAS = (0.9, 0.75, 0.6, 0.45, 0.3)
@@ -87,9 +85,8 @@ def check_sequence_distribution(entries, n: int | None = None, alphabet_size: in
 def uniform_distribution(alphabet_size: int, n: int) -> dict:
     """Exact uniform distribution on the full sequence space."""
     linalg.require_positive(n=n)
-    space = alphabet_size**n
-    if space > MAX_SEQUENCE_SPACE:
-        raise ValueError(f"sequence space {alphabet_size}^{n} exceeds {MAX_SEQUENCE_SPACE}")
+    space = linalg.require_size("n", alphabet_size, MAX_SEQUENCE_SPACE, exponent=n, message=(
+        f"sequence space {alphabet_size}^{n} exceeds {MAX_SEQUENCE_SPACE}"))
     w = Fraction(1, space)
     return {xn: w for xn in itertools.product(range(alphabet_size), repeat=n)}
 
@@ -97,9 +94,8 @@ def uniform_distribution(alphabet_size: int, n: int) -> dict:
 def random_sparse_distribution(seed: int, alphabet_size: int, n: int, support: int) -> dict:
     """Seeded random distribution on `support` distinct sequences."""
     linalg.require_positive(n=n)
-    space = alphabet_size**n
-    if space > MAX_SEQUENCE_SPACE:
-        raise ValueError(f"sequence space {alphabet_size}^{n} exceeds {MAX_SEQUENCE_SPACE}")
+    space = linalg.require_size("n", alphabet_size, MAX_SEQUENCE_SPACE, exponent=n, message=(
+        f"sequence space {alphabet_size}^{n} exceeds {MAX_SEQUENCE_SPACE}"))
     if not 1 <= support <= space:
         raise DomainError("support must lie between 1 and the sequence space size", "support")
     rng = make_rng(seed)
@@ -172,11 +168,14 @@ class QIDCode:
 def random_qid_code(seed: int, channel: CQChannel, n: int, messages: int, support: int) -> QIDCode:
     """Seeded code: per message a random sparse input law and a random test effect."""
     linalg.require_positive(messages=messages)
+    # before random_effect is asked for a d^n x d^n effect
+    dn = linalg.require_size("n", channel.dim, MAX_TENSOR_DIM, exponent=n)
+    linalg.require_matrices(dn, messages, "messages")
     seeds = spawn_seeds(seed, 2 * messages)
     entries = []
     for i in range(messages):
         dist = random_sparse_distribution(seeds[2 * i], channel.alphabet_size, n, support)
-        effect = random_effect(make_rng(seeds[2 * i + 1]), channel.dim**n)
+        effect = random_effect(make_rng(seeds[2 * i + 1]), dn)
         entries.append((dist, effect))
     return QIDCode(n, entries)
 
@@ -190,23 +189,15 @@ def evaluate_qid_code(code: QIDCode, channel: CQChannel) -> tuple[float, float, 
     lambda2 = max over i != j of acceptance[i, j] (0 when there is a
     single message).
     """
-    dn = channel.dim**code.n
-    if dn > MAX_TENSOR_DIM:
-        raise ValueError(f"output dimension {channel.dim}^{code.n} exceeds {MAX_TENSOR_DIM}")
+    dn = linalg.require_size("code", channel.dim, MAX_TENSOR_DIM, exponent=code.n, message=(
+        f"output dimension {channel.dim}^{code.n} exceeds {MAX_TENSOR_DIM}"))
     if code.test_dim != dn:
         raise ValueError(f"test effects act on dimension {code.test_dim}, channel needs {dn}")
-    cache: dict[tuple, np.ndarray] = {}
-
-    def block_output(xn):
-        if xn not in cache:
-            cache[xn] = tensor_output(xn, channel)
-        return cache[xn]
-
     outputs = []
     for dist, _ in code.entries:
         rho = np.zeros((dn, dn), dtype=complex)
         for xn, w in sorted(dist.items()):
-            rho = rho + float(w) * block_output(xn)
+            rho = rho + float(w) * tensor_output(xn, channel)
         outputs.append(linalg.hermitize(rho))
     size = code.num_messages
     acceptance = np.zeros((size, size))
@@ -433,8 +424,8 @@ def resolvability_regularize(
     d = channel.dim
     P = check_sequence_distribution(P, alphabet_size=a)
     n = len(next(iter(P)))
-    if d**n > MAX_TENSOR_DIM:
-        raise ValueError(f"output dimension {d}^{n} exceeds {MAX_TENSOR_DIM}")
+    dn = linalg.require_size("P", d, MAX_TENSOR_DIM, exponent=n, message=(
+        f"output dimension {d}^{n} exceeds {MAX_TENSOR_DIM}"))
     mode = "paper-constants"
     if alpha is not None or eps is not None or tau is not None or draws is not None:
         mode = "override"
@@ -464,13 +455,6 @@ def resolvability_regularize(
         raise BoundViolation(
             f"type quantization moved {float(quantization_tv)} mass, over the budget {lam / 3.0}"
         )
-
-    wn_cache: dict[tuple, np.ndarray] = {}
-
-    def block_output(xn):
-        if xn not in wn_cache:
-            wn_cache[xn] = tensor_output(xn, channel)
-        return wn_cache[xn]
 
     sqrt_a = math.sqrt(a)
     systems = letter_systems(channel)
@@ -544,13 +528,15 @@ def resolvability_regularize(
             xn = rec["seqs"][e_idx]
             sparse[xn] = sparse.get(xn, Fraction(0)) + rec["weight"] * Fraction(count, L)
 
-    dn = d**n
+    # supp(sparse) lies inside supp(P): one pass over sorted(P) makes
+    # both outputs, each atom's block output built once and dropped
     sigma = np.zeros((dn, dn), dtype=complex)
-    for xn, w in sorted(P.items()):
-        sigma = sigma + float(w) * block_output(xn)
     sigma_bar = np.zeros((dn, dn), dtype=complex)
-    for xn, w in sorted(sparse.items()):
-        sigma_bar = sigma_bar + float(w) * block_output(xn)
+    for xn, w in sorted(P.items()):
+        out = tensor_output(xn, channel)
+        sigma += float(w) * out
+        if xn in sparse:
+            sigma_bar += float(sparse[xn]) * out
     measured = 0.5 * linalg.trace_distance(linalg.hermitize(sigma), linalg.hermitize(sigma_bar))
     certified = measured <= lam / 3.0 and all(res.certified for res in results)
 
@@ -693,8 +679,9 @@ def resolution_probe(
         raise ValueError("eps must be positive")
     n = int(n)
     a = channel.alphabet_size
-    if a**n > 4096:
-        raise ValueError(f"probe enumerates the sequence space; {a}^{n} is too large")
+    linalg.require_size("n", a * channel.dim**2, MAX_TENSOR_DIM**2, exponent=n, message=(
+        f"probe enumerates the sequence space; {a}^{n} outputs of dimension "
+        f"{channel.dim}^{n} are too large"))
     lambdas = tuple(float(v) for v in lambdas)
     candidates = [check_sequence_distribution(P, n=n, alphabet_size=a) for P in candidate_Ps]
     seeds = spawn_seeds(seed, max(1, len(candidates) * len(lambdas)))

@@ -21,6 +21,19 @@ PSD_TOL = 1e-9
 HERM_TOL = 1e-10
 LN2 = math.log(2.0)
 
+# Resource caps, all decided by require_size: the side D of one dense
+# matrix (a count of dim x dim matrices shares its D^2 entries), sequence
+# spaces a^n, types, exact-tail multisets, brute-force product edges and
+# multisets walked, conjecture-probe instances, and draws listed one by one.
+MAX_TENSOR_DIM = 4096
+MAX_SEQUENCE_SPACE = 1_000_000
+MAX_TYPES = 5_000_000
+MAX_ENUMERATION = 2_000_000
+MAX_BRUTEFORCE_EDGES = 20
+MAX_BRUTEFORCE_MULTISETS = 5_000_000
+MAX_PROBE_COUNT = 100_000
+MAX_MATERIALIZED_DRAWS = 1_000_000
+
 
 class BoundViolation(RuntimeError):
     """A proven inequality failed numerically; indicates a bug upstream."""
@@ -44,6 +57,27 @@ def require_positive(**values) -> None:
     for param, value in values.items():
         if not value > 0:
             raise DomainError(f"{param} must be positive", param)
+
+
+def require_size(param: str, size, cap: int, message: str | None = None, exponent: int = 1):
+    """Return size**exponent, or raise DomainError(param) past cap: the one size-cap comparison.
+
+    With size >= 2, exponent > cap.bit_length() is refused before the power is formed.
+    """
+    if exponent > cap.bit_length() and size >= 2 or size**exponent > cap:
+        power = size if exponent == 1 else f"{size}^{exponent}"
+        raise DomainError(message or f"{param} too large: {power} exceeds the cap {cap}", param)
+    return size**exponent
+
+
+def require_matrices(dim: int, count: int = 1, param: str = "dim") -> None:
+    """Refuse `count` dense dim x dim matrices beyond one MAX_TENSOR_DIM^2 budget.
+
+    An oversized dim alone is named "dim", the count `param`.
+    """
+    require_positive(dim=dim)
+    require_size("dim", dim, MAX_TENSOR_DIM)
+    require_size(param, count * dim * dim, MAX_TENSOR_DIM**2)
 
 
 def require_finite(a, param: str) -> None:

@@ -4,7 +4,8 @@ All stochastic entry points in this package take an explicit integer
 seed and build a Philox counter-based generator from it.  Sub-streams
 (per retry, per sweep run, per type class) are derived by SeedSequence
 spawning, so results never depend on execution order or worker count.
-A dimension or support size below 1 raises linalg.DomainError.
+A dimension or support size below 1, or a dimension past
+linalg.MAX_TENSOR_DIM, raises linalg.DomainError.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def spawn_seeds(seed: int, n: int) -> list[int]:
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    linalg.require_positive(dim=dim)
+    linalg.require_matrices(dim)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     # fix phases so the distribution is exactly Haar
@@ -34,13 +35,13 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
-    linalg.require_positive(dim=dim)
+    linalg.require_matrices(dim)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return linalg.hermitize(z) * scale
 
 
 def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
-    linalg.require_positive(dim=dim)
+    linalg.require_matrices(dim)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return linalg.hermitize(z @ z.conj().T)
 
@@ -58,7 +59,7 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    linalg.require_positive(dim=dim)
+    linalg.require_matrices(dim)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     return np.outer(v, v.conj())

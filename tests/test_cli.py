@@ -7,6 +7,7 @@ sets are golden-filed, and sweeps must not depend on worker count.
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -853,6 +854,24 @@ BOUNDARY_CASES = [
     ("qid-eval", {"channel": ZERO_PLUS, "code": _with(EXPLICIT_CODE, n=0)}, ["params", "code", "n"]),
 ]
 
+# One case per resource cap the CLI reaches: an oversized config is a
+# domain error, refused before the allocation at its field's path.
+THIRD = {"dim": 3, "re": (np.eye(3) / 3.0).tolist()}
+CAP_CASES = [
+    ("typicality", _with(STATE, n=20), ["params", "n"]),
+    ("typicality", _with(STATE, state=THIRD, n=10**7), ["params", "n"]),
+    ("typicality", _with(CONDITIONAL, sequence=[0, 1] * 6 + [0]), ["params", "sequence"]),
+    ("resolvability", _with(RESOLVE, P={"kind": "uniform", "n": 21}), ["params", "P", "n"]),
+    ("tail-mc", {"rv": RANDOM_RV, "method": "chernoff-upper", "n": 2000, "a": 0.9, "m": 0.9},
+     ["params", "n"]),
+    ("tail-mc", {"rv": RANDOM_RV, "method": "two-sided", "n": 5, "eps": 0.3, "trials": 10**9},
+     ["params", "trials"]),
+    ("typicality", _with(STATE, state={"kind": "random", "dim": 10**6}), ["params", "state", "dim"]),
+    ("cover-capacity", {"hypergraph": _with(RANDOM_GRAPH, num_edges=10**8)},
+     ["params", "hypergraph", "num_edges"]),
+    ("qid-eval", {"channel": ZERO_PLUS, "code": _with(RANDOM_CODE, n=19)}, ["params", "code", "n"]),
+]
+
 
 class TestParameterDomains:
     @pytest.mark.parametrize(
@@ -892,6 +911,26 @@ class TestParameterDomains:
         assert code == 2
         assert payload["path"] == ["params", field]
         assert payload["message"] == f"{field} must be finite"
+
+    @pytest.mark.parametrize(
+        "command, params, path",
+        CAP_CASES,
+        ids=[f"{i:02d}-{c}-{'.'.join(p[1:])}" for i, (c, _, p) in enumerate(CAP_CASES)],
+    )
+    def test_oversized_config_exits_2_at_its_field_before_allocating(
+        self, command, params, path, capsys
+    ):
+        args = [command, "--seed", "1"]
+        for key, value in params.items():
+            args += ["--param", f"{key}={json.dumps(value)}"]
+        start = time.perf_counter()
+        code = cli.main(args)
+        elapsed = time.perf_counter() - start
+        payload = json.loads(capsys.readouterr().err)
+        assert code == 2, payload
+        assert payload["error"] == "schema-violation"
+        assert payload["path"] == path
+        assert elapsed < 0.1
 
     def test_params_schemas_keep_only_decoded_field_ranges(self):
         range_keywords = {"minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"}

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -597,6 +598,31 @@ class TestProductRelations:
         assert [r["c_n"] for r in rows] == [math.inf, math.inf]
         assert [r["c_tilde_n"] for r in rows] == [None, None]
         assert [r["pow2_Cn"] for r in rows] == [math.inf, math.inf]
+
+    def test_table_refuses_a_search_past_the_budget_at_once(self):
+        # the LP floor k >= 36 alone is C(43, 36) = 32 M multisets, past
+        # the budget; the trace floor walked all 5 M first (59 s)
+        g = random_hypergraph(spawn_seeds(960, 20)[1], 2, 2)
+        start = time.perf_counter()
+        (row,) = covering.product_covering_table(g, [3])
+        assert time.perf_counter() - start < 1.0
+        assert row["c_n"] is None
+
+    def test_lp_start_never_passes_the_covering_number(self):
+        # against a search from k = 1 over the product's multisets
+        # (c_1, c_2): (5, 21), (3, 5), (2, 4) and (3, 7)
+        for seed in (301, 302, 305, 306):
+            g = random_hypergraph(seed, dim=2, num_edges=2)
+            for n in (1, 2):
+                gn = product_hypergraph(g, n)
+                stack = np.stack(gn.edges)
+                want = next(
+                    k for k in itertools.count(1)
+                    if linalg.psd_leq(np.eye(gn.dim), stack[np.array(list(
+                        itertools.combinations_with_replacement(range(gn.num_edges), k)
+                    ))].sum(axis=1)).any()
+                )
+                assert covering_number_bruteforce(g, n) == want
 
 
 class TestResultSerialization:

@@ -6,6 +6,7 @@ the last element of the field path.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -112,6 +113,36 @@ CASES = [
     ("a", lambda: concentration.markov_tail(_rv(), math.nan * EYE)),
     ("delta", lambda: concentration.chebyshev_tail(_rv(), math.nan * EYE)),
     ("delta", lambda: concentration.weak_law_tail(_rv(), 2, np.diag([math.inf, 0.1]))),
+    # resource caps: a size past its cap is a domain error of the parameter that sets it
+    ("sequence", lambda: channels.tensor_output([0] * 13, _channel())),
+    ("n", lambda: channels.type_enumerate(40, 20)),
+    ("n", lambda: channels.typical_set([0.25] * 4, 11, 1.0)),
+    ("n", lambda: channels.typical_projector(np.eye(3) / 3.0, 10**7, 1.0)),
+    ("sequence", lambda: channels.conditional_typical_projector(_channel(), [0, 1] * 7, 1.0)),
+    ("dim", lambda: rng.random_psd(rng.make_rng(1), 10**6)),
+    ("dim", lambda: channels.random_channel(1, 2, 10**6)),
+    ("inputs", lambda: channels.random_channel(1, 10**7, 2)),
+    ("atoms", lambda: OperatorRV.random(1, 2, 10**7)),
+    ("n", lambda: concentration.exact_tail(_rv(), 3 * 10**6, lambda s: s)),
+    ("trials", lambda: concentration.mc_tail(_rv(), 2, 10**9, 1, lambda s: s)),
+    ("num_edges", lambda: covering.random_hypergraph(1, 2, 10**8)),
+    # 2^9 edges of side 2^9: small dimension, too many entries
+    ("n", lambda: covering.product_hypergraph(_graph(), 9)),
+    ("n", lambda: covering.covering_number_bruteforce(_graph(), 5)),
+    # c_4 = 1, but its 16 product edges would be 4096 x 4096 each
+    ("n", lambda: covering.covering_number_bruteforce(
+        QuantumHypergraph(8, [np.eye(8), 0.5 * np.eye(8)], 1.0), 4)),
+    # the orthogonal pair's LP floor k >= 16 at n = 4 is C(31, 16) multisets
+    ("n", lambda: covering.covering_number_bruteforce(
+        QuantumHypergraph(2, [ZERO, EYE - ZERO], 1.0), 4)),
+    ("n", lambda: identification.uniform_distribution(2, 21)),
+    ("n", lambda: identification.random_sparse_distribution(1, 2, 21, 1)),
+    ("n", lambda: identification.random_qid_code(1, _channel(), 19, 1, 1)),
+    ("messages", lambda: identification.random_qid_code(1, _channel(), 12, 2, 1)),
+    ("code", lambda: identification.evaluate_qid_code(
+        identification.QIDCode(13, [({(0,) * 13: 1.0}, 0.5 * EYE)]), _channel())),
+    ("P", lambda: identification.resolvability_regularize({(0,) * 13: 1.0}, _channel(), 0.6, 1)),
+    ("n", lambda: identification.resolution_probe(_channel(), 9, 0.5, [], 1)),
 ]
 
 
@@ -137,6 +168,18 @@ def test_require_positive_names_the_first_failure():
             linalg.require_positive(a=1.0, b=bad, c=-1.0)
         assert err.value.param == "b"
         assert str(err.value) == "b must be positive"
+
+
+def test_require_size_decides_powers_without_forming_them():
+    assert linalg.require_size("n", 2, 4096, exponent=12) == 4096
+    assert linalg.require_size("n", 1, 4096, exponent=10**9) == 1
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as err:
+        linalg.require_size("n", 3, 4096, "too big", exponent=10**12)
+    assert time.perf_counter() - start < 0.01
+    assert (str(err.value), err.value.param) == ("too big", "n")
+    with pytest.raises(DomainError, match="count too large"):
+        linalg.require_size("count", 4097, 4096)
 
 
 def test_matrix_validity_stays_a_plain_value_error():
