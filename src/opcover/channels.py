@@ -527,9 +527,7 @@ class TypicalProjector:
     Validation is factored and runs at every size: unitary factor bases
     that diagonalize their letters and an in-range increasing mask make
     the product projector Hermitian, idempotent and commuting with the
-    reference state.  The dense `projector` and `range_basis` (range
-    columns) are built lazily on first access, for tests and small-D
-    callers; nothing in the package reads them.
+    reference state.  No dense dim x dim projector is ever built.
     """
 
     factor_bases: tuple
@@ -583,21 +581,6 @@ class TypicalProjector:
     def digits(self) -> np.ndarray:
         """Per-factor eigenvector index of every range vector, shape (n, rank)."""
         return np.array(np.unravel_index(self.mask, self.factor_dims)).reshape(self.n, self.rank)
-
-    @functools.cached_property
-    def range_basis(self) -> np.ndarray:
-        """Orthonormal range basis as columns, shape (dim, rank)."""
-        cols = np.ones((1, self.rank), dtype=np.complex128)
-        for basis, d, k in zip(self.factor_bases, self.factor_dims, self.digits):
-            b = np.eye(d) if basis is None else basis
-            cols = (cols[:, None, :] * b[:, k][None, :, :]).reshape(-1, self.rank)
-        return cols
-
-    @functools.cached_property
-    def projector(self) -> np.ndarray:
-        """Dense dim x dim projector onto the range."""
-        basis = self.range_basis
-        return linalg.hermitize(basis @ basis.conj().T)
 
     def reference_state(self) -> np.ndarray:
         """The product state the projector was built for."""

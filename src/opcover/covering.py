@@ -18,6 +18,7 @@ case no escalation happens and exhaustion raises.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -28,12 +29,12 @@ from scipy.optimize import linprog
 from . import linalg
 from .linalg import (LN2, MAX_BRUTEFORCE_EDGES, MAX_BRUTEFORCE_MULTISETS, MAX_MATERIALIZED_DRAWS,
                      MAX_TENSOR_DIM, BoundViolation, DomainError, check_distribution as _check_distribution)
-from .rng import make_rng, random_effect, spawn_seeds
+from .rng import make_rng, random_effect, seed_stream
 
 RETRY_SEEDS = 64
 ESCALATION_STAGES = 4  # draw counts 1x, 2x, 4x, 8x
-# Brute force gathers multisets in chunks of at most this many complex
-# entries (chunk x k x D^2) before one batched order check.
+# Brute force forms the degrees of multisets in chunks of at most this
+# many complex entries (chunk x D^2) before one batched order check.
 BRUTEFORCE_CHUNK_ENTRIES = 1 << 14
 # The cutting-plane LP meets its cuts to this feasibility tolerance, so a
 # finer covering tol would stall for the full round budget.
@@ -115,6 +116,14 @@ class ClassicalHypergraph:
         return cls(obj["num_vertices"], edges, obj["eta"])
 
 
+def _check_graph_header(dim, eta) -> int:
+    dim = int(dim)
+    linalg.require_positive(dim=dim)
+    if eta is not None:
+        linalg.require_positive(eta=float(eta))
+    return dim
+
+
 class QuantumHypergraph:
     """Finite family of effect operators on a d-dimensional space.
 
@@ -122,13 +131,18 @@ class QuantumHypergraph:
     up to the package PSD tolerance.  With eta=None the cap is the
     tightest one, min(1, largest edge spectral norm), read off the
     same spectrum that validates the edges.
+
+    Edges are held in the span of all edges: E_j = Q C_j Q^dagger with
+    `basis` Q (dim x s) orthonormal columns and `compressed[j]` = C_j
+    (s x s).  E_j has the spectrum of C_j plus dim - s zeros, so
+    spectra, traces and mixtures are computed on the C_j.  Graphs built
+    from dense edges keep Q = identity (`basis` None, C_j = E_j);
+    `from_factors` spans Q by one QR when the factors are narrow.  The
+    dense `edges` are lifted on first access.
     """
 
     def __init__(self, dim: int, edges, eta: float | None):
-        self.dim = int(dim)
-        linalg.require_positive(dim=self.dim)
-        if eta is not None:
-            linalg.require_positive(eta=float(eta))
+        self.dim = _check_graph_header(dim, eta)
         mats = []
         for e in edges:
             m = linalg.require_hermitian(e, name="edge")
@@ -137,33 +151,97 @@ class QuantumHypergraph:
             mats.append(m)
         if not mats:
             raise ValueError("at least one edge required")
+        self._set_edges(None, np.stack(mats), eta)
+
+    @classmethod
+    def from_factors(cls, dim: int, factors, weights, eta: float | None = None) -> "QuantumHypergraph":
+        """Edges E_j = M_j diag(w_j) M_j^dagger from factors M_j (dim x r_j) and weights w_j.
+
+        When sum_j r_j < dim, one QR of the stacked factors [M_1 ... M_m] = Q R
+        gives the span basis Q and C_j = R_j diag(w_j) R_j^dagger with R_j
+        the columns of R belonging to M_j; otherwise Q = identity and
+        C_j = M_j diag(w_j) M_j^dagger.  Hermitian by construction, so the
+        only check is the eigensolve of the C_j.
+        """
+        g = cls.__new__(cls)
+        g.dim = _check_graph_header(dim, eta)
+        factors = [np.asarray(m, dtype=np.complex128) for m in factors]
+        weights = [np.asarray(w, dtype=float) for w in weights]
+        if not factors:
+            raise ValueError("at least one edge required")
+        if len(weights) != len(factors):
+            raise ValueError("need one weight vector per factor")
+        widths = []
+        for m, w in zip(factors, weights):
+            if m.ndim != 2 or m.shape[0] != g.dim or w.shape != (m.shape[1],):
+                raise ValueError("factor dimension mismatch")
+            widths.append(m.shape[1])
+        basis = None
+        if 0 < sum(widths) < g.dim:
+            basis, r = np.linalg.qr(np.hstack(factors))
+            factors = np.split(r, np.cumsum(widths)[:-1], axis=1)
+        s = g.dim if basis is None else basis.shape[1]
+        compressed = np.empty((len(factors), s, s), dtype=np.complex128)
+        for c, m, w in zip(compressed, factors, weights):
+            c[...] = linalg.hermitize((m * w) @ m.conj().T)
+        g._set_edges(basis, compressed, eta)
+        return g
+
+    def _set_edges(self, basis, compressed: np.ndarray, eta: float | None) -> None:
         # One eigensolve decides both orders: E >= 0 on the spectrum w, and
         # cap*I - E >= 0 on its spectrum cap - w, each with its own tolerance.
-        w = np.linalg.eigvalsh(np.stack(mats))
+        # The dim - s zero eigenvalues off the span change neither decision,
+        # nor the tolerances (both read max(1, |.|)), nor the tight eta.
+        w = np.linalg.eigvalsh(compressed)
         if (w[:, 0] < -linalg.spectral_tolerance(w)).any():
             raise ValueError("edge is not positive semidefinite")
         self.eta = min(1.0, float(np.abs(w).max())) if eta is None else float(eta)
         gap = min(1.0, self.eta) - w
         if (gap[:, -1] < -linalg.spectral_tolerance(gap)).any():
             raise ValueError("edge exceeds the eta cap")
-        self.edges = tuple(mats)
+        self.basis = basis
+        self.compressed = compressed
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.compressed)
+
+    @property
+    def span_dim(self) -> int:
+        """s, the number of span basis columns (dim when the basis is the identity)."""
+        return self.compressed.shape[-1]
+
+    def lift(self, c: np.ndarray) -> np.ndarray:
+        """Q c Q^dagger: an s x s span operator as a dim x dim one."""
+        if self.basis is None:
+            return c
+        return linalg.hermitize(self.basis @ c @ self.basis.conj().T)
+
+    @functools.cached_property
+    def edges(self) -> tuple:
+        """The dense dim x dim edges."""
+        return tuple(self.lift(c) for c in self.compressed)
+
+    def span_combination(self, weights) -> np.ndarray:
+        """sum_j weights_j C_j in span coordinates, added edge by edge in index order.
+
+        Zero weights are skipped; adding them would change no float.
+        """
+        out = np.zeros((self.span_dim, self.span_dim), dtype=complex)
+        for c, x in zip(self.compressed, weights):
+            if x:
+                out = out + float(x) * c
+        return out
 
     def edge_average(self, p) -> np.ndarray:
         """Edge mixture sum_E P(E) E."""
-        p = _check_distribution(p, self.num_edges)
-        rho = np.zeros((self.dim, self.dim), dtype=complex)
-        # Accumulate edge by edge so the diagonal case runs the exact
+        # Accumulated edge by edge so the diagonal case runs the exact
         # same float additions as ClassicalHypergraph.mean_measure.
-        for e in range(self.num_edges):
-            rho = rho + p[e] * self.edges[e]
-        return linalg.hermitize(rho)
+        p = _check_distribution(p, self.num_edges)
+        return self.lift(linalg.hermitize(self.span_combination(p)))
 
     def edge_traces(self) -> np.ndarray:
-        return np.array([float(np.trace(e).real) for e in self.edges])
+        return np.array([float(np.trace(c).real) for c in self.compressed])
 
     def is_diagonal(self, tol: float = 1e-12) -> bool:
         for e in self.edges:
@@ -311,11 +389,7 @@ def degree(g: QuantumHypergraph, subset=None) -> np.ndarray:
 
 
 def _degree_from_counts(g: QuantumHypergraph, counts) -> np.ndarray:
-    out = np.zeros((g.dim, g.dim), dtype=complex)
-    for i, c in enumerate(counts):
-        if c:
-            out = out + float(c) * g.edges[i]
-    return linalg.hermitize(out)
+    return g.lift(linalg.hermitize(g.span_combination(counts)))
 
 
 def is_covering(g: QuantumHypergraph, subset=None) -> bool:
@@ -324,9 +398,10 @@ def is_covering(g: QuantumHypergraph, subset=None) -> bool:
 
 
 def _attempt_schedule(seed: int, stages: int):
-    subs = spawn_seeds(seed, RETRY_SEEDS * stages)
-    for i, sub in enumerate(subs):
-        yield i + 1, 2 ** (i // RETRY_SEEDS), sub
+    # seeds are spawned one per attempt: nearly every call stops at the first
+    subs = seed_stream(seed)
+    for i in range(RETRY_SEEDS * stages):
+        yield i + 1, 2 ** (i // RETRY_SEEDS), next(subs)
 
 
 def covering_size_bounds(g: QuantumHypergraph, p=None) -> dict:
@@ -522,20 +597,32 @@ def quantum_covering_sample(
     When all edges share one trace q <= 1 the trace-norm consequence
     ||rho - rhobar||_1 <= (eps + tau) + sqrt(8 (eps + tau)) is enforced
     as well.
+
+    Every operator compared lives in the span of the edges, so the work
+    runs on the s x s compressed edges (see QuantumHypergraph) while
+    dim stays in the formula and the threshold.  The dim - s zero
+    eigenvalues of the mixture off the span fall in the split-off part.
+    `sampled_average`, `pi0` and `pi1` are lifted to dim x dim for the
+    result.  The reported sandwich slacks are the least eigenvalues of
+    pi1 rhobar pi1 - (1 - eps) pi1 rho pi1 and (1 + eps) pi1 rho pi1 -
+    pi1 rhobar pi1, read off the spectra that decide the order checks;
+    when s < dim each is min(0, its compressed value), since the full
+    operators vanish off the span.
     """
     linalg.require_positive(eps=eps, tau=tau)
     p = _check_distribution(p, g.num_edges)
-    rho = g.edge_average(p)
-    if linalg.spectral_norm(rho) == 0.0:
-        raise ValueError("edge mixture is zero")
+    rho = linalg.hermitize(g.span_combination(p))
     w, u = linalg.eigh(rho)
+    if not np.abs(w).max() > 0.0:
+        raise ValueError("edge mixture is zero")
     small = w < tau / g.dim  # strict: eigenvalues at the threshold stay
-    pi0 = linalg.hermitize((u * small.astype(float)) @ u.conj().T)
-    pi1 = linalg.hermitize((u * (~small).astype(float)) @ u.conj().T)
+    p0 = linalg.hermitize((u * small.astype(float)) @ u.conj().T)
+    p1 = linalg.hermitize((u * (~small).astype(float)) @ u.conj().T)
     excluded_mass = float(w[small].sum())
     if excluded_mass > tau + 1e-12:
         raise BoundViolation(f"excluded eigenspace carries mass {excluded_mass} > tau = {tau}")
-    proj = linalg.hermitize(pi1 @ rho @ pi1)
+    proj = linalg.hermitize(p1 @ rho @ p1)
+    compressed = g.basis is not None
 
     formula = 1.0 + g.eta * g.dim * (2.0 * LN2 * math.log2(2.0 * g.dim)) / (eps * eps * tau)
     base, stages = _sample_plan(formula, p, draws)
@@ -546,14 +633,12 @@ def quantum_covering_sample(
     for attempts, scale, sub in _attempt_schedule(seed, stages):
         ln = base * scale
         counts = make_rng(sub).multinomial(ln, p)
-        rhobar = np.zeros((g.dim, g.dim), dtype=complex)
-        for e in range(g.num_edges):
-            if counts[e]:
-                rhobar = rhobar + float(counts[e]) * g.edges[e]
-        rhobar = linalg.hermitize(rhobar / float(ln))
-        projbar = linalg.hermitize(pi1 @ rhobar @ pi1)
-        ok_lower = linalg.psd_leq((1.0 - eps) * proj, projbar)
-        ok_upper = linalg.psd_leq(projbar, (1.0 + eps) * proj)
+        rhobar = linalg.hermitize(g.span_combination(counts) / float(ln))
+        projbar = linalg.hermitize(p1 @ rhobar @ p1)
+        slack, tol = linalg.psd_margin(
+            np.stack([projbar - (1.0 - eps) * proj, (1.0 + eps) * proj - projbar])
+        )
+        ok_lower, ok_upper = slack >= -tol
         if ok_lower and ok_upper:
             l1 = linalg.trace_norm(rho - rhobar)
             l1_bound = (eps + tau) + math.sqrt(8.0 * (eps + tau)) if equal_trace else None
@@ -561,17 +646,20 @@ def quantum_covering_sample(
                 raise BoundViolation(
                     f"sampled operator misses the trace-norm bound: {l1} > {l1_bound}"
                 )
+            if compressed:
+                slack = np.minimum(slack, 0.0)
+            pi1 = g.lift(p1)
             beyond = ln > formula
             return CoveringResult(
                 kind="quantum-sample",
                 edge_multiplicities={int(i): int(c) for i, c in enumerate(counts) if c},
                 num_draws=ln,
-                sampled_average=rhobar,
+                sampled_average=g.lift(rhobar),
                 certified=not (beyond and draws is None),
                 seed=seed,
                 beyond_bound=beyond,
                 attempts=attempts,
-                pi0=pi0,
+                pi0=linalg.hermitize(np.eye(g.dim) - pi1) if compressed else p0,
                 pi1=pi1,
                 details={
                     "eps": eps,
@@ -581,8 +669,8 @@ def quantum_covering_sample(
                     "draw_bound": formula,
                     "threshold": tau / g.dim,
                     "excluded_mass": excluded_mass,
-                    "sandwich_lower_slack": linalg.min_eigenvalue(projbar - (1.0 - eps) * proj),
-                    "sandwich_upper_slack": linalg.min_eigenvalue((1.0 + eps) * proj - projbar),
+                    "sandwich_lower_slack": float(slack[0]),
+                    "sandwich_upper_slack": float(slack[1]),
                     "l1_distance": l1,
                     "l1_bound": l1_bound,
                     "equal_edge_trace": equal_trace,
@@ -692,13 +780,19 @@ def _bruteforce(g: QuantumHypergraph, n: int, cap: CapacityResult):
     gn = product_hypergraph(g, n)
     if _common_kernel(degree(gn)):
         return math.inf
-    stack = np.stack(gn.edges)
+    # a multiset's degree is its edge counts times the edge stack, so a
+    # chunk holds the same number of multisets at every k; the counts of
+    # the multisets of k edges are the gaps between m - 1 bars placed
+    # among k + m - 1 slots (stars and bars)
+    stack = np.stack(gn.edges).reshape(m, -1)
     eye = np.eye(gn.dim)
+    chunk = max(1, BRUTEFORCE_CHUNK_ENTRIES // gn.dim**2)
     while True:
-        combos = itertools.combinations_with_replacement(range(m), k)
-        chunk = max(1, BRUTEFORCE_CHUNK_ENTRIES // (k * gn.dim**2))
-        while block := list(itertools.islice(combos, chunk)):
-            if linalg.psd_leq(eye, stack[np.array(block)].sum(axis=1)).any():
+        bars = itertools.combinations(range(k + m - 1), m - 1)
+        while block := list(itertools.islice(bars, chunk)):
+            cuts = np.array(block, dtype=np.intp).reshape(len(block), m - 1)
+            counts = np.diff(cuts, axis=1, prepend=-1, append=k + m - 1) - 1
+            if linalg.psd_leq(eye, (counts @ stack).reshape(-1, gn.dim, gn.dim)).any():
                 return k
         k += 1
         walked += math.comb(m + k - 1, k)

@@ -27,7 +27,6 @@ import numpy as np
 from . import linalg
 from .channels import (
     CQChannel,
-    EmpiricalDistribution,
     TypicalProjector,
     conditional_typical_projector,
     letter_systems,
@@ -214,29 +213,25 @@ def evaluate_qid_code(code: QIDCode, channel: CQChannel) -> tuple[float, float, 
     return lambda1, lambda2, acceptance
 
 
-def per_type_conditional(P, t: EmpiricalDistribution) -> dict:
-    """Conditional of a sequence distribution on one type class.
+def type_class_conditionals(P, alphabet_size: int) -> dict:
+    """Split a checked sequence distribution by empirical type, in one pass over P.
 
-    Weights come back as exact Fractions so that remixing the
-    conditionals with the type-class masses reproduces the input
-    distribution exactly, not merely to rounding.
+    Maps each type's counts to (mass, conditional) for the types that
+    carry mass.  Weights are exact Fractions, so remixing the
+    conditionals with the masses reproduces P exactly, not merely to
+    rounding.
     """
-    P = check_sequence_distribution(P, n=t.n)
-    members = {}
+    members: dict[tuple, dict] = {}
     for xn, w in P.items():
-        counts = [0] * t.alphabet_size
-        member = True
+        counts = [0] * alphabet_size
         for s in xn:
-            if s >= t.alphabet_size:
-                member = False
-                break
             counts[s] += 1
-        if member and tuple(counts) == t.counts:
-            members[xn] = Fraction(w)
-    mass = sum(members.values())
-    if mass <= 0:
-        raise ValueError(f"type class {t.counts} carries zero probability mass")
-    return {xn: w / mass for xn, w in members.items()}
+        members.setdefault(tuple(counts), {})[xn] = Fraction(w)
+    out = {}
+    for counts, cls in members.items():
+        mass = sum(cls.values())
+        out[counts] = (mass, {xn: w / mass for xn, w in cls.items()})
+    return out
 
 
 def quantize_distribution(weights, K: int) -> list:
@@ -368,18 +363,18 @@ def _basis_overlap(outer, inner, d: int) -> np.ndarray:
 
 
 def _sandwiched_edge(outer: TypicalProjector, inner: TypicalProjector, overlaps) -> np.ndarray:
-    """Compression of Pi W Pi to the range of `outer`, with Pi = `inner`.
+    """Factor M of the compression of Pi W Pi to the range of `outer`, with Pi = `inner`.
 
     W is inner's reference product state, diagonal in inner's product
     eigenbasis, so Pi W Pi = sum_k probs_k |u_k><u_k| over inner's range
     vectors.  With M[j, k] = <v_j|u_k> = prod_i overlaps[i][j_i, k_i]
-    over outer's range vectors v_j, the edge is M diag(probs) M^dagger:
-    no dim x dim matrix is formed.
+    over outer's range vectors v_j, the edge is M diag(inner.probs)
+    M^dagger: no dim x dim matrix is formed.
     """
     m = np.ones((outer.rank, inner.rank), dtype=np.complex128)
     for o, j, k in zip(overlaps, outer.digits, inner.digits):
         m = m * o[np.ix_(j, k)]
-    return linalg.hermitize((m * inner.probs) @ m.conj().T)
+    return m
 
 
 def resolvability_regularize(
@@ -441,13 +436,8 @@ def resolvability_regularize(
     K = quantization_resolution(n, a, lam)
 
     types = type_enumerate(n, a)
-    index = {t.counts: i for i, t in enumerate(types)}
-    masses = [Fraction(0)] * len(types)
-    for xn, w in P.items():
-        counts = [0] * a
-        for s in xn:
-            counts[s] += 1
-        masses[index[tuple(counts)]] += Fraction(w)
+    classes = type_class_conditionals(P, a)
+    masses = [classes[t.counts][0] if t.counts in classes else Fraction(0) for t in types]
     total = sum(masses)
     quantized = quantize_distribution(masses, K)
     quantization_tv = sum(abs(m / total - r) for m, r in zip(masses, quantized))
@@ -462,7 +452,7 @@ def resolvability_regularize(
     for i, t in enumerate(types):
         if quantized[i] == 0:
             continue
-        cond = per_type_conditional(P, t)
+        cond = classes[t.counts][1]
         seqs = sorted(cond)
         mixture = output_state(t.probabilities(), channel)
         mix_proj = typical_projector(mixture, n, alpha * sqrt_a)
@@ -470,17 +460,15 @@ def resolvability_regularize(
             raise ValueError("mixture typical projector has empty range; alpha too small")
         v_mix = mix_proj.factor_bases[0]
         overlaps = {x: _basis_overlap(v_mix, system[1], d) for x, system in systems.items()}
-        edges = [
-            _sandwiched_edge(
-                mix_proj,
-                conditional_typical_projector(channel, xn, alpha, systems=systems),
-                [overlaps[x] for x in xn],
-            )
-            for xn in seqs
-        ]
+        inners = [conditional_typical_projector(channel, xn, alpha, systems=systems) for xn in seqs]
         # eta = min(1, largest edge norm) comes off the one batched
-        # eigensolve that validates the edges
-        graph = QuantumHypergraph(mix_proj.rank, edges, None)
+        # eigensolve that validates the edges, in the span of the edges
+        graph = QuantumHypergraph.from_factors(
+            mix_proj.rank,
+            [_sandwiched_edge(mix_proj, inner, [overlaps[x] for x in xn])
+             for xn, inner in zip(seqs, inners)],
+            [inner.probs for inner in inners],
+        )
         if graph.eta <= 0.0:
             raise ValueError("typical projection annihilated every edge; alpha too small")
         formula = 1.0 + graph.eta * graph.dim * (

@@ -141,16 +141,24 @@ def psd_tolerance(a) -> float:
     return float(spectral_tolerance(np.linalg.eigvalsh(hermitize(a))))
 
 
+def psd_margin(a) -> tuple:
+    """Least eigenvalue and PSD tolerance of a matrix, or of each matrix of a stack.
+
+    One eigensolve; a passes is_psd exactly when the least eigenvalue is
+    >= -tolerance, so callers that report the margin need no second solve.
+    """
+    w = np.linalg.eigvalsh(hermitize(a))
+    return w[..., 0], spectral_tolerance(w)
+
+
 def is_psd(a, tol: float | None = None) -> np.bool_ | np.ndarray:
     """Whether a matrix, or each matrix of a stack (..., d, d), is PSD.
 
     One eigensolve; the default tolerance comes from that same spectrum
     (spectral_tolerance).  Returns a numpy bool of the leading shape.
     """
-    w = np.linalg.eigvalsh(hermitize(a))
-    if tol is None:
-        tol = spectral_tolerance(w)
-    return w[..., 0] >= -tol
+    least, default = psd_margin(a)
+    return least >= -(default if tol is None else tol)
 
 
 def psd_leq(a, b) -> np.bool_ | np.ndarray:

@@ -25,6 +25,17 @@ def spawn_seeds(seed: int, n: int) -> list[int]:
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
 
+def seed_stream(seed: int):
+    """The child seeds of spawn_seeds(seed, n), spawned one at a time, without end.
+
+    SeedSequence numbers its children by position, so the first n
+    equal spawn_seeds(seed, n).
+    """
+    root = np.random.SeedSequence(int(seed))
+    while True:
+        yield int(root.spawn(1)[0].generate_state(1, np.uint64)[0])
+
+
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     linalg.require_matrices(dim)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

@@ -147,3 +147,26 @@ def half_integer_sum_pmf(probs, n: int) -> list[Fraction]:
                 nxt[h + step] += mass * p
         pmf = nxt
     return pmf
+
+
+def range_basis(proj) -> np.ndarray:
+    """Range columns of a factored typical projector, one Kronecker product per column.
+
+    Column i is the product eigenvector at flat index proj.mask[i]
+    (first factor most significant); None bases are standard bases.
+    """
+    bases = [np.eye(d) if b is None else b for b, d in zip(proj.factor_bases, proj.factor_dims)]
+    cols = np.zeros((proj.dim, proj.rank), dtype=complex)
+    for i, flat in enumerate(proj.mask):
+        v = np.ones(1, dtype=complex)
+        for b, k in zip(bases, np.unravel_index(int(flat), proj.factor_dims)):
+            v = np.kron(v, b[:, k])
+        cols[:, i] = v
+    return cols
+
+
+def dense_projector(proj) -> np.ndarray:
+    """Dense dim x dim projector onto the range of a factored typical projector."""
+    basis = range_basis(proj)
+    pi = basis @ basis.conj().T
+    return (pi + pi.conj().T) / 2

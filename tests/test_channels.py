@@ -25,7 +25,8 @@ from opcover.channels import (
 )
 from opcover.rng import make_rng, random_density, random_distribution, random_state, spawn_seeds
 
-from oracles import blahut_arimoto_capacity, classical_capacity_oracle
+from oracles import (blahut_arimoto_capacity, classical_capacity_oracle, dense_projector,
+                     range_basis)
 
 KET0 = np.diag([1.0, 0.0])
 KET1 = np.diag([0.0, 1.0])
@@ -353,14 +354,14 @@ class TestTypicalSet:
 class TestTypicalProjector:
     def test_huge_alpha_gives_identity(self):
         proj = typical_projector(np.diag([0.6, 0.4]), 3, 1e9)
-        assert np.array_equal(proj.projector, np.eye(8))
+        assert np.array_equal(dense_projector(proj), np.eye(8))
         assert proj.rank == 8
 
     def test_pure_state_gives_rank_one(self):
         proj = typical_projector(PLUS, 3, 2.0)
         ref = linalg.kron_all([PLUS] * 3)
         assert proj.rank == 1
-        assert np.allclose(proj.projector, ref, atol=1e-12)
+        assert np.allclose(dense_projector(proj), ref, atol=1e-12)
         assert math.isclose(proj.trace_mass, 1.0, abs_tol=1e-12)
 
     def test_frozen_binomial_example(self):
@@ -376,7 +377,7 @@ class TestTypicalProjector:
     def test_degenerate_eigenvalues_merge(self):
         # maximally mixed qubit: one merged class, every sequence typical
         proj = typical_projector(np.eye(2) / 2.0, 2, 0.0)
-        assert np.array_equal(proj.projector, np.eye(4))
+        assert np.array_equal(dense_projector(proj), np.eye(4))
         assert proj.trace_mass == 1.0
 
     def test_degenerate_subspace_off_basis(self):
@@ -408,7 +409,7 @@ class TestTypicalProjector:
             rho = random_density(rng, dim)
             proj = typical_projector(rho, n, alpha)
             assert proj.trace_mass + 1e-12 >= 1.0 - dim / alpha**2
-            pi = proj.projector
+            pi = dense_projector(proj)
             assert linalg.frobenius(pi @ pi - pi) <= 1e-9
             ref = proj.reference_state()
             assert linalg.commutator_norm(pi, ref) <= 1e-9 * pi.shape[0]
@@ -440,7 +441,7 @@ class TestConditionalProjector:
         xn = (0, 1, 1)
         proj = conditional_typical_projector(ch, xn, 2.0)
         assert proj.rank == 1
-        assert np.allclose(proj.projector, tensor_output(xn, ch), atol=1e-12)
+        assert np.allclose(dense_projector(proj), tensor_output(xn, ch), atol=1e-12)
         assert math.isclose(proj.trace_mass, 1.0, abs_tol=1e-12)
 
     def test_frozen_two_block_example(self):
@@ -468,7 +469,7 @@ class TestConditionalProjector:
         alpha = 1.5
         proj = conditional_typical_projector(ch, xn, alpha)
         # entries within a row are distinct, so classes = output symbols
-        indicator = np.real(np.diagonal(proj.projector)).round(12)
+        indicator = np.real(np.diagonal(dense_projector(proj))).round(12)
         oracle = []
         for yn in itertools.product(range(3), repeat=4):
             ok = True
@@ -481,7 +482,8 @@ class TestConditionalProjector:
             oracle.append(1.0 if ok else 0.0)
         assert np.array_equal(indicator, np.asarray(oracle))
         # diagonal construction: strictly zero off the diagonal
-        assert np.abs(proj.projector - np.diag(np.diagonal(proj.projector))).max() == 0.0
+        pi = dense_projector(proj)
+        assert np.abs(pi - np.diag(np.diagonal(pi))).max() == 0.0
 
     def test_mass_bound_and_invariants_on_random_channels(self):
         rng = make_rng(59)
@@ -491,7 +493,7 @@ class TestConditionalProjector:
             alpha = 1.5 + trial
             proj = conditional_typical_projector(ch, xn, alpha)
             assert proj.trace_mass + 1e-12 >= 1.0 - 3 * 2 / alpha**2
-            pi = proj.projector
+            pi = dense_projector(proj)
             assert linalg.frobenius(pi @ pi - pi) <= 1e-9
             ref = proj.reference_state()
             assert np.allclose(ref, tensor_output(xn, ch), atol=1e-12)
@@ -500,11 +502,13 @@ class TestConditionalProjector:
             assert math.isclose(overlap, proj.trace_mass, abs_tol=1e-9)
 
     def test_range_basis_spans_projector(self):
+        # the factored data name orthonormal eigenvectors of the reference
+        # state with eigenvalues probs
         proj = conditional_typical_projector(self.qubit_channel(), (0, 1, 0), 2.0)
-        basis = proj.range_basis
+        basis = range_basis(proj)
         assert basis.shape == (8, proj.rank)
         assert np.allclose(basis.conj().T @ basis, np.eye(proj.rank), atol=1e-12)
-        assert np.allclose(basis @ basis.conj().T, proj.projector, atol=1e-12)
+        assert np.allclose(proj.reference_state() @ basis, basis * proj.probs, atol=1e-12)
 
 
 class TestFactoredProjector:
@@ -550,11 +554,6 @@ class TestFactoredProjector:
             with pytest.raises(ValueError, match="strictly increasing"):
                 dataclasses.replace(proj, mask=np.array(mask))
 
-    def test_dense_views_are_lazy(self):
-        proj = typical_projector(random_density(make_rng(75), 2), 4, 2.0)
-        assert "projector" not in vars(proj) and "range_basis" not in vars(proj)
-        assert proj.projector is proj.projector  # built once, then cached
-
     def test_mask_and_probs_match_itertools_enumeration(self):
         ch = CQChannel([random_density(make_rng(76), 3), np.diag([0.5, 0.3, 0.2])])
         xn = (0, 1, 1, 0, 1)
@@ -585,7 +584,7 @@ class TestCrossTypicalMass:
             with monkeypatch.context() as m:
                 m.setattr(channels, "tensor_output", no_dense)
                 mass, proj = cross_typical_mass(ch, xn, 2.5)
-            dense = float(np.einsum("ij,ji->", tensor_output(xn, ch), proj.projector).real)
+            dense = float(np.einsum("ij,ji->", tensor_output(xn, ch), dense_projector(proj)).real)
             assert abs(mass - dense) <= 1e-12
 
     def test_frozen_example_bound(self):

@@ -26,7 +26,7 @@ from opcover.covering import (
     replay_covering_result,
 )
 from opcover.linalg import LN2, BoundViolation
-from opcover.rng import make_rng, random_effect, spawn_seeds
+from opcover.rng import haar_unitary, make_rng, random_distribution, random_effect, spawn_seeds
 from oracles import product_fractional_cover
 
 E0 = np.diag([1.0, 0.0])
@@ -353,6 +353,83 @@ class TestQuantumSample:
         assert np.allclose(np.real(np.diag(qres.pi0)), [0.0, 0.0, 1.0, 0.0], atol=1e-12)
 
 
+def assert_same_sample(a, b, tol=1e-12):
+    """Two quantum-sample results agree: draws exactly, figures within tol."""
+    assert a.edge_multiplicities == b.edge_multiplicities
+    assert (a.num_draws, a.certified, a.attempts) == (b.num_draws, b.certified, b.attempts)
+    for key in ("excluded_mass", "l1_distance", "sandwich_lower_slack", "sandwich_upper_slack"):
+        assert abs(a.details[key] - b.details[key]) <= tol, key
+    for x, y in ((a.sampled_average, b.sampled_average), (a.pi0, b.pi0), (a.pi1, b.pi1)):
+        assert np.abs(x - y).max() <= tol
+
+
+def low_rank_factors(seed, dim, widths):
+    """Orthonormal factors M_j (dim x r_j) with weights in [0.2, 1]."""
+    rng = make_rng(seed)
+    factors = [haar_unitary(rng, dim)[:, :r] for r in widths]
+    weights = [rng.uniform(0.2, 1.0, size=r) for r in widths]
+    return factors, weights
+
+
+class TestSpanCompression:
+    def test_factored_graph_matches_dense_graph(self):
+        factors, weights = low_rank_factors(81, 8, [1, 2, 1, 2])
+        g = QuantumHypergraph.from_factors(8, factors, weights)
+        assert g.basis is not None and g.span_dim == 6
+        dense = QuantumHypergraph(8, [(m * w) @ m.conj().T for m, w in zip(factors, weights)], None)
+        assert dense.basis is None and dense.span_dim == 8
+        assert abs(g.eta - dense.eta) <= 1e-12
+        assert all(np.abs(a - b).max() <= 1e-12 for a, b in zip(g.edges, dense.edges))
+        assert np.abs(g.edge_average([0.25] * 4) - dense.edge_average([0.25] * 4)).max() <= 1e-12
+        p = random_distribution(make_rng(82), 4)
+        for draws in (None, 3000):
+            a = quantum_covering_sample(g, p, 0.3, 0.3, seed=83, draws=draws)
+            b = quantum_covering_sample(dense, p, 0.3, 0.3, seed=83, draws=draws)
+            assert a.certified
+            assert_same_sample(a, b)
+            # the full operators vanish off the span: slacks are at most 0
+            assert a.details["sandwich_lower_slack"] <= 0.0
+            assert replay_covering_result(g, a, p=p, eps=0.3, tau=0.3)["all"]
+
+    def test_wide_factors_keep_the_dense_arithmetic(self):
+        factors, weights = low_rank_factors(84, 4, [2, 3])
+        g = QuantumHypergraph.from_factors(4, factors, weights)
+        assert g.basis is None
+        for c, m, w in zip(g.compressed, factors, weights):
+            assert np.array_equal(c, linalg.hermitize((m * w) @ m.conj().T))
+        assert all(np.array_equal(e, c) for e, c in zip(g.edges, g.compressed))
+
+    def test_factors_validated(self):
+        with pytest.raises(ValueError, match="factor dimension"):
+            QuantumHypergraph.from_factors(4, [np.ones((3, 1))], [np.ones(1)])
+        with pytest.raises(ValueError, match="factor dimension"):
+            QuantumHypergraph.from_factors(4, [np.ones((4, 1))], [np.ones(2)])
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            QuantumHypergraph.from_factors(4, [np.eye(4)[:, :1]], [np.array([-0.5])])
+        with pytest.raises(ValueError, match="eta cap"):
+            QuantumHypergraph.from_factors(4, [np.eye(4)[:, :1]], [np.array([0.9])], eta=0.5)
+        with pytest.raises(ValueError, match="at least one edge"):
+            QuantumHypergraph.from_factors(4, [], [])
+
+    def test_sampler_makes_one_mixture_eigh_and_one_stacked_check(self, monkeypatch):
+        calls = []
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+        def spy(fn, name):
+            def wrapped(m):
+                calls.append((name, np.shape(m)))
+                return fn(m)
+            return wrapped
+
+        g = random_hypergraph(85, 3, 4)
+        monkeypatch.setattr(np.linalg, "eigh", spy(eigh, "eigh"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy(eigvalsh, "eigvalsh"))
+        res = quantum_covering_sample(g, [0.25] * 4, 0.3, 0.3, seed=86)
+        assert res.attempts == 1
+        # eigh of rho; both sandwich checks; the trace norm of rho - rhobar
+        assert calls == [("eigh", (3, 3)), ("eigvalsh", (2, 3, 3)), ("eigvalsh", (3, 3))]
+
+
 class TestProductHypergraph:
     def test_n1_is_same_object(self):
         g = orthogonal_pair()
@@ -624,6 +701,23 @@ class TestProductRelations:
                 )
                 assert covering_number_bruteforce(g, n) == want
 
+    def test_bruteforce_batches_multisets_by_counts(self, monkeypatch):
+        # with 256-entry chunks and D = 4, gathering the k > 16 edges of a
+        # multiset would fill a chunk alone; counts @ stack keeps 16 per check
+        monkeypatch.setattr(covering, "BRUTEFORCE_CHUNK_ENTRIES", 1 << 8)
+        calls = []
+        psd_leq = linalg.psd_leq
+
+        def counted(a, b):
+            calls.append(np.shape(b)[0])
+            return psd_leq(a, b)
+
+        monkeypatch.setattr(linalg, "psd_leq", counted)
+        c2 = covering_number_bruteforce(random_hypergraph(311, dim=2, num_edges=2), 2)
+        assert c2 == 53 and c2 * 4**2 > 1 << 8
+        assert sum(calls) > 1000  # multisets checked
+        assert calls[:-1] == [16] * (len(calls) - 1)
+
 
 class TestResultSerialization:
     def test_round_trip_randomized(self):
@@ -642,6 +736,14 @@ class TestResultSerialization:
         assert np.allclose(back.pi1, res.pi1)
         assert back.details["l1_distance"] == res.details["l1_distance"]
         assert replay_covering_result(g, back, p=[0.5, 0.5], eps=0.1, tau=0.1)["all"]
+
+    def test_attempt_seeds_spawned_lazily_match_the_spawned_list(self):
+        stages = covering.ESCALATION_STAGES
+        want = spawn_seeds(19, covering.RETRY_SEEDS * stages)
+        got = list(covering._attempt_schedule(19, stages))
+        assert len(got) == len(want) == 256
+        for i in (0, 63, 64, 255):
+            assert got[i] == (i + 1, 2 ** (i // covering.RETRY_SEEDS), want[i])
 
     def test_tampered_result_flagged(self):
         g = orthogonal_pair()

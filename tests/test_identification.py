@@ -1,6 +1,7 @@
 """Identification codes, the resolvability pipeline, and counting bounds."""
 
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opcover import linalg
+from opcover import cli, covering, identification, linalg
 from opcover.channels import (
     CQChannel,
     EmpiricalDistribution,
@@ -32,17 +33,20 @@ from opcover.identification import (
     code_count_bound,
     distributions_identical,
     evaluate_qid_code,
-    per_type_conditional,
     quantization_resolution,
     quantize_distribution,
     random_sparse_distribution,
     resolution_probe,
     resolvability_regularize,
     strong_converse_bound,
+    type_class_conditionals,
     uniform_distribution,
 )
 from opcover.linalg import BoundViolation
 from opcover.rng import make_rng, random_density, random_distribution, random_effect
+
+from oracles import dense_projector, range_basis
+from test_covering import assert_same_sample
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -237,18 +241,15 @@ class TestEvaluate:
 
 class TestPerTypeConditional:
     def test_distribution_on_one_class_is_unchanged(self):
-        t = EmpiricalDistribution(3, (2, 1))
         dist = {(0, 0, 1): 0.25, (0, 1, 0): 0.5, (1, 0, 0): 0.25}
-        cond = per_type_conditional(dist, t)
+        (mass, cond), = type_class_conditionals(dist, 2).values()
+        assert mass == 1
         assert cond == {xn: Fraction(w) for xn, w in dist.items()}
 
     def test_uniform_conditional_on_balanced_type(self):
-        cond = per_type_conditional(uniform_distribution(2, 2), EmpiricalDistribution(2, (1, 1)))
-        assert cond == {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}
-
-    def test_zero_mass_signals(self):
-        with pytest.raises(ValueError, match="zero probability mass"):
-            per_type_conditional({(0, 0): 1.0}, EmpiricalDistribution(2, (0, 2)))
+        classes = type_class_conditionals(uniform_distribution(2, 2), 2)
+        assert classes[(1, 1)] == (Fraction(1, 2), {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)})
+        assert set(classes) == {(2, 0), (1, 1), (0, 2)}
 
     def test_recombination_is_exact(self):
         for seed in range(20):
@@ -266,7 +267,9 @@ class TestPerTypeConditional:
                 )
                 if mass == 0:
                     continue
-                for xn, w in per_type_conditional(dist, t).items():
+                got_mass, cond = type_class_conditionals(dist, 2)[t.counts]
+                assert got_mass == mass
+                for xn, w in cond.items():
                     mixed[xn] = mixed.get(xn, Fraction(0)) + mass * w
             assert set(mixed) == {xn for xn, w in dist.items() if w}
             for xn, w in mixed.items():
@@ -556,8 +559,9 @@ class TestFactoredSandwich:
                 overlaps = [
                     _basis_overlap(mix.factor_bases[i], cond.factor_bases[i], d) for i in range(n)
                 ]
-                edge = _sandwiched_edge(mix, cond, overlaps)
-                pi, basis = cond.projector, mix.range_basis
+                factor = _sandwiched_edge(mix, cond, overlaps)
+                edge = (factor * cond.probs) @ factor.conj().T
+                pi, basis = dense_projector(cond), range_basis(mix)
                 dense = basis.conj().T @ pi @ tensor_output(xn, ch) @ pi @ basis
                 assert edge.shape == (mix.rank, mix.rank)
                 assert np.abs(edge - dense).max() <= 1e-12, (name, n)
@@ -566,6 +570,103 @@ class TestFactoredSandwich:
                 )
         # every pairing of standard (None) and rotated letter bases occurred
         assert branches == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def zero_plus_type_graphs(monkeypatch, P, n):
+    """Per active type of a zero-plus resolvability run: (factors, weights, graph, p, eps, tau)."""
+    built, sampled = [], []
+    from_factors = covering.QuantumHypergraph.from_factors.__func__
+    sampler = identification.quantum_covering_sample
+
+    def record_build(cls, dim, factors, weights, eta=None):
+        g = from_factors(cls, dim, factors, weights, eta)
+        built.append((factors, weights, g))
+        return g
+
+    def record_sample(g, p, eps, tau, seed, draws=None):
+        sampled.append((p, eps, tau))
+        return sampler(g, p, eps, tau, seed, draws=draws)
+
+    monkeypatch.setattr(covering.QuantumHypergraph, "from_factors", classmethod(record_build))
+    monkeypatch.setattr(identification, "quantum_covering_sample", record_sample)
+    resolvability_regularize(P, zero_plus_channel(), 0.6, seed=n)
+    monkeypatch.undo()
+    return [b + s for b, s in zip(built, sampled)]
+
+
+class TestSpanCompressedResolvability:
+    LAWS = {
+        5: lambda: uniform_distribution(2, 5),
+        6: lambda: uniform_distribution(2, 6),
+        7: lambda: random_sparse_distribution(7, 2, 7, 12),
+    }
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_rank_one_types_match_the_dense_graph(self, monkeypatch, n):
+        types = zero_plus_type_graphs(monkeypatch, self.LAWS[n](), n)
+        compressed = 0
+        for factors, weights, g, p, eps, tau in types:
+            # every zero-plus conditional projector has rank 1
+            assert [m.shape[1] for m in factors] == [1] * g.num_edges
+            if g.num_edges < g.dim:
+                assert g.basis is not None and g.span_dim == g.num_edges
+                compressed += 1
+            else:  # the pure types (all 0 or all 1) have a rank-1 mixture range
+                assert g.basis is None
+            dense = covering.QuantumHypergraph(
+                g.dim, [linalg.hermitize((m * w) @ m.conj().T) for m, w in zip(factors, weights)], None
+            )
+            assert abs(g.eta - dense.eta) <= 1e-12
+            a = covering.quantum_covering_sample(g, p, eps, tau, seed=5)
+            b = covering.quantum_covering_sample(dense, p, eps, tau, seed=5)
+            assert_same_sample(a, b)
+        assert compressed >= 2
+
+    def test_no_eigensolve_beyond_the_span(self, monkeypatch):
+        (factors, weights, _, p, eps, tau) = zero_plus_type_graphs(
+            monkeypatch, uniform_distribution(2, 6), 6)[2]
+        sizes = []
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+        def spy(fn):
+            def wrapped(m):
+                sizes.append(np.shape(m)[-1])
+                return fn(m)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigh", spy(eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy(eigvalsh))
+        g = covering.QuantumHypergraph.from_factors(factors[0].shape[0], factors, weights)
+        covering.quantum_covering_sample(g, p, eps, tau, seed=6)
+        assert sizes and max(sizes) <= g.span_dim < g.dim
+
+    # sha256 of `results`, taken before the span compression: mixed
+    # letters keep full-rank conditional projectors, so nothing moves
+    RESULT_HASHES = [
+        ({"command": "resolvability", "seed": 11, "params": {
+            "channel": {"kind": "random", "dim": 2, "inputs": 2},
+            "P": {"kind": "uniform", "n": 5}, "lambda": 0.6}},
+         "c9e6129968a6c51f608c33a2acd802aa2a91eb0e500fb206944ed6f2eebc38d1"),
+        ({"command": "resolvability", "seed": 12, "params": {
+            "channel": {"kind": "random", "dim": 2, "inputs": 2},
+            "P": {"kind": "uniform", "n": 4}, "lambda": 0.5}},
+         "ed893c51226278a59141c47d3084866b72f4c3afaad5f1af56b97cdb8c1e3f5d"),
+        ({"command": "resolvability", "seed": 13, "params": {
+            "channel": {"kind": "random", "dim": 2, "inputs": 2},
+            "P": {"kind": "random", "n": 6, "support": 10}, "lambda": 0.7}},
+         "e11b5dfe7017930fbe73e345086875212bdc5ee6b7200222bbd0836a2d526d71"),
+        ({"command": "cover-sample", "seed": 21, "params": {
+            "hypergraph": {"kind": "random", "dim": 3, "num_edges": 4}, "eps": 0.3, "tau": 0.3}},
+         "2ebd2ba432beb56a3c66b89710525327a8972d353f9160f29e7a0a52e80c2602"),
+        ({"command": "cover-sample", "seed": 22, "params": {
+            "hypergraph": {"kind": "random", "dim": 2, "num_edges": 3}, "eps": 0.2, "tau": 0.25}},
+         "9984d22793a9cc2842bbb53b95d0834525a816779d3152eebc5671c5362b9920"),
+    ]
+
+    @pytest.mark.parametrize("config, digest", RESULT_HASHES)
+    def test_mixed_letter_results_unchanged(self, config, digest):
+        results = cli.run(config).results
+        assert hashlib.sha256(cli.canonical_json(results).encode()).hexdigest() == digest
 
 
 class TestApproximation:
