@@ -154,17 +154,17 @@ class QuantumHypergraph:
         self._set_edges(None, np.stack(mats), eta)
 
     @classmethod
-    def from_factors(cls, dim: int, factors, weights, eta: float | None = None) -> "QuantumHypergraph":
+    def from_factors(cls, dim: int, factors, weights) -> "QuantumHypergraph":
         """Edges E_j = M_j diag(w_j) M_j^dagger from factors M_j (dim x r_j) and weights w_j.
 
         When sum_j r_j < dim, one QR of the stacked factors [M_1 ... M_m] = Q R
         gives the span basis Q and C_j = R_j diag(w_j) R_j^dagger with R_j
         the columns of R belonging to M_j; otherwise Q = identity and
         C_j = M_j diag(w_j) M_j^dagger.  Hermitian by construction, so the
-        only check is the eigensolve of the C_j.
+        only check is the eigensolve of the C_j.  eta is the tight cap.
         """
         g = cls.__new__(cls)
-        g.dim = _check_graph_header(dim, eta)
+        g.dim = _check_graph_header(dim, None)
         factors = [np.asarray(m, dtype=np.complex128) for m in factors]
         weights = [np.asarray(w, dtype=float) for w in weights]
         if not factors:
@@ -184,7 +184,7 @@ class QuantumHypergraph:
         compressed = np.empty((len(factors), s, s), dtype=np.complex128)
         for c, m, w in zip(compressed, factors, weights):
             c[...] = linalg.hermitize((m * w) @ m.conj().T)
-        g._set_edges(basis, compressed, eta)
+        g._set_edges(basis, compressed, None)
         return g
 
     def _set_edges(self, basis, compressed: np.ndarray, eta: float | None) -> None:
@@ -616,7 +616,6 @@ def quantum_covering_sample(
     if not np.abs(w).max() > 0.0:
         raise ValueError("edge mixture is zero")
     small = w < tau / g.dim  # strict: eigenvalues at the threshold stay
-    p0 = linalg.hermitize((u * small.astype(float)) @ u.conj().T)
     p1 = linalg.hermitize((u * (~small).astype(float)) @ u.conj().T)
     excluded_mass = float(w[small].sum())
     if excluded_mass > tau + 1e-12:
@@ -646,9 +645,12 @@ def quantum_covering_sample(
                 raise BoundViolation(
                     f"sampled operator misses the trace-norm bound: {l1} > {l1_bound}"
                 )
+            pi1 = g.lift(p1)
             if compressed:
                 slack = np.minimum(slack, 0.0)
-            pi1 = g.lift(p1)
+                pi0 = linalg.hermitize(np.eye(g.dim) - pi1)
+            else:
+                pi0 = linalg.hermitize((u * small.astype(float)) @ u.conj().T)
             beyond = ln > formula
             return CoveringResult(
                 kind="quantum-sample",
@@ -659,7 +661,7 @@ def quantum_covering_sample(
                 seed=seed,
                 beyond_bound=beyond,
                 attempts=attempts,
-                pi0=linalg.hermitize(np.eye(g.dim) - pi1) if compressed else p0,
+                pi0=pi0,
                 pi1=pi1,
                 details={
                     "eps": eps,

@@ -214,13 +214,14 @@ def evaluate_qid_code(code: QIDCode, channel: CQChannel) -> tuple[float, float, 
 
 
 def type_class_conditionals(P, alphabet_size: int) -> dict:
-    """Split a checked sequence distribution by empirical type, in one pass over P.
+    """Split a sequence distribution by empirical type, in one pass over P.
 
-    Maps each type's counts to (mass, conditional) for the types that
-    carry mass.  Weights are exact Fractions, so remixing the
-    conditionals with the masses reproduces P exactly, not merely to
-    rounding.
+    P is validated first (zero-weight atoms dropped).  Maps each type's
+    counts to (mass, conditional) for the types that carry mass.
+    Weights are exact Fractions, so remixing the conditionals with the
+    masses reproduces P exactly, not merely to rounding.
     """
+    P = check_sequence_distribution(P, alphabet_size=alphabet_size)
     members: dict[tuple, dict] = {}
     for xn, w in P.items():
         counts = [0] * alphabet_size

@@ -170,3 +170,13 @@ def dense_projector(proj) -> np.ndarray:
     basis = range_basis(proj)
     pi = basis @ basis.conj().T
     return (pi + pi.conj().T) / 2
+
+
+def assert_same_sample(a, b, tol=1e-12):
+    """Two quantum-sample results agree: draws exactly, figures within tol."""
+    assert a.edge_multiplicities == b.edge_multiplicities
+    assert (a.num_draws, a.certified, a.attempts) == (b.num_draws, b.certified, b.attempts)
+    for key in ("excluded_mass", "l1_distance", "sandwich_lower_slack", "sandwich_upper_slack"):
+        assert abs(a.details[key] - b.details[key]) <= tol, key
+    for x, y in ((a.sampled_average, b.sampled_average), (a.pi0, b.pi0), (a.pi1, b.pi1)):
+        assert np.abs(x - y).max() <= tol

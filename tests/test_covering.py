@@ -27,7 +27,7 @@ from opcover.covering import (
 )
 from opcover.linalg import LN2, BoundViolation
 from opcover.rng import haar_unitary, make_rng, random_distribution, random_effect, spawn_seeds
-from oracles import product_fractional_cover
+from oracles import assert_same_sample, product_fractional_cover
 
 E0 = np.diag([1.0, 0.0])
 E1 = np.diag([0.0, 1.0])
@@ -353,16 +353,6 @@ class TestQuantumSample:
         assert np.allclose(np.real(np.diag(qres.pi0)), [0.0, 0.0, 1.0, 0.0], atol=1e-12)
 
 
-def assert_same_sample(a, b, tol=1e-12):
-    """Two quantum-sample results agree: draws exactly, figures within tol."""
-    assert a.edge_multiplicities == b.edge_multiplicities
-    assert (a.num_draws, a.certified, a.attempts) == (b.num_draws, b.certified, b.attempts)
-    for key in ("excluded_mass", "l1_distance", "sandwich_lower_slack", "sandwich_upper_slack"):
-        assert abs(a.details[key] - b.details[key]) <= tol, key
-    for x, y in ((a.sampled_average, b.sampled_average), (a.pi0, b.pi0), (a.pi1, b.pi1)):
-        assert np.abs(x - y).max() <= tol
-
-
 def low_rank_factors(seed, dim, widths):
     """Orthonormal factors M_j (dim x r_j) with weights in [0.2, 1]."""
     rng = make_rng(seed)
@@ -406,8 +396,6 @@ class TestSpanCompression:
             QuantumHypergraph.from_factors(4, [np.ones((4, 1))], [np.ones(2)])
         with pytest.raises(ValueError, match="not positive semidefinite"):
             QuantumHypergraph.from_factors(4, [np.eye(4)[:, :1]], [np.array([-0.5])])
-        with pytest.raises(ValueError, match="eta cap"):
-            QuantumHypergraph.from_factors(4, [np.eye(4)[:, :1]], [np.array([0.9])], eta=0.5)
         with pytest.raises(ValueError, match="at least one edge"):
             QuantumHypergraph.from_factors(4, [], [])
 

@@ -45,8 +45,7 @@ from opcover.identification import (
 from opcover.linalg import BoundViolation
 from opcover.rng import make_rng, random_density, random_distribution, random_effect
 
-from oracles import dense_projector, range_basis
-from test_covering import assert_same_sample
+from oracles import assert_same_sample, dense_projector, range_basis
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -245,6 +244,15 @@ class TestPerTypeConditional:
         (mass, cond), = type_class_conditionals(dist, 2).values()
         assert mass == 1
         assert cond == {xn: Fraction(w) for xn, w in dist.items()}
+
+    def test_distribution_validated(self):
+        # a zero-weight atom alone in its type class is dropped, not divided by
+        classes = type_class_conditionals({(0, 0): 1.0, (1, 1): 0.0}, 2)
+        assert classes == {(2, 0): (1, {(0, 0): 1})}
+        with pytest.raises(ValueError, match="nonnegative"):
+            type_class_conditionals({(0, -1): 1.0}, 2)
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            type_class_conditionals({(0, 2): 1.0}, 2)
 
     def test_uniform_conditional_on_balanced_type(self):
         classes = type_class_conditionals(uniform_distribution(2, 2), 2)
@@ -578,8 +586,8 @@ def zero_plus_type_graphs(monkeypatch, P, n):
     from_factors = covering.QuantumHypergraph.from_factors.__func__
     sampler = identification.quantum_covering_sample
 
-    def record_build(cls, dim, factors, weights, eta=None):
-        g = from_factors(cls, dim, factors, weights, eta)
+    def record_build(cls, dim, factors, weights):
+        g = from_factors(cls, dim, factors, weights)
         built.append((factors, weights, g))
         return g
 
