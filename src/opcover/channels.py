@@ -137,6 +137,52 @@ def tensor_output(xn, channel: CQChannel) -> np.ndarray:
     return linalg.kron_all(channel.states[x] for x in xn)
 
 
+def product_mixture(weights, channel: CQChannel) -> np.ndarray:
+    """sum_xn w_xn W_{x_1} (x) ... (x) W_{x_n} over a mapping of sequences to real weights.
+
+    Weights may be signed.  Sequences that end alike share a branch of
+    a prefix tree of the reversed sequences, and the sum below a node
+    factors as sum_x (sum below child x) (x) W_x: one kron per tree
+    node, so k sequences cost O(d^(2n)) where summing k tensor outputs
+    costs O(k d^(2n)).  Factors multiply in tensor_output's order, so a
+    single atom of weight 1 reproduces it exactly.  Symbols and the
+    output dimension are checked as in tensor_output, before any
+    allocation.
+    """
+    atoms = sorted(
+        (_check_sequence(xn, channel.alphabet_size)[::-1], float(w))
+        for xn, w in dict(weights).items()
+    )
+    if not atoms:
+        raise ValueError("need at least one sequence")
+    n = len(atoms[0][0])
+    if any(len(nx) != n for nx, _ in atoms):
+        raise ValueError("sequences must share one length")
+    linalg.require_size("sequence", channel.dim, MAX_TENSOR_DIM, exponent=n, message=(
+        f"tensor output dimension {channel.dim}^{n} exceeds {MAX_TENSOR_DIM}"))
+
+    def below(lo: int, hi: int, depth: int) -> np.ndarray:
+        # sum over atoms[lo:hi], whose last `depth` symbols agree, of w
+        # times the product of their first n - depth letters
+        out = None
+        while lo < hi:
+            x, mid = atoms[lo][0][depth], lo
+            while mid < hi and atoms[mid][0][depth] == x:
+                mid += 1
+            if depth == n - 1:
+                term = atoms[lo][1] * channel.states[x]  # distinct keys: mid == lo + 1
+            else:
+                term = np.kron(below(lo, mid, depth + 1), channel.states[x])
+            if out is None:
+                out = term
+            else:
+                out += term
+            lo = mid
+        return out
+
+    return below(0, len(atoms), 0)
+
+
 def _check_sequence(xn, alphabet_size: int) -> tuple[int, ...]:
     xn = tuple(int(x) for x in xn)
     if not xn:
@@ -605,11 +651,16 @@ def _product_mask(factor_values, blocks) -> tuple[np.ndarray, np.ndarray]:
             occ = (classes == c).sum(axis=0)
             ok &= np.abs(occ - targets[c]) <= widths[c]
     mask = np.flatnonzero(ok)
-    probs = np.ones(mask.size)
-    for values, k in zip(factor_values, digits[:, mask]):
+    return mask, _running_product(factor_values, digits[:, mask])
+
+
+def _running_product(factor_values, digits) -> np.ndarray:
+    """Product over factors, in factor order, of the clipped eigenvalue each digit picks."""
+    probs = np.ones(digits.shape[1])
+    for values, k in zip(factor_values, digits):
         values = np.asarray(values, dtype=float)
         probs = probs * np.where(values > 0.0, values, 0.0)[k]
-    return mask, probs
+    return probs
 
 
 def _window(masses, n_block: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -740,6 +791,30 @@ def conditional_typical_projector(
         mass_bound=bound,
         details=details,
     )
+
+
+def permuted_range(proj: TypicalProjector, xn) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, probs) of the conditional projector of xn, read off that of a rearrangement.
+
+    `proj` is conditional_typical_projector(channel, ys, alpha) for a
+    rearrangement ys of xn.  Admissibility counts class occupations per
+    symbol block, which moving factors between positions that carry the
+    same symbol leaves alone, so xn's range vectors are proj's with
+    their factor digits moved to xn's positions, re-sorted by flat
+    index.  probs is recomputed as the same running product in factor
+    order as a direct build, so both arrays equal
+    conditional_typical_projector(channel, xn, alpha)'s bit for bit.
+    """
+    xn = tuple(int(x) for x in xn)
+    if proj.kind != "conditional" or sorted(proj.sequence) != sorted(xn):
+        raise ValueError("proj must be the conditional projector of a rearrangement of xn")
+    # source[i]: proj's factor position that lands on position i of xn
+    source = np.empty(len(xn), dtype=int)
+    source[np.argsort(xn, kind="stable")] = np.argsort(proj.sequence, kind="stable")
+    digits = proj.digits[source]
+    dims = tuple(proj.factor_dims[i] for i in source)
+    digits = digits[:, np.argsort(np.ravel_multi_index(digits, dims))]
+    return digits, _running_product([proj.factor_values[i] for i in source], digits)
 
 
 def _check_build_size(d: int, n: int, alpha: float, param: str = "n") -> None:

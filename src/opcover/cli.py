@@ -498,7 +498,23 @@ PARAMS_SCHEMAS = {
                         "additionalProperties": False,
                         "properties": {
                             "n": {"type": "integer"},
-                            "entries": {"type": "array", "minItems": 1},
+                            "entries": {
+                                "type": "array",
+                                "minItems": 1,
+                                "items": {
+                                    "type": "object",
+                                    "required": ["P", "D"],
+                                    "additionalProperties": False,
+                                    "properties": {
+                                        "P": {
+                                            "type": "array",
+                                            "minItems": 1,
+                                            "items": {"type": "array", "minItems": 2, "maxItems": 2},
+                                        },
+                                        "D": _MATRIX,
+                                    },
+                                },
+                            },
                         },
                     },
                 ]
@@ -626,7 +642,7 @@ def _load_rv(spec: dict, seed: int) -> concentration.OperatorRV:
 @_domain("code")
 def _load_code(spec: dict, channel: channels.CQChannel, seed: int) -> identification.QIDCode:
     if spec.get("kind") != "random":
-        return identification.QIDCode.from_json(spec)
+        return identification.QIDCode.from_json(spec, channel.alphabet_size)
     return identification.random_qid_code(
         seed, channel, spec["n"], spec["messages"], spec["support"]
     )

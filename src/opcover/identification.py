@@ -31,6 +31,8 @@ from .channels import (
     conditional_typical_projector,
     letter_systems,
     output_state,
+    permuted_range,
+    product_mixture,
     tensor_output,
     type_enumerate,
     typical_projector,
@@ -42,13 +44,16 @@ from .rng import make_rng, random_distribution, random_effect, spawn_seeds
 DEFAULT_PROBE_LAMBDAS = (0.9, 0.75, 0.6, 0.45, 0.3)
 
 
-def check_sequence_distribution(entries, n: int | None = None, alphabet_size: int | None = None) -> dict:
+def check_sequence_distribution(
+    entries, n: int | None = None, alphabet_size: int | None = None, param: str = "atoms"
+) -> dict:
     """Validate a sparse distribution on length-n symbol sequences.
 
     Keys become tuples of ints, zero-weight atoms are dropped, and the
     total weight must be 1 within 1e-12.  Fraction weights pass
     through untouched so exact distributions stay exact; float weights
-    are kept as floats.
+    are kept as floats.  A symbol outside the alphabet is a
+    DomainError naming `param`.
     """
     out = {}
     for key, w in dict(entries).items():
@@ -61,9 +66,9 @@ def check_sequence_distribution(entries, n: int | None = None, alphabet_size: in
             raise ValueError("sequences must be nonempty")
         for s in xn:
             if s < 0:
-                raise ValueError("sequence symbols must be nonnegative")
+                raise DomainError("sequence symbols must be nonnegative", param)
             if alphabet_size is not None and s >= alphabet_size:
-                raise ValueError(f"symbol {s} outside the alphabet of size {alphabet_size}")
+                raise DomainError(f"symbol {s} outside the alphabet of size {alphabet_size}", param)
         if not isinstance(w, Fraction):
             w = float(w)
             if w < -1e-12:
@@ -116,16 +121,18 @@ class QIDCode:
     Entry i is (P_i, D_i) where P_i is a sparse distribution on
     length-n sequences and D_i is an effect (0 <= D_i <= identity) on
     the n-fold output space.  No structure ties the D_i to a common
-    measurement; arbitrary effect families are in scope.
+    measurement; arbitrary effect families are in scope.  Given an
+    alphabet_size, every symbol is checked against it (a DomainError
+    naming "entries").
     """
 
-    def __init__(self, n: int, entries):
+    def __init__(self, n: int, entries, alphabet_size: int | None = None):
         self.n = int(n)
         linalg.require_positive(n=self.n)
         checked = []
         dim = None
         for dist, effect in entries:
-            dist = check_sequence_distribution(dist, n=self.n)
+            dist = check_sequence_distribution(dist, self.n, alphabet_size, "entries")
             m = linalg.require_hermitian(effect, name="test effect")
             if dim is None:
                 dim = m.shape[0]
@@ -156,12 +163,12 @@ class QIDCode:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "QIDCode":
+    def from_json(cls, obj: dict, alphabet_size: int | None = None) -> "QIDCode":
         entries = [
             ({tuple(xn): w for xn, w in e["P"]}, linalg.matrix_from_json(e["D"]))
             for e in obj["entries"]
         ]
-        return cls(obj["n"], entries)
+        return cls(obj["n"], entries, alphabet_size)
 
 
 def random_qid_code(seed: int, channel: CQChannel, n: int, messages: int, support: int) -> QIDCode:
@@ -176,7 +183,7 @@ def random_qid_code(seed: int, channel: CQChannel, n: int, messages: int, suppor
         dist = random_sparse_distribution(seeds[2 * i], channel.alphabet_size, n, support)
         effect = random_effect(make_rng(seeds[2 * i + 1]), dn)
         entries.append((dist, effect))
-    return QIDCode(n, entries)
+    return QIDCode(n, entries, channel.alphabet_size)
 
 
 def evaluate_qid_code(code: QIDCode, channel: CQChannel) -> tuple[float, float, np.ndarray]:
@@ -186,18 +193,14 @@ def evaluate_qid_code(code: QIDCode, channel: CQChannel) -> tuple[float, float, 
     the probability that the test for message i accepts when message j
     was sent, lambda1 = max_i (1 - acceptance[i, i]) and
     lambda2 = max over i != j of acceptance[i, j] (0 when there is a
-    single message).
+    single message).  Each message's output is one product_mixture of
+    its input law, so no per-atom d^n x d^n output is formed.
     """
     dn = linalg.require_size("code", channel.dim, MAX_TENSOR_DIM, exponent=code.n, message=(
         f"output dimension {channel.dim}^{code.n} exceeds {MAX_TENSOR_DIM}"))
     if code.test_dim != dn:
         raise ValueError(f"test effects act on dimension {code.test_dim}, channel needs {dn}")
-    outputs = []
-    for dist, _ in code.entries:
-        rho = np.zeros((dn, dn), dtype=complex)
-        for xn, w in sorted(dist.items()):
-            rho = rho + float(w) * tensor_output(xn, channel)
-        outputs.append(linalg.hermitize(rho))
+    outputs = [linalg.hermitize(product_mixture(dist, channel)) for dist, _ in code.entries]
     size = code.num_messages
     acceptance = np.zeros((size, size))
     for i in range(size):
@@ -221,7 +224,11 @@ def type_class_conditionals(P, alphabet_size: int) -> dict:
     Weights are exact Fractions, so remixing the conditionals with the
     masses reproduces P exactly, not merely to rounding.
     """
-    P = check_sequence_distribution(P, alphabet_size=alphabet_size)
+    return _split_by_type(check_sequence_distribution(P, alphabet_size=alphabet_size), alphabet_size)
+
+
+def _split_by_type(P: dict, alphabet_size: int) -> dict:
+    """type_class_conditionals for a P that check_sequence_distribution already passed."""
     members: dict[tuple, dict] = {}
     for xn, w in P.items():
         counts = [0] * alphabet_size
@@ -363,17 +370,18 @@ def _basis_overlap(outer, inner, d: int) -> np.ndarray:
     return outer.conj().T if inner is None else outer.conj().T @ inner
 
 
-def _sandwiched_edge(outer: TypicalProjector, inner: TypicalProjector, overlaps) -> np.ndarray:
-    """Factor M of the compression of Pi W Pi to the range of `outer`, with Pi = `inner`.
+def _sandwiched_edge(outer: TypicalProjector, digits: np.ndarray, overlaps) -> np.ndarray:
+    """Factor M of the compression of Pi W Pi to the range of `outer`.
 
-    W is inner's reference product state, diagonal in inner's product
-    eigenbasis, so Pi W Pi = sum_k probs_k |u_k><u_k| over inner's range
+    Pi is a conditional typical projector with range digits `digits`
+    (shape (n, rank)) and W its product output, diagonal in Pi's product
+    eigenbasis, so Pi W Pi = sum_k probs_k |u_k><u_k| over Pi's range
     vectors.  With M[j, k] = <v_j|u_k> = prod_i overlaps[i][j_i, k_i]
-    over outer's range vectors v_j, the edge is M diag(inner.probs)
+    over outer's range vectors v_j, the edge is M diag(probs)
     M^dagger: no dim x dim matrix is formed.
     """
-    m = np.ones((outer.rank, inner.rank), dtype=np.complex128)
-    for o, j, k in zip(overlaps, outer.digits, inner.digits):
+    m = np.ones((outer.rank, digits.shape[1]), dtype=np.complex128)
+    for o, j, k in zip(overlaps, outer.digits, digits):
         m = m * o[np.ix_(j, k)]
     return m
 
@@ -397,13 +405,20 @@ def resolvability_regularize(
     between the conditional and the mixture typical projectors;
     approximate each conditional edge mixture by a sampled multiset
     average on the mixture projector's range; quantize the type masses
-    to multiples of 1/K; remix.  With no overrides the constants are
-    alpha = sqrt(600 a d)/lambda, eps = tau = lambda^2/1200 and the
-    per-type draw count L comes from the sampler's formula (its
-    maximum over types, so all types share one L and the remixed
-    weights are exact multiples of 1/(K*L)).  Those constants are
-    asymptotic: at small n certification may legitimately fail, and
-    the measured distance is the honest deliverable either way.
+    to multiples of 1/K; remix.  A type's sequences are rearrangements
+    of its sorted sequence, so one conditional projector is built per
+    type and its range permuted per member (permuted_range).  The
+    measured distance is half the trace norm of one signed
+    product_mixture with weights P - P_bar; no per-atom d^n x d^n
+    output is formed.
+
+    With no overrides the constants are alpha = sqrt(600 a d)/lambda,
+    eps = tau = lambda^2/1200 and the per-type draw count L comes from
+    the sampler's formula (its maximum over types, so all types share
+    one L and the remixed weights are exact multiples of 1/(K*L)).
+    Those constants are asymptotic: at small n certification may
+    legitimately fail, and the measured distance is the honest
+    deliverable either way.
 
     Overrides (alpha, eps, tau, draws) switch the result's recorded
     constants_mode from "paper-constants" to "override".  Prescribing
@@ -420,7 +435,7 @@ def resolvability_regularize(
     d = channel.dim
     P = check_sequence_distribution(P, alphabet_size=a)
     n = len(next(iter(P)))
-    dn = linalg.require_size("P", d, MAX_TENSOR_DIM, exponent=n, message=(
+    linalg.require_size("P", d, MAX_TENSOR_DIM, exponent=n, message=(
         f"output dimension {d}^{n} exceeds {MAX_TENSOR_DIM}"))
     mode = "paper-constants"
     if alpha is not None or eps is not None or tau is not None or draws is not None:
@@ -437,7 +452,7 @@ def resolvability_regularize(
     K = quantization_resolution(n, a, lam)
 
     types = type_enumerate(n, a)
-    classes = type_class_conditionals(P, a)
+    classes = _split_by_type(P, a)
     masses = [classes[t.counts][0] if t.counts in classes else Fraction(0) for t in types]
     total = sum(masses)
     quantized = quantize_distribution(masses, K)
@@ -461,14 +476,19 @@ def resolvability_regularize(
             raise ValueError("mixture typical projector has empty range; alpha too small")
         v_mix = mix_proj.factor_bases[0]
         overlaps = {x: _basis_overlap(v_mix, system[1], d) for x, system in systems.items()}
-        inners = [conditional_typical_projector(channel, xn, alpha, systems=systems) for xn in seqs]
+        # the type's members are rearrangements of its sorted sequence:
+        # one conditional projector, its range permuted per member
+        ref = conditional_typical_projector(
+            channel, [x for x, c in enumerate(t.counts) for _ in range(c)], alpha, systems=systems
+        )
+        ranges = [permuted_range(ref, xn) for xn in seqs]
         # eta = min(1, largest edge norm) comes off the one batched
         # eigensolve that validates the edges, in the span of the edges
         graph = QuantumHypergraph.from_factors(
             mix_proj.rank,
-            [_sandwiched_edge(mix_proj, inner, [overlaps[x] for x in xn])
-             for xn, inner in zip(seqs, inners)],
-            [inner.probs for inner in inners],
+            [_sandwiched_edge(mix_proj, digits, [overlaps[x] for x in xn])
+             for xn, (digits, _) in zip(seqs, ranges)],
+            [probs for _, probs in ranges],
         )
         if graph.eta <= 0.0:
             raise ValueError("typical projection annihilated every edge; alpha too small")
@@ -517,16 +537,12 @@ def resolvability_regularize(
             xn = rec["seqs"][e_idx]
             sparse[xn] = sparse.get(xn, Fraction(0)) + rec["weight"] * Fraction(count, L)
 
-    # supp(sparse) lies inside supp(P): one pass over sorted(P) makes
-    # both outputs, each atom's block output built once and dropped
-    sigma = np.zeros((dn, dn), dtype=complex)
-    sigma_bar = np.zeros((dn, dn), dtype=complex)
-    for xn, w in sorted(P.items()):
-        out = tensor_output(xn, channel)
-        sigma += float(w) * out
-        if xn in sparse:
-            sigma_bar += float(sparse[xn]) * out
-    measured = 0.5 * linalg.trace_distance(linalg.hermitize(sigma), linalg.hermitize(sigma_bar))
+    # supp(sparse) lies inside supp(P): the output difference is one
+    # signed product mixture, its weights P - P_bar exact until rounded
+    delta = product_mixture(
+        {xn: float(Fraction(w) - sparse.get(xn, 0)) for xn, w in P.items()}, channel
+    )
+    measured = 0.5 * linalg.trace_norm(delta)
     certified = measured <= lam / 3.0 and all(res.certified for res in results)
 
     by_index = {rec["index"]: (rec, res) for rec, res in zip(active, results)}
@@ -678,11 +694,7 @@ def resolution_probe(
     outputs = {xn: tensor_output(xn, channel) for xn in atoms}
     report = []
     for ci, P in enumerate(candidates):
-        dn = channel.dim**n
-        sigma = np.zeros((dn, dn), dtype=complex)
-        for xn, w in sorted(P.items()):
-            sigma = sigma + float(w) * outputs[xn]
-        sigma = linalg.hermitize(sigma)
+        sigma = linalg.hermitize(product_mixture(P, channel))
         atom_distances = [linalg.trace_distance(sigma, outputs[xn]) for xn in atoms]
         best = int(np.argmin(atom_distances))
         atom_distance = float(atom_distances[best])

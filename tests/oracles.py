@@ -180,3 +180,14 @@ def assert_same_sample(a, b, tol=1e-12):
         assert abs(a.details[key] - b.details[key]) <= tol, key
     for x, y in ((a.sampled_average, b.sampled_average), (a.pi0, b.pi0), (a.pi1, b.pi1)):
         assert np.abs(x - y).max() <= tol
+
+
+def dense_mixture(weights, channel) -> np.ndarray:
+    """sum_xn w_xn W_{x_1} (x) ... (x) W_{x_n}, one dense product per atom."""
+    from opcover.channels import tensor_output
+
+    items = sorted(dict(weights).items())
+    out = np.zeros_like(tensor_output(items[0][0], channel))
+    for xn, w in items:
+        out = out + float(w) * tensor_output(xn, channel)
+    return out

@@ -17,6 +17,8 @@ from opcover.channels import (
     embed_classical,
     holevo_information,
     output_state,
+    permuted_range,
+    product_mixture,
     tensor_output,
     type_class_size,
     type_enumerate,
@@ -25,8 +27,8 @@ from opcover.channels import (
 )
 from opcover.rng import make_rng, random_density, random_distribution, random_state, spawn_seeds
 
-from oracles import (blahut_arimoto_capacity, classical_capacity_oracle, dense_projector,
-                     range_basis)
+from oracles import (blahut_arimoto_capacity, classical_capacity_oracle, dense_mixture,
+                     dense_projector, range_basis)
 
 KET0 = np.diag([1.0, 0.0])
 KET1 = np.diag([0.0, 1.0])
@@ -133,6 +135,68 @@ class TestOutputs:
             tensor_output((0, 2), ch)
         with pytest.raises(ValueError, match="nonempty"):
             tensor_output((), ch)
+
+
+class TestProductMixture:
+    @pytest.mark.parametrize("a, d", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_signed_weights_match_dense_sum(self, a, d):
+        rng = make_rng(31 + 10 * a + d)
+        ch = channels.random_channel(int(rng.integers(1 << 30)), a, d)
+        for n in range(1, 6):
+            space = list(itertools.product(range(a), repeat=n))
+            picks = rng.choice(len(space), size=min(len(space), 12), replace=False)
+            weights = {space[i]: float(rng.normal()) for i in picks}
+            got = product_mixture(weights, ch)
+            assert got.shape == (d**n, d**n)
+            assert np.abs(got - dense_mixture(weights, ch)).max() <= 1e-12, (a, d, n)
+
+    def test_single_atom_is_tensor_output_exactly(self):
+        ch = channels.random_channel(5, 3, 2)
+        for xn in [(2,), (0, 1), (1, 2, 0, 2), (2, 2, 1, 0, 1)]:
+            assert np.array_equal(product_mixture({xn: 1.0}, ch), tensor_output(xn, ch))
+
+    def test_rejects_mixed_lengths_and_caps_before_allocating(self, monkeypatch):
+        # symbol and size domains are listed in test_domains.CASES
+        ch = CQChannel([KET0, PLUS])
+        with pytest.raises(ValueError, match="one length"):
+            product_mixture({(0, 1): 0.5, (1,): 0.5}, ch)
+        monkeypatch.setattr(np, "kron", lambda *args: pytest.fail("allocated past the cap"))
+        with pytest.raises(linalg.DomainError, match="exceeds"):
+            product_mixture({(0,) * 13: 1.0}, ch)
+
+
+class TestPermutedRange:
+    CHANNELS = {
+        "zero-plus": lambda: CQChannel([KET0, PLUS]),
+        "random-qubit": lambda: channels.random_channel(17, 2, 2),
+        "three-letter": lambda: channels.random_channel(23, 3, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHANNELS))
+    def test_matches_direct_build_bit_for_bit(self, name):
+        ch = self.CHANNELS[name]()
+        systems = channels.letter_systems(ch)
+        partial = 0
+        for n in range(1, 8):
+            refs = {}
+            for xn in itertools.product(range(ch.alphabet_size), repeat=n):
+                key = tuple(sorted(xn))
+                if key not in refs:
+                    refs[key] = conditional_typical_projector(ch, key, 1.0, systems=systems)
+                digits, probs = permuted_range(refs[key], xn)
+                direct = conditional_typical_projector(ch, xn, 1.0, systems=systems)
+                assert np.array_equal(digits, direct.digits), xn
+                assert np.array_equal(probs, direct.probs), xn
+                partial += 0 < direct.rank < direct.dim
+        assert partial > 0  # the windows cut, so the permutation is exercised
+
+    def test_rejects_a_projector_of_another_type(self):
+        ch = CQChannel([KET0, PLUS])
+        proj = conditional_typical_projector(ch, (0, 0, 1), 1.0)
+        with pytest.raises(ValueError, match="rearrangement"):
+            permuted_range(proj, (0, 1, 1))
+        with pytest.raises(ValueError, match="rearrangement"):
+            permuted_range(typical_projector(PLUS, 3, 1.0), (0, 0, 1))
 
 
 class TestHolevo:

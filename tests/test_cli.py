@@ -730,6 +730,30 @@ class TestMain:
         assert err["path"] == path
 
     @pytest.mark.parametrize(
+        "args, path",
+        [
+            (["resolvability", "--param", 'channel={"kind":"zero-plus"}', "--param", "lambda=0.6",
+              "--param", 'P={"kind":"explicit","atoms":[[[0,5],0.5],[[1,1],0.5]]}'],
+             ["params", "P", "atoms"]),
+            (["resolvability", "--param", 'channel={"kind":"zero-plus"}', "--param", "lambda=0.6",
+              "--param", 'P={"kind":"explicit","atoms":[[[0,-1],1.0]]}'],
+             ["params", "P", "atoms"]),
+            (["qid-eval", "--param", 'channel={"kind":"zero-plus"}', "--param",
+              'code={"n":1,"entries":[{"P":[[[2],1.0]],"D":{"dim":2,"re":[[1,0],[0,0]]}}]}'],
+             ["params", "code", "entries"]),
+            # an entry's shape is the schema's to check, before the library sees it
+            (["qid-eval", "--param", 'channel={"kind":"zero-plus"}', "--param",
+              'code={"n":1,"entries":[{"P":[[[0],1.0]],"D":[[1,0],[0,0]]}]}'],
+             ["params", "code", "entries", 0, "D"]),
+        ],
+    )
+    def test_symbol_outside_alphabet_exits_2_at_its_field(self, args, path, capsys):
+        assert cli.main(args + ["--seed", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "schema-violation"
+        assert err["path"] == path
+
+    @pytest.mark.parametrize(
         "flags, path",
         [
             (["method=markov", "a=-1"], ["params", "a"]),

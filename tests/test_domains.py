@@ -143,6 +143,11 @@ CASES = [
         identification.QIDCode(13, [({(0,) * 13: 1.0}, 0.5 * EYE)]), _channel())),
     ("P", lambda: identification.resolvability_regularize({(0,) * 13: 1.0}, _channel(), 0.6, 1)),
     ("n", lambda: identification.resolution_probe(_channel(), 9, 0.5, [], 1)),
+    ("sequence", lambda: channels.product_mixture({(0,) * 13: 1.0}, _channel())),
+    ("sequence", lambda: channels.product_mixture({(0, 2): 1.0}, _channel())),
+    ("atoms", lambda: identification.check_sequence_distribution({(0, 2): 1.0}, alphabet_size=2)),
+    ("atoms", lambda: identification.resolvability_regularize({(0, 5): 1.0}, _channel(), 0.6, 1)),
+    ("entries", lambda: identification.QIDCode(1, [({(2,): 1.0}, 0.5 * EYE)], alphabet_size=2)),
 ]
 
 

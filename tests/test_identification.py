@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opcover import cli, covering, identification, linalg
+from opcover import channels, cli, covering, identification, linalg
 from opcover.channels import (
     CQChannel,
     EmpiricalDistribution,
@@ -35,6 +35,7 @@ from opcover.identification import (
     evaluate_qid_code,
     quantization_resolution,
     quantize_distribution,
+    random_qid_code,
     random_sparse_distribution,
     resolution_probe,
     resolvability_regularize,
@@ -567,7 +568,7 @@ class TestFactoredSandwich:
                 overlaps = [
                     _basis_overlap(mix.factor_bases[i], cond.factor_bases[i], d) for i in range(n)
                 ]
-                factor = _sandwiched_edge(mix, cond, overlaps)
+                factor = _sandwiched_edge(mix, cond.digits, overlaps)
                 edge = (factor * cond.probs) @ factor.conj().T
                 pi, basis = dense_projector(cond), range_basis(mix)
                 dense = basis.conj().T @ pi @ tensor_output(xn, ch) @ pi @ basis
@@ -648,21 +649,23 @@ class TestSpanCompressedResolvability:
         covering.quantum_covering_sample(g, p, eps, tau, seed=6)
         assert sizes and max(sizes) <= g.span_dim < g.dim
 
-    # sha256 of `results`, taken before the span compression: mixed
-    # letters keep full-rank conditional projectors, so nothing moves
+    # sha256 of `results`: mixed letters keep full-rank conditional
+    # projectors, so the span compression moved nothing; the
+    # resolvability digests were retaken when measured_distance became
+    # one signed product mixture, which moved only its last bits
     RESULT_HASHES = [
         ({"command": "resolvability", "seed": 11, "params": {
             "channel": {"kind": "random", "dim": 2, "inputs": 2},
             "P": {"kind": "uniform", "n": 5}, "lambda": 0.6}},
-         "c9e6129968a6c51f608c33a2acd802aa2a91eb0e500fb206944ed6f2eebc38d1"),
+         "fa32a106065989ba8a677bc2e985e0cbbeb543ccd1f4a5e3ff5c27fbbd6095d9"),
         ({"command": "resolvability", "seed": 12, "params": {
             "channel": {"kind": "random", "dim": 2, "inputs": 2},
             "P": {"kind": "uniform", "n": 4}, "lambda": 0.5}},
-         "ed893c51226278a59141c47d3084866b72f4c3afaad5f1af56b97cdb8c1e3f5d"),
+         "6ff264e0396854a2970b42dc92a82c59825973fd8406fe8e20f4bffd0b3cde91"),
         ({"command": "resolvability", "seed": 13, "params": {
             "channel": {"kind": "random", "dim": 2, "inputs": 2},
             "P": {"kind": "random", "n": 6, "support": 10}, "lambda": 0.7}},
-         "e11b5dfe7017930fbe73e345086875212bdc5ee6b7200222bbd0836a2d526d71"),
+         "1bcaa66c60b621a576fa9cc081574e1ac4ed70be2866a17bc32e15575ea66bda"),
         ({"command": "cover-sample", "seed": 21, "params": {
             "hypergraph": {"kind": "random", "dim": 3, "num_edges": 4}, "eps": 0.3, "tau": 0.3}},
          "2ebd2ba432beb56a3c66b89710525327a8972d353f9160f29e7a0a52e80c2602"),
@@ -675,6 +678,58 @@ class TestSpanCompressedResolvability:
     def test_mixed_letter_results_unchanged(self, config, digest):
         results = cli.run(config).results
         assert hashlib.sha256(cli.canonical_json(results).encode()).hexdigest() == digest
+
+
+class TestTypeClassSharing:
+    def test_one_conditional_projector_per_active_type(self, monkeypatch):
+        calls = []
+        build = identification.conditional_typical_projector
+
+        def spy(channel, xn, alpha, **kwargs):
+            calls.append(tuple(xn))
+            return build(channel, xn, alpha, **kwargs)
+
+        monkeypatch.setattr(identification, "conditional_typical_projector", spy)
+        dist = random_sparse_distribution(5, 2, 6, support=20)
+        reg = resolvability_regularize(dist, identical_channel(), 0.6, seed=3)
+        active = [row["type"] for row in reg.per_type_details if row["active"]]
+        assert len(calls) == len(active) < len(dist)
+        # each built on its type's sorted sequence
+        assert sorted(calls) == sorted(
+            tuple(x for x, c in enumerate(t) for _ in range(c)) for t in active
+        )
+
+    def test_validates_the_input_law_once(self, monkeypatch):
+        calls = []
+        check = identification.check_sequence_distribution
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(identification, "check_sequence_distribution", spy)
+        resolvability_regularize(uniform_distribution(2, 3), zero_plus_channel(), 0.6, seed=4)
+        assert len(calls) == 1
+
+    def test_no_dense_tensor_output(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense per-atom output built")
+
+        monkeypatch.setattr(channels, "tensor_output", refuse)
+        monkeypatch.setattr(identification, "tensor_output", refuse)
+        dist = random_sparse_distribution(9, 2, 5, support=12)
+        reg = resolvability_regularize(dist, zero_plus_channel(), 0.6, seed=5)
+        assert 0.0 < reg.measured_distance <= 1.0
+        code = random_qid_code(6, zero_plus_channel(), 3, 2, 3)
+        lambda1, lambda2, _ = evaluate_qid_code(code, zero_plus_channel())
+        assert 0.0 <= lambda1 <= 1.0 and 0.0 <= lambda2 <= 1.0
+
+    def test_equal_laws_measure_exactly_zero(self):
+        ch = CQChannel([random_density(make_rng(s), 2) for s in (7, 8)])
+        for xn in [(0, 1, 1), (1, 0, 1, 0)]:
+            reg = resolvability_regularize({xn: 1.0}, ch, 0.6, seed=6)
+            assert distributions_identical(reg.sparse_distribution, {xn: 1.0})
+            assert reg.measured_distance == 0.0
 
 
 class TestApproximation:
