@@ -424,15 +424,12 @@ def type_enumerate(n: int, a: int) -> list[EmpiricalDistribution]:
         raise ValueError("need n >= 1 and a >= 1")
     total = math.comb(n + a - 1, a - 1)
     linalg.require_size("n", total, MAX_TYPES, f"{total} types exceed the enumeration cap {MAX_TYPES}")
-    out = []
-    for bars in itertools.combinations(range(n + a - 1), a - 1):
-        counts = []
-        prev = -1
-        for b in bars:
-            counts.append(b - prev - 1)
-            prev = b
-        counts.append(n + a - 1 - prev - 1)
-        out.append(EmpiricalDistribution(n=n, counts=tuple(counts)))
+    # one chunk: the list of types outweighs the array of their counts
+    out = [
+        EmpiricalDistribution(n=n, counts=tuple(counts))
+        for block in linalg.compositions(n, a, total)
+        for counts in block.tolist()
+    ]
     if not len(out) == total <= (n + 1) ** a:
         raise BoundViolation(f"{len(out)} types enumerated, expected {total} <= (n+1)^a")
     return out

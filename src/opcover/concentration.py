@@ -1,14 +1,15 @@
 """Tail bounds for sums of i.i.d. operator-valued random variables.
 
 An OperatorRV is a finitely supported distribution over Hermitian
-matrices.  Exact tail probabilities enumerate multisets of draws (an
-i.i.d. sum only depends on how often each atom occurs), Monte Carlo
-paths use a single Philox stream per call and vectorized eigensolves.
+matrices.  An i.i.d. sum only depends on how often each atom occurs, so
+both tail engines decide the event on count vectors, once per distinct
+vector and in chunks of stacked sums: exact tails enumerate every
+composition of n, Monte Carlo tails draw from a single Philox stream per
+call and evaluate only the count vectors that occurred.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -18,8 +19,9 @@ from . import linalg
 from .linalg import LN2, MAX_ENUMERATION, MAX_PROBE_COUNT, BoundViolation, DomainError
 from .rng import make_rng, random_distribution, random_effect, random_hermitian, spawn_seeds
 
-# exact_tail tests compositions in chunks whose stacked sums hold at most
-# this many complex entries (chunk x D^2), so memory stays flat for any D.
+# The event sees count vectors in chunks whose counts (chunk x atoms) and
+# stacked sums (chunk x D^2) each hold at most this many entries, so
+# memory stays flat for any D and any number of atoms.
 ENUMERATION_CHUNK_ENTRIES = 1 << 12
 
 
@@ -129,15 +131,6 @@ class OperatorRV:
 # exact enumeration / Monte Carlo engines
 
 
-def _compositions(n: int, k: int):
-    if k == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in _compositions(n - head, k - 1):
-            yield (head,) + rest
-
-
 def _num_multisets(n: int, k: int) -> int:
     return math.comb(n + k - 1, k - 1)
 
@@ -153,11 +146,30 @@ def _multiset_prob(probs: np.ndarray, counts) -> float:
     return out
 
 
+def _chunk(rv: OperatorRV) -> int:
+    return max(1, ENUMERATION_CHUNK_ENTRIES // max(rv.dim**2, rv.size))
+
+
+def _event_hits(rv: OperatorRV, counts: np.ndarray, event) -> np.ndarray:
+    """event on the sums counts @ rv.values of an (N, k) count array: N booleans.
+
+    event maps a stack (chunk, d, d) of sums to booleans and sees at
+    most one chunk per call.
+    """
+    chunk = _chunk(rv)
+    hits = np.empty(len(counts), dtype=bool)
+    for start in range(0, len(counts), chunk):
+        block = counts[start:start + chunk]
+        hits[start:start + chunk] = event(linalg.hermitize(np.tensordot(block, rv.values, axes=1)))
+    return hits
+
+
 def exact_tail(rv: OperatorRV, n: int, event) -> float:
     """Exact Pr{event(X_1 + ... + X_n)} by multiset enumeration.
 
     event maps a stack (N, d, d) of sums to N booleans; it sees the
-    compositions in chunks and hits are added in composition order.
+    compositions in lexicographic order, one chunk per call, and the
+    probabilities of the hits are added in that order.
     """
     linalg.require_size(
         "n", _num_multisets(n, rv.size), MAX_ENUMERATION,
@@ -165,11 +177,8 @@ def exact_tail(rv: OperatorRV, n: int, event) -> float:
         "multisets; pass trials > 0 for Monte Carlo",
     )
     total = 0.0
-    comps = _compositions(n, rv.size)
-    chunk = max(1, ENUMERATION_CHUNK_ENTRIES // rv.dim**2)
-    while block := list(itertools.islice(comps, chunk)):
-        sums = linalg.hermitize(np.tensordot(np.array(block, dtype=float), rv.values, axes=1))
-        for counts, hit in zip(block, event(sums)):
+    for block in linalg.compositions(n, rv.size, _chunk(rv)):
+        for counts, hit in zip(block.tolist(), _event_hits(rv, block, event)):
             if hit:
                 total += _multiset_prob(rv.probs, counts)
     return min(1.0, total)
@@ -178,18 +187,29 @@ def exact_tail(rv: OperatorRV, n: int, event) -> float:
 def mc_tail(rv: OperatorRV, n: int, trials: int, seed: int, event) -> tuple[float, float]:
     """Empirical Pr{event} over `trials` i.i.d. sums; returns (p, stderr).
 
-    event maps the stack (trials, d, d) of sums to booleans.
+    event maps a stack (N, d, d) of sums to N booleans.  It sees each
+    distinct count vector of the drawn sums once, in chunks, and every
+    trial takes the decision of its count vector.
     """
     if trials <= 0:
         raise DomainError("trials must be positive for Monte Carlo", "trials")
-    # idx holds trials x n draws and the sums trials x d x d entries
+    # idx holds trials x n draws; the sums are stacked one chunk at a
+    # time, so the trials x d x d term is stricter than memory needs
     linalg.require_size("trials", trials * max(n, rv.dim**2), linalg.MAX_TENSOR_DIM**2)
     rng = make_rng(seed)
     idx = rng.choice(rv.size, size=(trials, n), p=rv.probs)
-    counts = np.zeros((trials, rv.size))
-    for j in range(rv.size):
-        counts[:, j] = (idx == j).sum(axis=1)
-    hits = event(linalg.hermitize(np.einsum("tk,kij->tij", counts, rv.values)))
+    k = rv.size
+    flat = (np.arange(trials)[:, None] * k + idx).ravel()
+    counts = np.bincount(flat, minlength=trials * k).reshape(trials, k)
+    # equal count vectors are adjacent once the rows are sorted, so the
+    # grouping is exact for any n and k (no radix key to overflow)
+    order = np.lexsort(counts.T[::-1])
+    counts = counts[order]
+    first = np.ones(trials, dtype=bool)
+    first[1:] = (counts[1:] != counts[:-1]).any(axis=1)
+    inverse = np.empty(trials, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    hits = _event_hits(rv, counts[first], event)[inverse]
     p = float(np.mean(hits))
     stderr = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
     return p, stderr
@@ -224,7 +244,7 @@ def markov_tail(rv: OperatorRV, a) -> TailReport:
         raise DomainError("A must be PSD", "a")
     m = rv.mean()
     if not linalg.is_psd(m):
-        raise ValueError("markov_tail needs a PSD-valued random variable")
+        raise DomainError("markov_tail needs a PSD-valued random variable", "rv")
     hits = linalg.not_dominated(rv.values, a)
     exact = min(1.0, sum(rv.probs[hits].tolist(), 0.0))
     if not linalg.supports_contained(m, a):
@@ -297,7 +317,7 @@ def chernoff_tail(rv: OperatorRV, n: int, a: float, m: float, side: str = "upper
     if n < 1:
         raise DomainError("n must be >= 1", "n")
     if not rv.in_unit_interval():
-        raise ValueError("chernoff_tail needs atoms in [0, 1]")
+        raise DomainError("chernoff_tail needs atoms in [0, 1]", "rv")
     if not 0.0 <= a <= 1.0:
         raise DomainError("a must lie in [0, 1]", "a")
     if not 0.0 <= m <= 1.0:
@@ -308,12 +328,12 @@ def chernoff_tail(rv: OperatorRV, n: int, a: float, m: float, side: str = "upper
         if a < m:
             raise DomainError("upper tail needs a >= m", "a")
         if not linalg.psd_leq(mean, m * eye):
-            raise ValueError("upper tail needs mean <= m * identity")
+            raise DomainError("upper tail needs mean <= m * identity", "m")
     elif side == "lower":
         if a > m:
             raise DomainError("lower tail needs a <= m", "a")
         if not linalg.psd_leq(m * eye, mean):
-            raise ValueError("lower tail needs mean >= m * identity")
+            raise DomainError("lower tail needs mean >= m * identity", "m")
     else:
         raise ValueError(f"unknown side {side!r}")
 
@@ -337,11 +357,11 @@ def two_sided_chernoff(rv: OperatorRV, n: int, eps: float,
     if not 0.0 <= eps <= 0.5:
         raise DomainError("eps must lie in [0, 1/2]", "eps")
     if not rv.in_unit_interval():
-        raise ValueError("two_sided_chernoff needs atoms in [0, 1]")
+        raise DomainError("two_sided_chernoff needs atoms in [0, 1]", "rv")
     m = rv.mean()
     mu = linalg.min_eigenvalue(m)
     if mu <= linalg.PSD_TOL:
-        raise ValueError("mean must be positive definite (mu > 0)")
+        raise DomainError("mean must be positive definite (mu > 0)", "rv")
     bound = 2.0 * rv.dim * 2.0 ** (-n * eps * eps * mu / (2.0 * LN2))
     lower, upper = (1.0 - eps) * m, (1.0 + eps) * m
 

@@ -783,17 +783,12 @@ def _bruteforce(g: QuantumHypergraph, n: int, cap: CapacityResult):
     if _common_kernel(degree(gn)):
         return math.inf
     # a multiset's degree is its edge counts times the edge stack, so a
-    # chunk holds the same number of multisets at every k; the counts of
-    # the multisets of k edges are the gaps between m - 1 bars placed
-    # among k + m - 1 slots (stars and bars)
+    # chunk holds the same number of multisets at every k
     stack = np.stack(gn.edges).reshape(m, -1)
     eye = np.eye(gn.dim)
     chunk = max(1, BRUTEFORCE_CHUNK_ENTRIES // gn.dim**2)
     while True:
-        bars = itertools.combinations(range(k + m - 1), m - 1)
-        while block := list(itertools.islice(bars, chunk)):
-            cuts = np.array(block, dtype=np.intp).reshape(len(block), m - 1)
-            counts = np.diff(cuts, axis=1, prepend=-1, append=k + m - 1) - 1
+        for counts in linalg.compositions(k, m, chunk):
             if linalg.psd_leq(eye, (counts @ stack).reshape(-1, gn.dim, gn.dim)).any():
                 return k
         k += 1

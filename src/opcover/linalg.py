@@ -11,6 +11,7 @@ the support (kernel eigenvalues contribute zero).
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -172,7 +173,31 @@ def not_dominated(x, a) -> np.bool_ | np.ndarray:
 
 
 def in_operator_interval(x, lower, upper) -> np.bool_ | np.ndarray:
-    return psd_leq(lower, x) & psd_leq(x, upper)
+    """lower <= x <= upper in the Loewner order; stacks broadcast like x - lower.
+
+    Both differences go through one eigensolve, each with psd_leq's tolerance.
+    """
+    below, above = np.broadcast_arrays(np.subtract(x, lower), np.subtract(upper, x))
+    return is_psd(np.stack([below, above])).all(axis=0)
+
+
+def compositions(n: int, k: int, chunk: int):
+    """Count vectors of the multisets of n draws from k kinds, in lexicographic order.
+
+    Yields (rows, k) intp arrays of at most `chunk` rows.  The counts are
+    the gaps between k - 1 bars placed among n + k - 1 slots (stars and
+    bars), and itertools.combinations places them in lexicographic order.
+    """
+    bars = itertools.combinations(range(n + k - 1), k - 1)
+    while block := list(itertools.islice(bars, chunk)):
+        rows = len(block)
+        cuts = np.empty((rows, k + 1), dtype=np.intp)
+        cuts[:, 0], cuts[:, -1] = -1, n + k - 1
+        flat = itertools.chain.from_iterable(block)
+        cuts[:, 1:-1] = np.fromiter(flat, np.intp, rows * (k - 1)).reshape(rows, k - 1)
+        counts = cuts[:, 1:] - cuts[:, :-1]
+        counts -= 1
+        yield counts
 
 
 def require_density(rho, tol: float = 1e-9, name: str = "rho") -> np.ndarray:

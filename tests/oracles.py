@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 from scipy.optimize import linprog
@@ -119,6 +119,23 @@ def brute_force_tail(probs, values, n, event) -> float:
                 prob *= probs[i]
             total += prob
     return total
+
+
+def per_trial_mc_tail(probs, values, n, trials, rng, event) -> tuple[float, float]:
+    """Monte Carlo tail with one sum per trial: (p, stderr) of event over all trials.
+
+    Draws as the library does (rng.choice of atom indices), counts each
+    atom in its own pass and forms every trial's sum with one einsum.
+    """
+    probs = np.asarray(probs, dtype=float)
+    values = np.asarray(values, dtype=complex)
+    idx = rng.choice(probs.size, size=(trials, n), p=probs)
+    counts = np.zeros((trials, probs.size))
+    for j in range(probs.size):
+        counts[:, j] = (idx == j).sum(axis=1)
+    sums = np.einsum("tk,kij->tij", counts, values)
+    p = float(np.mean(event((sums + sums.conj().swapaxes(-1, -2)) / 2)))
+    return p, sqrt(max(p * (1.0 - p), 0.0) / trials)
 
 
 def multinomial_pmf(n: int, counts, probs) -> float:

@@ -427,6 +427,29 @@ class TestCsvFormat:
             "weak-law,45,0,0.002244687065511068,0.0,0.21533333333333335\n",
         ]
 
+    def test_mc_tail_golden_file(self):
+        # texts taken before the Monte Carlo engine grouped equal count vectors
+        rv = {"kind": "matrices", "probs": [0.3, 0.3, 0.4], "values": [
+            {"dim": 2, "re": [[0.1, 0.0], [0.0, 0.6]]},
+            {"dim": 2, "re": [[0.4, 0.4], [0.4, 0.4]]},
+            {"dim": 2, "re": [[0.5, 0.2], [0.2, 0.3]], "im": [[0.0, 0.1], [-0.1, 0.0]]},
+        ]}
+        texts = []
+        for params in ({"method": "two-sided", "eps": 0.3},
+                       {"method": "chernoff-upper", "a": 0.7, "m": 0.6},
+                       {"method": "weak-law", "delta": 0.1}):
+            params = {"rv": rv, "n": 20, "trials": 5000, **params}
+            _, rows = cli._execute({"command": "tail-mc", "params": params, "seed": 11})
+            texts.append(csv_text(CSV_COLUMNS["tail-mc"], rows))
+        assert texts == [
+            "method,n,trials,probability,stderr,bound\n"
+            "two-sided-mc,20,5000,0.124,0.004660987019934726,3.4077156855964477\n",
+            "method,n,trials,probability,stderr,bound\n"
+            "chernoff-upper-mc,20,5000,0.0014,0.0005287797272967262,1.2983965728397688\n",
+            "method,n,trials,probability,stderr,bound\n"
+            "weak-law-mc,20,5000,0.0376,0.0026902133744370537,0.48450000000000004\n",
+        ]
+
 
 class TestTypicalityGolden:
     """Typicality payloads at n=10, texts taken before projectors were stored factored."""
@@ -801,6 +824,10 @@ def _with(base: dict, **changes) -> dict:
     return {**base, **changes}
 
 
+def _scalar_rv(*values) -> dict:
+    return {"kind": "scalar", "probs": [1.0 / len(values)] * len(values), "values": list(values)}
+
+
 # One case per range keyword the schema used to carry, at its just-outside
 # value: exit 2 at the offending field's path, or exit 0 (path None) where
 # the library's domain is wider than the old schema range.
@@ -872,6 +899,16 @@ BOUNDARY_CASES = [
     ("qid-eval", {"channel": ZERO_PLUS, "code": _with(RANDOM_CODE, support=0)},
      ["params", "code", "support"]),
     ("qid-eval", {"channel": ZERO_PLUS, "code": _with(EXPLICIT_CODE, n=0)}, ["params", "code", "n"]),
+    # a tail's premises on the random variable name rv, the mean's cap names m
+    ("tail-mc", {"rv": _scalar_rv(0.0, 2.0), "method": "chernoff-upper", "n": 5, "a": 0.9, "m": 0.9},
+     ["params", "rv"]),
+    ("tail-mc", {"rv": _scalar_rv(0.0, 2.0), "method": "two-sided", "n": 5, "eps": 0.3}, ["params", "rv"]),
+    ("tail-mc", {"rv": _scalar_rv(0.0, 1.0), "method": "chernoff-upper", "n": 5, "a": 0.9, "m": 0.4},
+     ["params", "m"]),
+    ("tail-mc", {"rv": _scalar_rv(0.0, 1.0), "method": "chernoff-lower", "n": 5, "a": 0.1, "m": 0.6},
+     ["params", "m"]),
+    ("tail-mc", {"rv": _scalar_rv(0.0, 0.0), "method": "two-sided", "n": 5, "eps": 0.3}, ["params", "rv"]),
+    ("tail-mc", {"rv": _scalar_rv(-1.0, 0.5), "method": "markov", "a": 0.8}, ["params", "rv"]),
 ]
 
 # One case per resource cap the CLI reaches: an oversized config is a

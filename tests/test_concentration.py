@@ -21,7 +21,8 @@ from opcover.concentration import (
 )
 from opcover.rng import make_rng
 
-from oracles import binom_tail_ge, binom_tail_le, brute_force_tail, half_integer_sum_pmf
+from oracles import (binom_tail_ge, binom_tail_le, brute_force_tail, half_integer_sum_pmf,
+                     per_trial_mc_tail)
 
 E0 = np.diag([1.0, 0.0])
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -252,6 +253,53 @@ class TestEnumerationEngine:
         _, se1 = mc_tail(rv, 40, 4000, 17, batch)
         _, se2 = mc_tail(rv, 40, 8000, 17, batch)
         assert se2 == pytest.approx(se1 / math.sqrt(2), rel=0.15)
+
+    def test_grouped_mc_equals_per_trial_oracle_past_any_radix_key(self):
+        # 30 atoms at n = 7: a count vector keyed in radix n + 1 = 2^3
+        # needs 2^90 values, so a wrapped 64-bit key drops atoms 22 and up
+        # and a float key the lowest ones.  The dyadic atoms make every
+        # sum exact: the per-trial sums and the grouped ones decide alike.
+        k, n, trials, seed = 30, 7, 6000, 23
+        assert (n + 1) ** k > 2**64
+        probs = make_rng(5).dirichlet(np.full(k, 0.2))
+        rv = OperatorRV.scalar(probs, [(j % 8) / 8 for j in range(k)])
+        seen = []
+
+        def event(sums):
+            seen.append(len(sums))
+            return sums[:, 0, 0].real > threshold
+
+        # one evaluation per distinct multiset of draws, none missed or merged
+        idx = make_rng(seed).choice(k, size=(trials, n), p=rv.probs)
+        distinct = len(np.unique(np.sort(idx, axis=1), axis=0))
+        assert distinct < trials
+        for threshold in (1.5, 2.5, 3.5):
+            seen.clear()
+            got = mc_tail(rv, n, trials, seed, event)
+            assert sum(seen) == distinct
+            # each chunk's count block stays within the entry budget too
+            assert max(seen) == ENUMERATION_CHUNK_ENTRIES // k
+            assert got == per_trial_mc_tail(rv.probs, rv.values, n, trials, make_rng(seed), event)
+
+    @pytest.mark.parametrize("n, trials", [(12, 5000), (40, 8000)])
+    def test_event_sees_each_distinct_sum_once_in_chunks(self, n, trials):
+        rv = OperatorRV([0.2, 0.3, 0.1, 0.4], [E0, PLUS, 0.5 * np.eye(2), np.diag([0.0, 1.0])])
+        multisets = math.comb(n + 3, 3)
+
+        def spy(sizes):
+            def event(sums):
+                sizes.append(len(sums))
+                return linalg.not_dominated(sums, 0.6 * n * np.eye(2))
+            return event
+
+        mc_sizes, exact_sizes = [], []
+        mc_tail(rv, n, trials, 3, spy(mc_sizes))
+        exact_tail(rv, n, spy(exact_sizes))
+        assert sum(mc_sizes) <= min(trials, multisets)
+        assert sum(exact_sizes) == multisets
+        assert max(mc_sizes + exact_sizes) <= ENUMERATION_CHUNK_ENTRIES // 4
+        if n == 40:  # both engines span several chunks here
+            assert len(mc_sizes) > 1 and len(exact_sizes) > 1
 
 
 class TestConjectureProbes:

@@ -148,6 +148,13 @@ CASES = [
     ("atoms", lambda: identification.check_sequence_distribution({(0, 2): 1.0}, alphabet_size=2)),
     ("atoms", lambda: identification.resolvability_regularize({(0, 5): 1.0}, _channel(), 0.6, 1)),
     ("entries", lambda: identification.QIDCode(1, [({(2,): 1.0}, 0.5 * EYE)], alphabet_size=2)),
+    # a tail's premises: on the random variable (rv) or on the mean's cap (m); _rv's mean is 0.4 I
+    ("rv", lambda: concentration.markov_tail(OperatorRV.scalar([0.5, 0.5], [-1.0, 0.5]), np.eye(1))),
+    ("rv", lambda: concentration.chernoff_tail(OperatorRV.scalar([0.5, 0.5], [0.0, 2.0]), 2, 0.9, 0.9)),
+    ("m", lambda: concentration.chernoff_tail(_rv(), 2, 0.8, 0.3)),
+    ("m", lambda: concentration.chernoff_tail(_rv(), 2, 0.2, 0.5, side="lower")),
+    ("rv", lambda: concentration.two_sided_chernoff(OperatorRV.scalar([0.5, 0.5], [0.0, 2.0]), 2, 0.2)),
+    ("rv", lambda: concentration.two_sided_chernoff(OperatorRV([0.5, 0.5], [ZERO, ZERO]), 2, 0.2)),
 ]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -257,6 +258,30 @@ def test_psd_leq_makes_one_eigensolve(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     assert linalg.psd_leq(np.diag([0.2, 0.3]), np.diag([0.2, 0.5]))
     assert calls == [(2, 2)]
+
+
+def test_operator_interval_makes_one_eigensolve(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    stack = np.stack([0.5 * np.eye(2), 1.5 * np.eye(2), np.diag([0.5, -0.5])])
+    assert linalg.in_operator_interval(stack, np.zeros((2, 2)), np.eye(2)).tolist() == [True, False, False]
+    assert calls == [(2, 3, 2, 2)]
+
+
+@pytest.mark.parametrize("n, k", [(0, 1), (5, 1), (0, 3), (4, 3), (6, 4), (1, 5)])
+def test_compositions_list_every_count_vector_in_lexicographic_order(n, k):
+    want = [c for c in itertools.product(range(n + 1), repeat=k) if sum(c) == n]
+    for chunk in (1, 3, 1000):
+        blocks = list(linalg.compositions(n, k, chunk))
+        assert all(b.shape[1] == k and 0 < len(b) <= chunk for b in blocks)
+        assert [tuple(c) for b in blocks for c in b.tolist()] == want
+        assert len(blocks) == -(-len(want) // chunk)
 
 
 def test_herm_sqrt_makes_one_eigensolve(monkeypatch):
