@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import (MAX_SEQUENCE_SPACE, MAX_TENSOR_DIM, MAX_TYPES, BoundViolation, DomainError,
-                     check_distribution)
+from .linalg import MAX_SEQUENCE_SPACE, MAX_TENSOR_DIM, MAX_TYPES, DomainError, check_distribution
 from .rng import make_rng, random_density
 
 # Eigenvalues closer than this merge into one eigenspace class before
@@ -430,8 +429,10 @@ def type_enumerate(n: int, a: int) -> list[EmpiricalDistribution]:
         for block in linalg.compositions(n, a, total)
         for counts in block.tolist()
     ]
-    if not len(out) == total <= (n + 1) ** a:
-        raise BoundViolation(f"{len(out)} types enumerated, expected {total} <= (n+1)^a")
+    # total <= len(out) <= min(total, (n+1)^a): each of a counts takes one of n + 1 values
+    linalg.check_bound("types enumerated fall short of C(n+a-1, a-1)", total, len(out))
+    linalg.check_bound("types enumerated exceed C(n+a-1, a-1) or (n+1)^a",
+                       len(out), min(total, (n + 1) ** a))
     return out
 
 
@@ -477,8 +478,7 @@ def typical_set(p, n: int, alpha: float) -> set:
     bound = 1.0 - a / alpha**2 if alpha > 0.0 else -math.inf
     # float slack only: the Chebyshev argument already covers sequences
     # dropped by rounding at the window boundary
-    if mass + 1e-12 < bound:
-        raise BoundViolation(f"typical set mass {mass} below guarantee {bound}")
+    linalg.check_bound("typical set mass falls below its guarantee", bound, mass, 1e-12)
     return members
 
 
@@ -603,10 +603,8 @@ class TypicalProjector:
             raise ValueError("probs must hold one eigenvalue per mask index")
         if mask.size and (mask[0] < 0 or mask[-1] >= self.dim or (np.diff(mask) <= 0).any()):
             raise ValueError("mask must be strictly increasing inside [0, dim)")
-        if not self.trace_mass + 1e-12 >= self.mass_bound:
-            raise BoundViolation(
-                f"typical mass {self.trace_mass} below guarantee {self.mass_bound}"
-            )
+        linalg.check_bound("typical mass falls below its guarantee",
+                           self.mass_bound, self.trace_mass, 1e-12)
 
     @property
     def factor_dims(self) -> tuple[int, ...]:
@@ -851,6 +849,5 @@ def cross_typical_mass(channel: CQChannel, xn, alpha: float) -> tuple[float, Typ
         terms = terms * overlaps[x, k]
     mass = math.fsum(terms)
     bound = 1.0 - a * channel.dim / alpha**2
-    if mass + 1e-9 < bound:
-        raise BoundViolation(f"cross typical mass {mass} below guarantee {bound}")
+    linalg.check_bound("cross typical mass falls below its guarantee", bound, mass, 1e-9)
     return mass, proj

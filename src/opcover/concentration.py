@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import LN2, MAX_ENUMERATION, MAX_PROBE_COUNT, BoundViolation, DomainError
+from .linalg import LN2, MAX_ENUMERATION, MAX_PROBE_COUNT, DomainError
 from .rng import make_rng, random_distribution, random_effect, random_hermitian, spawn_seeds
 
 # The event sees count vectors in chunks whose counts (chunk x atoms) and
@@ -193,9 +193,9 @@ def mc_tail(rv: OperatorRV, n: int, trials: int, seed: int, event) -> tuple[floa
     """
     if trials <= 0:
         raise DomainError("trials must be positive for Monte Carlo", "trials")
-    # idx holds trials x n draws; the sums are stacked one chunk at a
-    # time, so the trials x d x d term is stricter than memory needs
-    linalg.require_size("trials", trials * max(n, rv.dim**2), linalg.MAX_TENSOR_DIM**2)
+    # idx holds trials x n draws and counts trials x atoms; the sums are stacked
+    # one chunk at a time, so the trials x d x d term is stricter than memory needs
+    linalg.require_size("trials", trials * max(n, rv.dim**2, rv.size), linalg.MAX_TENSOR_DIM**2)
     rng = make_rng(seed)
     idx = rng.choice(rv.size, size=(trials, n), p=rv.probs)
     k = rv.size
@@ -215,14 +215,12 @@ def mc_tail(rv: OperatorRV, n: int, trials: int, seed: int, event) -> tuple[floa
     return p, stderr
 
 
-def _dispatch(rv, n, trials, seed, event, bound, method, check_bound: bool) -> TailReport:
+def _dispatch(rv, n, trials, seed, event, bound, method, proven: bool) -> TailReport:
     """Exact (trials == 0) or Monte Carlo tail of one event: stack of sums in, booleans out."""
     if trials == 0:
         p = exact_tail(rv, n, event)
-        if check_bound and bound < 1.0 and p > bound + 1e-9:
-            raise BoundViolation(
-                f"{method}: exact tail {p} exceeds proven bound {bound}"
-            )
+        if proven:
+            linalg.check_bound(f"exact {method} tail exceeds its proven bound", p, bound, 1e-9)
         return TailReport(p, bound, n, 0, seed, method)
     p, stderr = mc_tail(rv, n, trials, seed, event)
     return TailReport(p, bound, n, trials, seed, method + "-mc", stderr)
@@ -250,8 +248,7 @@ def markov_tail(rv: OperatorRV, a) -> TailReport:
     if not linalg.supports_contained(m, a):
         return TailReport(exact, math.inf, 1, 0, 0, "markov-trivial")
     bound = float(np.trace(m @ linalg.support_inverse(a)).real)
-    if bound < 1.0 and exact > bound + 1e-9:
-        raise BoundViolation(f"markov: exact {exact} exceeds bound {bound}")
+    linalg.check_bound("exact markov tail exceeds its bound", exact, bound, 1e-9)
     return TailReport(exact, bound, 1, 0, 0, "markov")
 
 
@@ -266,8 +263,7 @@ def chebyshev_tail(rv: OperatorRV, delta) -> TailReport:
     exact = min(1.0, sum(rv.probs[hits].tolist(), 0.0))
     s2 = rv.variance()
     bound = float(np.trace(s2 @ linalg.herm_power(delta, -2.0)).real)
-    if exact > min(1.0, bound) + 1e-9:
-        raise BoundViolation(f"chebyshev: exact {exact} exceeds bound {bound}")
+    linalg.check_bound("exact chebyshev tail exceeds its bound", exact, bound, 1e-9)
     return TailReport(exact, bound, 1, 0, 0, "chebyshev")
 
 
@@ -286,7 +282,7 @@ def weak_law_tail(rv: OperatorRV, n: int, delta, trials: int = 0, seed: int = 0)
     def event(sums):
         return ~linalg.in_operator_interval(sums / n, lower, upper)
 
-    return _dispatch(rv, n, trials, seed, event, bound, "weak-law", check_bound=True)
+    return _dispatch(rv, n, trials, seed, event, bound, "weak-law", proven=True)
 
 
 def bernstein_bound(rv: OperatorRV, a, t, n: int) -> float:
@@ -346,7 +342,7 @@ def chernoff_tail(rv: OperatorRV, n: int, a: float, m: float, side: str = "upper
             return linalg.not_dominated(sums, target)
         return ~linalg.psd_leq(target, sums)
 
-    return _dispatch(rv, n, trials, seed, event, bound, f"chernoff-{side}", check_bound=True)
+    return _dispatch(rv, n, trials, seed, event, bound, f"chernoff-{side}", proven=True)
 
 
 def two_sided_chernoff(rv: OperatorRV, n: int, eps: float,
@@ -368,11 +364,11 @@ def two_sided_chernoff(rv: OperatorRV, n: int, eps: float,
     def event(sums):
         return ~linalg.in_operator_interval(sums / n, lower, upper)
 
-    # check_bound=False: the quadratic simplification of the exponent is
+    # proven=False: the quadratic simplification of the exponent is
     # not a lower bound on D((1+eps)mu || mu) when mu < ~0.117, so the
     # displayed constant can undershoot the true tail in that corner.
     # The report carries both numbers; callers compare where it applies.
-    return _dispatch(rv, n, trials, seed, event, bound, "two-sided", check_bound=False)
+    return _dispatch(rv, n, trials, seed, event, bound, "two-sided", proven=False)
 
 
 # ---------------------------------------------------------------------------

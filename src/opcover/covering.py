@@ -28,7 +28,7 @@ from scipy.optimize import linprog
 
 from . import linalg
 from .linalg import (LN2, MAX_BRUTEFORCE_EDGES, MAX_BRUTEFORCE_MULTISETS, MAX_MATERIALIZED_DRAWS,
-                     MAX_TENSOR_DIM, BoundViolation, DomainError, check_distribution as _check_distribution)
+                     MAX_TENSOR_DIM, DomainError, check_distribution as _check_distribution)
 from .rng import make_rng, random_effect, seed_stream
 
 RETRY_SEEDS = 64
@@ -228,7 +228,7 @@ class QuantumHypergraph:
         Zero weights are skipped; adding them would change no float.
         """
         out = np.zeros((self.span_dim, self.span_dim), dtype=complex)
-        for c, x in zip(self.compressed, weights):
+        for c, x in zip(self.compressed, weights, strict=True):
             if x:
                 out = out + float(x) * c
         return out
@@ -378,17 +378,17 @@ class CoveringResult:
 def degree(g: QuantumHypergraph, subset=None) -> np.ndarray:
     """Sum of the selected edges (all edges when subset is None).
 
-    Repeated indices count with multiplicity.
+    Repeated indices count with multiplicity: the subset becomes edge
+    counts, summed like any other counts (_degree_from_counts).
     """
+    m = g.num_edges
     if subset is None:
-        subset = range(g.num_edges)
-    out = np.zeros((g.dim, g.dim), dtype=complex)
-    for i in subset:
-        out = out + g.edges[int(i)]
-    return linalg.hermitize(out)
+        return _degree_from_counts(g, np.ones(m))
+    return _degree_from_counts(g, np.bincount(np.asarray(subset, dtype=np.intp), minlength=m))
 
 
 def _degree_from_counts(g: QuantumHypergraph, counts) -> np.ndarray:
+    """sum_j counts_j E_j through span_combination; samplers pass counts, never draw lists."""
     return g.lift(linalg.hermitize(g.span_combination(counts)))
 
 
@@ -448,8 +448,8 @@ def covering_randomized(g: QuantumHypergraph, p, seed: int) -> CoveringResult:
         counts = np.zeros(g.num_edges, dtype=np.int64)
         counts[support[0]] = k
         deg = _degree_from_counts(g, counts)
-        if not linalg.psd_leq(np.eye(g.dim), deg):
-            raise BoundViolation(f"{k} = ceil(1/mu) copies of the edge fail to cover")
+        least, tol = linalg.psd_margin(deg - np.eye(g.dim))
+        linalg.check_bound(f"{k} = ceil(1/mu) copies of the edge fail to cover", -least, 0.0, tol)
         beyond = k > formula
         return CoveringResult(
             kind="randomized-covering",
@@ -497,6 +497,14 @@ def _vector_leq(x: np.ndarray, y: np.ndarray) -> bool:
     return float(diff.min()) >= -tol
 
 
+def draw_bound(eta: float, size: int, eps: float, tau: float) -> float:
+    """The covering lemma's draw count 1 + eta size (2 ln2 log2(2 size)) / (eps^2 tau).
+
+    size is the vertex count or the dimension.
+    """
+    return 1.0 + eta * size * (2.0 * LN2 * math.log2(2.0 * size)) / (eps * eps * tau)
+
+
 def _sample_plan(formula: float, p: np.ndarray, draws):
     """Base draw count and escalation depth shared by both samplers."""
     if draws is not None:
@@ -527,10 +535,9 @@ def classical_covering_sample(
     keep = q >= tau / nv  # strict drop below the threshold, ties stay
     excluded = tuple(int(v) for v in np.flatnonzero(~keep))
     excluded_mass = float(q[~keep].sum())
-    if excluded_mass > tau + 1e-12:
-        raise BoundViolation(f"excluded vertices carry mass {excluded_mass} > tau = {tau}")
+    linalg.check_bound("excluded vertices carry mass over tau", excluded_mass, tau, 1e-12)
 
-    formula = 1.0 + g.eta * nv * (2.0 * LN2 * math.log2(2.0 * nv)) / (eps * eps * tau)
+    formula = draw_bound(g.eta, nv, eps, tau)
     base, stages = _sample_plan(formula, p, draws)
     masses = g.edge_masses()
     equal_mass = float(np.ptp(masses)) <= 1e-9 and float(masses.max()) <= 1.0 + 1e-9
@@ -548,10 +555,9 @@ def classical_covering_sample(
         if ok_lower and ok_upper:
             l1 = float(np.abs(q - qbar).sum())
             l1_bound = 2.0 * eps + 2.0 * tau if equal_mass else None
-            if equal_mass and l1 > l1_bound + 1e-9:
-                raise BoundViolation(
-                    f"sampled measure misses the total variation bound: {l1} > {l1_bound}"
-                )
+            if equal_mass:
+                linalg.check_bound("sampled measure misses the total variation bound",
+                                   l1, l1_bound, 1e-9)
             beyond = ln > formula
             return CoveringResult(
                 kind="classical-sample",
@@ -618,12 +624,11 @@ def quantum_covering_sample(
     small = w < tau / g.dim  # strict: eigenvalues at the threshold stay
     p1 = linalg.hermitize((u * (~small).astype(float)) @ u.conj().T)
     excluded_mass = float(w[small].sum())
-    if excluded_mass > tau + 1e-12:
-        raise BoundViolation(f"excluded eigenspace carries mass {excluded_mass} > tau = {tau}")
+    linalg.check_bound("excluded eigenspace carries mass over tau", excluded_mass, tau, 1e-12)
     proj = linalg.hermitize(p1 @ rho @ p1)
     compressed = g.basis is not None
 
-    formula = 1.0 + g.eta * g.dim * (2.0 * LN2 * math.log2(2.0 * g.dim)) / (eps * eps * tau)
+    formula = draw_bound(g.eta, g.dim, eps, tau)
     base, stages = _sample_plan(formula, p, draws)
     traces = g.edge_traces()
     equal_trace = float(np.ptp(traces)) <= 1e-9 and float(traces.max()) <= 1.0 + 1e-9
@@ -641,10 +646,8 @@ def quantum_covering_sample(
         if ok_lower and ok_upper:
             l1 = linalg.trace_norm(rho - rhobar)
             l1_bound = (eps + tau) + math.sqrt(8.0 * (eps + tau)) if equal_trace else None
-            if equal_trace and l1 > l1_bound + 1e-9:
-                raise BoundViolation(
-                    f"sampled operator misses the trace-norm bound: {l1} > {l1_bound}"
-                )
+            if equal_trace:
+                linalg.check_bound("sampled operator misses the trace-norm bound", l1, l1_bound, 1e-9)
             pi1 = g.lift(p1)
             if compressed:
                 slack = np.minimum(slack, 0.0)
@@ -711,7 +714,7 @@ def replay_covering_result(
         else:
             sampler = quantum_covering_sample
             size = g.dim
-        formula = 1.0 + g.eta * size * (2.0 * LN2 * math.log2(2.0 * size)) / (eps * eps * tau)
+        formula = draw_bound(g.eta, size, eps, tau)
         # Infer whether the draw count was prescribed: the default path
         # always lands on base * scale.  (The first 64 spawned sub-seeds
         # coincide between the two schedules, so either way the replay

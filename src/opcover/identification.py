@@ -37,8 +37,8 @@ from .channels import (
     type_enumerate,
     typical_projector,
 )
-from .covering import QuantumHypergraph, quantum_covering_sample
-from .linalg import LN2, MAX_SEQUENCE_SPACE, MAX_TENSOR_DIM, BoundViolation, DomainError
+from .covering import ESCALATION_STAGES, QuantumHypergraph, draw_bound, quantum_covering_sample
+from .linalg import MAX_SEQUENCE_SPACE, MAX_TENSOR_DIM, DomainError
 from .rng import make_rng, random_distribution, random_effect, spawn_seeds
 
 DEFAULT_PROBE_LAMBDAS = (0.9, 0.75, 0.6, 0.45, 0.3)
@@ -264,8 +264,9 @@ def quantize_distribution(weights, K: int) -> list:
     fractional = [s - f for s, f in zip(scaled, floors)]
     leftover = K - sum(floors)
     order = sorted(range(len(exact)), key=lambda i: (-fractional[i], i))
-    if not 0 <= leftover <= sum(1 for f in fractional if f > 0):
-        raise BoundViolation(f"{leftover} leftover quanta exceed the fractional weights")
+    linalg.check_bound("leftover quanta are negative", 0, leftover)
+    linalg.check_bound("leftover quanta exceed the fractional weights", leftover,
+                       sum(1 for f in fractional if f > 0))
     for i in order[:leftover]:
         floors[i] += 1
     return [Fraction(f, K) for f in floors]
@@ -323,14 +324,10 @@ class RegularizationResult:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        budget = self.K * self.L
-        if self.support_size > budget:
-            raise BoundViolation(f"support size {self.support_size} exceeds the K*L budget {budget}")
-        total = sum(Fraction(w) for w in self.sparse_distribution.values())
-        if any(Fraction(w) < 0 for w in self.sparse_distribution.values()):
-            raise BoundViolation("sparse weights must be nonnegative")
-        if abs(float(total - 1)) > 1e-10:
-            raise BoundViolation(f"sparse weights sum to {float(total)}, expected 1")
+        weights = [Fraction(w) for w in self.sparse_distribution.values()]
+        linalg.check_bound("support size exceeds the K*L budget", self.support_size, self.K * self.L)
+        linalg.check_bound("a sparse weight is negative", 0, min(weights, default=0))
+        linalg.check_bound("sparse weights do not sum to 1", abs(float(sum(weights) - 1)), 1e-10)
 
     @property
     def support_size(self) -> int:
@@ -396,7 +393,6 @@ def resolvability_regularize(
     eps: float | None = None,
     tau: float | None = None,
     draws: int | None = None,
-    max_stages: int = 4,
 ) -> RegularizationResult:
     """Replace an input distribution by one of support at most K*L.
 
@@ -429,8 +425,6 @@ def resolvability_regularize(
         raise DomainError("lambda must lie strictly between 0 and 1", "lambda")
     if draws is not None:
         linalg.require_positive(draws=draws)
-    if max_stages < 1:
-        raise ValueError("max_stages must be positive")
     a = channel.alphabet_size
     d = channel.dim
     P = check_sequence_distribution(P, alphabet_size=a)
@@ -457,10 +451,8 @@ def resolvability_regularize(
     total = sum(masses)
     quantized = quantize_distribution(masses, K)
     quantization_tv = sum(abs(m / total - r) for m, r in zip(masses, quantized))
-    if quantization_tv > lam_exact / 3:
-        raise BoundViolation(
-            f"type quantization moved {float(quantization_tv)} mass, over the budget {lam / 3.0}"
-        )
+    linalg.check_bound("type quantization moved mass over the lambda/3 budget",
+                       quantization_tv, lam_exact / 3)
 
     sqrt_a = math.sqrt(a)
     systems = letter_systems(channel)
@@ -492,9 +484,7 @@ def resolvability_regularize(
         )
         if graph.eta <= 0.0:
             raise ValueError("typical projection annihilated every edge; alpha too small")
-        formula = 1.0 + graph.eta * graph.dim * (
-            2.0 * LN2 * math.log2(2.0 * graph.dim)
-        ) / (eps * eps * tau)
+        formula = draw_bound(graph.eta, graph.dim, eps, tau)
         active.append(
             {
                 "index": i,
@@ -510,7 +500,7 @@ def resolvability_regularize(
         base, stages = int(draws), 1
     else:
         base = max(1, max(math.floor(rec["formula"]) for rec in active))
-        stages = int(max_stages)
+        stages = ESCALATION_STAGES
     seeds = spawn_seeds(seed, stages * len(active))
     results, L, stages_used, last_failure = None, base, 0, None
     for s in range(stages):
@@ -617,11 +607,9 @@ def approximation_preserves_id(
     )
     lambda1_bar, lambda2_bar, _ = evaluate_qid_code(swapped, channel)
     slack = max(reg.measured_distance for reg in regularized)
-    if lambda1_bar > lambda1 + slack + 1e-9 or lambda2_bar > lambda2 + slack + 1e-9:
-        raise BoundViolation(
-            f"sparse replacement degraded the code beyond its distance budget: "
-            f"({lambda1_bar}, {lambda2_bar}) vs ({lambda1}, {lambda2}) + {slack}"
-        )
+    for name, bar, base in (("lambda1", lambda1_bar, lambda1), ("lambda2", lambda2_bar, lambda2)):
+        linalg.check_bound(f"sparse replacement degraded {name} beyond its distance budget",
+                           bar, base + slack, 1e-9)
     return lambda1_bar, lambda2_bar
 
 

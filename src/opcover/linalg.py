@@ -71,6 +71,17 @@ def require_size(param: str, size, cap: int, message: str | None = None, exponen
     return size**exponent
 
 
+def check_bound(name: str, observed, bound, tol=0) -> None:
+    """Raise BoundViolation(name) unless observed <= bound + tol: the one proven-bound comparison.
+
+    A NaN on either side fails and an infinite bound passes; a lower
+    bound passes its two sides swapped.  The integer default tol keeps
+    exact (Fraction) sides exact.
+    """
+    if not observed <= bound + tol:
+        raise BoundViolation(f"{name}: {observed} not <= {bound}" + (f" + {tol}" if tol else ""))
+
+
 def require_matrices(dim: int, count: int = 1, param: str = "dim") -> None:
     """Refuse `count` dense dim x dim matrices beyond one MAX_TENSOR_DIM^2 budget.
 
@@ -413,10 +424,7 @@ def gentle_projection(rho, pi) -> tuple[np.ndarray, float]:
     clipped = hermitize(p @ r @ p)
     bound = math.sqrt(8.0 * lam)
     actual = trace_norm(r - clipped)
-    if actual > bound + 1e-9:
-        raise BoundViolation(
-            f"gentle projection: 1-norm {actual} exceeds sqrt(8 lam) = {bound}"
-        )
+    check_bound("gentle projection 1-norm exceeds sqrt(8 lam)", actual, bound, 1e-9)
     return clipped, bound
 
 

@@ -927,6 +927,9 @@ CAP_CASES = [
     ("cover-capacity", {"hypergraph": _with(RANDOM_GRAPH, num_edges=10**8)},
      ["params", "hypergraph", "num_edges"]),
     ("qid-eval", {"channel": ZERO_PLUS, "code": _with(RANDOM_CODE, n=19)}, ["params", "code", "n"]),
+    # 100,000 trials x 200 atoms of counts, though trials x n is only 200,000
+    ("tail-mc", {"rv": _scalar_rv(*np.linspace(0.0, 1.0, 200).tolist()), "method": "chernoff-upper",
+                 "n": 2, "a": 0.9, "m": 0.9, "trials": 100_000}, ["params", "trials"]),
 ]
 
 

@@ -157,6 +157,21 @@ class TestDegreeAndCovering:
         g = QuantumHypergraph(2, edges, 1.0)
         assert np.allclose(degree(g), edges[0] + edges[1] + edges[2])
 
+    def test_full_degree_is_the_edge_by_edge_sum_bit_for_bit(self):
+        # the counts path adds 1.0 * E_j in index order, as a plain loop over the edges does
+        rng = make_rng(12)
+        for dim, m in ((1, 3), (2, 4), (3, 5)):
+            g = QuantumHypergraph(dim, [random_effect(rng, dim) for _ in range(m)], 1.0)
+            for graph in (g, product_hypergraph(g, 2)):
+                out = np.zeros((graph.dim, graph.dim), dtype=complex)
+                for e in graph.edges:
+                    out = out + e
+                assert np.array_equal(degree(graph), linalg.hermitize(out))
+
+    def test_degree_refuses_an_index_past_the_edges(self):
+        with pytest.raises(ValueError):
+            degree(orthogonal_pair(), [2])
+
     def test_is_covering(self):
         g = orthogonal_pair()
         assert is_covering(g, [0, 1])

@@ -155,7 +155,13 @@ CASES = [
     ("m", lambda: concentration.chernoff_tail(_rv(), 2, 0.2, 0.5, side="lower")),
     ("rv", lambda: concentration.two_sided_chernoff(OperatorRV.scalar([0.5, 0.5], [0.0, 2.0]), 2, 0.2)),
     ("rv", lambda: concentration.two_sided_chernoff(OperatorRV([0.5, 0.5], [ZERO, ZERO]), 2, 0.2)),
+    # the trials x atoms count matrix: 2 x 10^7 entries, though trials x n is only 2 x 10^4
+    ("trials", lambda: concentration.mc_tail(_many_atoms(), 2, 10_000, 1, lambda s: s)),
 ]
+
+
+def _many_atoms() -> OperatorRV:
+    return OperatorRV.scalar(np.full(2000, 1 / 2000), np.linspace(0.0, 1.0, 2000))
 
 
 @pytest.mark.parametrize(
@@ -165,6 +171,16 @@ def test_out_of_range_raises_domain_error_naming_param(param, call):
     with pytest.raises(DomainError) as err:
         call()
     assert err.value.param == param
+
+
+def test_mc_tail_refuses_its_count_matrix_before_drawing(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("mc_tail drew before its size check")
+
+    monkeypatch.setattr(concentration, "make_rng", no_draws)
+    with pytest.raises(DomainError) as err:
+        concentration.mc_tail(_many_atoms(), 2, 10_000, 1, lambda s: s)
+    assert err.value.param == "trials"
 
 
 def test_domain_error_is_a_value_error():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opcover import linalg
+from opcover.linalg import BoundViolation
 from opcover.rng import make_rng, random_density, random_hermitian, random_projector, random_psd
 
 ATOL = 1e-10
@@ -220,6 +222,64 @@ def test_library_has_no_bare_asserts():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_check_bound_owns_every_bound_violation():
+    # one owner for proven bounds: every other check in the library calls check_bound
+    import ast
+    import pathlib
+
+    src = pathlib.Path(linalg.__file__).parent
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and "BoundViolation" in ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+    ]
+    owner = next(
+        node for node in ast.parse((src / "linalg.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name == "check_bound"
+    )
+    assert len(found) == 1
+    (module, line), = found
+    assert module == "linalg.py" and owner.lineno <= line <= owner.end_lineno
+
+
+def test_check_bound_fails_on_nan_and_passes_an_infinite_bound():
+    linalg.check_bound("b", 1.0, 1.0)
+    linalg.check_bound("b", 1e308, math.inf)
+    linalg.check_bound("b", math.inf, math.inf)
+    linalg.check_bound("b", np.float64(0.5), np.float64(0.5))
+    for observed, bound in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.inf), (math.inf, 1e308)):
+        with pytest.raises(BoundViolation, match="^b: "):
+            linalg.check_bound("b", observed, bound)
+        with pytest.raises(BoundViolation):
+            linalg.check_bound("b", observed, bound, 1e-9)
+
+
+def test_check_bound_tolerance_is_one_sided():
+    # the tolerance widens the bound only: observed may sit any distance below it
+    linalg.check_bound("b", 1.0 + 1e-9, 1.0, 1e-9)
+    linalg.check_bound("b", -1e300, 1.0, 1e-9)
+    with pytest.raises(BoundViolation, match=r"^b: 1\.000000002 not <= 1\.0 \+ 1e-09$"):
+        linalg.check_bound("b", 1.000000002, 1.0, 1e-9)
+    # a lower bound passes its sides swapped, so its tolerance lowers the floor
+    linalg.check_bound("mass", 0.9, 0.9 - 1e-10, 1e-9)
+    with pytest.raises(BoundViolation, match=r"^mass: 0\.9 not <= 0\.8 \+ 1e-09$"):
+        linalg.check_bound("mass", 0.9, 0.8, 1e-9)
+    with pytest.raises(BoundViolation, match=r"^b: 1e-09 not <= 0\.0$"):
+        linalg.check_bound("b", 1e-9, 0.0)
+
+
+def test_check_bound_keeps_fractions_exact():
+    third = Fraction(1, 3)
+    above = third + Fraction(1, 10**30)
+    assert float(above) <= float(third)  # a float comparison would pass it
+    linalg.check_bound("q", third, third)
+    linalg.check_bound("q", third - Fraction(1, 10**30), third)
+    with pytest.raises(BoundViolation, match=r"^q: \d+/\d+ not <= 1/3$"):
+        linalg.check_bound("q", above, third)
 
 
 def test_psd_order_on_stacks_matches_each_matrix():
