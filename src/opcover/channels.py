@@ -788,28 +788,37 @@ def conditional_typical_projector(
     )
 
 
-def permuted_range(proj: TypicalProjector, xn) -> tuple[np.ndarray, np.ndarray]:
-    """(digits, probs) of the conditional projector of xn, read off that of a rearrangement.
+def range_permutation(
+    proj: TypicalProjector, xn, ys, onto: TypicalProjector | None = None
+) -> np.ndarray:
+    """Where proj's range vectors land in onto's range (default proj's) when xn is rearranged to ys.
 
-    `proj` is conditional_typical_projector(channel, ys, alpha) for a
-    rearrangement ys of xn.  Admissibility counts class occupations per
-    symbol block, which moving factors between positions that carry the
-    same symbol leaves alone, so xn's range vectors are proj's with
-    their factor digits moved to xn's positions, re-sorted by flat
-    index.  probs is recomputed as the same running product in factor
-    order as a direct build, so both arrays equal
-    conditional_typical_projector(channel, xn, alpha)'s bit for bit.
+    The factor at position i of xn moves to position source[i] of ys,
+    the one carrying the same symbol (stable among equal symbols), so
+    range vector j of proj (digits j, one per factor) becomes j' with
+    j'[source] = j; perm[j] is the index of j' in onto's range.  An
+    unconditional projector's range is invariant under moving factors,
+    so there perm permutes proj's own range.  Admissibility of a
+    conditional projector counts class occupations per symbol block,
+    which such a move leaves alone, so the conditional range of xn lands
+    on that of ys.  A moved vector outside onto's range raises; it is
+    never clamped onto a neighbour.
     """
-    xn = tuple(int(x) for x in xn)
-    if proj.kind != "conditional" or sorted(proj.sequence) != sorted(xn):
-        raise ValueError("proj must be the conditional projector of a rearrangement of xn")
-    # source[i]: proj's factor position that lands on position i of xn
+    onto = proj if onto is None else onto
+    xn, ys = tuple(int(x) for x in xn), tuple(int(y) for y in ys)
+    if sorted(xn) != sorted(ys) or proj.n != len(xn) or onto.n != len(ys):
+        raise ValueError("ys must be a rearrangement of xn, and both projectors of that length")
     source = np.empty(len(xn), dtype=int)
-    source[np.argsort(xn, kind="stable")] = np.argsort(proj.sequence, kind="stable")
-    digits = proj.digits[source]
-    dims = tuple(proj.factor_dims[i] for i in source)
-    digits = digits[:, np.argsort(np.ravel_multi_index(digits, dims))]
-    return digits, _running_product([proj.factor_values[i] for i in source], digits)
+    source[np.argsort(xn, kind="stable")] = np.argsort(ys, kind="stable")
+    moved = np.empty_like(proj.digits)
+    moved[source] = proj.digits
+    keys = np.ravel_multi_index(moved, onto.factor_dims)
+    perm = np.searchsorted(onto.mask, keys)
+    inside = perm < onto.rank
+    inside[inside] = onto.mask[perm[inside]] == keys[inside]
+    if not inside.all():
+        raise ValueError("a rearranged range vector leaves the target range")
+    return perm
 
 
 def _check_build_size(d: int, n: int, alpha: float, param: str = "n") -> None:

@@ -137,8 +137,10 @@ class QuantumHypergraph:
     (s x s).  E_j has the spectrum of C_j plus dim - s zeros, so
     spectra, traces and mixtures are computed on the C_j.  Graphs built
     from dense edges keep Q = identity (`basis` None, C_j = E_j);
-    `from_factors` spans Q by one QR when the factors are narrow.  The
-    dense `edges` are lifted on first access.
+    `from_factors` spans Q by one QR when the factors are narrow, and
+    `from_orbit` builds edges that relabel one edge's indices, with one
+    eigensolve when they span the space.  The dense `edges` are lifted
+    on first access.
     """
 
     def __init__(self, dim: int, edges, eta: float | None):
@@ -161,7 +163,11 @@ class QuantumHypergraph:
         gives the span basis Q and C_j = R_j diag(w_j) R_j^dagger with R_j
         the columns of R belonging to M_j; otherwise Q = identity and
         C_j = M_j diag(w_j) M_j^dagger.  Hermitian by construction, so the
-        only check is the eigensolve of the C_j.  eta is the tight cap.
+        only check is on the spectra of the C_j, and eta is the tight cap.
+        Where r_j < s and w_j >= 0 the spectrum comes off the r_j x r_j
+        Gram matrix F_j^dagger F_j of F_j = R_j diag(sqrt(w_j)): it has the
+        nonzero eigenvalues of C_j = F_j F_j^dagger, and the zeros it lacks
+        decide nothing.  The other C_j are solved at s x s.
         """
         g = cls.__new__(cls)
         g.dim = _check_graph_header(dim, None)
@@ -184,21 +190,69 @@ class QuantumHypergraph:
         compressed = np.empty((len(factors), s, s), dtype=np.complex128)
         for c, m, w in zip(compressed, factors, weights):
             c[...] = linalg.hermitize((m * w) @ m.conj().T)
-        g._set_edges(basis, compressed, None)
+        narrow = np.array([r < s and (w >= 0).all() for r, w in zip(widths, weights)])
+        spectra = [] if narrow.all() else [np.linalg.eigvalsh(compressed[~narrow])]
+        if narrow.any():
+            # zero padding to a common size adds zero eigenvalues only
+            side = max(1, *(r for r, keep in zip(widths, narrow) if keep))
+            grams = np.zeros((int(narrow.sum()), side, side), dtype=np.complex128)
+            for gram, j in zip(grams, np.flatnonzero(narrow)):
+                f = factors[j] * np.sqrt(weights[j])
+                gram[:widths[j], :widths[j]] = linalg.hermitize(f.conj().T @ f)
+            spectra.append(np.linalg.eigvalsh(grams))
+        g._set_edges(basis, compressed, None, spectra)
         return g
 
-    def _set_edges(self, basis, compressed: np.ndarray, eta: float | None) -> None:
+    @classmethod
+    def from_orbit(cls, factor, weights, perms) -> "QuantumHypergraph":
+        """Edges E_j = E[perm_j][:, perm_j], relabelings of one E = M diag(w) M^dagger.
+
+        factor M is dim x r and every perms[j] a permutation of range(dim),
+        so edge j has the factor M[perm_j], the rows of M gathered.  When
+        0 < len(perms) * r < dim the edges are narrow and go to
+        from_factors (one QR; each edge checked on its own Gram spectrum).
+        Otherwise Q = identity and C_j = C[perm_j][:, perm_j] with
+        C = M diag(w) M^dagger: an exact relabeling of one float matrix has
+        that matrix's spectrum, so one eigensolve of C validates every edge
+        and gives eta.
+        """
+        factor = np.asarray(factor, dtype=np.complex128)
+        weights = np.asarray(weights, dtype=float)
+        perms = np.asarray(perms, dtype=np.intp)
+        if factor.ndim != 2 or weights.shape != (factor.shape[1],):
+            raise ValueError("factor dimension mismatch")
+        dim, r = factor.shape
+        if perms.ndim != 2 or not len(perms):
+            raise ValueError("at least one edge required")
+        if perms.shape[1] != dim or (np.sort(perms, axis=1) != np.arange(dim)).any():
+            raise ValueError("every edge needs a permutation of the factor's rows")
+        if 0 < len(perms) * r < dim:
+            return cls.from_factors(dim, [factor[p] for p in perms], [weights] * len(perms))
+        g = cls.__new__(cls)
+        g.dim = _check_graph_header(dim, None)
+        c = linalg.hermitize((factor * weights) @ factor.conj().T)
+        g._set_edges(None, c[perms[:, :, None], perms[:, None, :]], None,
+                     [np.linalg.eigvalsh(c)[None]])
+        return g
+
+    def _set_edges(self, basis, compressed: np.ndarray, eta: float | None, spectra=None) -> None:
         # One eigensolve decides both orders: E >= 0 on the spectrum w, and
         # cap*I - E >= 0 on its spectrum cap - w, each with its own tolerance.
         # The dim - s zero eigenvalues off the span change neither decision,
         # nor the tolerances (both read max(1, |.|)), nor the tight eta.
-        w = np.linalg.eigvalsh(compressed)
-        if (w[:, 0] < -linalg.spectral_tolerance(w)).any():
-            raise ValueError("edge is not positive semidefinite")
-        self.eta = min(1.0, float(np.abs(w).max())) if eta is None else float(eta)
-        gap = min(1.0, self.eta) - w
-        if (gap[:, -1] < -linalg.spectral_tolerance(gap)).any():
-            raise ValueError("edge exceeds the eta cap")
+        # `spectra`, stacks that together hold every edge's nonzero
+        # eigenvalues, stands in for that eigensolve.
+        if spectra is None:
+            spectra = [np.linalg.eigvalsh(compressed)]
+        for w in spectra:
+            if (w[:, 0] < -linalg.spectral_tolerance(w)).any():
+                raise ValueError("edge is not positive semidefinite")
+        top = max(float(np.abs(w).max()) for w in spectra)
+        self.eta = min(1.0, top) if eta is None else float(eta)
+        for w in spectra:
+            gap = min(1.0, self.eta) - w
+            if (gap[:, -1] < -linalg.spectral_tolerance(gap)).any():
+                raise ValueError("edge exceeds the eta cap")
         self.basis = basis
         self.compressed = compressed
 
@@ -283,6 +337,29 @@ def random_hypergraph(seed: int, dim: int, num_edges: int, eta: float = 1.0) -> 
     return QuantumHypergraph(dim, edges, eta)
 
 
+class _OnFirstRead:
+    """Dataclass field that may be given as a zero-argument callable, called once on first read."""
+
+    def __init__(self, *default):
+        self.default = default
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # dataclass asks the class for the field's default
+            if not self.default:
+                raise AttributeError(self.slot)
+            return self.default[0]
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class CoveringResult:
     """One sampled covering or mixture approximation.
@@ -296,20 +373,23 @@ class CoveringResult:
     formula's value, whether by escalation or by the caller's choice.
     For randomized coverings `sampled_average` holds the multiset
     degree, for the samplers the multiset average (a measure vector in
-    the classical case, an operator otherwise).
+    the classical case, an operator otherwise).  `sampled_average`,
+    `pi0` and `pi1` may be given as zero-argument callables, called on
+    first read (to_json reads all three), so a caller that never reads
+    them never forms them.
     """
 
     kind: str
     edge_multiplicities: dict
     num_draws: int
-    sampled_average: np.ndarray
+    sampled_average: np.ndarray = _OnFirstRead()
     certified: bool
     seed: int
     beyond_bound: bool = False
     attempts: int = 1
     excluded_vertices: tuple = ()
-    pi0: np.ndarray | None = None
-    pi1: np.ndarray | None = None
+    pi0: np.ndarray | None = _OnFirstRead(None)
+    pi1: np.ndarray | None = _OnFirstRead(None)
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -608,12 +688,12 @@ def quantum_covering_sample(
     runs on the s x s compressed edges (see QuantumHypergraph) while
     dim stays in the formula and the threshold.  The dim - s zero
     eigenvalues of the mixture off the span fall in the split-off part.
-    `sampled_average`, `pi0` and `pi1` are lifted to dim x dim for the
-    result.  The reported sandwich slacks are the least eigenvalues of
-    pi1 rhobar pi1 - (1 - eps) pi1 rho pi1 and (1 + eps) pi1 rho pi1 -
-    pi1 rhobar pi1, read off the spectra that decide the order checks;
-    when s < dim each is min(0, its compressed value), since the full
-    operators vanish off the span.
+    `sampled_average`, `pi0` and `pi1` are lifted to dim x dim on first
+    read of the result.  The reported sandwich slacks are the least
+    eigenvalues of pi1 rhobar pi1 - (1 - eps) pi1 rho pi1 and
+    (1 + eps) pi1 rho pi1 - pi1 rhobar pi1, read off the spectra that
+    decide the order checks; when s < dim each is min(0, its compressed
+    value), since the full operators vanish off the span.
     """
     linalg.require_positive(eps=eps, tau=tau)
     p = _check_distribution(p, g.num_edges)
@@ -648,18 +728,21 @@ def quantum_covering_sample(
             l1_bound = (eps + tau) + math.sqrt(8.0 * (eps + tau)) if equal_trace else None
             if equal_trace:
                 linalg.check_bound("sampled operator misses the trace-norm bound", l1, l1_bound, 1e-9)
-            pi1 = g.lift(p1)
+            pi1 = functools.cache(functools.partial(g.lift, p1))
             if compressed:
                 slack = np.minimum(slack, 0.0)
-                pi0 = linalg.hermitize(np.eye(g.dim) - pi1)
+
+                def pi0():
+                    return linalg.hermitize(np.eye(g.dim) - pi1())
             else:
-                pi0 = linalg.hermitize((u * small.astype(float)) @ u.conj().T)
+                def pi0():
+                    return linalg.hermitize((u * small.astype(float)) @ u.conj().T)
             beyond = ln > formula
             return CoveringResult(
                 kind="quantum-sample",
                 edge_multiplicities={int(i): int(c) for i, c in enumerate(counts) if c},
                 num_draws=ln,
-                sampled_average=g.lift(rhobar),
+                sampled_average=functools.partial(g.lift, rhobar),
                 certified=not (beyond and draws is None),
                 seed=seed,
                 beyond_bound=beyond,

@@ -31,8 +31,8 @@ from .channels import (
     conditional_typical_projector,
     letter_systems,
     output_state,
-    permuted_range,
     product_mixture,
+    range_permutation,
     tensor_output,
     type_enumerate,
     typical_projector,
@@ -402,8 +402,12 @@ def resolvability_regularize(
     approximate each conditional edge mixture by a sampled multiset
     average on the mixture projector's range; quantize the type masses
     to multiples of 1/K; remix.  A type's sequences are rearrangements
-    of its sorted sequence, so one conditional projector is built per
-    type and its range permuted per member (permuted_range).  The
+    of its sorted sequence, and the mixture projector's range is
+    invariant under moving tensor factors, so each member's sandwiched
+    edge is the sorted sequence's with rows and columns relabeled: per
+    type one conditional projector, one edge factor and (when the edges
+    span the whole range) one eigensolve; a member is an index
+    permutation (range_permutation, QuantumHypergraph.from_orbit).  The
     measured distance is half the trace norm of one signed
     product_mixture with weights P - P_bar; no per-atom d^n x d^n
     output is formed.
@@ -465,25 +469,22 @@ def resolvability_regularize(
         mixture = output_state(t.probabilities(), channel)
         mix_proj = typical_projector(mixture, n, alpha * sqrt_a)
         if mix_proj.rank == 0:
-            raise ValueError("mixture typical projector has empty range; alpha too small")
+            raise DomainError("mixture typical projector has empty range; alpha too small", "alpha")
         v_mix = mix_proj.factor_bases[0]
         overlaps = {x: _basis_overlap(v_mix, system[1], d) for x, system in systems.items()}
-        # the type's members are rearrangements of its sorted sequence:
-        # one conditional projector, its range permuted per member
+        # the type's members are rearrangements of its sorted sequence ref,
+        # and the mixture range is invariant under moving factors: each
+        # member's edge factor is ref's with its rows relabeled
         ref = conditional_typical_projector(
             channel, [x for x, c in enumerate(t.counts) for _ in range(c)], alpha, systems=systems
         )
-        ranges = [permuted_range(ref, xn) for xn in seqs]
-        # eta = min(1, largest edge norm) comes off the one batched
-        # eigensolve that validates the edges, in the span of the edges
-        graph = QuantumHypergraph.from_factors(
-            mix_proj.rank,
-            [_sandwiched_edge(mix_proj, digits, [overlaps[x] for x in xn])
-             for xn, (digits, _) in zip(seqs, ranges)],
-            [probs for _, probs in ranges],
+        graph = QuantumHypergraph.from_orbit(
+            _sandwiched_edge(mix_proj, ref.digits, [overlaps[x] for x in ref.sequence]),
+            ref.probs,
+            [range_permutation(mix_proj, xn, ref.sequence) for xn in seqs],
         )
         if graph.eta <= 0.0:
-            raise ValueError("typical projection annihilated every edge; alpha too small")
+            raise DomainError("typical projection annihilated every edge; alpha too small", "alpha")
         formula = draw_bound(graph.eta, graph.dim, eps, tau)
         active.append(
             {

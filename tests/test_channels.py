@@ -17,7 +17,7 @@ from opcover.channels import (
     embed_classical,
     holevo_information,
     output_state,
-    permuted_range,
+    range_permutation,
     product_mixture,
     tensor_output,
     type_class_size,
@@ -178,25 +178,42 @@ class TestPermutedRange:
         systems = channels.letter_systems(ch)
         partial = 0
         for n in range(1, 8):
-            refs = {}
+            refs, mixes = {}, {}
             for xn in itertools.product(range(ch.alphabet_size), repeat=n):
                 key = tuple(sorted(xn))
                 if key not in refs:
                     refs[key] = conditional_typical_projector(ch, key, 1.0, systems=systems)
-                digits, probs = permuted_range(refs[key], xn)
+                    t = EmpiricalDistribution.from_sequence(key, ch.alphabet_size)
+                    mixes[key] = typical_projector(output_state(t.probabilities(), ch), n, 1.0)
+                ref, mix = refs[key], mixes[key]
                 direct = conditional_typical_projector(ch, xn, 1.0, systems=systems)
-                assert np.array_equal(digits, direct.digits), xn
-                assert np.array_equal(probs, direct.probs), xn
-                partial += 0 < direct.rank < direct.dim
+                # xn's conditional range, its factors moved to key's positions,
+                # is ref's: the digits agree bit for bit, probs to rounding
+                perm = range_permutation(direct, xn, key, onto=ref)
+                assert np.array_equal(np.sort(perm), np.arange(ref.rank)), xn
+                source = np.empty(n, dtype=int)
+                source[np.argsort(xn, kind="stable")] = np.argsort(key, kind="stable")
+                assert np.array_equal(ref.digits[:, perm][source], direct.digits), xn
+                assert np.allclose(ref.probs[perm], direct.probs, rtol=1e-14, atol=0.0), xn
+                # an unconditional range is invariant: perm permutes it
+                perm = range_permutation(mix, xn, key)
+                assert np.array_equal(np.sort(perm), np.arange(mix.rank)), xn
+                assert np.array_equal(mix.digits[:, perm][source], mix.digits), xn
+                partial += 0 < direct.rank < direct.dim and 0 < mix.rank < mix.dim
         assert partial > 0  # the windows cut, so the permutation is exercised
 
     def test_rejects_a_projector_of_another_type(self):
         ch = CQChannel([KET0, PLUS])
         proj = conditional_typical_projector(ch, (0, 0, 1), 1.0)
         with pytest.raises(ValueError, match="rearrangement"):
-            permuted_range(proj, (0, 1, 1))
+            range_permutation(proj, (0, 0, 1), (0, 1, 1))
         with pytest.raises(ValueError, match="rearrangement"):
-            permuted_range(typical_projector(PLUS, 3, 1.0), (0, 0, 1))
+            range_permutation(typical_projector(PLUS, 2, 1.0), (0, 0, 1), (0, 1, 0))
+        # a conditional range is not invariant: moved, it leaves itself
+        with pytest.raises(ValueError, match="leaves the target range"):
+            range_permutation(proj, (0, 0, 1), (0, 1, 0))
+        other = conditional_typical_projector(ch, (0, 1, 0), 1.0)
+        assert range_permutation(proj, (0, 0, 1), (0, 1, 0), onto=other).tolist() == [0]
 
 
 class TestHolevo:

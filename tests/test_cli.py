@@ -909,6 +909,11 @@ BOUNDARY_CASES = [
      ["params", "m"]),
     ("tail-mc", {"rv": _scalar_rv(0.0, 0.0), "method": "two-sided", "n": 5, "eps": 0.3}, ["params", "rv"]),
     ("tail-mc", {"rv": _scalar_rv(-1.0, 0.5), "method": "markov", "a": 0.8}, ["params", "rv"]),
+    # alpha too small for the typical windows: an empty mixture range, or
+    # conditional ranges that the mixture projector annihilates
+    ("resolvability", _with(RESOLVE, alpha=0.05), ["params", "alpha"]),
+    ("resolvability", _with(RESOLVE, channel={"kind": "random", "dim": 2, "inputs": 2}, alpha=0.5),
+     ["params", "alpha"]),
 ]
 
 # One case per resource cap the CLI reaches: an oversized config is a

@@ -433,6 +433,86 @@ class TestSpanCompression:
         assert calls == [("eigh", (3, 3)), ("eigvalsh", (2, 3, 3)), ("eigvalsh", (3, 3))]
 
 
+    def test_narrow_spectra_come_off_the_gram_matrices(self, monkeypatch):
+        # edge 0 spans the whole space (s x s solve), edges 1-2 are narrow
+        factors, weights = low_rank_factors(87, 4, [4, 1, 2])
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: sizes.append(np.shape(m)) or eigvalsh(m))
+        g = QuantumHypergraph.from_factors(4, factors, weights)
+        monkeypatch.undo()
+        assert g.basis is None and sizes == [(1, 4, 4), (2, 2, 2)]
+        dense = QuantumHypergraph(4, [(m * w) @ m.conj().T for m, w in zip(factors, weights)], None)
+        assert abs(g.eta - dense.eta) <= 1e-12
+        # a signed weight leaves the Gram route: C_j is solved and refused
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            QuantumHypergraph.from_factors(4, [np.eye(4)[:, :1], np.eye(4)[:, 1:2]],
+                                           [np.ones(1), np.array([-0.5])])
+
+
+class TestOrbitGraph:
+    def orbit(self, seed, dim, r, members):
+        rng = make_rng(seed)
+        factor = haar_unitary(rng, dim)[:, :r]
+        weights = rng.uniform(0.2, 1.0, size=r)
+        perms = [rng.permutation(dim) for _ in range(members)]
+        edges = [((factor * weights) @ factor.conj().T)[np.ix_(p, p)] for p in perms]
+        return factor, weights, perms, edges
+
+    def test_full_rank_edges_are_exact_relabelings(self, monkeypatch):
+        factor, weights, perms, edges = self.orbit(88, 6, 2, 3)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(np.shape(m)) or eigvalsh(m))
+        g = QuantumHypergraph.from_orbit(factor, weights, perms)
+        monkeypatch.undo()
+        assert g.basis is None and calls == [(6, 6)]
+        c = linalg.hermitize((factor * weights) @ factor.conj().T)
+        assert all(np.array_equal(cj, c[np.ix_(p, p)]) for cj, p in zip(g.compressed, perms))
+        dense = QuantumHypergraph(6, edges, None)
+        assert abs(g.eta - dense.eta) <= 1e-12
+        assert all(np.abs(a - b).max() <= 1e-12 for a, b in zip(g.edges, dense.edges))
+
+    def test_narrow_orbits_take_the_span_route(self):
+        factor, weights, perms, edges = self.orbit(89, 8, 2, 3)
+        g = QuantumHypergraph.from_orbit(factor, weights, perms)
+        assert g.basis is not None and g.span_dim == 6
+        via_factors = QuantumHypergraph.from_factors(8, [factor[p] for p in perms], [weights] * 3)
+        assert all(np.array_equal(a, b) for a, b in zip(g.compressed, via_factors.compressed))
+        assert g.eta == via_factors.eta
+        assert all(np.abs(a - b).max() <= 1e-12 for a, b in zip(g.edges, edges))
+
+    def test_orbits_validated(self):
+        factor, weights, perms, _ = self.orbit(90, 4, 1, 2)
+        with pytest.raises(ValueError, match="permutation"):
+            QuantumHypergraph.from_orbit(factor, weights, [perms[0], [0, 0, 1, 2]])
+        with pytest.raises(ValueError, match="permutation"):
+            QuantumHypergraph.from_orbit(factor, weights, [perms[0][:3]])
+        with pytest.raises(ValueError, match="at least one edge"):
+            QuantumHypergraph.from_orbit(factor, weights, [])
+        with pytest.raises(ValueError, match="factor dimension"):
+            QuantumHypergraph.from_orbit(factor, np.ones(2), perms)
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            QuantumHypergraph.from_orbit(np.eye(4), np.array([1.0, -0.5, 1.0, 1.0]), perms)
+
+
+class TestLazyLifts:
+    def test_lifts_formed_on_first_read_only(self, monkeypatch):
+        factors, weights = low_rank_factors(91, 8, [1, 2, 1])
+        g = QuantumHypergraph.from_factors(8, factors, weights)
+        lifted = []
+        lift = g.lift
+        monkeypatch.setattr(g, "lift", lambda c: lifted.append(np.shape(c)) or lift(c))
+        res = quantum_covering_sample(g, [0.3, 0.3, 0.4], 0.3, 0.3, seed=92)
+        assert lifted == []
+        payload = res.to_json()
+        assert len(lifted) == 2  # sampled_average and pi1; pi0 reuses pi1
+        assert res.pi0.shape == res.pi1.shape == res.sampled_average.shape == (8, 8)
+        assert len(lifted) == 2
+        assert np.array_equal(res.pi0, linalg.hermitize(np.eye(8) - res.pi1))
+        assert CoveringResult.from_json(payload).to_json() == payload
+
+
 class TestProductHypergraph:
     def test_n1_is_same_object(self):
         g = orthogonal_pair()

@@ -581,26 +581,23 @@ class TestFactoredSandwich:
         assert branches == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def zero_plus_type_graphs(monkeypatch, P, n):
-    """Per active type of a zero-plus resolvability run: (factors, weights, graph, p, eps, tau)."""
-    built, sampled = [], []
-    from_factors = covering.QuantumHypergraph.from_factors.__func__
+def type_graphs(monkeypatch, P, channel, lam, seed, **overrides):
+    """Per active type, in type order: the (graph, p, eps, tau) a resolvability run hands the sampler."""
+    sampled = {}
     sampler = identification.quantum_covering_sample
 
-    def record_build(cls, dim, factors, weights):
-        g = from_factors(cls, dim, factors, weights)
-        built.append((factors, weights, g))
-        return g
-
     def record_sample(g, p, eps, tau, seed, draws=None):
-        sampled.append((p, eps, tau))
+        sampled.setdefault(id(g), (g, p, eps, tau))  # escalation samples a graph again
         return sampler(g, p, eps, tau, seed, draws=draws)
 
-    monkeypatch.setattr(covering.QuantumHypergraph, "from_factors", classmethod(record_build))
     monkeypatch.setattr(identification, "quantum_covering_sample", record_sample)
-    resolvability_regularize(P, zero_plus_channel(), 0.6, seed=n)
+    resolvability_regularize(P, channel, lam, seed=seed, **overrides)
     monkeypatch.undo()
-    return [b + s for b, s in zip(built, sampled)]
+    return list(sampled.values())
+
+
+def zero_plus_type_graphs(monkeypatch, P, n):
+    return type_graphs(monkeypatch, P, zero_plus_channel(), 0.6, n)
 
 
 class TestSpanCompressedResolvability:
@@ -614,17 +611,15 @@ class TestSpanCompressedResolvability:
     def test_rank_one_types_match_the_dense_graph(self, monkeypatch, n):
         types = zero_plus_type_graphs(monkeypatch, self.LAWS[n](), n)
         compressed = 0
-        for factors, weights, g, p, eps, tau in types:
+        for g, p, eps, tau in types:
             # every zero-plus conditional projector has rank 1
-            assert [m.shape[1] for m in factors] == [1] * g.num_edges
+            assert [np.linalg.matrix_rank(c) for c in g.compressed] == [1] * g.num_edges
             if g.num_edges < g.dim:
                 assert g.basis is not None and g.span_dim == g.num_edges
                 compressed += 1
             else:  # the pure types (all 0 or all 1) have a rank-1 mixture range
                 assert g.basis is None
-            dense = covering.QuantumHypergraph(
-                g.dim, [linalg.hermitize((m * w) @ m.conj().T) for m, w in zip(factors, weights)], None
-            )
+            dense = covering.QuantumHypergraph(g.dim, g.edges, None)
             assert abs(g.eta - dense.eta) <= 1e-12
             a = covering.quantum_covering_sample(g, p, eps, tau, seed=5)
             b = covering.quantum_covering_sample(dense, p, eps, tau, seed=5)
@@ -632,8 +627,15 @@ class TestSpanCompressedResolvability:
         assert compressed >= 2
 
     def test_no_eigensolve_beyond_the_span(self, monkeypatch):
-        (factors, weights, _, p, eps, tau) = zero_plus_type_graphs(
-            monkeypatch, uniform_distribution(2, 6), 6)[2]
+        orbits = []
+        from_orbit = covering.QuantumHypergraph.from_orbit.__func__
+
+        def record_orbit(cls, factor, weights, perms):
+            orbits.append((factor, weights, perms))
+            return from_orbit(cls, factor, weights, perms)
+
+        monkeypatch.setattr(covering.QuantumHypergraph, "from_orbit", classmethod(record_orbit))
+        _, p, eps, tau = zero_plus_type_graphs(monkeypatch, uniform_distribution(2, 6), 6)[2]
         sizes = []
         eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
@@ -645,27 +647,37 @@ class TestSpanCompressedResolvability:
 
         monkeypatch.setattr(np.linalg, "eigh", spy(eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", spy(eigvalsh))
-        g = covering.QuantumHypergraph.from_factors(factors[0].shape[0], factors, weights)
+        g = covering.QuantumHypergraph.from_orbit(*orbits[2])
         covering.quantum_covering_sample(g, p, eps, tau, seed=6)
         assert sizes and max(sizes) <= g.span_dim < g.dim
+
+    def test_no_dense_lift(self, monkeypatch):
+        # the samplers' results lift sampled_average, pi0 and pi1 lazily,
+        # and the pipeline reads none of them
+        monkeypatch.setattr(covering.QuantumHypergraph, "lift", lambda g, c: pytest.fail("lifted"))
+        reg = resolvability_regularize(uniform_distribution(2, 6), zero_plus_channel(), 0.6, seed=7)
+        assert reg.L > 0
 
     # sha256 of `results`: mixed letters keep full-rank conditional
     # projectors, so the span compression moved nothing; the
     # resolvability digests were retaken when measured_distance became
-    # one signed product mixture, which moved only its last bits
+    # one signed product mixture, and again when each type's edges
+    # became relabelings of one reference edge with one eigensolve,
+    # which moved only the last bits of eta and formula_draws (2.1e-15
+    # relative); the lazy lifts left the cover-sample digests alone
     RESULT_HASHES = [
         ({"command": "resolvability", "seed": 11, "params": {
             "channel": {"kind": "random", "dim": 2, "inputs": 2},
             "P": {"kind": "uniform", "n": 5}, "lambda": 0.6}},
-         "fa32a106065989ba8a677bc2e985e0cbbeb543ccd1f4a5e3ff5c27fbbd6095d9"),
+         "080d3d547086f68a81ddc4583945e78574d93ea7ebcc09cd10a4c8a4ff3d2189"),
         ({"command": "resolvability", "seed": 12, "params": {
             "channel": {"kind": "random", "dim": 2, "inputs": 2},
             "P": {"kind": "uniform", "n": 4}, "lambda": 0.5}},
-         "6ff264e0396854a2970b42dc92a82c59825973fd8406fe8e20f4bffd0b3cde91"),
+         "b87ab20ffbdb1d311563f6b4406754f2014d914e0c4e61bef4e6852aca92e6b2"),
         ({"command": "resolvability", "seed": 13, "params": {
             "channel": {"kind": "random", "dim": 2, "inputs": 2},
             "P": {"kind": "random", "n": 6, "support": 10}, "lambda": 0.7}},
-         "1bcaa66c60b621a576fa9cc081574e1ac4ed70be2866a17bc32e15575ea66bda"),
+         "0e88a2831319853ab51ddd0fea04f0dd1495f7b375e8a0adfa26eae0957766cf"),
         ({"command": "cover-sample", "seed": 21, "params": {
             "hypergraph": {"kind": "random", "dim": 3, "num_edges": 4}, "eps": 0.3, "tau": 0.3}},
          "2ebd2ba432beb56a3c66b89710525327a8972d353f9160f29e7a0a52e80c2602"),
@@ -678,6 +690,71 @@ class TestSpanCompressedResolvability:
     def test_mixed_letter_results_unchanged(self, config, digest):
         results = cli.run(config).results
         assert hashlib.sha256(cli.canonical_json(results).encode()).hexdigest() == digest
+
+
+class TestTypeOrbits:
+    # channel, n, overrides, then the regimes seen (basis is None: full
+    # rank) and how many mixture ranges are proper subspaces
+    CASES = {
+        # mixed letters at paper constants: full-rank conditional ranges
+        "paper-constants": (lambda: channels.random_channel(11, 2, 2), 6, {}, {True}, 0),
+        # the window cuts every mixture range, and both regimes occur
+        "cut-mixture-range": (lambda: channels.random_channel(17, 2, 2), 7, {"alpha": 3.0},
+                              {True, False}, 8),
+        # rank-1 conditional ranges: the narrow types take the QR route
+        "zero-plus": (zero_plus_channel, 6, {}, {True, False}, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_orbit_edges_match_the_direct_build(self, monkeypatch, name):
+        channel, n, overrides, want_regimes, want_cut = self.CASES[name]
+        ch = channel()
+        types = type_graphs(monkeypatch, uniform_distribution(2, n), ch, 0.6, 3, **overrides)
+        alpha = overrides.get("alpha", math.sqrt(600.0 * 2 * 2) / 0.6)
+        systems = channels.letter_systems(ch)
+        regimes, cut = set(), 0
+        for (g, _, _, _), t in zip(types, type_enumerate(n, 2)):
+            seqs = sorted(xn for xn in itertools.product(range(2), repeat=n)
+                          if xn.count(1) == t.counts[1])
+            mix = typical_projector(output_state(t.probabilities(), ch), n, alpha * math.sqrt(2))
+            assert g.num_edges == len(seqs) and g.dim == mix.rank
+            for edge, xn in zip(g.edges, seqs):
+                cond = conditional_typical_projector(ch, xn, alpha, systems=systems)
+                overlaps = [_basis_overlap(mix.factor_bases[0], systems[x][1], 2) for x in xn]
+                factor = _sandwiched_edge(mix, cond.digits, overlaps)
+                assert np.abs(edge - (factor * cond.probs) @ factor.conj().T).max() <= 1e-13, xn
+            regimes.add(g.basis is None)
+            cut += mix.rank < mix.dim
+        assert len(types) == n + 1
+        assert regimes == want_regimes and cut == want_cut
+
+    def test_one_edge_eigensolve_per_type_in_the_full_rank_regime(self, monkeypatch):
+        builds = []
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        from_orbit = covering.QuantumHypergraph.from_orbit.__func__
+
+        def record_orbit(cls, factor, weights, perms):
+            calls = []
+            monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(("eigh", np.shape(m))))
+            monkeypatch.setattr(
+                np.linalg, "eigvalsh", lambda m: calls.append(("eigvalsh", np.shape(m))) or eigvalsh(m)
+            )
+            try:
+                g = from_orbit(cls, factor, weights, perms)
+            finally:
+                monkeypatch.setattr(np.linalg, "eigh", eigh)
+                monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+            builds.append((g, calls))
+            return g
+
+        monkeypatch.setattr(covering.QuantumHypergraph, "from_orbit", classmethod(record_orbit))
+        ch = channels.random_channel(11, 2, 2)
+        reg = resolvability_regularize(uniform_distribution(2, 6), ch, 0.6, seed=11)
+        assert len(builds) == sum(row["active"] for row in reg.per_type_details) == 7
+        assert max(g.num_edges for g, _ in builds) == 20
+        for g, calls in builds:
+            assert g.basis is None
+            assert calls == [("eigvalsh", (g.dim, g.dim))]
 
 
 class TestTypeClassSharing:
