@@ -788,34 +788,28 @@ def conditional_typical_projector(
     )
 
 
-def range_permutation(
-    proj: TypicalProjector, xn, ys, onto: TypicalProjector | None = None
-) -> np.ndarray:
-    """Where proj's range vectors land in onto's range (default proj's) when xn is rearranged to ys.
+def range_permutation(proj: TypicalProjector, xn, ys) -> np.ndarray:
+    """Where proj's range vectors land in its own range when xn is rearranged to ys.
 
     The factor at position i of xn moves to position source[i] of ys,
     the one carrying the same symbol (stable among equal symbols), so
     range vector j of proj (digits j, one per factor) becomes j' with
-    j'[source] = j; perm[j] is the index of j' in onto's range.  An
+    j'[source] = j; perm[j] is the index of j' in proj's range.  An
     unconditional projector's range is invariant under moving factors,
-    so there perm permutes proj's own range.  Admissibility of a
-    conditional projector counts class occupations per symbol block,
-    which such a move leaves alone, so the conditional range of xn lands
-    on that of ys.  A moved vector outside onto's range raises; it is
-    never clamped onto a neighbour.
+    so there perm permutes proj's range.  A moved vector outside that
+    range raises; it is never clamped onto a neighbour.
     """
-    onto = proj if onto is None else onto
     xn, ys = tuple(int(x) for x in xn), tuple(int(y) for y in ys)
-    if sorted(xn) != sorted(ys) or proj.n != len(xn) or onto.n != len(ys):
-        raise ValueError("ys must be a rearrangement of xn, and both projectors of that length")
+    if sorted(xn) != sorted(ys) or proj.n != len(xn):
+        raise ValueError("ys must be a rearrangement of xn, and proj of that length")
     source = np.empty(len(xn), dtype=int)
     source[np.argsort(xn, kind="stable")] = np.argsort(ys, kind="stable")
     moved = np.empty_like(proj.digits)
     moved[source] = proj.digits
-    keys = np.ravel_multi_index(moved, onto.factor_dims)
-    perm = np.searchsorted(onto.mask, keys)
-    inside = perm < onto.rank
-    inside[inside] = onto.mask[perm[inside]] == keys[inside]
+    keys = np.ravel_multi_index(moved, proj.factor_dims)
+    perm = np.searchsorted(proj.mask, keys)
+    inside = perm < proj.rank
+    inside[inside] = proj.mask[perm[inside]] == keys[inside]
     if not inside.all():
         raise ValueError("a rearranged range vector leaves the target range")
     return perm

@@ -138,9 +138,9 @@ class QuantumHypergraph:
     spectra, traces and mixtures are computed on the C_j.  Graphs built
     from dense edges keep Q = identity (`basis` None, C_j = E_j);
     `from_factors` spans Q by one QR when the factors are narrow, and
-    `from_orbit` builds edges that relabel one edge's indices, with one
-    eigensolve when they span the space.  The dense `edges` are lifted
-    on first access.
+    `from_orbit` builds edges that relabel one edge's indices and
+    validates them all with one eigensolve.  The dense `edges` are
+    lifted on first access.
     """
 
     def __init__(self, dim: int, edges, eta: float | None):
@@ -163,11 +163,7 @@ class QuantumHypergraph:
         gives the span basis Q and C_j = R_j diag(w_j) R_j^dagger with R_j
         the columns of R belonging to M_j; otherwise Q = identity and
         C_j = M_j diag(w_j) M_j^dagger.  Hermitian by construction, so the
-        only check is on the spectra of the C_j, and eta is the tight cap.
-        Where r_j < s and w_j >= 0 the spectrum comes off the r_j x r_j
-        Gram matrix F_j^dagger F_j of F_j = R_j diag(sqrt(w_j)): it has the
-        nonzero eigenvalues of C_j = F_j F_j^dagger, and the zeros it lacks
-        decide nothing.  The other C_j are solved at s x s.
+        only check is the eigensolve of the C_j.  eta is the tight cap.
         """
         g = cls.__new__(cls)
         g.dim = _check_graph_header(dim, None)
@@ -177,44 +173,26 @@ class QuantumHypergraph:
             raise ValueError("at least one edge required")
         if len(weights) != len(factors):
             raise ValueError("need one weight vector per factor")
-        widths = []
         for m, w in zip(factors, weights):
             if m.ndim != 2 or m.shape[0] != g.dim or w.shape != (m.shape[1],):
                 raise ValueError("factor dimension mismatch")
-            widths.append(m.shape[1])
-        basis = None
-        if 0 < sum(widths) < g.dim:
-            basis, r = np.linalg.qr(np.hstack(factors))
-            factors = np.split(r, np.cumsum(widths)[:-1], axis=1)
-        s = g.dim if basis is None else basis.shape[1]
-        compressed = np.empty((len(factors), s, s), dtype=np.complex128)
-        for c, m, w in zip(compressed, factors, weights):
-            c[...] = linalg.hermitize((m * w) @ m.conj().T)
-        narrow = np.array([r < s and (w >= 0).all() for r, w in zip(widths, weights)])
-        spectra = [] if narrow.all() else [np.linalg.eigvalsh(compressed[~narrow])]
-        if narrow.any():
-            # zero padding to a common size adds zero eigenvalues only
-            side = max(1, *(r for r, keep in zip(widths, narrow) if keep))
-            grams = np.zeros((int(narrow.sum()), side, side), dtype=np.complex128)
-            for gram, j in zip(grams, np.flatnonzero(narrow)):
-                f = factors[j] * np.sqrt(weights[j])
-                gram[:widths[j], :widths[j]] = linalg.hermitize(f.conj().T @ f)
-            spectra.append(np.linalg.eigvalsh(grams))
-        g._set_edges(basis, compressed, None, spectra)
+        g._set_edges(*g._span(factors, weights), None)
         return g
 
     @classmethod
     def from_orbit(cls, factor, weights, perms) -> "QuantumHypergraph":
         """Edges E_j = E[perm_j][:, perm_j], relabelings of one E = M diag(w) M^dagger.
 
-        factor M is dim x r and every perms[j] a permutation of range(dim),
-        so edge j has the factor M[perm_j], the rows of M gathered.  When
-        0 < len(perms) * r < dim the edges are narrow and go to
-        from_factors (one QR; each edge checked on its own Gram spectrum).
-        Otherwise Q = identity and C_j = C[perm_j][:, perm_j] with
-        C = M diag(w) M^dagger: an exact relabeling of one float matrix has
-        that matrix's spectrum, so one eigensolve of C validates every edge
-        and gives eta.
+        factor M is dim x r, the weights w >= 0 and every perms[j] a
+        permutation of range(dim), so edge j has the factor M[perm_j], the
+        rows of M gathered, and the spectrum of E.  One eigensolve
+        therefore validates every edge and gives eta: of the r x r Gram
+        matrix F^dagger F, F = M diag(sqrt(w)), when r < dim (it has the
+        nonzero eigenvalues of E = F F^dagger, and the zeros it lacks
+        decide nothing), else of C = M diag(w) M^dagger.  When
+        0 < len(perms) * r < dim one QR spans the row gathers as in
+        from_factors; otherwise Q = identity and C_j = C[perm_j][:, perm_j],
+        an exact relabeling of one float matrix.
         """
         factor = np.asarray(factor, dtype=np.complex128)
         weights = np.asarray(weights, dtype=float)
@@ -226,33 +204,48 @@ class QuantumHypergraph:
             raise ValueError("at least one edge required")
         if perms.shape[1] != dim or (np.sort(perms, axis=1) != np.arange(dim)).any():
             raise ValueError("every edge needs a permutation of the factor's rows")
-        if 0 < len(perms) * r < dim:
-            return cls.from_factors(dim, [factor[p] for p in perms], [weights] * len(perms))
+        if (weights < 0).any():
+            raise ValueError("weights must be nonnegative")
         g = cls.__new__(cls)
         g.dim = _check_graph_header(dim, None)
-        c = linalg.hermitize((factor * weights) @ factor.conj().T)
-        g._set_edges(None, c[perms[:, :, None], perms[:, None, :]], None,
-                     [np.linalg.eigvalsh(c)[None]])
+        if 0 < len(perms) * r < dim:
+            basis, compressed = g._span([factor[p] for p in perms], [weights] * len(perms))
+        else:
+            c = linalg.hermitize((factor * weights) @ factor.conj().T)
+            basis, compressed = None, c[perms[:, :, None], perms[:, None, :]]
+        if 0 < r < dim:  # otherwise the branch above set c
+            f = factor * np.sqrt(weights)
+            c = linalg.hermitize(f.conj().T @ f)
+        g._set_edges(basis, compressed, None, np.linalg.eigvalsh(c)[None])
         return g
+
+    def _span(self, factors, weights) -> tuple:
+        """(basis, compressed) of the edges M_j diag(w_j) M_j^dagger, as from_factors describes."""
+        widths = [m.shape[1] for m in factors]
+        basis = None
+        if 0 < sum(widths) < self.dim:
+            basis, r = np.linalg.qr(np.hstack(factors))
+            factors = np.split(r, np.cumsum(widths)[:-1], axis=1)
+        s = self.dim if basis is None else basis.shape[1]
+        compressed = np.empty((len(factors), s, s), dtype=np.complex128)
+        for c, m, w in zip(compressed, factors, weights):
+            c[...] = linalg.hermitize((m * w) @ m.conj().T)
+        return basis, compressed
 
     def _set_edges(self, basis, compressed: np.ndarray, eta: float | None, spectra=None) -> None:
         # One eigensolve decides both orders: E >= 0 on the spectrum w, and
         # cap*I - E >= 0 on its spectrum cap - w, each with its own tolerance.
         # The dim - s zero eigenvalues off the span change neither decision,
         # nor the tolerances (both read max(1, |.|)), nor the tight eta.
-        # `spectra`, stacks that together hold every edge's nonzero
-        # eigenvalues, stands in for that eigensolve.
-        if spectra is None:
-            spectra = [np.linalg.eigvalsh(compressed)]
-        for w in spectra:
-            if (w[:, 0] < -linalg.spectral_tolerance(w)).any():
-                raise ValueError("edge is not positive semidefinite")
-        top = max(float(np.abs(w).max()) for w in spectra)
-        self.eta = min(1.0, top) if eta is None else float(eta)
-        for w in spectra:
-            gap = min(1.0, self.eta) - w
-            if (gap[:, -1] < -linalg.spectral_tolerance(gap)).any():
-                raise ValueError("edge exceeds the eta cap")
+        # `spectra`, a stack holding every edge's nonzero eigenvalues,
+        # stands in for that eigensolve.
+        w = np.linalg.eigvalsh(compressed) if spectra is None else spectra
+        if (w[:, 0] < -linalg.spectral_tolerance(w)).any():
+            raise ValueError("edge is not positive semidefinite")
+        self.eta = min(1.0, float(np.abs(w).max())) if eta is None else float(eta)
+        gap = min(1.0, self.eta) - w
+        if (gap[:, -1] < -linalg.spectral_tolerance(gap)).any():
+            raise ValueError("edge exceeds the eta cap")
         self.basis = basis
         self.compressed = compressed
 

@@ -405,8 +405,8 @@ def resolvability_regularize(
     of its sorted sequence, and the mixture projector's range is
     invariant under moving tensor factors, so each member's sandwiched
     edge is the sorted sequence's with rows and columns relabeled: per
-    type one conditional projector, one edge factor and (when the edges
-    span the whole range) one eigensolve; a member is an index
+    type one conditional projector, one edge factor and one
+    eigensolve; a member is an index
     permutation (range_permutation, QuantumHypergraph.from_orbit).  The
     measured distance is half the trace norm of one signed
     product_mixture with weights P - P_bar; no per-atom d^n x d^n

@@ -433,23 +433,6 @@ class TestSpanCompression:
         assert calls == [("eigh", (3, 3)), ("eigvalsh", (2, 3, 3)), ("eigvalsh", (3, 3))]
 
 
-    def test_narrow_spectra_come_off_the_gram_matrices(self, monkeypatch):
-        # edge 0 spans the whole space (s x s solve), edges 1-2 are narrow
-        factors, weights = low_rank_factors(87, 4, [4, 1, 2])
-        sizes = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: sizes.append(np.shape(m)) or eigvalsh(m))
-        g = QuantumHypergraph.from_factors(4, factors, weights)
-        monkeypatch.undo()
-        assert g.basis is None and sizes == [(1, 4, 4), (2, 2, 2)]
-        dense = QuantumHypergraph(4, [(m * w) @ m.conj().T for m, w in zip(factors, weights)], None)
-        assert abs(g.eta - dense.eta) <= 1e-12
-        # a signed weight leaves the Gram route: C_j is solved and refused
-        with pytest.raises(ValueError, match="not positive semidefinite"):
-            QuantumHypergraph.from_factors(4, [np.eye(4)[:, :1], np.eye(4)[:, 1:2]],
-                                           [np.ones(1), np.array([-0.5])])
-
-
 class TestOrbitGraph:
     def orbit(self, seed, dim, r, members):
         rng = make_rng(seed)
@@ -459,27 +442,33 @@ class TestOrbitGraph:
         edges = [((factor * weights) @ factor.conj().T)[np.ix_(p, p)] for p in perms]
         return factor, weights, perms, edges
 
-    def test_full_rank_edges_are_exact_relabelings(self, monkeypatch):
-        factor, weights, perms, edges = self.orbit(88, 6, 2, 3)
+    @pytest.mark.parametrize("r", [2, 6])
+    def test_full_rank_edges_are_exact_relabelings(self, monkeypatch, r):
+        # one eigensolve: of the r x r Gram matrix when r < dim, else of C
+        factor, weights, perms, edges = self.orbit(88, 6, r, 3)
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(np.shape(m)) or eigvalsh(m))
         g = QuantumHypergraph.from_orbit(factor, weights, perms)
         monkeypatch.undo()
-        assert g.basis is None and calls == [(6, 6)]
+        assert g.basis is None and calls == [(r, r)]
         c = linalg.hermitize((factor * weights) @ factor.conj().T)
         assert all(np.array_equal(cj, c[np.ix_(p, p)]) for cj, p in zip(g.compressed, perms))
         dense = QuantumHypergraph(6, edges, None)
         assert abs(g.eta - dense.eta) <= 1e-12
         assert all(np.abs(a - b).max() <= 1e-12 for a, b in zip(g.edges, dense.edges))
 
-    def test_narrow_orbits_take_the_span_route(self):
+    def test_narrow_orbits_take_the_span_route(self, monkeypatch):
         factor, weights, perms, edges = self.orbit(89, 8, 2, 3)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(np.shape(m)) or eigvalsh(m))
         g = QuantumHypergraph.from_orbit(factor, weights, perms)
-        assert g.basis is not None and g.span_dim == 6
+        monkeypatch.undo()
+        assert g.basis is not None and g.span_dim == 6 and calls == [(2, 2)]
         via_factors = QuantumHypergraph.from_factors(8, [factor[p] for p in perms], [weights] * 3)
         assert all(np.array_equal(a, b) for a, b in zip(g.compressed, via_factors.compressed))
-        assert g.eta == via_factors.eta
+        assert abs(g.eta - via_factors.eta) <= 1e-12
         assert all(np.abs(a - b).max() <= 1e-12 for a, b in zip(g.edges, edges))
 
     def test_orbits_validated(self):
@@ -492,8 +481,11 @@ class TestOrbitGraph:
             QuantumHypergraph.from_orbit(factor, weights, [])
         with pytest.raises(ValueError, match="factor dimension"):
             QuantumHypergraph.from_orbit(factor, np.ones(2), perms)
-        with pytest.raises(ValueError, match="not positive semidefinite"):
+        with pytest.raises(ValueError, match="nonnegative"):
             QuantumHypergraph.from_orbit(np.eye(4), np.array([1.0, -0.5, 1.0, 1.0]), perms)
+        # a factor that breaks the eta cap is refused on the Gram spectrum
+        with pytest.raises(ValueError, match="exceeds the eta cap"):
+            QuantumHypergraph.from_orbit(2.0 * np.eye(4)[:, :2], np.ones(2), perms[:1])
 
 
 class TestLazyLifts:

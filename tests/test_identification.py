@@ -582,14 +582,26 @@ class TestFactoredSandwich:
 
 
 def type_graphs(monkeypatch, P, channel, lam, seed, **overrides):
-    """Per active type, in type order: the (graph, p, eps, tau) a resolvability run hands the sampler."""
-    sampled = {}
+    """Per active type, in type order: (factor, weights, perms, graph, p, eps, tau).
+
+    The first three are what a resolvability run hands from_orbit, the
+    rest what it hands the sampler for the graph built from them.
+    """
+    built, sampled = {}, {}
+    from_orbit = covering.QuantumHypergraph.from_orbit.__func__
     sampler = identification.quantum_covering_sample
 
+    def record_orbit(cls, factor, weights, perms):
+        g = from_orbit(cls, factor, weights, perms)
+        built[id(g)] = (factor, weights, perms)
+        return g
+
     def record_sample(g, p, eps, tau, seed, draws=None):
-        sampled.setdefault(id(g), (g, p, eps, tau))  # escalation samples a graph again
+        # escalation samples a graph again
+        sampled.setdefault(id(g), built[id(g)] + (g, p, eps, tau))
         return sampler(g, p, eps, tau, seed, draws=draws)
 
+    monkeypatch.setattr(covering.QuantumHypergraph, "from_orbit", classmethod(record_orbit))
     monkeypatch.setattr(identification, "quantum_covering_sample", record_sample)
     resolvability_regularize(P, channel, lam, seed=seed, **overrides)
     monkeypatch.undo()
@@ -611,15 +623,18 @@ class TestSpanCompressedResolvability:
     def test_rank_one_types_match_the_dense_graph(self, monkeypatch, n):
         types = zero_plus_type_graphs(monkeypatch, self.LAWS[n](), n)
         compressed = 0
-        for g, p, eps, tau in types:
+        for factor, weights, perms, g, p, eps, tau in types:
             # every zero-plus conditional projector has rank 1
-            assert [np.linalg.matrix_rank(c) for c in g.compressed] == [1] * g.num_edges
+            assert factor.shape[1] == 1 and len(perms) == g.num_edges
             if g.num_edges < g.dim:
                 assert g.basis is not None and g.span_dim == g.num_edges
                 compressed += 1
             else:  # the pure types (all 0 or all 1) have a rank-1 mixture range
                 assert g.basis is None
-            dense = covering.QuantumHypergraph(g.dim, g.edges, None)
+            dense = covering.QuantumHypergraph(
+                g.dim, [linalg.hermitize((factor[q] * weights) @ factor[q].conj().T) for q in perms],
+                None,
+            )
             assert abs(g.eta - dense.eta) <= 1e-12
             a = covering.quantum_covering_sample(g, p, eps, tau, seed=5)
             b = covering.quantum_covering_sample(dense, p, eps, tau, seed=5)
@@ -627,15 +642,8 @@ class TestSpanCompressedResolvability:
         assert compressed >= 2
 
     def test_no_eigensolve_beyond_the_span(self, monkeypatch):
-        orbits = []
-        from_orbit = covering.QuantumHypergraph.from_orbit.__func__
-
-        def record_orbit(cls, factor, weights, perms):
-            orbits.append((factor, weights, perms))
-            return from_orbit(cls, factor, weights, perms)
-
-        monkeypatch.setattr(covering.QuantumHypergraph, "from_orbit", classmethod(record_orbit))
-        _, p, eps, tau = zero_plus_type_graphs(monkeypatch, uniform_distribution(2, 6), 6)[2]
+        factor, weights, perms, _, p, eps, tau = zero_plus_type_graphs(
+            monkeypatch, uniform_distribution(2, 6), 6)[2]
         sizes = []
         eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
@@ -647,7 +655,7 @@ class TestSpanCompressedResolvability:
 
         monkeypatch.setattr(np.linalg, "eigh", spy(eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", spy(eigvalsh))
-        g = covering.QuantumHypergraph.from_orbit(*orbits[2])
+        g = covering.QuantumHypergraph.from_orbit(factor, weights, perms)
         covering.quantum_covering_sample(g, p, eps, tau, seed=6)
         assert sizes and max(sizes) <= g.span_dim < g.dim
 
@@ -713,7 +721,7 @@ class TestTypeOrbits:
         alpha = overrides.get("alpha", math.sqrt(600.0 * 2 * 2) / 0.6)
         systems = channels.letter_systems(ch)
         regimes, cut = set(), 0
-        for (g, _, _, _), t in zip(types, type_enumerate(n, 2)):
+        for (*_, g, _, _, _), t in zip(types, type_enumerate(n, 2)):
             seqs = sorted(xn for xn in itertools.product(range(2), repeat=n)
                           if xn.count(1) == t.counts[1])
             mix = typical_projector(output_state(t.probabilities(), ch), n, alpha * math.sqrt(2))
