@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -829,6 +830,7 @@ HANDLERS = {
 # run records
 
 
+@functools.cache
 def tool_version() -> str:
     try:
         from importlib.metadata import version

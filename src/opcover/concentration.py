@@ -24,6 +24,11 @@ from .rng import make_rng, random_distribution, random_effect, random_hermitian,
 # memory stays flat for any D and any number of atoms.
 ENUMERATION_CHUNK_ENTRIES = 1 << 12
 
+# Monte Carlo bins draws by one comparison pass per cdf step up to this many
+# atoms and by a binary search per draw above it; the two cost about the
+# same near 24-32 atoms (n 7-40, 6k-14k trials).
+MC_COMPARE_ATOMS = 24
+
 
 @dataclass(frozen=True)
 class TailReport:
@@ -135,8 +140,8 @@ def _num_multisets(n: int, k: int) -> int:
     return math.comb(n + k - 1, k - 1)
 
 
-def _multiset_prob(probs: np.ndarray, counts) -> float:
-    coeff = math.factorial(sum(counts))
+def _multiset_prob(probs: np.ndarray, counts, n_factorial: int) -> float:
+    coeff = n_factorial
     for c in counts:
         coeff //= math.factorial(c)
     out = float(coeff)
@@ -177,39 +182,84 @@ def exact_tail(rv: OperatorRV, n: int, event) -> float:
         "multisets; pass trials > 0 for Monte Carlo",
     )
     total = 0.0
+    n_factorial = math.factorial(n)
     for block in linalg.compositions(n, rv.size, _chunk(rv)):
-        for counts, hit in zip(block.tolist(), _event_hits(rv, block, event)):
-            if hit:
-                total += _multiset_prob(rv.probs, counts)
+        for counts in block[_event_hits(rv, block, event)].tolist():
+            total += _multiset_prob(rv.probs, counts, n_factorial)
     return min(1.0, total)
+
+
+def _draw_counts(rng, probs: np.ndarray, n: int, trials: int) -> np.ndarray:
+    """(atoms, trials) counts of the draws of rng.choice(atoms, (trials, n), p=probs).
+
+    choice bins the uniforms u = rng.random((trials, n)) by the steps of
+    cdf = probs.cumsum() / its last entry: a draw is atom j when
+    cdf[j - 1] <= u < cdf[j].  So the counts come off the same stream
+    without choice's binary search per draw.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random((trials, n))
+    k = probs.size
+    if k > MC_COMPARE_ATOMS:
+        idx = cdf.searchsorted(u, side="right")
+        flat = (np.arange(trials)[:, None] * k + idx).ravel()
+        return np.bincount(flat, minlength=trials * k).reshape(trials, k).T
+    # reached[j] counts a trial's draws at or above cdf[j - 1]; with the
+    # draws of each trial down a column, each pass sums whole rows
+    u = np.ascontiguousarray(u.T)
+    reached = np.empty((k + 1, trials), dtype=np.int64)
+    reached[0], reached[k] = n, 0
+    for j in range(k - 1):
+        reached[j + 1] = (u >= cdf[j]).sum(axis=0, dtype=np.int32)  # n < 2^31 by the size cap
+    return reached[:-1] - reached[1:]
+
+
+def _group_columns(counts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of the distinct columns of (atoms, trials) counts in [0, n].
+
+    first indexes one trial per distinct count vector, in lexicographic
+    order of the vectors, and inverse maps every trial to its vector.  The
+    int64 key reads the counts in radix n + 1 and is re-ranked (an order
+    preserving relabel to 0..distinct - 1) before it could overflow, so the
+    grouping is exact for any n and any number of atoms.
+    """
+    radix = n + 1
+    room = (np.iinfo(np.int64).max - n) // radix
+    key = np.zeros(counts.shape[1], dtype=np.int64)
+    top = 0  # largest value key can hold
+    for column in counts:
+        if top > room:
+            distinct, key = np.unique(key, return_inverse=True)
+            top = len(distinct) - 1
+            if top == len(key) - 1:  # all trials apart: later atoms cannot merge or reorder them
+                break
+        key = key * radix + column
+        top = top * radix + n
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def mc_tail(rv: OperatorRV, n: int, trials: int, seed: int, event) -> tuple[float, float]:
     """Empirical Pr{event} over `trials` i.i.d. sums; returns (p, stderr).
 
-    event maps a stack (N, d, d) of sums to N booleans.  It sees each
-    distinct count vector of the drawn sums once, in chunks, and every
-    trial takes the decision of its count vector.
+    The stream is the uniforms of make_rng(seed).random((trials, n)),
+    binned by the steps of the cdf of rv.probs: the stream of
+    rng.choice(rv.size, (trials, n), p=rv.probs), so every trial draws the
+    count vector that choice would give it.  event maps a stack (N, d, d)
+    of sums to N booleans.  It sees each distinct count vector of the drawn
+    sums once, in lexicographic order and in chunks, and every trial takes
+    the decision of its count vector.
     """
     if trials <= 0:
         raise DomainError("trials must be positive for Monte Carlo", "trials")
-    # idx holds trials x n draws and counts trials x atoms; the sums are stacked
-    # one chunk at a time, so the trials x d x d term is stricter than memory needs
+    # the uniforms hold trials x n entries and the counts trials x atoms; the
+    # sums are stacked one chunk at a time, so the trials x d x d term is
+    # stricter than memory needs
     linalg.require_size("trials", trials * max(n, rv.dim**2, rv.size), linalg.MAX_TENSOR_DIM**2)
-    rng = make_rng(seed)
-    idx = rng.choice(rv.size, size=(trials, n), p=rv.probs)
-    k = rv.size
-    flat = (np.arange(trials)[:, None] * k + idx).ravel()
-    counts = np.bincount(flat, minlength=trials * k).reshape(trials, k)
-    # equal count vectors are adjacent once the rows are sorted, so the
-    # grouping is exact for any n and k (no radix key to overflow)
-    order = np.lexsort(counts.T[::-1])
-    counts = counts[order]
-    first = np.ones(trials, dtype=bool)
-    first[1:] = (counts[1:] != counts[:-1]).any(axis=1)
-    inverse = np.empty(trials, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    hits = _event_hits(rv, counts[first], event)[inverse]
+    counts = _draw_counts(make_rng(seed), rv.probs, n, trials)
+    first, inverse = _group_columns(counts, n)
+    hits = _event_hits(rv, np.ascontiguousarray(counts[:, first].T), event)[inverse]
     p = float(np.mean(hits))
     stderr = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
     return p, stderr

@@ -124,8 +124,9 @@ def brute_force_tail(probs, values, n, event) -> float:
 def per_trial_mc_tail(probs, values, n, trials, rng, event) -> tuple[float, float]:
     """Monte Carlo tail with one sum per trial: (p, stderr) of event over all trials.
 
-    Draws as the library does (rng.choice of atom indices), counts each
-    atom in its own pass and forms every trial's sum with one einsum.
+    Draws atom indices with rng.choice, the reference stream that the
+    library's mc_tail must match, counts each atom in its own pass and
+    forms every trial's sum with one einsum.
     """
     probs = np.asarray(probs, dtype=float)
     values = np.asarray(values, dtype=complex)

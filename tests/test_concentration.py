@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from opcover import linalg
+from opcover import concentration, linalg
 from opcover.concentration import (
     ENUMERATION_CHUNK_ENTRIES,
+    MC_COMPARE_ATOMS,
     OperatorRV,
     TailReport,
     bernstein_bound,
@@ -280,6 +281,56 @@ class TestEnumerationEngine:
             # each chunk's count block stays within the entry budget too
             assert max(seen) == ENUMERATION_CHUNK_ENTRIES // k
             assert got == per_trial_mc_tail(rv.probs, rv.values, n, trials, make_rng(seed), event)
+
+    @pytest.mark.parametrize("probs, n, trials", [
+        # tied cdf steps: zero atoms first, inside and last
+        ([0.0, 0.25, 0.0, 0.375, 0.375, 0.0], 9, 4000),
+        ([1.0], 5, 300),
+        # one atom count either side of the comparison / search crossover,
+        # each keyed past 64 bits in radix n + 1 = 8, so the key is re-ranked
+        (MC_COMPARE_ATOMS, 7, 5000),
+        (MC_COMPARE_ATOMS + 1, 7, 5000),
+        # every trial apart before the last atom is keyed
+        (200, 20, 2000),
+    ], ids=["zero-atoms", "one-atom", "compare-side", "search-side", "all-distinct"])
+    def test_mc_counts_match_choice_stream(self, probs, n, trials):
+        if isinstance(probs, int):
+            probs = make_rng(probs).dirichlet(np.full(probs, 0.5))
+        k, seed = len(probs), 31
+        values = np.arange(k) % 8 / 8  # dyadic: every sum is exact
+        rv = OperatorRV.scalar(probs, values)
+        idx = make_rng(seed).choice(k, size=(trials, n), p=rv.probs)
+        distinct = len(np.unique(np.sort(idx, axis=1), axis=0))
+        for threshold in np.quantile(values[idx].sum(axis=1), [0.3, 0.7]):
+            seen = []
+
+            def event(sums):
+                seen.append(len(sums))
+                return sums[:, 0, 0].real > threshold
+
+            got = mc_tail(rv, n, trials, seed, event)
+            assert sum(seen) == distinct
+            assert max(seen) <= ENUMERATION_CHUNK_ENTRIES // k
+            assert got == per_trial_mc_tail(rv.probs, rv.values, n, trials, make_rng(seed), event)
+
+    def test_mc_tail_never_calls_choice(self, monkeypatch):
+        class NoChoice:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                if name == "choice":
+                    raise AssertionError("mc_tail called Generator.choice")
+                return getattr(self.rng, name)
+
+        rv = OperatorRV([0.2, 0.3, 0.1, 0.4], [E0, PLUS, 0.5 * np.eye(2), np.diag([0.0, 1.0])])
+
+        def event(sums):
+            return linalg.not_dominated(sums, 0.6 * 18 * np.eye(2))
+
+        want = per_trial_mc_tail(rv.probs, rv.values, 18, 3000, make_rng(4), event)
+        monkeypatch.setattr(concentration, "make_rng", lambda seed: NoChoice(make_rng(seed)))
+        assert mc_tail(rv, 18, 3000, 4, event) == want
 
     @pytest.mark.parametrize("n, trials", [(12, 5000), (40, 8000)])
     def test_event_sees_each_distinct_sum_once_in_chunks(self, n, trials):
