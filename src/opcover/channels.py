@@ -463,17 +463,11 @@ def typical_set(p, n: int, alpha: float) -> set:
         raise ValueError("alpha must be nonnegative")
     linalg.require_size("n", a, MAX_SEQUENCE_SPACE, exponent=n, message=(
         f"sequence space {a}^{n} exceeds {MAX_SEQUENCE_SPACE}"))
-    targets = n * p
-    widths = alpha * np.sqrt(n * np.clip(p * (1.0 - p), 0.0, None))
-    members = set()
-    member_probs = []
-    for seq in itertools.product(range(a), repeat=n):
-        counts = [0] * a
-        for x in seq:
-            counts[x] += 1
-        if all(abs(counts[x] - targets[x]) <= widths[x] for x in range(a)):
-            members.add(seq)
-            member_probs.append(math.prod(p[x] ** c for x, c in enumerate(counts)))
+    # one factor per position, one eigenspace class per symbol
+    targets, widths = _window(p, n, alpha)
+    mask, member_probs = _product_mask([p] * n, [(range(n), targets, widths, np.arange(a))])
+    digits = np.unravel_index(mask, (a,) * n)
+    members = set(zip(*(d.tolist() for d in digits)))
     mass = math.fsum(member_probs)
     bound = 1.0 - a / alpha**2 if alpha > 0.0 else -math.inf
     # float slack only: the Chebyshev argument already covers sequences

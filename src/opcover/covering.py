@@ -137,10 +137,9 @@ class QuantumHypergraph:
     (s x s).  E_j has the spectrum of C_j plus dim - s zeros, so
     spectra, traces and mixtures are computed on the C_j.  Graphs built
     from dense edges keep Q = identity (`basis` None, C_j = E_j);
-    `from_factors` spans Q by one QR when the factors are narrow, and
-    `from_orbit` builds edges that relabel one edge's indices and
-    validates them all with one eigensolve.  The dense `edges` are
-    lifted on first access.
+    `from_orbit` builds edges that relabel one edge's indices, spans Q
+    by one QR when they are narrow, and validates them all with one
+    eigensolve.  The dense `edges` are lifted on first access.
     """
 
     def __init__(self, dim: int, edges, eta: float | None):
@@ -153,31 +152,8 @@ class QuantumHypergraph:
             mats.append(m)
         if not mats:
             raise ValueError("at least one edge required")
-        self._set_edges(None, np.stack(mats), eta)
-
-    @classmethod
-    def from_factors(cls, dim: int, factors, weights) -> "QuantumHypergraph":
-        """Edges E_j = M_j diag(w_j) M_j^dagger from factors M_j (dim x r_j) and weights w_j.
-
-        When sum_j r_j < dim, one QR of the stacked factors [M_1 ... M_m] = Q R
-        gives the span basis Q and C_j = R_j diag(w_j) R_j^dagger with R_j
-        the columns of R belonging to M_j; otherwise Q = identity and
-        C_j = M_j diag(w_j) M_j^dagger.  Hermitian by construction, so the
-        only check is the eigensolve of the C_j.  eta is the tight cap.
-        """
-        g = cls.__new__(cls)
-        g.dim = _check_graph_header(dim, None)
-        factors = [np.asarray(m, dtype=np.complex128) for m in factors]
-        weights = [np.asarray(w, dtype=float) for w in weights]
-        if not factors:
-            raise ValueError("at least one edge required")
-        if len(weights) != len(factors):
-            raise ValueError("need one weight vector per factor")
-        for m, w in zip(factors, weights):
-            if m.ndim != 2 or m.shape[0] != g.dim or w.shape != (m.shape[1],):
-                raise ValueError("factor dimension mismatch")
-        g._set_edges(*g._span(factors, weights), None)
-        return g
+        stack = np.stack(mats)
+        self._set_edges(None, stack, np.linalg.eigvalsh(stack), eta)
 
     @classmethod
     def from_orbit(cls, factor, weights, perms) -> "QuantumHypergraph":
@@ -190,9 +166,11 @@ class QuantumHypergraph:
         matrix F^dagger F, F = M diag(sqrt(w)), when r < dim (it has the
         nonzero eigenvalues of E = F F^dagger, and the zeros it lacks
         decide nothing), else of C = M diag(w) M^dagger.  When
-        0 < len(perms) * r < dim one QR spans the row gathers as in
-        from_factors; otherwise Q = identity and C_j = C[perm_j][:, perm_j],
-        an exact relabeling of one float matrix.
+        0 < m r < dim for m = len(perms), one QR of the row gathers
+        [M[perm_1] ... M[perm_m]] = Q R spans the edges: C_j = R_j diag(w)
+        R_j^dagger with R_j the j-th r columns of R.  Otherwise Q = identity
+        and C_j = C[perm_j][:, perm_j], an exact relabeling of one float
+        matrix.
         """
         factor = np.asarray(factor, dtype=np.complex128)
         weights = np.asarray(weights, dtype=float)
@@ -208,38 +186,27 @@ class QuantumHypergraph:
             raise ValueError("weights must be nonnegative")
         g = cls.__new__(cls)
         g.dim = _check_graph_header(dim, None)
-        if 0 < len(perms) * r < dim:
-            basis, compressed = g._span([factor[p] for p in perms], [weights] * len(perms))
+        m = len(perms)
+        if 0 < m * r < dim:
+            basis, coeffs = np.linalg.qr(np.hstack([factor[p] for p in perms]))
+            compressed = np.empty((m, m * r, m * r), dtype=np.complex128)
+            for c, f in zip(compressed, np.split(coeffs, m, axis=1)):
+                c[...] = linalg.hermitize((f * weights) @ f.conj().T)
         else:
             c = linalg.hermitize((factor * weights) @ factor.conj().T)
             basis, compressed = None, c[perms[:, :, None], perms[:, None, :]]
         if 0 < r < dim:  # otherwise the branch above set c
             f = factor * np.sqrt(weights)
             c = linalg.hermitize(f.conj().T @ f)
-        g._set_edges(basis, compressed, None, np.linalg.eigvalsh(c)[None])
+        g._set_edges(basis, compressed, np.linalg.eigvalsh(c)[None], None)
         return g
 
-    def _span(self, factors, weights) -> tuple:
-        """(basis, compressed) of the edges M_j diag(w_j) M_j^dagger, as from_factors describes."""
-        widths = [m.shape[1] for m in factors]
-        basis = None
-        if 0 < sum(widths) < self.dim:
-            basis, r = np.linalg.qr(np.hstack(factors))
-            factors = np.split(r, np.cumsum(widths)[:-1], axis=1)
-        s = self.dim if basis is None else basis.shape[1]
-        compressed = np.empty((len(factors), s, s), dtype=np.complex128)
-        for c, m, w in zip(compressed, factors, weights):
-            c[...] = linalg.hermitize((m * w) @ m.conj().T)
-        return basis, compressed
-
-    def _set_edges(self, basis, compressed: np.ndarray, eta: float | None, spectra=None) -> None:
-        # One eigensolve decides both orders: E >= 0 on the spectrum w, and
+    def _set_edges(self, basis, compressed: np.ndarray, w: np.ndarray, eta: float | None) -> None:
+        # One spectrum decides both orders: E >= 0 on the spectrum w, and
         # cap*I - E >= 0 on its spectrum cap - w, each with its own tolerance.
-        # The dim - s zero eigenvalues off the span change neither decision,
-        # nor the tolerances (both read max(1, |.|)), nor the tight eta.
-        # `spectra`, a stack holding every edge's nonzero eigenvalues,
-        # stands in for that eigensolve.
-        w = np.linalg.eigvalsh(compressed) if spectra is None else spectra
+        # w is a stack holding every edge's nonzero eigenvalues; the zeros
+        # it may lack (off the span, or off a low-rank factor) change neither
+        # decision, nor the tolerances (both read max(1, |.|)), nor the tight eta.
         if (w[:, 0] < -linalg.spectral_tolerance(w)).any():
             raise ValueError("edge is not positive semidefinite")
         self.eta = min(1.0, float(np.abs(w).max())) if eta is None else float(eta)
@@ -284,8 +251,7 @@ class QuantumHypergraph:
         """Edge mixture sum_E P(E) E."""
         # Accumulated edge by edge so the diagonal case runs the exact
         # same float additions as ClassicalHypergraph.mean_measure.
-        p = _check_distribution(p, self.num_edges)
-        return self.lift(linalg.hermitize(self.span_combination(p)))
+        return _degree_from_counts(self, _check_distribution(p, self.num_edges))
 
     def edge_traces(self) -> np.ndarray:
         return np.array([float(np.trace(c).real) for c in self.compressed])
@@ -588,6 +554,13 @@ def _sample_plan(formula: float, p: np.ndarray, draws):
     return max(1, math.floor(formula)), ESCALATION_STAGES
 
 
+def _budget_exhausted(attempts: int, ok_lower, ok_upper) -> RuntimeError:
+    """The error both samplers raise once every attempt failed, naming the last one's failing side."""
+    failing = {(False, False): "lower and upper", (False, True): "lower",
+               (True, False): "upper"}[(ok_lower, ok_upper)]
+    return RuntimeError(f"sampling budget exhausted after {attempts} attempts ({failing} side failing)")
+
+
 def classical_covering_sample(
     g: ClassicalHypergraph, p, eps: float, tau: float, seed: int, draws: int | None = None
 ) -> CoveringResult:
@@ -615,7 +588,6 @@ def classical_covering_sample(
     masses = g.edge_masses()
     equal_mass = float(np.ptp(masses)) <= 1e-9 and float(masses.max()) <= 1.0 + 1e-9
 
-    attempts, failing = 0, "lower and upper"
     for attempts, scale, sub in _attempt_schedule(seed, stages):
         ln = base * scale
         counts = make_rng(sub).multinomial(ln, p)
@@ -656,11 +628,7 @@ def classical_covering_sample(
                     "scale": scale,
                 },
             )
-        failing = {(False, False): "lower and upper", (False, True): "lower",
-                   (True, False): "upper"}[(ok_lower, ok_upper)]
-    raise RuntimeError(
-        f"sampling budget exhausted after {attempts} attempts ({failing} side failing)"
-    )
+    raise _budget_exhausted(attempts, ok_lower, ok_upper)
 
 
 def quantum_covering_sample(
@@ -706,7 +674,6 @@ def quantum_covering_sample(
     traces = g.edge_traces()
     equal_trace = float(np.ptp(traces)) <= 1e-9 and float(traces.max()) <= 1.0 + 1e-9
 
-    attempts, failing = 0, "lower and upper"
     for attempts, scale, sub in _attempt_schedule(seed, stages):
         ln = base * scale
         counts = make_rng(sub).multinomial(ln, p)
@@ -758,11 +725,7 @@ def quantum_covering_sample(
                     "scale": scale,
                 },
             )
-        failing = {(False, False): "lower and upper", (False, True): "lower",
-                   (True, False): "upper"}[(ok_lower, ok_upper)]
-    raise RuntimeError(
-        f"sampling budget exhausted after {attempts} attempts ({failing} side failing)"
-    )
+    raise _budget_exhausted(attempts, ok_lower, ok_upper)
 
 
 def replay_covering_result(

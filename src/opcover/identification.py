@@ -478,6 +478,10 @@ def resolvability_regularize(
         ref = conditional_typical_projector(
             channel, [x for x, c in enumerate(t.counts) for _ in range(c)], alpha, systems=systems
         )
+        # the type's edge stack, m x s x s with from_orbit's span width s,
+        # is refused before it is allocated
+        width = len(seqs) * ref.rank
+        linalg.require_matrices(width if 0 < width < mix_proj.rank else mix_proj.rank, len(seqs), "P")
         graph = QuantumHypergraph.from_orbit(
             _sandwiched_edge(mix_proj, ref.digits, [overlaps[x] for x in ref.sequence]),
             ref.probs,

@@ -121,6 +121,26 @@ def brute_force_tail(probs, values, n, event) -> float:
     return total
 
 
+def typical_set_by_loop(p, n: int, alpha: float) -> set:
+    """Typical sequences by walking all a^n sequences and counting symbols one by one.
+
+    A sequence is kept when |N(x|seq) - n p(x)| <= alpha sqrt(n p(x) (1 - p(x)))
+    for every symbol x, with the window arithmetic the library uses.
+    """
+    p = np.asarray(p, dtype=float)
+    a = p.size
+    targets = n * p
+    widths = alpha * np.sqrt(n * np.clip(p * (1.0 - p), 0.0, None))
+    members = set()
+    for seq in itertools.product(range(a), repeat=n):
+        counts = [0] * a
+        for x in seq:
+            counts[x] += 1
+        if all(abs(counts[x] - targets[x]) <= widths[x] for x in range(a)):
+            members.add(seq)
+    return members
+
+
 def per_trial_mc_tail(probs, values, n, trials, rng, event) -> tuple[float, float]:
     """Monte Carlo tail with one sum per trial: (p, stderr) of event over all trials.
 

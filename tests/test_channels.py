@@ -28,7 +28,7 @@ from opcover.channels import (
 from opcover.rng import make_rng, random_density, random_distribution, random_state, spawn_seeds
 
 from oracles import (blahut_arimoto_capacity, classical_capacity_oracle, dense_mixture,
-                     dense_projector, range_basis)
+                     dense_projector, range_basis, typical_set_by_loop)
 
 KET0 = np.diag([1.0, 0.0])
 KET1 = np.diag([0.0, 1.0])
@@ -431,6 +431,17 @@ class TestTypicalSet:
     def test_size_guard(self):
         with pytest.raises(ValueError, match="sequence space"):
             typical_set([0.25] * 4, 11, 1.0)
+
+    def test_matches_the_sequence_loop(self):
+        # seeded laws (every fifth one a point mass) at every window width
+        rng = make_rng(97)
+        for case in range(300):
+            a, n = int(rng.integers(1, 4)), int(rng.integers(1, 8))
+            p = random_distribution(rng, a)
+            if case % 5 == 0:
+                p = np.eye(a)[rng.integers(a)]
+            alpha = (0.0, 0.5, 1.0, 1.7, 3.0, 1e6)[case % 6]
+            assert typical_set(p, n, alpha) == typical_set_by_loop(p, n, alpha), (a, n, alpha, p)
 
 
 class TestTypicalProjector:

@@ -997,6 +997,22 @@ class TestParameterDomains:
         assert payload["path"] == path
         assert elapsed < 0.1
 
+    def test_oversized_type_edge_stack_exits_2_at_P(self, capsys):
+        # uniform P at n = 11 passes the sequence-space cap, but its
+        # middle types would each need a members x s x s edge stack past
+        # the MAX_TENSOR_DIM^2 budget; the smaller types run first, so
+        # this is not a CAP_CASES row
+        args = ["resolvability", "--seed", "1", "--param", f"channel={json.dumps(ZERO_PLUS)}",
+                "--param", 'P={"kind": "uniform", "n": 11}', "--param", "lambda=0.6"]
+        start = time.perf_counter()
+        code = cli.main(args)
+        elapsed = time.perf_counter() - start
+        payload = json.loads(capsys.readouterr().err)
+        assert code == 2, payload
+        assert payload["error"] == "schema-violation"
+        assert payload["path"] == ["params", "P"]
+        assert elapsed < 2.0
+
     def test_params_schemas_keep_only_decoded_field_ranges(self):
         range_keywords = {"minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"}
         found, seen = [], set()

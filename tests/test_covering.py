@@ -368,25 +368,28 @@ class TestQuantumSample:
         assert np.allclose(np.real(np.diag(qres.pi0)), [0.0, 0.0, 1.0, 0.0], atol=1e-12)
 
 
-def low_rank_factors(seed, dim, widths):
-    """Orthonormal factors M_j (dim x r_j) with weights in [0.2, 1]."""
+def orbit(seed, dim, r, members):
+    """A factor M (dim x r, orthonormal), weights in [0.2, 1], member permutations and dense edges."""
     rng = make_rng(seed)
-    factors = [haar_unitary(rng, dim)[:, :r] for r in widths]
-    weights = [rng.uniform(0.2, 1.0, size=r) for r in widths]
-    return factors, weights
+    factor = haar_unitary(rng, dim)[:, :r]
+    weights = rng.uniform(0.2, 1.0, size=r)
+    perms = [rng.permutation(dim) for _ in range(members)]
+    edges = [((factor * weights) @ factor.conj().T)[np.ix_(p, p)] for p in perms]
+    return factor, weights, perms, edges
 
 
 class TestSpanCompression:
     def test_factored_graph_matches_dense_graph(self):
-        factors, weights = low_rank_factors(81, 8, [1, 2, 1, 2])
-        g = QuantumHypergraph.from_factors(8, factors, weights)
+        factor, weights, perms, edges = orbit(81, 8, 2, 3)
+        g = QuantumHypergraph.from_orbit(factor, weights, perms)
         assert g.basis is not None and g.span_dim == 6
-        dense = QuantumHypergraph(8, [(m * w) @ m.conj().T for m, w in zip(factors, weights)], None)
+        dense = QuantumHypergraph(8, edges, None)
         assert dense.basis is None and dense.span_dim == 8
         assert abs(g.eta - dense.eta) <= 1e-12
         assert all(np.abs(a - b).max() <= 1e-12 for a, b in zip(g.edges, dense.edges))
-        assert np.abs(g.edge_average([0.25] * 4) - dense.edge_average([0.25] * 4)).max() <= 1e-12
-        p = random_distribution(make_rng(82), 4)
+        mix = [0.25, 0.25, 0.5]
+        assert np.abs(g.edge_average(mix) - dense.edge_average(mix)).max() <= 1e-12
+        p = random_distribution(make_rng(82), 3)
         for draws in (None, 3000):
             a = quantum_covering_sample(g, p, 0.3, 0.3, seed=83, draws=draws)
             b = quantum_covering_sample(dense, p, 0.3, 0.3, seed=83, draws=draws)
@@ -395,24 +398,6 @@ class TestSpanCompression:
             # the full operators vanish off the span: slacks are at most 0
             assert a.details["sandwich_lower_slack"] <= 0.0
             assert replay_covering_result(g, a, p=p, eps=0.3, tau=0.3)["all"]
-
-    def test_wide_factors_keep_the_dense_arithmetic(self):
-        factors, weights = low_rank_factors(84, 4, [2, 3])
-        g = QuantumHypergraph.from_factors(4, factors, weights)
-        assert g.basis is None
-        for c, m, w in zip(g.compressed, factors, weights):
-            assert np.array_equal(c, linalg.hermitize((m * w) @ m.conj().T))
-        assert all(np.array_equal(e, c) for e, c in zip(g.edges, g.compressed))
-
-    def test_factors_validated(self):
-        with pytest.raises(ValueError, match="factor dimension"):
-            QuantumHypergraph.from_factors(4, [np.ones((3, 1))], [np.ones(1)])
-        with pytest.raises(ValueError, match="factor dimension"):
-            QuantumHypergraph.from_factors(4, [np.ones((4, 1))], [np.ones(2)])
-        with pytest.raises(ValueError, match="not positive semidefinite"):
-            QuantumHypergraph.from_factors(4, [np.eye(4)[:, :1]], [np.array([-0.5])])
-        with pytest.raises(ValueError, match="at least one edge"):
-            QuantumHypergraph.from_factors(4, [], [])
 
     def test_sampler_makes_one_mixture_eigh_and_one_stacked_check(self, monkeypatch):
         calls = []
@@ -434,18 +419,10 @@ class TestSpanCompression:
 
 
 class TestOrbitGraph:
-    def orbit(self, seed, dim, r, members):
-        rng = make_rng(seed)
-        factor = haar_unitary(rng, dim)[:, :r]
-        weights = rng.uniform(0.2, 1.0, size=r)
-        perms = [rng.permutation(dim) for _ in range(members)]
-        edges = [((factor * weights) @ factor.conj().T)[np.ix_(p, p)] for p in perms]
-        return factor, weights, perms, edges
-
     @pytest.mark.parametrize("r", [2, 6])
     def test_full_rank_edges_are_exact_relabelings(self, monkeypatch, r):
         # one eigensolve: of the r x r Gram matrix when r < dim, else of C
-        factor, weights, perms, edges = self.orbit(88, 6, r, 3)
+        factor, weights, perms, edges = orbit(88, 6, r, 3)
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(np.shape(m)) or eigvalsh(m))
@@ -454,25 +431,23 @@ class TestOrbitGraph:
         assert g.basis is None and calls == [(r, r)]
         c = linalg.hermitize((factor * weights) @ factor.conj().T)
         assert all(np.array_equal(cj, c[np.ix_(p, p)]) for cj, p in zip(g.compressed, perms))
+        assert all(np.array_equal(e, cj) for e, cj in zip(g.edges, g.compressed))
         dense = QuantumHypergraph(6, edges, None)
         assert abs(g.eta - dense.eta) <= 1e-12
         assert all(np.abs(a - b).max() <= 1e-12 for a, b in zip(g.edges, dense.edges))
 
     def test_narrow_orbits_take_the_span_route(self, monkeypatch):
-        factor, weights, perms, edges = self.orbit(89, 8, 2, 3)
+        factor, weights, perms, edges = orbit(89, 8, 2, 3)
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(np.shape(m)) or eigvalsh(m))
         g = QuantumHypergraph.from_orbit(factor, weights, perms)
         monkeypatch.undo()
         assert g.basis is not None and g.span_dim == 6 and calls == [(2, 2)]
-        via_factors = QuantumHypergraph.from_factors(8, [factor[p] for p in perms], [weights] * 3)
-        assert all(np.array_equal(a, b) for a, b in zip(g.compressed, via_factors.compressed))
-        assert abs(g.eta - via_factors.eta) <= 1e-12
         assert all(np.abs(a - b).max() <= 1e-12 for a, b in zip(g.edges, edges))
 
     def test_orbits_validated(self):
-        factor, weights, perms, _ = self.orbit(90, 4, 1, 2)
+        factor, weights, perms, _ = orbit(90, 4, 1, 2)
         with pytest.raises(ValueError, match="permutation"):
             QuantumHypergraph.from_orbit(factor, weights, [perms[0], [0, 0, 1, 2]])
         with pytest.raises(ValueError, match="permutation"):
@@ -490,8 +465,9 @@ class TestOrbitGraph:
 
 class TestLazyLifts:
     def test_lifts_formed_on_first_read_only(self, monkeypatch):
-        factors, weights = low_rank_factors(91, 8, [1, 2, 1])
-        g = QuantumHypergraph.from_factors(8, factors, weights)
+        factor, weights, perms, _ = orbit(91, 8, 2, 3)
+        g = QuantumHypergraph.from_orbit(factor, weights, perms)
+        assert g.basis is not None
         lifted = []
         lift = g.lift
         monkeypatch.setattr(g, "lift", lambda c: lifted.append(np.shape(c)) or lift(c))
