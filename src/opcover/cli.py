@@ -846,6 +846,8 @@ class RunRecord:
 
     results is the byte-reproducible part; wall_time_ms sits outside it
     on purpose and is the only field allowed to differ between reruns.
+    results is already JSON-safe: _execute converts it once, and
+    from_json reads it from JSON.
     """
 
     config_hash: str
@@ -857,7 +859,7 @@ class RunRecord:
         return {
             "config_hash": self.config_hash,
             "tool_version": self.tool_version,
-            "results": json_safe(self.results),
+            "results": self.results,
             "wall_time_ms": self.wall_time_ms,
         }
 

@@ -19,9 +19,9 @@ from . import linalg
 from .linalg import LN2, MAX_ENUMERATION, MAX_PROBE_COUNT, DomainError
 from .rng import make_rng, random_distribution, random_effect, random_hermitian, spawn_seeds
 
-# The event sees count vectors in chunks whose counts (chunk x atoms) and
-# stacked sums (chunk x D^2) each hold at most this many entries, so
-# memory stays flat for any D and any number of atoms.
+# Sums are formed from blocks of count vectors (chunk x atoms) and handed
+# to the event in stacks (D^2 entries per sum), each of at most this many
+# entries, so memory stays flat for any D and any number of atoms.
 ENUMERATION_CHUNK_ENTRIES = 1 << 12
 
 # Monte Carlo bins draws by one comparison pass per cdf step up to this many
@@ -158,14 +158,24 @@ def _chunk(rv: OperatorRV) -> int:
 def _event_hits(rv: OperatorRV, counts: np.ndarray, event) -> np.ndarray:
     """event on the sums counts @ rv.values of an (N, k) count array: N booleans.
 
-    event maps a stack (chunk, d, d) of sums to booleans and sees at
-    most one chunk per call.
+    Each product takes one block of _chunk(rv) count vectors, so its
+    complex copy of the counts stays within the entry budget.  event
+    maps a stack (S, d, d) of sums to booleans and sees whole blocks,
+    up to ENUMERATION_CHUNK_ENTRIES // d^2 sums per call: with many
+    atoms a block holds only a few sums, and one call per block would
+    pay the event's cost per call thousands of times.  Blocks start at
+    multiples of _chunk(rv) whatever the stack size, so the sums do not
+    change with it.
     """
-    chunk = _chunk(rv)
+    rows = _chunk(rv)
+    stack = max(1, ENUMERATION_CHUNK_ENTRIES // rv.dim**2 // rows) * rows
     hits = np.empty(len(counts), dtype=bool)
-    for start in range(0, len(counts), chunk):
-        block = counts[start:start + chunk]
-        hits[start:start + chunk] = event(linalg.hermitize(np.tensordot(block, rv.values, axes=1)))
+    for start in range(0, len(counts), stack):
+        part = counts[start:start + stack]
+        sums = [np.tensordot(part[i:i + rows], rv.values, axes=1) for i in range(0, len(part), rows)]
+        # one block is the common case (atoms <= d^2): no copy
+        sums = sums[0] if len(sums) == 1 else np.concatenate(sums)
+        hits[start:start + stack] = event(linalg.hermitize(sums))
     return hits
 
 

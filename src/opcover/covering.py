@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import linalg
 from .linalg import (LN2, MAX_BRUTEFORCE_EDGES, MAX_BRUTEFORCE_MULTISETS, MAX_MATERIALIZED_DRAWS,
@@ -836,6 +835,18 @@ def _bruteforce(g: QuantumHypergraph, n: int, cap: CapacityResult):
         k += 1
         walked += math.comb(m + k - 1, k)
         linalg.require_size("n", walked, MAX_BRUTEFORCE_MULTISETS, message)
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call.
+
+    The covering LP is the only user of scipy, so no other command
+    loads it.  _fractional_cover calls this module attribute by name, so
+    a wrapper set on covering.linprog sees every LP round.
+    """
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 def _fractional_cover(stack: np.ndarray, deg: np.ndarray, tol: float) -> tuple[np.ndarray, float, int]:

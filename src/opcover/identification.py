@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from . import linalg
@@ -633,6 +632,8 @@ def code_count_bound(K: int, L: int, a: int, n: int):
     K, L, a, n = int(K), int(L), int(a), int(n)
     if a & (a - 1) == 0:
         return n * (a.bit_length() - 1) * K * L
+    import mpmath  # only here, so other callers never load it
+
     scale = n * K * L
     with mpmath.workdps(len(str(scale)) + 40):
         return scale * mpmath.log(a) / mpmath.log(2)

@@ -5,10 +5,15 @@ must reproduce the identical results payload byte for byte, CSV column
 sets are golden-filed, and sweeps must not depend on worker count.
 """
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +228,12 @@ class TestRun:
         rebuilt = RunRecord.from_json(json.loads(canonical_json(record.to_json())))
         assert rebuilt.to_json() == record.to_json()
 
+    def test_results_converted_once(self, monkeypatch):
+        record = run(BSC_CONFIG)
+        assert json_safe(record.results) == record.results
+        monkeypatch.setattr(cli, "json_safe", lambda obj: pytest.fail("results converted again"))
+        assert record.to_json()["results"] is record.results
+
     def test_json_output_file(self, tmp_path):
         out = tmp_path / "record.json"
         run(dict(BSC_CONFIG, output_path=str(out)))
@@ -361,6 +372,24 @@ class TestTailCommand:
         a = run(cfg).results
         assert a == run(cfg).results
         assert a != run(dict(cfg, seed=4)).results
+
+    def test_many_atom_mc_payload_unchanged(self):
+        # 2,001 atoms: the event once saw stacks of 2 sums, now up to 1,024;
+        # sha256 of `results` taken before then
+        cfg = {
+            "command": "tail-mc",
+            "params": {
+                "rv": {"kind": "random", "dim": 2, "atoms": 2001},
+                "method": "two-sided",
+                "n": 100,
+                "eps": 0.05,
+                "trials": 7999,
+            },
+            "seed": 8,
+        }
+        results = run(cfg).results
+        assert hashlib.sha256(canonical_json(results).encode()).hexdigest() == (
+            "045ec1a28a57d426cadb2e8d32b4ac0c3cd4b62a7bfb260580794f49659dbb93")
 
 
 # ---------------------------------------------------------------------------
@@ -1050,3 +1079,56 @@ class TestParameterDomains:
             cli._execute(cfg)
         assert err.value.path == ["params", "tol"]
         assert str(err.value) == "tol must be positive"
+
+
+class TestColdStart:
+    """Only the covering LP loads scipy; nothing on the CLI paths loads mpmath.
+
+    Each command runs in a fresh interpreter, so the modules it leaves
+    loaded are its own.  The LP commands' digests (sha256 of `results`)
+    were taken while scipy was still imported with the package.
+    """
+
+    CONFIGS = {
+        "tail-mc": ({"rv": {"kind": "random", "dim": 2, "atoms": 4}, "method": "two-sided",
+                     "n": 18, "eps": 0.2, "trials": 2000}, 3, None),
+        "typicality": ({"mode": "state", "state": {"kind": "random", "dim": 2}, "n": 6,
+                        "alpha": 2.0}, 3, None),
+        "resolvability": ({"channel": {"kind": "random", "dim": 2, "inputs": 2},
+                           "P": {"kind": "uniform", "n": 4}, "lambda": 0.6}, 11, None),
+        "qid-eval": ({"channel": ZERO_PLUS,
+                      "code": {"kind": "random", "n": 2, "messages": 3, "support": 2}}, 9, None),
+        "capacity": ({"channel": {"kind": "bsc", "p": 0.11}}, 1, None),
+        "cover-sample": ({"hypergraph": {"kind": "random", "dim": 3, "num_edges": 4},
+                          "eps": 0.3, "tau": 0.3}, 21, None),
+        "conjecture-probe": ({"which": 1, "dim": 2, "count": 5}, 4, None),
+        "product-cover": ({"hypergraph": {"kind": "random", "dim": 2, "num_edges": 3},
+                           "n_values": [1, 2]}, 5,
+                          "92c4183006f7634dc9c8a92eeb6216d37b5c37378e88a6031a54f1077c9d58bf"),
+        "cover-capacity": ({"hypergraph": {"kind": "random", "dim": 3, "num_edges": 4}}, 6,
+                           "5b3952666b0f86154c1bfec32af358e509f98aba0995bbf3e4420a59624c91b0"),
+    }
+    SCRIPT = (
+        "import hashlib, json, sys\n"
+        "from opcover import cli\n"
+        "results = cli.run(json.loads(sys.argv[1])).results\n"
+        "print(json.dumps({'digest': hashlib.sha256(cli.canonical_json(results).encode()).hexdigest(),"
+        " 'heavy': [m for m in ('scipy', 'mpmath') if m in sys.modules]}))\n"
+    )
+
+    def test_every_command_is_covered(self):
+        assert sorted(self.CONFIGS) == sorted(cli.HANDLERS)
+
+    @pytest.mark.parametrize("command", list(CONFIGS))
+    def test_heavy_modules_load_only_for_the_lp(self, command):
+        params, seed, digest = self.CONFIGS[command]
+        config = {"command": command, "params": params, "seed": seed}
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(config)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        if digest is None:
+            assert out["heavy"] == []
+        else:
+            assert out == {"digest": digest, "heavy": ["scipy"]}

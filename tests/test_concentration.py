@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -278,9 +279,44 @@ class TestEnumerationEngine:
             seen.clear()
             got = mc_tail(rv, n, trials, seed, event)
             assert sum(seen) == distinct
-            # each chunk's count block stays within the entry budget too
-            assert max(seen) == ENUMERATION_CHUNK_ENTRIES // k
+            # each product's count block stays within the entry budget,
+            # and a stack holds as many whole blocks as the 1 x 1 sums allow
+            rows = ENUMERATION_CHUNK_ENTRIES // k
+            assert max(seen) == ENUMERATION_CHUNK_ENTRIES // rows * rows
             assert got == per_trial_mc_tail(rv.probs, rv.values, n, trials, make_rng(seed), event)
+
+    def test_many_atoms_fill_the_event_stack(self):
+        # 2,000 atoms at n = 100: a block of count vectors within the entry
+        # budget holds 2 of them, so one event call per block would make
+        # 4,000 calls.  The event sees stacks as large as the 2 x 2 sums
+        # allow, while each product casts one small block, so the working
+        # memory stays the two count arrays.  Dyadic atoms make every sum
+        # exact, so the per-trial oracle decides alike.
+        k, n, trials, seed = 2000, 100, 8000, 41
+        rng = make_rng(6)
+        half = rng.integers(-4, 5, size=(k, 2, 2)) / 16
+        rv = OperatorRV(rng.dirichlet(np.ones(k)), half + half.transpose(0, 2, 1))
+        seen = []
+
+        def event(sums):
+            seen.append(len(sums))
+            return linalg.not_dominated(sums, 2.0 * np.eye(2))
+
+        tracemalloc.start()
+        try:
+            got = mc_tail(rv, n, trials, seed, event)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the drawn (atoms x trials) counts and the block of distinct ones
+        assert peak < 2 * k * trials * 8 + (16 << 20)
+        idx = make_rng(seed).choice(k, size=(trials, n), p=rv.probs)
+        distinct = len(np.unique(np.sort(idx, axis=1), axis=0))
+        assert sum(seen) == distinct
+        assert len(seen) <= math.ceil(distinct / (ENUMERATION_CHUNK_ENTRIES // 4))
+        assert 0.0 < got[0] < 1.0
+        seen.clear()
+        assert got == per_trial_mc_tail(rv.probs, rv.values, n, trials, make_rng(seed), event)
 
     @pytest.mark.parametrize("probs, n, trials", [
         # tied cdf steps: zero atoms first, inside and last
@@ -310,7 +346,7 @@ class TestEnumerationEngine:
 
             got = mc_tail(rv, n, trials, seed, event)
             assert sum(seen) == distinct
-            assert max(seen) <= ENUMERATION_CHUNK_ENTRIES // k
+            assert max(seen) <= ENUMERATION_CHUNK_ENTRIES
             assert got == per_trial_mc_tail(rv.probs, rv.values, n, trials, make_rng(seed), event)
 
     def test_mc_tail_never_calls_choice(self, monkeypatch):

@@ -650,6 +650,21 @@ class TestCoveringCapacity:
             assert attained == pytest.approx(cap.value, abs=1e-12)
             assert cap.value <= cap.details["value_upper"] <= cap.value / (1.0 - 1e-10)
 
+    def test_every_lp_round_calls_the_module_linprog(self, monkeypatch):
+        # profilers count LP rounds by wrapping covering.linprog, so each
+        # cutting-plane round must look that attribute up and call it once
+        calls = []
+        solve = covering.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(covering, "linprog", counting)
+        cap = covering_capacity(random_hypergraph(spawn_seeds(5, 5)[0], dim=3, num_edges=4))
+        assert cap.iterations > 1
+        assert len(calls) == cap.iterations
+
     def test_json(self):
         cap = covering_capacity(orthogonal_pair())
         obj = cap.to_json()
