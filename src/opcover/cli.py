@@ -29,6 +29,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -37,8 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from . import channels, concentration, covering, identification, linalg
 from .linalg import BoundViolation, DomainError
@@ -118,9 +117,14 @@ def json_safe(obj):
     raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
+def _dumps(safe) -> str:
+    """canonical_json of an object json_safe already converted, without a second walk."""
+    return json.dumps(safe, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> str:
     """Sorted keys, no whitespace, shortest round-trip floats."""
-    return json.dumps(json_safe(obj), sort_keys=True, separators=(",", ":"))
+    return _dumps(json_safe(obj))
 
 
 def config_hash(config: dict) -> str:
@@ -551,24 +555,259 @@ SWEEP_SCHEMA = {
 }
 
 
-# One validator per schema, built once; the schemas themselves are
-# checked against their metaschema by the test suite, not per call.
-_CONFIG_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-_PARAMS_VALIDATORS = {command: validator_for(s)(s) for command, s in PARAMS_SCHEMAS.items()}
-_SWEEP_VALIDATOR = validator_for(SWEEP_SCHEMA)(SWEEP_SCHEMA)
+# ---------------------------------------------------------------------------
+# schema checks: a first-error interpreter of the JSON Schema (Draft 2020-12)
+# keywords the schemas above use.  Each schema node compiles once into a
+# check(instance) that raises ConfigError at the first violation; the path
+# is filled in while the error unwinds.  A node's own keywords run before
+# its properties and items, so an error at a node is reported before one
+# below it.  A oneOf is discriminated by its branches' "kind" consts and
+# checks only the branch the instance's kind selects.  Keyword semantics
+# and messages are jsonschema's; the test suite keeps the two in step.
 
 
-def _validate(validator, instance, *prefix) -> None:
-    """Raise ConfigError for the error jsonschema.validate would raise, path prefixed."""
-    error = best_match(validator.iter_errors(instance))
-    if error is not None:
-        raise ConfigError(error.message, (*prefix, *error.absolute_path)) from error
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Number) and not isinstance(v, bool)
+
+
+def _is_integer(v) -> bool:
+    if isinstance(v, float):
+        return v.is_integer()
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": _is_number,
+    "integer": _is_integer,
+}
+
+
+def _equal(a, b) -> bool:
+    """JSON equality of scalars: True is not 1, 1.0 is 1."""
+    if a is True or a is False or b is True or b is False:
+        return a is b
+    return a == b
+
+
+def _descend(check, instance, key) -> None:
+    try:
+        check(instance)
+    except ConfigError as err:
+        err.path.insert(0, key)
+        raise
+
+
+def _type(name, schema):
+    is_type = _IS_TYPE[name]
+
+    def check(v):
+        if not is_type(v):
+            raise ConfigError(f"{v!r} is not of type {name!r}")
+
+    return check
+
+
+def _required(names, schema):
+    def check(v):
+        if isinstance(v, dict):
+            for name in names:
+                if name not in v:
+                    raise ConfigError(f"{name!r} is a required property")
+
+    return check
+
+
+def _additional_properties(allowed, schema):
+    if allowed is not False:
+        raise ValueError("only additionalProperties: false is supported")
+    known = schema.get("properties", {}).keys()
+
+    def check(v):
+        if isinstance(v, dict) and not known >= v.keys():
+            extras = sorted((k for k in v if k not in known), key=str)
+            verb = "was" if len(extras) == 1 else "were"
+            names = ", ".join(map(repr, extras))
+            raise ConfigError(f"Additional properties are not allowed ({names} {verb} unexpected)")
+
+    return check
+
+
+def _properties(props, schema):
+    compiled = [(name, _compile(sub)) for name, sub in props.items()]
+
+    def check(v):
+        if isinstance(v, dict):
+            for name, sub in compiled:
+                if name in v:
+                    _descend(sub, v[name], name)
+
+    return check
+
+
+def _items(sub_schema, schema):
+    sub = _compile(sub_schema)
+
+    def check(v):
+        if isinstance(v, list):
+            for index, item in enumerate(v):
+                _descend(sub, item, index)
+
+    return check
+
+
+def _min_items(bound, schema):
+    def check(v):
+        if isinstance(v, list) and len(v) < bound:
+            raise ConfigError(f"{v!r} {'should be non-empty' if bound == 1 else 'is too short'}")
+
+    return check
+
+
+def _max_items(bound, schema):
+    def check(v):
+        if isinstance(v, list) and len(v) > bound:
+            raise ConfigError(f"{v!r} {'is expected to be empty' if bound == 0 else 'is too long'}")
+
+    return check
+
+
+def _min_length(bound, schema):
+    def check(v):
+        if isinstance(v, str) and len(v) < bound:
+            raise ConfigError(f"{v!r} {'should be non-empty' if bound == 1 else 'is too short'}")
+
+    return check
+
+
+def _const(value, schema):
+    def check(v):
+        if not _equal(v, value):
+            raise ConfigError(f"{value!r} was expected")
+
+    return check
+
+
+def _enum(values, schema):
+    def check(v):
+        if not any(_equal(v, e) for e in values):
+            raise ConfigError(f"{v!r} is not one of {values!r}")
+
+    return check
+
+
+def _minimum(bound, schema):
+    def check(v):
+        if _is_number(v) and v < bound:
+            raise ConfigError(f"{v!r} is less than the minimum of {bound!r}")
+
+    return check
+
+
+def _maximum(bound, schema):
+    def check(v):
+        if _is_number(v) and v > bound:
+            raise ConfigError(f"{v!r} is greater than the maximum of {bound!r}")
+
+    return check
+
+
+def _all_of(subs, schema):
+    return _chain([_compile(sub) for sub in subs])
+
+
+def _if(condition, schema):
+    test, then = _compile(condition), _compile(schema["then"])
+
+    def check(v):
+        try:
+            test(v)
+        except ConfigError:
+            return
+        then(v)
+
+    return check
+
+
+def _one_of(branches, schema):
+    by_kind, plain = {}, None
+    for branch in branches:
+        kind = branch.get("properties", {}).get("kind", {}).get("const")
+        if kind is None:
+            if plain is not None:
+                raise ValueError("a oneOf may have one branch without a kind const")
+            plain = _compile(branch)
+        else:
+            by_kind[kind] = _compile(branch)
+    kinds = list(by_kind)
+
+    def check(v):
+        if not isinstance(v, dict):
+            raise ConfigError(f"{v!r} is not of type 'object'")
+        if "kind" in v:
+            kind = v["kind"]
+            branch = by_kind.get(kind) if isinstance(kind, str) else None
+            if branch is None:
+                raise ConfigError(f"{kind!r} is not one of {kinds!r}", ["kind"])
+        elif plain is None:
+            raise ConfigError("'kind' is a required property")
+        else:
+            branch = plain
+        branch(v)
+
+    return check
+
+
+_KEYWORDS = {
+    "type": _type,
+    "required": _required,
+    "additionalProperties": _additional_properties,
+    "properties": _properties,
+    "items": _items,
+    "minItems": _min_items,
+    "maxItems": _max_items,
+    "minLength": _min_length,
+    "const": _const,
+    "enum": _enum,
+    "minimum": _minimum,
+    "maximum": _maximum,
+    "allOf": _all_of,
+    "if": _if,
+    "oneOf": _one_of,
+}
+# keywords read by another keyword's compiler, not checks of their own
+_COMPANIONS = {"then"}
+_DESCENDING = {"properties", "items"}
+
+
+def _chain(checks: list):
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(v):
+        for c in checks:
+            c(v)
+
+    return check
+
+
+def _compile(schema: dict):
+    """check(instance) for one schema node; KeyError names a keyword outside the subset."""
+    order = sorted((k for k in schema if k not in _COMPANIONS), key=lambda k: k in _DESCENDING)
+    return _chain([_KEYWORDS[k](schema[k], schema) for k in order])
+
+
+_CONFIG_CHECK = _compile(CONFIG_SCHEMA)
+_PARAMS_CHECKS = {command: _compile(s) for command, s in PARAMS_SCHEMAS.items()}
+_SWEEP_CHECK = _compile(SWEEP_SCHEMA)
 
 
 def validate_config(config: dict) -> None:
     """Raise ConfigError carrying the offending field path."""
-    _validate(_CONFIG_VALIDATOR, config)
-    _validate(_PARAMS_VALIDATORS[config["command"]], config["params"], "params")
+    _CONFIG_CHECK(config)
+    _descend(_PARAMS_CHECKS[config["command"]], config["params"], "params")
 
 
 @contextlib.contextmanager
@@ -889,7 +1128,7 @@ def _write_output(config: dict, record: RunRecord, rows: list) -> None:
     if config.get("format", "json") == "csv":
         text = csv_text(CSV_COLUMNS[config["command"]], rows)
     else:
-        text = canonical_json(record.to_json()) + "\n"
+        text = _dumps(record.to_json()) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
@@ -1093,7 +1332,7 @@ def _run_main(args) -> int:
         if config.get("format", "json") == "csv":
             sys.stdout.write(csv_text(CSV_COLUMNS[config["command"]], rows))
         else:
-            print(canonical_json(record.to_json()))
+            print(_dumps(record.to_json()))
     return 0
 
 
@@ -1116,12 +1355,12 @@ def _sweep_main(args) -> int:
         if args.seed is not None:
             template["seed"] = args.seed
         _apply_param_flags(template["params"], args.param)
-    _validate(_SWEEP_VALIDATOR, spec)
+    _SWEEP_CHECK(spec)
     # sweep raises only ConfigError; a failing run becomes a row
     records, text = sweep(spec["template"], spec["axis"], spec["values"])
 
     if spec.get("format") == "json":
-        payload = canonical_json({
+        payload = _dumps({
             "records": [
                 r.to_json() if isinstance(r, RunRecord)
                 else {"error": type(r).__name__, "message": str(r)}

@@ -145,15 +145,15 @@ def per_trial_mc_tail(probs, values, n, trials, rng, event) -> tuple[float, floa
     """Monte Carlo tail with one sum per trial: (p, stderr) of event over all trials.
 
     Draws atom indices with rng.choice, the reference stream that the
-    library's mc_tail must match, counts each atom in its own pass and
-    forms every trial's sum with one einsum.
+    library's mc_tail must match, counts every draw with one unbuffered
+    np.add.at (not the library's bincount) and forms every trial's sum
+    with one einsum.
     """
     probs = np.asarray(probs, dtype=float)
     values = np.asarray(values, dtype=complex)
     idx = rng.choice(probs.size, size=(trials, n), p=probs)
     counts = np.zeros((trials, probs.size))
-    for j in range(probs.size):
-        counts[:, j] = (idx == j).sum(axis=1)
+    np.add.at(counts, (np.arange(trials)[:, None], idx), 1.0)
     sums = np.einsum("tk,kij->tij", counts, values)
     p = float(np.mean(event((sums + sums.conj().swapaxes(-1, -2)) / 2)))
     return p, sqrt(max(p * (1.0 - p), 0.0) / trials)

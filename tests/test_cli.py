@@ -1132,3 +1132,126 @@ class TestColdStart:
             assert out["heavy"] == []
         else:
             assert out == {"digest": digest, "heavy": ["scipy"]}
+
+    def test_no_command_loads_jsonschema(self):
+        # jsonschema is the test suite's oracle for the schema checks, not
+        # a dependency of any run: one interpreter runs every command
+        script = (
+            "import json, sys\n"
+            "from opcover import cli\n"
+            "on_import = [m for m in ('jsonschema', 'scipy', 'mpmath') if m in sys.modules]\n"
+            "for config in json.loads(sys.argv[1]):\n"
+            "    cli.run(config)\n"
+            "print(json.dumps([on_import, 'jsonschema' in sys.modules]))\n"
+        )
+        configs = [{"command": c, "params": p, "seed": s} for c, (p, s, _) in self.CONFIGS.items()]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(configs)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[], False]
+
+
+# Inside a oneOf the error names the field in the branch the instance's
+# kind selects (or in the one branch without a kind when it has none).
+ZERO = {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]]}
+ONE_OF_PATHS = [
+    ("tail-mc", {"rv": {"kind": "matrices", "probs": [0.5, 0.25, 0.25], "values": [ZERO, ZERO, {"dim": 2}]},
+                 "method": "markov", "a": 0.8}, ["params", "rv", "values", 2]),
+    ("tail-mc", {"rv": {"kind": "scalar", "values": [0.0, 1.0]}, "method": "markov", "a": 0.8},
+     ["params", "rv"]),
+    ("tail-mc", {"rv": {"kind": "scalar", "probs": [0.5, "x"], "values": [0.0, 1.0]},
+                 "method": "markov", "a": 0.8}, ["params", "rv", "probs", 1]),
+    ("capacity", {"channel": {"kind": "bsc"}}, ["params", "channel"]),
+    ("capacity", {"channel": {"kind": "bsc", "p": 0.7}}, ["params", "channel", "p"]),
+    ("capacity", {"channel": {"kind": "nope"}}, ["params", "channel", "kind"]),
+    ("capacity", {"channel": {"kind": "uniform", "n": 2}}, ["params", "channel", "kind"]),
+    ("capacity", {"channel": {"states": [ZERO]}}, ["params", "channel"]),
+    ("cover-capacity", {"hypergraph": {"kind": "random", "dim": 2}}, ["params", "hypergraph"]),
+    ("cover-capacity", {"hypergraph": {"kind": "orthogonal-pair", "dim": 2}}, ["params", "hypergraph"]),
+    ("resolvability", {"channel": ZERO_PLUS, "P": {"kind": "random", "n": 2}, "lambda": 0.6},
+     ["params", "P"]),
+    ("qid-eval", {"channel": ZERO_PLUS, "code": {"kind": "random", "n": 1, "messages": 2}},
+     ["params", "code"]),
+    ("typicality", {"mode": "state", "state": {"kind": "random"}, "n": 3, "alpha": 2.0},
+     ["params", "state"]),
+    ("typicality", {"mode": "state", "state": {**ZERO, "kind": "random"}, "n": 3, "alpha": 2.0},
+     ["params", "state"]),
+]
+
+
+class TestSchemaChecks:
+    @pytest.mark.parametrize(
+        "command, params, path",
+        ONE_OF_PATHS,
+        ids=[f"{i:02d}-{c}-{'.'.join(map(str, p[1:]))}" for i, (c, _, p) in enumerate(ONE_OF_PATHS)],
+    )
+    def test_one_of_error_names_the_selected_branch_field(self, command, params, path, capsys):
+        args = [command, "--seed", "1"]
+        for key, value in params.items():
+            args += ["--param", f"{key}={json.dumps(value)}"]
+        assert cli.main(args) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "schema-violation"
+        assert payload["path"] == path
+
+    def test_messages_name_the_violation(self):
+        cases = [
+            ({"kind": "bsc"}, "'p' is a required property"),
+            ({"kind": "bsc", "p": "0.1"}, "'0.1' is not of type 'number'"),
+            ({"kind": "bsc", "p": 0.7}, "0.7 is greater than the maximum of 0.5"),
+            ({"kind": "zero-plus", "x": 1}, "Additional properties are not allowed ('x' was unexpected)"),
+        ]
+        for channel, message in cases:
+            with pytest.raises(ConfigError) as err:
+                validate_config({"command": "capacity", "params": {"channel": channel}, "seed": 1})
+            assert str(err.value) == message
+
+    def test_error_at_a_node_comes_before_one_below_it(self):
+        # method markov requires a (allOf, after properties in the schema);
+        # that error at params is reported before the one at rv.probs.0
+        params = {"rv": {"kind": "scalar", "probs": ["x"], "values": [0.0]}, "method": "markov"}
+        with pytest.raises(ConfigError) as err:
+            validate_config({"command": "tail-mc", "params": params, "seed": 1})
+        assert err.value.path == ["params"]
+        assert str(err.value) == "'a' is a required property"
+
+    def test_bool_is_not_a_number_and_integral_floats_are_integers(self):
+        bsc = {"command": "capacity", "params": {"channel": {"kind": "bsc", "p": True}}, "seed": 1}
+        with pytest.raises(ConfigError):
+            validate_config(bsc)
+        validate_config(dict(BSC_CONFIG, seed=7.0))
+        with pytest.raises(ConfigError):
+            validate_config(dict(BSC_CONFIG, seed=True))
+        probe = {"command": "conjecture-probe", "params": {"which": True, "dim": 2, "count": 1}, "seed": 1}
+        with pytest.raises(ConfigError):
+            validate_config(probe)
+
+    def test_many_atom_rv_validates_in_time(self):
+        values = np.linspace(0.0, 1.0, 2000).tolist()
+        config = {"command": "tail-mc", "seed": 1, "params": {
+            "rv": {"kind": "scalar", "probs": [1.0 / 2000] * 2000, "values": values},
+            "method": "chernoff-upper", "n": 2, "a": 0.9, "m": 0.9}}
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            validate_config(config)
+            times.append(time.perf_counter() - start)
+        assert sorted(times)[2] < 0.020
+
+    def test_written_record_is_not_converted_again(self, tmp_path, monkeypatch):
+        calls = []
+        convert = cli.json_safe
+
+        def counting(obj):
+            calls.append(1)
+            return convert(obj)
+
+        monkeypatch.setattr(cli, "json_safe", counting)
+        run(BSC_CONFIG)
+        without = len(calls)
+        calls.clear()
+        run(dict(BSC_CONFIG, output_path=str(tmp_path / "record.json")))
+        assert len(calls) == without
+        record = json.loads((tmp_path / "record.json").read_text())
+        assert record["config_hash"] == config_hash(BSC_CONFIG)
