@@ -74,9 +74,9 @@ class CQChannel:
     def state(self, x: int) -> np.ndarray:
         return self.states[int(x)]
 
-    def is_commuting(self, tol: float = 1e-10) -> bool:
+    def is_commuting(self) -> bool:
         for a, b in itertools.combinations(self.states, 2):
-            if linalg.commutator_norm(a, b) > tol * self.dim:
+            if linalg.commutator_norm(a, b) > 1e-10 * self.dim:
                 return False
         return True
 
@@ -129,11 +129,8 @@ def output_state(p, channel: CQChannel) -> np.ndarray:
 
 
 def tensor_output(xn, channel: CQChannel) -> np.ndarray:
-    """Product output W_{x_1} (x) ... (x) W_{x_n} for a symbol sequence."""
-    xn = _check_sequence(xn, channel.alphabet_size)
-    linalg.require_size("sequence", channel.dim, MAX_TENSOR_DIM, exponent=len(xn), message=(
-        f"tensor output dimension {channel.dim}^{len(xn)} exceeds {MAX_TENSOR_DIM}"))
-    return linalg.kron_all(channel.states[x] for x in xn)
+    """Product output W_{x_1} (x) ... (x) W_{x_n} for a symbol sequence: one atom of weight 1."""
+    return product_mixture({tuple(xn): 1.0}, channel)
 
 
 def product_mixture(weights, channel: CQChannel) -> np.ndarray:
@@ -143,10 +140,9 @@ def product_mixture(weights, channel: CQChannel) -> np.ndarray:
     a prefix tree of the reversed sequences, and the sum below a node
     factors as sum_x (sum below child x) (x) W_x: one kron per tree
     node, so k sequences cost O(d^(2n)) where summing k tensor outputs
-    costs O(k d^(2n)).  Factors multiply in tensor_output's order, so a
-    single atom of weight 1 reproduces it exactly.  Symbols and the
-    output dimension are checked as in tensor_output, before any
-    allocation.
+    costs O(k d^(2n)).  Factors multiply in sequence order, first factor
+    most significant.  Symbols and the output dimension are checked
+    before any allocation.
     """
     atoms = sorted(
         (_check_sequence(xn, channel.alphabet_size)[::-1], float(w))
@@ -465,7 +461,7 @@ def typical_set(p, n: int, alpha: float) -> set:
         f"sequence space {a}^{n} exceeds {MAX_SEQUENCE_SPACE}"))
     # one factor per position, one eigenspace class per symbol
     targets, widths = _window(p, n, alpha)
-    mask, member_probs = _product_mask([p] * n, [(range(n), targets, widths, np.arange(a))])
+    mask, member_probs = _product_mask(p, np.arange(a), n, targets, widths)
     digits = np.unravel_index(mask, (a,) * n)
     members = set(zip(*(d.tolist() for d in digits)))
     mass = math.fsum(member_probs)
@@ -501,18 +497,18 @@ def _merge_close(values) -> tuple[np.ndarray, np.ndarray]:
     return ids, np.clip(np.asarray(masses), 0.0, 1.0)
 
 
-def _factor_system(state) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenbasis or None, class ids, class masses).
+def _factor_system(state) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenbasis, class ids, class masses).
 
-    A None basis marks a diagonal state whose eigenbasis is the
-    standard basis as-is; downstream builders then stay exactly
-    diagonal instead of round-tripping through eigh.
+    A diagonal state keeps its diagonal and the standard basis np.eye(d)
+    without an eigensolve; products with an identity are exact, so
+    downstream builders stay exactly diagonal.
     """
     m = linalg.as_matrix(state)
     diag = np.diagonal(m)
     off = m - np.diag(diag)
     if np.abs(off).max(initial=0.0) <= 1e-12 and np.abs(diag.imag).max(initial=0.0) <= 1e-12:
-        values, basis = diag.real.copy(), None
+        values, basis = diag.real.copy(), np.eye(len(diag))
     else:
         values, basis = linalg.eigh(m)
     ids, masses = _merge_close(values)
@@ -534,16 +530,12 @@ def _check_factor(basis, values, letter) -> None:
     d = w.shape[0]
     if np.shape(values) != (d,):
         raise ValueError("factor spectrum length must match the letter dimension")
-    if basis is None:
-        resid = w - np.diag(values)
-    else:
-        u = np.asarray(basis)
-        if u.shape != (d, d):
-            raise ValueError("factor basis must be square of the letter dimension")
-        if np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-10:
-            raise ValueError("factor basis is not unitary within 1e-10")
-        resid = w @ u - u * values
-    if linalg.frobenius(resid) > 1e-9:
+    u = np.asarray(basis)
+    if u.shape != (d, d):
+        raise ValueError("factor basis must be square of the letter dimension")
+    if np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-10:
+        raise ValueError("factor basis is not unitary within 1e-10")
+    if linalg.frobenius(w @ u - u * values) > 1e-9:
         raise ValueError("factor basis does not diagonalize its letter state within 1e-9")
 
 
@@ -552,8 +544,7 @@ class TypicalProjector:
     """Frequency-typical subspace projector for a product state, stored factored.
 
     The projector is diagonal in a product eigenbasis.  Factor i has the
-    orthonormal eigenbasis `factor_bases[i]` (columns; None marks a
-    diagonal letter whose eigenbasis is the standard basis) and the
+    orthonormal eigenbasis `factor_bases[i]` (columns) and the
     eigenvalues `factor_values[i]` of its letter state.  `mask` lists
     the flat indices (first factor most significant) of the product
     eigenvectors spanning the range, strictly increasing, and `probs`
@@ -622,30 +613,29 @@ class TypicalProjector:
         return linalg.kron_all(self.letter_states)
 
 
-def _product_mask(factor_values, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Admissible product eigenvectors and their reference eigenvalues.
+def _product_mask(values, ids, m: int, targets, widths) -> tuple[np.ndarray, np.ndarray]:
+    """Admissible eigenvectors of m copies of one letter and their reference eigenvalues.
 
-    blocks: list of (factor positions, class targets, class windows,
-    class ids array of that block's factor).  Flat indices run over
-    mixed-radix digit arrays, first factor most significant.  Returns
-    (ascending flat indices, eigenvalue products), each product a
-    running product of the clipped factor eigenvalues in factor order.
+    A product eigenvector is admissible when, for every eigenspace class
+    c, the count of its m digits in class c (by `ids`) lies within
+    widths[c] of targets[c].  Flat indices run over mixed-radix digit
+    arrays, first factor most significant.  Returns (ascending flat
+    indices, eigenvalue products), each product a running product of
+    the clipped eigenvalues in factor order.
     """
-    dims = tuple(len(v) for v in factor_values)
-    digits = np.indices(dims).reshape(len(dims), -1)
+    digits = np.indices((len(values),) * m).reshape(m, -1)
+    classes = np.asarray(ids)[digits]
     ok = np.ones(digits.shape[1], dtype=bool)
-    for positions, targets, widths, ids in blocks:
-        classes = np.asarray(ids)[digits[list(positions)]]
-        for c in range(len(targets)):
-            occ = (classes == c).sum(axis=0)
-            ok &= np.abs(occ - targets[c]) <= widths[c]
+    for c in range(len(targets)):
+        occ = (classes == c).sum(axis=0)
+        ok &= np.abs(occ - targets[c]) <= widths[c]
     mask = np.flatnonzero(ok)
-    return mask, _running_product(factor_values, digits[:, mask])
+    return mask, _running_product([values] * m, digits[:, mask])
 
 
 def _running_product(factor_values, digits) -> np.ndarray:
     """Product over factors, in factor order, of the clipped eigenvalue each digit picks."""
-    probs = np.ones(digits.shape[1])
+    probs = np.ones(len(digits[0]))
     for values, k in zip(factor_values, digits):
         values = np.asarray(values, dtype=float)
         probs = probs * np.where(values > 0.0, values, 0.0)[k]
@@ -698,7 +688,7 @@ def typical_projector(rho, n: int, alpha: float) -> TypicalProjector:
     _check_build_size(d, n, alpha)
     values, basis, ids, masses = _factor_system(rho)
     targets, widths = _window(masses, n, alpha)
-    mask, probs = _product_mask([values] * n, [(range(n), targets, widths, ids)])
+    mask, probs = _product_mask(values, ids, n, targets, widths)
     bound = 1.0 - d / alpha**2 if alpha > 0.0 else -math.inf
     entropy = linalg.shannon_entropy(np.clip(values, 0.0, 1.0))
     details = _exponent_report(probs, n, entropy, d * alpha * math.sqrt(n))
@@ -726,9 +716,10 @@ def conditional_typical_projector(
 
     Tensor factors group into blocks by input symbol; each block gets
     the unconditional construction for its letter state at deviation
-    alpha, and the blocks tensor together.  The retained mass is at
-    least 1 - a*d/alpha^2 by a union bound over blocks.  `systems`
-    may carry letter_systems(channel), computed once for many calls.
+    alpha, and the blocks tensor together: the range is every choice
+    of one admissible vector per block.  The retained mass is at least
+    1 - a*d/alpha^2 by a union bound over blocks.  `systems` may carry
+    letter_systems(channel), computed once for many calls.
     """
     xn = _check_sequence(xn, channel.alphabet_size)
     n = len(xn)
@@ -738,21 +729,21 @@ def conditional_typical_projector(
     if systems is None:
         systems = {x: _factor_system(channel.states[x]) for x in symbols}
     letters = {x: channel.states[x] for x in symbols}
-    blocks = []
+    strides = d ** np.arange(n - 1, -1, -1, dtype=np.intp)
+    mask = np.zeros(1, dtype=np.intp)
     block_details = []
     entropy = 0.0
     for x in symbols:
         values, _, ids, masses = systems[x]
         positions = [i for i, s in enumerate(xn) if s == x]
         targets, widths = _window(masses, len(positions), alpha)
-        blocks.append((positions, targets, widths, ids))
         entropy += len(positions) / n * linalg.shannon_entropy(np.clip(values, 0.0, 1.0))
-        # the admissible set factorizes across blocks, so the block
-        # masses multiply to trace_mass; kept per block for diagnosis
-        _, bprobs = _product_mask(
-            [values] * len(positions),
-            [(range(len(positions)), targets, widths, ids)],
-        )
+        bmask, bprobs = _product_mask(values, ids, len(positions), targets, widths)
+        # the admissible set factorizes across blocks: each block's digits
+        # land on its positions, the outer sum over blocks lists every
+        # admissible index once, and the block masses multiply to trace_mass
+        bdigits = np.array(np.unravel_index(bmask, (d,) * len(positions)))
+        mask = (mask[:, None] + strides[positions] @ bdigits).ravel()
         block_details.append(
             {
                 "symbol": x,
@@ -761,7 +752,8 @@ def conditional_typical_projector(
                 "block_mass": math.fsum(bprobs),
             }
         )
-    mask, probs = _product_mask([systems[x][0] for x in xn], blocks)
+    mask = np.sort(mask)
+    probs = _running_product([systems[x][0] for x in xn], np.unravel_index(mask, (d,) * n))
     a = channel.alphabet_size
     bound = 1.0 - a * d / alpha**2 if alpha > 0.0 else -math.inf
     details = _exponent_report(probs, n, entropy, d * a * alpha * math.sqrt(n))
@@ -836,11 +828,8 @@ def cross_typical_mass(channel: CQChannel, xn, alpha: float) -> tuple[float, Typ
     mix = output_state(t.probabilities(), channel)
     proj = typical_projector(mix, len(xn), alpha * math.sqrt(a))
     v = proj.factor_bases[0]
-    if v is None:
-        overlaps = np.diagonal(channel.states, axis1=1, axis2=2).real
-    else:
-        # overlaps[x, j] = <v_j| W_x |v_j>
-        overlaps = np.einsum("ji,xjk,ki->xi", v.conj(), channel.states, v).real
+    # overlaps[x, j] = <v_j| W_x |v_j>
+    overlaps = np.einsum("ji,xjk,ki->xi", v.conj(), channel.states, v).real
     terms = np.ones(proj.rank)
     for x, k in zip(xn, proj.digits):
         terms = terms * overlaps[x, k]

@@ -831,7 +831,7 @@ _PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
 
 @_domain("channel")
 def _load_channel(spec: dict, seed: int) -> channels.CQChannel:
-    kind = spec["kind"] if "kind" in spec else "states"
+    kind = spec["kind"]
     if kind == "bsc":
         p = float(spec["p"])
         return channels.embed_classical([[1.0 - p, p], [p, 1.0 - p]])
@@ -844,9 +844,7 @@ def _load_channel(spec: dict, seed: int) -> channels.CQChannel:
         return channels.CQChannel([linalg.matrix_from_json(m) for m in spec["states"]])
     if kind == "zero-plus":
         return channels.CQChannel([_ZERO, _PLUS])
-    if kind == "random":
-        return channels.random_channel(seed, spec["inputs"], spec["dim"])
-    raise ConfigError(f"unknown channel kind {kind!r}", ("params", "channel"))
+    return channels.random_channel(seed, spec["inputs"], spec["dim"])
 
 
 @_domain("hypergraph")
@@ -855,9 +853,7 @@ def _load_hypergraph(spec: dict, seed: int) -> covering.QuantumHypergraph:
         return covering.QuantumHypergraph.from_json(spec)
     if spec["kind"] == "random":
         return covering.random_hypergraph(seed, spec["dim"], spec["num_edges"], spec.get("eta", 1.0))
-    if spec["kind"] == "orthogonal-pair":
-        return covering.QuantumHypergraph(2, [_ZERO, np.diag([0.0, 1.0])], eta=1.0)
-    raise ConfigError(f"unknown hypergraph kind {spec['kind']!r}", ("params", "hypergraph"))
+    return covering.QuantumHypergraph(2, [_ZERO, np.diag([0.0, 1.0])], eta=1.0)
 
 
 @_domain("P")
@@ -1121,14 +1117,18 @@ def _execute(config: dict) -> tuple[RunRecord, list]:
     return record, rows
 
 
-def _write_output(config: dict, record: RunRecord, rows: list) -> None:
-    path = config.get("output_path")
-    if not path:
-        return
+def _record_text(config: dict, record: RunRecord, rows: list) -> str:
+    """A run's output in its config's format: CSV rows, or the record as one JSON line."""
     if config.get("format", "json") == "csv":
-        text = csv_text(CSV_COLUMNS[config["command"]], rows)
-    else:
-        text = _dumps(record.to_json()) + "\n"
+        return csv_text(CSV_COLUMNS[config["command"]], rows)
+    return _dumps(record.to_json()) + "\n"
+
+
+def _write_output(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
@@ -1137,7 +1137,8 @@ def run(config: dict) -> RunRecord:
     """Validate, dispatch, write the output file if one was requested."""
     validate_config(config)
     record, rows = _execute(config)
-    _write_output(config, record, rows)
+    if config.get("output_path"):
+        _write_output(_record_text(config, record, rows), config["output_path"])
     return record
 
 
@@ -1327,12 +1328,7 @@ def _run_main(args) -> int:
             "config_hash": config_hash(config),
         })
         return 3
-    _write_output(config, record, rows)
-    if not config.get("output_path"):
-        if config.get("format", "json") == "csv":
-            sys.stdout.write(csv_text(CSV_COLUMNS[config["command"]], rows))
-        else:
-            print(_dumps(record.to_json()))
+    _write_output(_record_text(config, record, rows), config.get("output_path"))
     return 0
 
 
@@ -1369,12 +1365,7 @@ def _sweep_main(args) -> int:
         }) + "\n"
     else:
         payload = text
-    out = spec.get("output_path")
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write_output(payload, spec.get("output_path"))
     failures = sum(1 for r in records if not isinstance(r, RunRecord))
     return 3 if failures == len(records) and records else 0
 

@@ -86,7 +86,7 @@ class ClassicalHypergraph:
         """Mixture measure sum_E P(E) Q_E as a dense vector."""
         p = _check_distribution(p, self.num_edges)
         q = np.zeros(self.num_vertices)
-        for e in range(self.num_edges):  # fixed order, see _average
+        for e in range(self.num_edges):  # fixed order, see QuantumHypergraph.edge_average
             q += p[e] * self.weights[e]
         return q
 
@@ -255,9 +255,9 @@ class QuantumHypergraph:
     def edge_traces(self) -> np.ndarray:
         return np.array([float(np.trace(c).real) for c in self.compressed])
 
-    def is_diagonal(self, tol: float = 1e-12) -> bool:
+    def is_diagonal(self) -> bool:
         for e in self.edges:
-            if np.abs(e - np.diag(np.diag(e))).max() > tol:
+            if np.abs(e - np.diag(np.diag(e))).max() > 1e-12:
                 return False
         return True
 
@@ -975,9 +975,8 @@ def product_covering_table(g: QuantumHypergraph, n_values, tol: float = 1e-8) ->
 
     Brute force entries degrade to None where the edge set outgrows the
     exhaustive-search budget instead of failing the whole table.
-    c~_n = c~_1^n: if sum_j v_j E_j >= I then sum v_j v_k E_j (x) E_k >= I,
-    and a dual Y tensors to Y (x) Y as tr(Y (x) Y . E_j (x) E_k) = tr(Y E_j) tr(Y E_k).
-    So one n = 1 LP (covering_capacity) gives c_tilde_n = value^-n and
+    c~_n is multiplicative (see generalized_covering_number), so one
+    n = 1 LP (covering_capacity) gives c_tilde_n = value^-n and
     pow2_Cn = 2^(bits n); c_tilde_n is None only for a common kernel
     (infinite bits).  Entries past the float range are math.inf.
     """

@@ -38,7 +38,7 @@ from .channels import (
 )
 from .covering import ESCALATION_STAGES, QuantumHypergraph, draw_bound, quantum_covering_sample
 from .linalg import MAX_SEQUENCE_SPACE, MAX_TENSOR_DIM, DomainError
-from .rng import make_rng, random_distribution, random_effect, spawn_seeds
+from .rng import make_rng, random_distribution, random_effect, seed_stream, spawn_seeds
 
 DEFAULT_PROBE_LAMBDAS = (0.9, 0.75, 0.6, 0.45, 0.3)
 
@@ -359,13 +359,6 @@ class RegularizationResult:
         )
 
 
-def _basis_overlap(outer, inner, d: int) -> np.ndarray:
-    """outer^dagger inner for two letter eigenbases (None is the standard basis)."""
-    if outer is None:
-        return np.eye(d) if inner is None else inner
-    return outer.conj().T if inner is None else outer.conj().T @ inner
-
-
 def _sandwiched_edge(outer: TypicalProjector, digits: np.ndarray, overlaps) -> np.ndarray:
     """Factor M of the compression of Pi W Pi to the range of `outer`.
 
@@ -470,7 +463,7 @@ def resolvability_regularize(
         if mix_proj.rank == 0:
             raise DomainError("mixture typical projector has empty range; alpha too small", "alpha")
         v_mix = mix_proj.factor_bases[0]
-        overlaps = {x: _basis_overlap(v_mix, system[1], d) for x, system in systems.items()}
+        overlaps = {x: v_mix.conj().T @ system[1] for x, system in systems.items()}
         # the type's members are rearrangements of its sorted sequence ref,
         # and the mixture range is invariant under moving factors: each
         # member's edge factor is ref's with its rows relabeled
@@ -505,17 +498,17 @@ def resolvability_regularize(
     else:
         base = max(1, max(math.floor(rec["formula"]) for rec in active))
         stages = ESCALATION_STAGES
-    seeds = spawn_seeds(seed, stages * len(active))
+    seeds = seed_stream(seed)
     results, L, stages_used, last_failure = None, base, 0, None
     for s in range(stages):
         L = base * 2**s
         stages_used = s + 1
+        # one seed per type per stage, drawn before a failure can cut the stage short
+        stage_seeds = [next(seeds) for _ in active]
         try:
             results = [
-                quantum_covering_sample(
-                    rec["graph"], rec["p"], eps, tau, seeds[s * len(active) + k], draws=L
-                )
-                for k, rec in enumerate(active)
+                quantum_covering_sample(rec["graph"], rec["p"], eps, tau, sub, draws=L)
+                for rec, sub in zip(active, stage_seeds)
             ]
             break
         except RuntimeError as exc:

@@ -119,10 +119,10 @@ def is_hermitian(a, tol: float = HERM_TOL) -> bool:
     return bool(np.abs(m - m.conj().T).max(initial=0.0) <= tol * scale)
 
 
-def require_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     m = as_matrix(a)
-    if not is_hermitian(m, tol):
-        raise ValueError(f"{name} is not Hermitian within {tol}")
+    if not is_hermitian(m, HERM_TOL):
+        raise ValueError(f"{name} is not Hermitian within {HERM_TOL}")
     return hermitize(m)
 
 
@@ -163,14 +163,14 @@ def psd_margin(a) -> tuple:
     return w[..., 0], spectral_tolerance(w)
 
 
-def is_psd(a, tol: float | None = None) -> np.bool_ | np.ndarray:
+def is_psd(a) -> np.bool_ | np.ndarray:
     """Whether a matrix, or each matrix of a stack (..., d, d), is PSD.
 
-    One eigensolve; the default tolerance comes from that same spectrum
+    One eigensolve; the tolerance comes from that same spectrum
     (spectral_tolerance).  Returns a numpy bool of the leading shape.
     """
-    least, default = psd_margin(a)
-    return least >= -(default if tol is None else tol)
+    least, tol = psd_margin(a)
+    return least >= -tol
 
 
 def psd_leq(a, b) -> np.bool_ | np.ndarray:
@@ -211,10 +211,10 @@ def compositions(n: int, k: int, chunk: int):
         yield counts
 
 
-def require_density(rho, tol: float = 1e-9, name: str = "rho") -> np.ndarray:
+def require_density(rho, name: str = "rho") -> np.ndarray:
     m = require_hermitian(rho, name=name)
     tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > 1e-9:
         raise ValueError(f"{name} has trace {tr}, expected 1")
     if not is_psd(m):
         raise ValueError(f"{name} has a negative eigenvalue beyond tolerance")
@@ -273,18 +273,17 @@ def support_inverse(a) -> np.ndarray:
     return herm_power(a, -1.0)
 
 
-def support_projector(a, tol: float | None = None) -> np.ndarray:
+def support_projector(a) -> np.ndarray:
     m = hermitize(a)
-    if tol is None:
-        tol = psd_tolerance(m)
+    tol = psd_tolerance(m)
     w, u = np.linalg.eigh(m)
     ind = (np.abs(w) > tol).astype(float)
     return hermitize((u * ind) @ u.conj().T)
 
 
-def supports_contained(a, b, tol: float | None = None) -> bool:
+def supports_contained(a, b) -> bool:
     """True when supp(a) is contained in supp(b), both PSD."""
-    pb = support_projector(b, tol)
+    pb = support_projector(b)
     m = hermitize(a)
     resid = m - pb @ m @ pb
     return spectral_norm(resid) <= psd_tolerance(m)
@@ -399,12 +398,12 @@ def operator_divergence(a, m) -> np.ndarray:
     return hermitize(half(a, m) + half(eye - a, eye - m))
 
 
-def is_projector(p, tol: float = 1e-9) -> bool:
+def is_projector(p) -> bool:
     m = as_matrix(p)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m, 1e-9):
         return False
     scale = max(1.0, spectral_norm(m))
-    return spectral_norm(m @ m - m) <= tol * scale
+    return spectral_norm(m @ m - m) <= 1e-9 * scale
 
 
 def gentle_projection(rho, pi) -> tuple[np.ndarray, float]:

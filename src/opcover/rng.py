@@ -10,6 +10,8 @@ linalg.MAX_TENSOR_DIM, raises linalg.DomainError.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import linalg
@@ -20,16 +22,15 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def spawn_seeds(seed: int, n: int) -> list[int]:
-    """Derive n child seeds from a root seed, reportable as plain ints."""
-    children = np.random.SeedSequence(int(seed)).spawn(n)
-    return [int(c.generate_state(1, np.uint64)[0]) for c in children]
+    """The first n child seeds of seed_stream(seed)."""
+    return list(itertools.islice(seed_stream(seed), n))
 
 
 def seed_stream(seed: int):
-    """The child seeds of spawn_seeds(seed, n), spawned one at a time, without end.
+    """Child seeds of a root seed as plain ints, spawned one at a time, without end.
 
-    SeedSequence numbers its children by position, so the first n
-    equal spawn_seeds(seed, n).
+    SeedSequence numbers its children by position, so the k-th child
+    does not depend on how many are drawn after it.
     """
     root = np.random.SeedSequence(int(seed))
     while True:
@@ -45,10 +46,10 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     linalg.require_matrices(dim)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return linalg.hermitize(z) * scale
+    return linalg.hermitize(z)
 
 
 def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -187,17 +187,45 @@ def half_integer_sum_pmf(probs, n: int) -> list[Fraction]:
     return pmf
 
 
+def conditional_mask_all_factors(systems, xn, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional typical (mask, probs) by testing every block on all d^n digit arrays.
+
+    systems maps each symbol to (eigenvalues, basis, class ids, class
+    masses), as channels.letter_systems gives them.  A product index is
+    kept when each symbol's block, the positions carrying it, has its
+    class counts within the windows the library uses; probs are running
+    products of the clipped eigenvalues in factor order.
+    """
+    dims = tuple(len(systems[x][0]) for x in xn)
+    digits = np.indices(dims).reshape(len(dims), -1)
+    ok = np.ones(digits.shape[1], dtype=bool)
+    for x in sorted(set(xn)):
+        _, _, ids, masses = systems[x]
+        positions = [i for i, s in enumerate(xn) if s == x]
+        m = len(positions)
+        targets = m * masses
+        widths = alpha * np.sqrt(m * np.clip(masses * (1.0 - masses), 0.0, None))
+        classes = np.asarray(ids)[digits[positions]]
+        for c in range(len(targets)):
+            ok &= np.abs((classes == c).sum(axis=0) - targets[c]) <= widths[c]
+    mask = np.flatnonzero(ok)
+    probs = np.ones(mask.size)
+    for x, k in zip(xn, digits[:, mask]):
+        values = np.asarray(systems[x][0], dtype=float)
+        probs = probs * np.where(values > 0.0, values, 0.0)[k]
+    return mask, probs
+
+
 def range_basis(proj) -> np.ndarray:
     """Range columns of a factored typical projector, one Kronecker product per column.
 
     Column i is the product eigenvector at flat index proj.mask[i]
-    (first factor most significant); None bases are standard bases.
+    (first factor most significant).
     """
-    bases = [np.eye(d) if b is None else b for b, d in zip(proj.factor_bases, proj.factor_dims)]
     cols = np.zeros((proj.dim, proj.rank), dtype=complex)
     for i, flat in enumerate(proj.mask):
         v = np.ones(1, dtype=complex)
-        for b, k in zip(bases, np.unravel_index(int(flat), proj.factor_dims)):
+        for b, k in zip(proj.factor_bases, np.unravel_index(int(flat), proj.factor_dims)):
             v = np.kron(v, b[:, k])
         cols[:, i] = v
     return cols

@@ -27,8 +27,9 @@ from opcover.channels import (
 )
 from opcover.rng import make_rng, random_density, random_distribution, random_state, spawn_seeds
 
-from oracles import (blahut_arimoto_capacity, classical_capacity_oracle, dense_mixture,
-                     dense_projector, range_basis, typical_set_by_loop)
+from oracles import (blahut_arimoto_capacity, classical_capacity_oracle,
+                     conditional_mask_all_factors, dense_mixture, dense_projector, range_basis,
+                     typical_set_by_loop)
 
 KET0 = np.diag([1.0, 0.0])
 KET1 = np.diag([0.0, 1.0])
@@ -636,7 +637,7 @@ class TestFactoredProjector:
         with pytest.raises(ValueError, match="diagonalize"):
             dataclasses.replace(proj, factor_bases=(swapped,) * 3)
         diag = typical_projector(np.diag([0.7, 0.3]), 3, 2.0)
-        assert diag.factor_bases == (None,) * 3
+        assert all(np.array_equal(b, np.eye(2)) for b in diag.factor_bases)
         with pytest.raises(ValueError, match="diagonalize"):
             dataclasses.replace(diag, factor_values=(np.array([0.3, 0.7]),) * 3)
 
@@ -660,6 +661,34 @@ class TestFactoredProjector:
             assert prob == expected[flat]  # same running product, bit for bit
         assert proj.digits.shape == (5, proj.rank)
         assert (np.ravel_multi_index(tuple(proj.digits), (3,) * 5) == proj.mask).all()
+
+    def test_block_composed_mask_matches_the_all_factor_mask(self):
+        rng = make_rng(77)
+        ranges = set()
+        for i, seed in enumerate(spawn_seeds(78, 40)):
+            a, d, n = 2 + i % 2, 2 + (i // 2) % 2, 3 + i % 5
+            ch = channels.random_channel(seed, a, d)
+            xn = tuple(int(s) for s in rng.integers(0, a, size=n))
+            alpha = float(rng.uniform(0.5, 2.5))
+            proj = conditional_typical_projector(ch, xn, alpha)
+            mask, probs = conditional_mask_all_factors(channels.letter_systems(ch), xn, alpha)
+            assert proj.mask.dtype == mask.dtype and proj.probs.dtype == probs.dtype
+            assert np.array_equal(proj.mask, mask) and np.array_equal(proj.probs, probs), i
+            ranges.add("empty" if proj.rank == 0 else "proper" if proj.rank < proj.dim else "full")
+        assert ranges == {"empty", "proper"}
+
+    def test_one_block_mask_per_distinct_symbol(self, monkeypatch):
+        calls = []
+        build = channels._product_mask
+
+        def spy(values, ids, m, targets, widths):
+            calls.append(m)
+            return build(values, ids, m, targets, widths)
+
+        monkeypatch.setattr(channels, "_product_mask", spy)
+        ch = channels.random_channel(79, 3, 2)
+        conditional_typical_projector(ch, (2, 0, 2, 2, 1, 0, 2), 2.0)
+        assert sorted(calls) == [1, 2, 4]
 
 
 class TestCrossTypicalMass:

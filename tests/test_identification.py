@@ -25,7 +25,6 @@ from opcover.channels import (
 )
 from opcover.identification import (
     QIDCode,
-    _basis_overlap,
     _sandwiched_edge,
     RegularizationResult,
     approximation_preserves_id,
@@ -546,7 +545,7 @@ class TestFactoredSandwich:
 
     def channels(self, rng):
         return {
-            # every letter and the mixture diagonal: None bases throughout
+            # every letter and the mixture diagonal: identity bases throughout
             "diagonal": embed_classical([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]]),
             # diagonal letter next to a rotated one
             "mixed": CQChannel([np.diag([0.7, 0.3]), random_density(rng, 2)]),
@@ -566,7 +565,7 @@ class TestFactoredSandwich:
                 mix = typical_projector(output_state(t.probabilities(), ch), n, 2.0 * math.sqrt(a))
                 cond = conditional_typical_projector(ch, xn, 2.0)
                 overlaps = [
-                    _basis_overlap(mix.factor_bases[i], cond.factor_bases[i], d) for i in range(n)
+                    mix.factor_bases[i].conj().T @ cond.factor_bases[i] for i in range(n)
                 ]
                 factor = _sandwiched_edge(mix, cond.digits, overlaps)
                 edge = (factor * cond.probs) @ factor.conj().T
@@ -575,9 +574,10 @@ class TestFactoredSandwich:
                 assert edge.shape == (mix.rank, mix.rank)
                 assert np.abs(edge - dense).max() <= 1e-12, (name, n)
                 branches.update(
-                    (m is None, c is None) for m, c in zip(mix.factor_bases, cond.factor_bases)
+                    (np.array_equal(m, np.eye(d)), np.array_equal(c, np.eye(d)))
+                    for m, c in zip(mix.factor_bases, cond.factor_bases)
                 )
-        # every pairing of standard (None) and rotated letter bases occurred
+        # every pairing of identity and rotated letter bases occurred
         assert branches == {(True, True), (True, False), (False, True), (False, False)}
 
 
@@ -699,6 +699,38 @@ class TestSpanCompressedResolvability:
         results = cli.run(config).results
         assert hashlib.sha256(cli.canonical_json(results).encode()).hexdigest() == digest
 
+    # sha256 of `results` on diagonal letters, whose factor bases are
+    # identities; taken before those bases replaced a None sentinel and
+    # before conditional masks were composed from block masks, which
+    # moved no byte
+    CLASSICAL_3X3 = [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.1, 0.8]]
+    DIAGONAL_LETTER_HASHES = [
+        ({"command": "typicality", "seed": 1, "params": {
+            "mode": "state", "alpha": 3.0, "n": 10,
+            "state": {"dim": 2, "re": [[0.7, 0.0], [0.0, 0.3]]}}},
+         "6cd3d98ff7df2ac0aa0da91ba68198e727f519d70e2bac47aca39c8d04b76b64"),
+        ({"command": "typicality", "seed": 1, "params": {
+            "mode": "conditional", "alpha": 3.0, "channel": {"kind": "bsc", "p": 0.11},
+            "sequence": [0, 1, 1, 0, 1, 0, 0, 1, 1]}},
+         "82a9b66849c2df23cff5a289ec0f5aff9f5bf948b3201f051e14d1c3b14be047"),
+        ({"command": "typicality", "seed": 2, "params": {
+            "mode": "conditional", "alpha": 2.0,
+            "channel": {"kind": "classical", "rows": CLASSICAL_3X3}, "sequence": [0, 2, 1, 1, 0, 2]}},
+         "f956499f1bd353c0f3056e85b5cf0f732da513069a63d8c5032934b90f915d18"),
+        ({"command": "resolvability", "seed": 3, "params": {
+            "channel": {"kind": "bsc", "p": 0.11}, "P": {"kind": "uniform", "n": 6}, "lambda": 0.6}},
+         "666cdfab5886d7861b39170c5311d97b38b8a3e04ff4f916a34a0b224cdf1d54"),
+        ({"command": "resolvability", "seed": 4, "params": {
+            "channel": {"kind": "classical", "rows": CLASSICAL_3X3},
+            "P": {"kind": "random", "n": 4, "support": 12}, "lambda": 0.6}},
+         "3aa514b33adc6cd9bb5b39055ed0e294eb0ba45f89b9dd5058786e51ec8e4436"),
+    ]
+
+    @pytest.mark.parametrize("config, digest", DIAGONAL_LETTER_HASHES)
+    def test_diagonal_letter_results_unchanged(self, config, digest):
+        results = cli.run(config).results
+        assert hashlib.sha256(cli.canonical_json(results).encode()).hexdigest() == digest
+
 
 class TestTypeOrbits:
     # channel, n, overrides, then the regimes seen (basis is None: full
@@ -728,7 +760,7 @@ class TestTypeOrbits:
             assert g.num_edges == len(seqs) and g.dim == mix.rank
             for edge, xn in zip(g.edges, seqs):
                 cond = conditional_typical_projector(ch, xn, alpha, systems=systems)
-                overlaps = [_basis_overlap(mix.factor_bases[0], systems[x][1], 2) for x in xn]
+                overlaps = [mix.factor_bases[0].conj().T @ systems[x][1] for x in xn]
                 factor = _sandwiched_edge(mix, cond.digits, overlaps)
                 assert np.abs(edge - (factor * cond.probs) @ factor.conj().T).max() <= 1e-13, xn
             regimes.add(g.basis is None)
