@@ -35,9 +35,13 @@ ESCALATION_STAGES = 4  # draw counts 1x, 2x, 4x, 8x
 # Brute force forms the degrees of multisets in chunks of at most this
 # many complex entries (chunk x D^2) before one batched order check.
 BRUTEFORCE_CHUNK_ENTRIES = 1 << 14
-# The cutting-plane LP meets its cuts to this feasibility tolerance, so a
-# finer covering tol would stall for the full round budget.
+# The covering LP's simplex (PackingLP.solve) decides with this one
+# tolerance, so the LP meets its cuts only to it and a finer covering tol
+# would stall for the full round budget.
 LP_FEASIBILITY_TOL = 1e-10
+SIMPLEX_PIVOTS = 100_000  # per round; Bland's rule cannot cycle, rounding might
+# value <= value_upper is weak duality, exact up to this relative rounding
+BRACKET_ROUNDING = 1e-12
 
 
 class ClassicalHypergraph:
@@ -837,59 +841,136 @@ def _bruteforce(g: QuantumHypergraph, n: int, cap: CapacityResult):
         linalg.require_size("n", walked, MAX_BRUTEFORCE_MULTISETS, message)
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first call.
+class PackingLP:
+    """The covering LP over a finite cut set, held as its dual between rounds.
 
-    The covering LP is the only user of scipy, so no other command
-    loads it.  _fractional_cover calls this module attribute by name, so
-    a wrapper set on covering.linprog sees every LP round.
+    Cut k is a unit vector psi_k with column a_k = (<psi_k|E_j|psi_k>)_j
+    over the m edges.  The packing LP max sum(y) over y >= 0 with
+    sum_k y_k a_k <= 1 is kept in standard form [I | a_1 .. a_K] (s, y) = 1
+    with an m x m basis: slacks are columns 0..m-1 and cuts follow in
+    the order they were added, the order Bland's rule scans.  The slack
+    basis is feasible at y = 0, and a new cut is a new column, so the
+    last optimal basis stays feasible: no phase I, no rebuild.  After a
+    solve, v = c_B B^-1 holds the simplex multipliers, which are the
+    covering weights, and y the packing weights of the cuts;
+    sum(v) = sum(y) at every basis.
     """
-    from scipy.optimize import linprog as solve
 
-    return solve(*args, **kwargs)
+    def __init__(self, stack: np.ndarray):
+        m = stack.shape[0]
+        self.stack = stack
+        self.columns = np.eye(m)
+        self.cuts = np.empty((stack.shape[-1], 0), dtype=np.complex128)
+        self.basis = np.arange(m)
+        self.binv = np.eye(m)
+        self.v = np.zeros(m)
+        self.y = np.zeros(0)
+
+    def add_cuts(self, cuts: np.ndarray) -> None:
+        """Append one column per cut (the columns of cuts, unit vectors)."""
+        a = np.einsum("ik,jik->jk", cuts.conj(), self.stack @ cuts).real
+        self.columns = np.hstack([self.columns, a])
+        self.cuts = np.hstack([self.cuts, cuts])
+
+    def solve(self) -> None:
+        """Primal simplex with Bland's rule from the current basis.
+
+        Bland's rule (Math. Oper. Res. 2, 1977) enters the first column
+        that gains and breaks ratio ties by the least basic index, so
+        the simplex cannot cycle.  Each pivot updates B^-1 by one
+        rank-one step; once the solve ends, B^-1 (the next round's start),
+        v and y are solved afresh from the basis columns in index order.  LP_FEASIBILITY_TOL is the one tolerance: the
+        least reduced cost that enters, the least pivot element, and the
+        width of a ratio tie.
+        """
+        tol = LP_FEASIBILITY_TOL
+        a, basis, binv = self.columns, self.basis, self.binv
+        m, n = a.shape
+        gain = np.ones(n)
+        gain[:m] = 0.0
+        x = np.maximum(binv.sum(axis=1), 0.0)
+        basic = np.zeros(n, dtype=bool)
+        basic[basis] = True
+        for _ in range(SIMPLEX_PIVOTS):
+            reduced = gain - (gain[basis] @ binv) @ a
+            # a basic column's reduced cost is 0 only up to rounding
+            # (about 3e-12): letting it re-enter cycles
+            entering = np.flatnonzero((reduced > tol) & ~basic)
+            if not entering.size:
+                break
+            q = entering[0]
+            d = binv @ a[:, q]
+            rows = np.flatnonzero(d > tol)
+            if not rows.size:
+                raise RuntimeError("packing LP unbounded: the edges share a near-kernel")
+            ratios = x[rows] / d[rows]
+            ties = rows[ratios <= ratios.min() + tol]
+            r = ties[np.argmin(basis[ties])]
+            step = x[r] / d[r]
+            x -= step * d
+            x[r] = step
+            np.maximum(x, 0.0, out=x)
+            row = binv[r] / d[r]
+            binv -= np.outer(d, row)
+            binv[r] = row
+            basic[basis[r]] = False
+            basic[q] = True
+            basis[r] = q
+        else:
+            raise RuntimeError("simplex did not converge")
+        # in index order, so the state depends on the basis set alone; y
+        # and v come from solves, not products with B^-1, which would be
+        # off by cond(B) ulps (cond(B) reaches 1e5 near the optimum)
+        basis.sort()
+        b = a[:, basis]
+        solved = np.linalg.solve(b, np.hstack([np.ones((m, 1)), np.eye(m)]))
+        self.binv = solved[:, 1:]
+        self.v = np.maximum(np.linalg.solve(b.T, gain[basis]), 0.0)
+        y = np.zeros(n)
+        y[basis] = np.maximum(solved[:, 0], 0.0)
+        self.y = y[m:]
+
+    def dual_witness(self) -> np.ndarray:
+        """Y = sum_k y_k |psi_k><psi_k|, positive semidefinite by construction."""
+        return (self.cuts * self.y) @ self.cuts.conj().T
 
 
-def _fractional_cover(stack: np.ndarray, deg: np.ndarray, tol: float) -> tuple[np.ndarray, float, int]:
+def linprog(lp: PackingLP, cuts: np.ndarray) -> PackingLP:
+    """One cutting-plane round: add the cuts to lp and re-optimize from its last basis.
+
+    _fractional_cover calls this module attribute by name once per
+    round, so a wrapper set on covering.linprog sees every LP round.
+    """
+    lp.add_cuts(cuts)
+    lp.solve()
+    return lp
+
+
+def _fractional_cover(stack: np.ndarray, deg: np.ndarray, tol: float):
     """Cutting-plane solution of min sum(v) over v >= 0 with sum_j v_j E_j >= identity.
 
     stack holds the edges E_j and deg their sum, which must have no
     common kernel.  The semi-infinite constraint set {<psi|.|psi> >= 1}
-    is grown from the eigenbasis of deg by deficient eigenvectors, the
-    finite LP is re-solved, and the loop stops once the weighted
-    degree's least eigenvalue lam reaches 1 - tol.  Returns the LP
-    weights v, lam and the number of LP rounds.  Every finite cut set
-    relaxes the problem, so sum(v) never exceeds the optimum and v / lam
-    is feasible: the optimum lies in [sum(v), sum(v) / lam].
+    is grown from the eigenbasis of deg by deficient eigenvectors; each
+    round adds them to one warm-started PackingLP (linprog), and the
+    loop stops once the weighted degree's least eigenvalue lam reaches
+    1 - tol.  Returns the cover weights v, lam, the dual witness Y of
+    the last round and the number of rounds.  v / lam is feasible, so
+    sum(v) / lam bounds the optimum from above; Y is positive
+    semidefinite, so weak duality bounds it from below by
+    tr Y / max_j tr(Y E_j), whatever the LP solve achieved.
     """
-    dim = stack.shape[-1]
-    _, u = linalg.eigh(deg)
-    rows = [-np.real(np.einsum("i,kij,j->k", u[:, i].conj(), stack, u[:, i])) for i in range(dim)]
+    lp = PackingLP(stack)
+    _, cuts = linalg.eigh(deg)
     for rounds in range(1, 2001):
-        res = linprog(
-            c=np.ones(stack.shape[0]),
-            A_ub=np.array(rows),
-            b_ub=-np.ones(len(rows)),
-            bounds=(0, None),
-            method="highs",
-            # default feasibility tolerances let the LP sit up to 1e-7
-            # below the cuts, which would stall lam short of 1 - tol
-            options={
-                "primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
-                "dual_feasibility_tolerance": LP_FEASIBILITY_TOL,
-            },
-        )
-        if not res.success:
-            raise RuntimeError(f"inner LP failed: {res.message}")
-        v = res.x
-        w, u = linalg.eigh(linalg.hermitize(np.tensordot(v, stack, axes=1)))
+        linprog(lp, cuts)
+        w, u = linalg.eigh(np.tensordot(lp.v, stack, axes=1))
         lam = float(w[0])
         if lam >= 1.0 - tol:
-            return v, lam, rounds
+            return lp.v, lam, lp.dual_witness(), rounds
         # cut along every deficient eigenvector, not just the least one;
         # one cut per round can stall arbitrarily close to feasibility
-        for i in range(dim):
-            if w[i] < 1.0:
-                rows.append(-np.real(np.einsum("i,kij,j->k", u[:, i].conj(), stack, u[:, i])))
+        cuts = u[:, w < 1.0]
     raise RuntimeError("cutting planes did not converge")
 
 
@@ -918,12 +999,15 @@ def covering_capacity(g: QuantumHypergraph, tol: float = 1e-9) -> CapacityResult
 
     The capacity is -log2 of max_P lambda_min(sum_E P(E) E), which LP
     duality equates with 1 / c~, the reciprocal fractional covering
-    number.  It is read off the fractional-covering LP with a certified
-    bracket: with LP weights v and lam the least eigenvalue of
-    sum_j v_j E_j, the witness v / sum(v) attains value = lam / sum(v),
-    and the optimum lies in [value, value_upper], value_upper =
-    1 / sum(v), a bracket at most a factor 1/(1 - tol) wide.
-    iterations counts LP rounds.  A family whose mixtures are all
+    number.  It is read off the fractional-covering LP as a bracket of
+    two checked witnesses.  With cover weights v and lam the least
+    eigenvalue of sum_j v_j E_j, the witness v / sum(v) attains value =
+    lam / sum(v).  The dual witness Y >= 0 caps every mixture at
+    value_upper = max_j tr(Y E_j) / tr Y, since lambda_min(sum_E P(E) E)
+    tr Y <= sum_E P(E) tr(Y E); value <= value_upper is enforced through
+    check_bound, so the bracket does not rest on the LP being solved to
+    optimality.  At the LP's optimum it is at most a factor 1/(1 - tol)
+    wide.  iterations counts LP rounds.  A family whose mixtures are all
     singular has infinite capacity, which is returned as math.inf (with
     a uniform witness) rather than raised.
     """
@@ -932,17 +1016,21 @@ def covering_capacity(g: QuantumHypergraph, tol: float = 1e-9) -> CapacityResult
             f"tol must be >= {LP_FEASIBILITY_TOL}, the LP's feasibility tolerance", "tol"
         )
     deg = degree(g)
+    m = g.num_edges
     if _common_kernel(deg):
-        m = g.num_edges
         return CapacityResult(math.inf, 0.0, np.full(m, 1.0 / m), 0, {"tol": tol, "singular": True})
-    v, lam, rounds = _fractional_cover(np.stack(g.edges), deg, tol)
+    stack = np.stack(g.edges)
+    v, lam, dual, rounds = _fractional_cover(stack, deg, tol)
     total = float(v.sum())
     value = lam / total
-    # lam can round a few ulps above 1; the upper end never drops below
-    # what the witness attains
-    upper = max(lam, 1.0) / total
+    # tr(Y E_j) = <vec E_j, vec Y^T>: one product for all edges
+    loads = (stack.reshape(m, -1) @ dual.T.reshape(-1)).real
+    upper = float(loads.max() / np.trace(dual).real)
+    linalg.check_bound("covering capacity bracket", value, upper, BRACKET_ROUNDING * upper)
+    # the two ends may cross by rounding alone; the upper end never drops
+    # below what the witness v attains
     return CapacityResult(-math.log2(value), value, v / total, rounds,
-                          {"tol": tol, "value_upper": upper})
+                          {"tol": tol, "value_upper": max(upper, value)})
 
 
 def _power(base: float, n) -> float:

@@ -682,6 +682,93 @@ class TestCoveringCapacity:
             assert time.perf_counter() - start < 1.0
 
 
+def lp_instance(seed, dim, m, kind):
+    """Seeded effect family: random edges, every other edge rank one, or a near-duplicate pair."""
+    rng = make_rng(seed)
+    edges = [random_effect(rng, dim) for _ in range(m)]
+    if kind == "rank-1":
+        for j in range(0, m, 2):
+            w, u = np.linalg.eigh(edges[j])
+            edges[j] = w[-1] * np.outer(u[:, -1], u[:, -1].conj())
+    elif kind == "near-duplicate":
+        edges[-1] = (1.0 - 1e-7) * edges[0] + 1e-7 * edges[-1]
+    return QuantumHypergraph(dim, edges, 1.0)
+
+
+class TestPackingSimplex:
+    """The warm-started simplex against the HiGHS cutting-plane oracle."""
+
+    TOL = 1e-9
+
+    def assert_agrees_with_oracle(self, g):
+        cap = covering_capacity(g, self.TOL)
+        oracle = 1.0 / product_fractional_cover(g.edges, 1, tol=self.TOL)
+        upper = cap.details["value_upper"]
+        # the oracle's value is only within tol of the optimum, which the
+        # bracket holds up to rounding
+        assert cap.value * (1.0 - self.TOL) <= oracle <= upper * (1.0 + covering.BRACKET_ROUNDING)
+        assert cap.value == pytest.approx(oracle, rel=self.TOL)
+        assert cap.value <= upper <= cap.value / (1.0 - self.TOL)
+        return cap
+
+    def test_agrees_with_highs_on_seeded_instances(self):
+        seeds = spawn_seeds(1977, 210)
+        for i, seed in enumerate(seeds):
+            rng = make_rng(seed)
+            dim, m = int(rng.integers(2, 5)), int(rng.integers(2, 9))
+            kind = ("random", "rank-1", "near-duplicate")[i % 3]
+            self.assert_agrees_with_oracle(lp_instance(seed, dim, m, kind))
+
+    @pytest.mark.parametrize("feasibility_tol", [covering.LP_FEASIBILITY_TOL, 1e-13])
+    def test_basic_columns_never_reenter(self, monkeypatch, feasibility_tol):
+        # a basic column's reduced cost rounds to about 3e-12, not 0; with
+        # an entering threshold below that, a simplex that let it re-enter
+        # cycled on this instance
+        monkeypatch.setattr(covering, "LP_FEASIBILITY_TOL", feasibility_tol)
+        g = random_hypergraph(spawn_seeds(31, 60)[9], dim=2, num_edges=4)
+        self.assert_agrees_with_oracle(g)
+
+    def test_warm_start_equals_one_cold_solve(self, monkeypatch):
+        solve = covering.linprog
+        seen = []
+        monkeypatch.setattr(covering, "linprog", lambda lp, cuts: seen.append(lp) or solve(lp, cuts))
+        for seed, dim, m in ((spawn_seeds(5, 5)[0], 3, 4), (spawn_seeds(5, 5)[1], 4, 8),
+                             (spawn_seeds(31, 60)[9], 2, 4)):
+            seen.clear()
+            g = random_hypergraph(seed, dim=dim, num_edges=m)
+            cap = covering_capacity(g, self.TOL)
+            warm = seen[-1]
+            assert len(seen) == cap.iterations > 1 and all(lp is warm for lp in seen)
+            cold = covering.PackingLP(np.stack(g.edges))
+            solve(cold, warm.cuts)
+            assert cold.y.sum() == pytest.approx(warm.y.sum(), rel=1e-12)
+            assert cold.v.sum() == pytest.approx(warm.v.sum(), rel=1e-12)
+
+    def test_corrupted_dual_witness_raises(self, monkeypatch):
+        solve = covering.linprog
+
+        def corrupting(lp, cuts):
+            solve(lp, cuts)
+            # all weight, negated, on the cut that some edge misses most:
+            # Y is no longer positive semidefinite
+            m = lp.stack.shape[0]
+            lp.y = -np.eye(lp.y.size)[np.argmin(lp.columns[:, m:].min(axis=0))]
+            return lp
+
+        monkeypatch.setattr(covering, "linprog", corrupting)
+        for g in (orthogonal_pair(), QuantumHypergraph(2, [E0, 0.5 * np.eye(2)], 1.0)):
+            with pytest.raises(BoundViolation, match="covering capacity bracket"):
+                covering_capacity(g)
+
+    def test_sixty_edges_in_dimension_six(self):
+        g = random_hypergraph(spawn_seeds(7, 3)[0], dim=6, num_edges=60)
+        start = time.perf_counter()
+        covering_capacity(g, self.TOL)
+        assert time.perf_counter() - start < 10.0  # about 0.1 s; HiGHS rounds took 1.7 s
+        cap = self.assert_agrees_with_oracle(g)
+        assert cap.iterations > 50
+
+
 class TestProductRelations:
     def test_chain_on_seeded_instances(self):
         # 2^{Cn} <= fractional <= exact, and the randomized size bound
