@@ -10,6 +10,7 @@ call and evaluate only the count vectors that occurred.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -118,8 +119,17 @@ class OperatorRV:
         return OperatorRV(probs, list(values))
 
     def in_unit_interval(self) -> bool:
-        eye = np.eye(self.dim)
-        return bool(linalg.in_operator_interval(self.values, np.zeros_like(eye), eye).all())
+        return bool(linalg.relative_margin(self.values, 0.0, 1.0)[2].all())
+
+    def whitened(self, shift, scale) -> "OperatorRV":
+        """The RV of scale (X - shift) scale, with the very same probs (no renormalization).
+
+        A sum of n whitened draws is scale (S - n shift) scale, so an interval
+        event on S is decided on one spectrum (linalg.relative_margin).
+        """
+        out = copy.copy(self)
+        out.values = linalg.hermitize(scale @ (self.values - shift) @ scale)
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -335,14 +345,14 @@ def weak_law_tail(rv: OperatorRV, n: int, delta, trials: int = 0, seed: int = 0)
     delta = linalg.require_hermitian(delta, name="Delta")
     if linalg.min_eigenvalue(delta) <= linalg.PSD_TOL:
         raise DomainError("Delta must be positive definite", "delta")
-    m = rv.mean()
-    lower, upper = m - delta, m + delta
     bound = float(np.trace(rv.variance() @ linalg.herm_power(delta, -2.0)).real) / n
+    # Delta^-1/2 (X - M) Delta^-1/2 / n: the sums are Delta^-1/2 (S/n - M) Delta^-1/2
+    white = rv.whitened(rv.mean(), linalg.herm_power(delta, -0.5) / math.sqrt(n))
 
     def event(sums):
-        return ~linalg.in_operator_interval(sums / n, lower, upper)
+        return ~linalg.relative_margin(sums, -1.0, 1.0)[2]
 
-    return _dispatch(rv, n, trials, seed, event, bound, "weak-law", proven=True)
+    return _dispatch(white, n, trials, seed, event, bound, "weak-law", proven=True)
 
 
 def bernstein_bound(rv: OperatorRV, a, t, n: int) -> float:
@@ -419,16 +429,17 @@ def two_sided_chernoff(rv: OperatorRV, n: int, eps: float,
     if mu <= linalg.PSD_TOL:
         raise DomainError("mean must be positive definite (mu > 0)", "rv")
     bound = 2.0 * rv.dim * 2.0 ** (-n * eps * eps * mu / (2.0 * LN2))
-    lower, upper = (1.0 - eps) * m, (1.0 + eps) * m
+    # M^-1/2 X M^-1/2 / n: the sums are M^-1/2 (S/n) M^-1/2
+    white = rv.whitened(0.0, linalg.herm_power(m, -0.5) / math.sqrt(n))
 
     def event(sums):
-        return ~linalg.in_operator_interval(sums / n, lower, upper)
+        return ~linalg.relative_margin(sums, 1.0 - eps, 1.0 + eps)[2]
 
     # proven=False: the quadratic simplification of the exponent is
     # not a lower bound on D((1+eps)mu || mu) when mu < ~0.117, so the
     # displayed constant can undershoot the true tail in that corner.
     # The report carries both numbers; callers compare where it applies.
-    return _dispatch(rv, n, trials, seed, event, bound, "two-sided", proven=False)
+    return _dispatch(white, n, trials, seed, event, bound, "two-sided", proven=False)
 
 
 # ---------------------------------------------------------------------------

@@ -653,11 +653,17 @@ def quantum_covering_sample(
     dim stays in the formula and the threshold.  The dim - s zero
     eigenvalues of the mixture off the span fall in the split-off part.
     `sampled_average`, `pi0` and `pi1` are lifted to dim x dim on first
-    read of the result.  The reported sandwich slacks are the least
-    eigenvalues of pi1 rhobar pi1 - (1 - eps) pi1 rho pi1 and
-    (1 + eps) pi1 rho pi1 - pi1 rhobar pi1, read off the spectra that
-    decide the order checks; when s < dim each is min(0, its compressed
-    value), since the full operators vanish off the span.
+    read of the result.
+
+    Both sides are decided from one spectrum.  With rho = U diag(w) U^dagger
+    and D the kept eigenvalues (all >= tau / dim > 0), congruence by
+    D^-1/2 U_k^dagger keeps the PSD order, so the sandwich holds exactly
+    when the r x r whitened average X = D^-1/2 U_k^dagger rhobar U_k D^-1/2
+    has its spectrum in [1 - eps, 1 + eps] (linalg.relative_margin).  The
+    reported sandwich slacks are the relative ones, lambda_min(X) - (1 - eps)
+    and (1 + eps) - lambda_max(X), never clamped; they do not depend on
+    whether the graph is compressed, and they are infinite when no
+    eigenvalue is kept.
     """
     linalg.require_positive(eps=eps, tau=tau)
     p = _check_distribution(p, g.num_edges)
@@ -666,11 +672,9 @@ def quantum_covering_sample(
     if not np.abs(w).max() > 0.0:
         raise ValueError("edge mixture is zero")
     small = w < tau / g.dim  # strict: eigenvalues at the threshold stay
-    p1 = linalg.hermitize((u * (~small).astype(float)) @ u.conj().T)
     excluded_mass = float(w[small].sum())
     linalg.check_bound("excluded eigenspace carries mass over tau", excluded_mass, tau, 1e-12)
-    proj = linalg.hermitize(p1 @ rho @ p1)
-    compressed = g.basis is not None
+    whiten = u[:, ~small] / np.sqrt(w[~small])  # U_k D^-1/2
 
     formula = draw_bound(g.eta, g.dim, eps, tau)
     base, stages = _sample_plan(formula, p, draws)
@@ -681,20 +685,20 @@ def quantum_covering_sample(
         ln = base * scale
         counts = make_rng(sub).multinomial(ln, p)
         rhobar = linalg.hermitize(g.span_combination(counts) / float(ln))
-        projbar = linalg.hermitize(p1 @ rhobar @ p1)
-        slack, tol = linalg.psd_margin(
-            np.stack([projbar - (1.0 - eps) * proj, (1.0 + eps) * proj - projbar])
+        lower, upper, inside = linalg.relative_margin(
+            whiten.conj().T @ rhobar @ whiten, 1.0 - eps, 1.0 + eps
         )
-        ok_lower, ok_upper = slack >= -tol
-        if ok_lower and ok_upper:
+        if inside:
             l1 = linalg.trace_norm(rho - rhobar)
             l1_bound = (eps + tau) + math.sqrt(8.0 * (eps + tau)) if equal_trace else None
             if equal_trace:
                 linalg.check_bound("sampled operator misses the trace-norm bound", l1, l1_bound, 1e-9)
-            pi1 = functools.cache(functools.partial(g.lift, p1))
-            if compressed:
-                slack = np.minimum(slack, 0.0)
 
+            @functools.cache
+            def pi1():
+                return g.lift(linalg.hermitize((u * (~small).astype(float)) @ u.conj().T))
+
+            if g.basis is not None:
                 def pi0():
                     return linalg.hermitize(np.eye(g.dim) - pi1())
             else:
@@ -720,15 +724,15 @@ def quantum_covering_sample(
                     "draw_bound": formula,
                     "threshold": tau / g.dim,
                     "excluded_mass": excluded_mass,
-                    "sandwich_lower_slack": float(slack[0]),
-                    "sandwich_upper_slack": float(slack[1]),
+                    "sandwich_lower_slack": float(lower),
+                    "sandwich_upper_slack": float(upper),
                     "l1_distance": l1,
                     "l1_bound": l1_bound,
                     "equal_edge_trace": equal_trace,
                     "scale": scale,
                 },
             )
-    raise _budget_exhausted(attempts, ok_lower, ok_upper)
+    raise _budget_exhausted(attempts, lower >= -linalg.PSD_TOL, upper >= -linalg.PSD_TOL)
 
 
 def replay_covering_result(

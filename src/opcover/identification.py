@@ -137,7 +137,7 @@ class QIDCode:
                 dim = m.shape[0]
             if m.shape != (dim, dim):
                 raise ValueError("test effects must share one dimension")
-            if not linalg.in_operator_interval(m, np.zeros((dim, dim)), np.eye(dim)):
+            if not linalg.relative_margin(m, 0.0, 1.0)[2]:
                 raise ValueError("test effect falls outside the operator interval [0, identity]")
             checked.append((dist, m))
         if not checked:

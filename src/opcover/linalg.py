@@ -183,13 +183,22 @@ def not_dominated(x, a) -> np.bool_ | np.ndarray:
     return ~psd_leq(x, a)
 
 
-def in_operator_interval(x, lower, upper) -> np.bool_ | np.ndarray:
-    """lower <= x <= upper in the Loewner order; stacks broadcast like x - lower.
+def relative_margin(x, lo: float, hi: float) -> tuple:
+    """Slacks of lo * 1 <= x <= hi * 1 for a matrix, or for each matrix of a stack.
 
-    Both differences go through one eigensolve, each with psd_leq's tolerance.
+    One eigensolve gives (least eigenvalue - lo, hi - greatest eigenvalue,
+    inside), each of the leading shape; inside says that both slacks are
+    >= -PSD_TOL.  The tolerance is flat, not scaled by the spectrum:
+    callers pass x whitened, x = W (B - S) W with W invertible, where W
+    and the shift S map A and C onto lo * 1 and hi * 1.  Congruence keeps
+    the PSD order, so x decides A <= B <= C from one spectrum, and the
+    slacks are relative to that interval.  An empty matrix has infinite
+    slacks.
     """
-    below, above = np.broadcast_arrays(np.subtract(x, lower), np.subtract(upper, x))
-    return is_psd(np.stack([below, above])).all(axis=0)
+    w = np.linalg.eigvalsh(hermitize(x))
+    lower = w.min(axis=-1, initial=np.inf) - lo
+    upper = hi - w.max(axis=-1, initial=-np.inf)
+    return lower, upper, (lower >= -PSD_TOL) & (upper >= -PSD_TOL)
 
 
 def compositions(n: int, k: int, chunk: int):
@@ -383,7 +392,7 @@ def operator_divergence(a, m) -> np.ndarray:
     if a.shape != m.shape:
         raise ValueError("A and M must have equal dimensions")
     eye = np.eye(a.shape[0])
-    if not (is_psd(a) and is_psd(eye - a)):
+    if not relative_margin(a, 0.0, 1.0)[2]:
         raise ValueError("A must satisfy 0 <= A <= 1")
     wm = np.linalg.eigvalsh(m)
     if wm[0] <= PSD_TOL or wm[-1] >= 1.0 - PSD_TOL:

@@ -107,6 +107,20 @@ def product_fractional_cover(edges, n, tol=1e-9, max_rounds=2000):
     raise AssertionError("product LP oracle did not converge")
 
 
+def in_operator_interval(x, lower, upper, tol=1e-9):
+    """lower <= x <= upper in the Loewner order, from two eigensolves; stacks broadcast.
+
+    Each difference x - lower and upper - x passes when its least
+    eigenvalue is >= -tol * max(1, its spectral norm).
+    """
+    def is_psd(a):
+        a = np.asarray(a, dtype=complex)
+        w = np.linalg.eigvalsh((a + a.conj().swapaxes(-1, -2)) / 2)
+        return w[..., 0] >= -tol * np.maximum(1.0, np.abs(w).max(axis=-1))
+
+    return is_psd(np.subtract(x, lower)) & is_psd(np.subtract(upper, x))
+
+
 def brute_force_tail(probs, values, n, event) -> float:
     """Pr{event(sum)} by full product-space enumeration (k^n terms)."""
     total = 0.0
@@ -147,14 +161,17 @@ def per_trial_mc_tail(probs, values, n, trials, rng, event) -> tuple[float, floa
     Draws atom indices with rng.choice, the reference stream that the
     library's mc_tail must match, counts every draw with one unbuffered
     np.add.at (not the library's bincount) and forms every trial's sum
-    with one einsum.
+    with two real matrix products, one per part of the atoms.  Those sum
+    in their own order, so a caller that compares with mc_tail exactly
+    uses atoms whose sums are exact in any order (dyadic entries).
     """
     probs = np.asarray(probs, dtype=float)
     values = np.asarray(values, dtype=complex)
     idx = rng.choice(probs.size, size=(trials, n), p=probs)
     counts = np.zeros((trials, probs.size))
     np.add.at(counts, (np.arange(trials)[:, None], idx), 1.0)
-    sums = np.einsum("tk,kij->tij", counts, values)
+    flat = values.reshape(probs.size, -1)
+    sums = (counts @ flat.real + 1j * (counts @ flat.imag)).reshape(trials, *values.shape[1:])
     p = float(np.mean(event((sums + sums.conj().swapaxes(-1, -2)) / 2)))
     return p, sqrt(max(p * (1.0 - p), 0.0) / trials)
 

@@ -379,6 +379,29 @@ class TestTailCommand:
         assert hashlib.sha256(canonical_json(results).encode()).hexdigest() == (
             "045ec1a28a57d426cadb2e8d32b4ac0c3cd4b62a7bfb260580794f49659dbb93")
 
+    # sha256 of `results`, taken while both interval tails still decided
+    # each sum with two spectra (x - lower and upper - x), before they
+    # whitened the atoms and read one spectrum per sum
+    INTERVAL_TAIL_HASHES = [
+        ({"method": "two-sided", "rv": {"kind": "random", "dim": 2, "atoms": 3}, "n": 24, "eps": 0.3},
+         31, "7b721f6e9bb71343f94d7837226417e38c33989bb168068f7c84c0f85f2f159b"),
+        ({"method": "two-sided", "rv": {"kind": "random", "dim": 3, "atoms": 4}, "n": 16, "eps": 0.4,
+          "trials": 6000},
+         32, "1c296601d5e8cdb4996f2adf7246aeebe2b79bff6059c5c0cc635264ae16e2f1"),
+        ({"method": "weak-law", "rv": {"kind": "random", "dim": 2, "atoms": 3}, "n": 20, "delta": 0.15},
+         33, "45834d55d6d4fe0f8ab9c34ec8718da28852468cc505e0432e81a2ecdb10b4d3"),
+        ({"method": "weak-law", "rv": {"kind": "random", "dim": 3, "atoms": 4}, "n": 18, "delta": 0.1,
+          "trials": 6000},
+         34, "0c2df182bff712f18e688200b495ae794249ee0c2a0d67c5cd7107ea73b38129"),
+    ]
+
+    @pytest.mark.parametrize("params, seed, digest", INTERVAL_TAIL_HASHES,
+                             ids=["two-sided", "two-sided-mc", "weak-law", "weak-law-mc"])
+    def test_interval_tail_payloads_unchanged(self, params, seed, digest):
+        results = run({"command": "tail-mc", "params": params, "seed": seed}).results
+        assert 0.0 < results["exact_or_empirical"] < 1.0
+        assert hashlib.sha256(canonical_json(results).encode()).hexdigest() == digest
+
 
 # ---------------------------------------------------------------------------
 

@@ -24,7 +24,7 @@ from opcover.concentration import (
 from opcover.rng import make_rng
 
 from oracles import (binom_tail_ge, binom_tail_le, brute_force_tail, half_integer_sum_pmf,
-                     per_trial_mc_tail)
+                     in_operator_interval, per_trial_mc_tail)
 
 E0 = np.diag([1.0, 0.0])
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -112,7 +112,7 @@ class TestWeakLaw:
         delta = 0.3 * np.eye(2)
 
         def event(s):
-            return not linalg.in_operator_interval(s / n, m - delta, m + delta)
+            return not in_operator_interval(s / n, m - delta, m + delta)
 
         rep = weak_law_tail(rv, n, delta)
         brute = brute_force_tail(rv.probs, rv.values, n, event)
@@ -193,7 +193,7 @@ class TestTwoSided:
         assert rep.probability <= 1.0
         brute = brute_force_tail(
             rv.probs, rv.values, 12,
-            lambda s: not linalg.in_operator_interval(s / 12, 0.5 * rv.mean(), 1.5 * rv.mean()),
+            lambda s: not in_operator_interval(s / 12, 0.5 * rv.mean(), 1.5 * rv.mean()),
         )
         assert rep.probability == pytest.approx(brute, abs=1e-10)
 

@@ -324,6 +324,24 @@ class TestQuantumSample:
         assert res.details["l1_distance"] <= bound
         assert replay_covering_result(g, res, p=[0.5, 0.5], eps=0.1, tau=0.1)["all"]
 
+    def test_slacks_are_relative_to_the_kept_mixture(self):
+        # both eigenvalues kept: the spectrum of rho^-1/2 rhobar rho^-1/2
+        g = QuantumHypergraph(2, [0.5 * E0, 0.5 * PLUS], 0.5)
+        res = quantum_covering_sample(g, [0.5, 0.5], eps=0.1, tau=0.1, seed=19)
+        w, u = np.linalg.eigh(g.edge_average([0.5, 0.5]))
+        white = u / np.sqrt(w)
+        x = np.linalg.eigvalsh(white.conj().T @ res.sampled_average @ white)
+        assert res.details["sandwich_lower_slack"] == pytest.approx(x[0] - 0.9, abs=1e-12)
+        assert res.details["sandwich_upper_slack"] == pytest.approx(1.1 - x[-1], abs=1e-12)
+
+    def test_nothing_kept_holds_vacuously(self):
+        # every mixture eigenvalue lies under tau / dim = 0.25
+        g = QuantumHypergraph(2, [0.05 * np.eye(2), np.diag([0.1, 0.02])], 1.0)
+        res = quantum_covering_sample(g, [0.5, 0.5], eps=0.3, tau=0.5, seed=1)
+        assert res.certified and res.attempts == 1
+        assert res.details["sandwich_lower_slack"] == res.details["sandwich_upper_slack"] == math.inf
+        assert np.allclose(res.pi0, np.eye(2)) and np.allclose(res.pi1, np.zeros((2, 2)))
+
     def test_excluded_mass_within_tau(self):
         rng = make_rng(41)
         g = QuantumHypergraph(3, [random_effect(rng, 3) for _ in range(4)], 1.0)
@@ -395,8 +413,11 @@ class TestSpanCompression:
             b = quantum_covering_sample(dense, p, 0.3, 0.3, seed=83, draws=draws)
             assert a.certified
             assert_same_sample(a, b)
-            # the full operators vanish off the span: slacks are at most 0
-            assert a.details["sandwich_lower_slack"] <= 0.0
+            # relative slacks, read off the kept eigenspace: alike for the
+            # compressed and the dense graph, and nonnegative when certified
+            for side in ("sandwich_lower_slack", "sandwich_upper_slack"):
+                assert abs(a.details[side] - b.details[side]) <= 1e-12
+                assert a.details[side] >= -1e-9
             assert replay_covering_result(g, a, p=p, eps=0.3, tau=0.3)["all"]
 
     def test_sampler_makes_one_mixture_eigh_and_one_stacked_check(self, monkeypatch):
@@ -410,12 +431,14 @@ class TestSpanCompression:
             return wrapped
 
         g = random_hypergraph(85, 3, 4)
+        r = int((np.linalg.eigvalsh(g.edge_average([0.25] * 4)) >= 0.3 / 3).sum())
         monkeypatch.setattr(np.linalg, "eigh", spy(eigh, "eigh"))
         monkeypatch.setattr(np.linalg, "eigvalsh", spy(eigvalsh, "eigvalsh"))
         res = quantum_covering_sample(g, [0.25] * 4, 0.3, 0.3, seed=86)
         assert res.attempts == 1
-        # eigh of rho; both sandwich checks; the trace norm of rho - rhobar
-        assert calls == [("eigh", (3, 3)), ("eigvalsh", (2, 3, 3)), ("eigvalsh", (3, 3))]
+        # eigh of rho; both sandwich sides from one whitened r x r spectrum;
+        # the trace norm of rho - rhobar
+        assert calls == [("eigh", (3, 3)), ("eigvalsh", (r, r)), ("eigvalsh", (3, 3))]
 
 
 class TestOrbitGraph:

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from opcover import linalg
 from opcover.linalg import BoundViolation
-from opcover.rng import make_rng, random_density, random_hermitian, random_projector, random_psd
+from opcover.rng import haar_unitary, make_rng, random_density, random_hermitian, random_projector, random_psd
+
+from oracles import in_operator_interval
 
 ATOL = 1e-10
 
@@ -288,13 +290,14 @@ def test_psd_order_on_stacks_matches_each_matrix():
         a = np.stack([random_hermitian(rng, dim) for _ in range(12)]).reshape(3, 4, dim, dim)
         b = a + np.stack([random_psd(rng, dim) - 0.1 * np.eye(dim) for _ in range(12)]).reshape(a.shape)
         x = (a + b) / 2
-        got = (linalg.is_psd(b - a), linalg.psd_leq(a, b), linalg.in_operator_interval(x, a, b))
+        got = (linalg.is_psd(b - a), linalg.psd_leq(a, b), linalg.relative_margin(x, -1.0, 1.0)[2])
         for g in got:
             assert g.shape == (3, 4)
         for i in np.ndindex(3, 4):
             assert got[0][i] == linalg.is_psd(b[i] - a[i])
             assert got[1][i] == linalg.psd_leq(a[i], b[i])
-            assert got[2][i] == linalg.in_operator_interval(x[i], a[i], b[i])
+            assert got[2][i] == linalg.relative_margin(x[i], -1.0, 1.0)[2]
+            assert got[2][i] == in_operator_interval(x[i], -np.eye(dim), np.eye(dim))
         # one bound broadcast against the whole stack
         bound = np.eye(dim)
         leq = linalg.psd_leq(x, bound)
@@ -320,6 +323,77 @@ def test_psd_leq_makes_one_eigensolve(monkeypatch):
     assert calls == [(2, 2)]
 
 
+# How far one eigenvalue sits past an end of [lo, hi] (negative: inside):
+# well and just inside, within the 1e-9 band either side, just past the
+# band, and well past it.
+OFFSETS = [-0.1, -1e-6, -2e-9, -0.5e-9, 0.0, 0.5e-9, 2e-9, 1e-8, 1e-6, 0.2]
+
+
+def _with_spectrum(rng, dim, lo, hi, offset, top, basis=None):
+    """A Hermitian matrix with spectrum in the middle half of [lo, hi] but one end `offset` past it."""
+    x = rng.uniform(lo + (hi - lo) / 4, hi - (hi - lo) / 4, size=dim)
+    x[0] = hi + offset if top else lo - offset
+    u = haar_unitary(rng, dim) if basis is None else basis
+    return (u * x) @ u.conj().T
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_relative_margin_agrees_with_the_two_eigensolve_oracle(dim):
+    # the oracle's tolerance is PSD_TOL * max(1, norm), flat on these
+    # spectra, so the two agree on every case: past the band both refuse
+    rng = make_rng(140 + dim)
+    lo, hi = 0.7, 1.3
+    for size in (1, dim):  # one scalar stack of 1 x 1 matrices, one of dim x dim
+        cases = [(offset, top) for offset in OFFSETS for top in (False, True)]
+        stack = np.stack([_with_spectrum(rng, size, lo, hi, offset, top) for offset, top in cases])
+        lower, upper, inside = linalg.relative_margin(stack, lo, hi)
+        assert inside.shape == (len(cases),)
+        for i, (offset, top) in enumerate(cases):
+            slack = upper[i] if top else lower[i]
+            assert abs(slack + offset) <= 1e-14
+            assert inside[i] == (offset <= 1e-9)
+            assert inside[i] == in_operator_interval(stack[i], lo * np.eye(size), hi * np.eye(size))
+            assert inside[i] == linalg.relative_margin(stack[i], lo, hi)[2]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_whitened_sandwich_agrees_with_the_oracle_outside_both_bands(dim):
+    # (1 - eps) A <= B <= (1 + eps) A for A with least eigenvalue 1e-6:
+    # whitened by A^-1/2, decided by one spectrum, against the oracle's
+    # two differences.  They agree wherever neither decision is within
+    # its tolerance; the oracle's is absolute, so a relative violation
+    # along A's least direction can hide inside it.
+    rng = make_rng(150 + dim)
+    eps = 0.25
+    lo, hi = 1.0 - eps, 1.0 + eps
+    u = haar_unitary(rng, dim)
+    spectrum = np.geomspace(1e-6, 1.0, dim)
+    a = (u * spectrum) @ u.conj().T
+    half, white = linalg.herm_power(a, 0.5), linalg.herm_power(a, -0.5)
+    decisive, near = {True: 0, False: 0}, 0
+    for offset in OFFSETS:
+        for top in (False, True):
+            # in A's eigenbasis one end lies along A's least (index 0) or
+            # greatest direction; then in a random basis
+            for basis in (u, u[:, ::-1], None):
+                x = _with_spectrum(rng, dim, lo, hi, offset, top, basis)
+                b = linalg.hermitize(half @ x @ half)
+                lower, upper, inside = linalg.relative_margin(white @ b @ white, lo, hi)
+                absolute = min(np.linalg.eigvalsh(b - lo * a)[0], np.linalg.eigvalsh(hi * a - b)[0])
+                if min(abs(lower), abs(upper), abs(absolute)) <= 1.5e-9:
+                    continue
+                assert inside == in_operator_interval(b, lo * a, hi * a)
+                decisive[bool(inside)] += 1
+                near += min(abs(lower), abs(upper)) < 1e-8
+    assert decisive[True] > 0 and decisive[False] > 0 and near > 0
+    # a relative violation of 1e-4 along the least direction is 1e-10
+    # absolute: inside the oracle's band, refused by the relative check
+    x = _with_spectrum(rng, dim, lo, hi, 1e-4, True, u)
+    b = linalg.hermitize(half @ x @ half)
+    assert in_operator_interval(b, lo * a, hi * a)
+    assert not linalg.relative_margin(white @ b @ white, lo, hi)[2]
+
+
 def test_operator_interval_makes_one_eigensolve(monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -330,8 +404,10 @@ def test_operator_interval_makes_one_eigensolve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     stack = np.stack([0.5 * np.eye(2), 1.5 * np.eye(2), np.diag([0.5, -0.5])])
-    assert linalg.in_operator_interval(stack, np.zeros((2, 2)), np.eye(2)).tolist() == [True, False, False]
-    assert calls == [(2, 3, 2, 2)]
+    lower, upper, inside = linalg.relative_margin(stack, 0.0, 1.0)
+    assert inside.tolist() == [True, False, False]
+    assert lower.tolist() == [0.5, 1.5, -0.5] and upper.tolist() == [0.5, -0.5, 0.5]
+    assert calls == [(3, 2, 2)]
 
 
 @pytest.mark.parametrize("n, k", [(0, 1), (5, 1), (0, 3), (4, 3), (6, 4), (1, 5)])
