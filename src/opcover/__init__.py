@@ -22,7 +22,6 @@ from .concentration import (
     weak_law_tail,
 )
 from .covering import (
-    ClassicalHypergraph,
     QuantumHypergraph,
     covering_capacity,
     product_covering_table,
@@ -43,7 +42,6 @@ from .linalg import BoundViolation, DomainError
 __all__ = [
     "BoundViolation",
     "CQChannel",
-    "ClassicalHypergraph",
     "DomainError",
     "OperatorRV",
     "QIDCode",

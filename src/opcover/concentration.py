@@ -304,20 +304,31 @@ def markov_tail(rv: OperatorRV, a) -> TailReport:
     """Operator Markov: Pr{X not <= A} <= Tr(mean * pinv(A)).
 
     If supp(A) does not contain supp(mean) the bound is vacuous and the
-    report is flagged trivial (bound = inf) rather than failing.
+    report is flagged trivial (bound = inf) rather than failing.  One
+    eigh of A gives its PSD check, its support (eigenvalues above the
+    PSD tolerance in modulus) and the pseudo-inverse (every positive
+    eigenvalue inverted); the mean's PSD check gives the tolerance of
+    the containment test ||mean - P mean P|| <= tol, P the support
+    projector.
     """
     linalg.require_finite(a, "a")
     a = linalg.require_hermitian(a, name="A")
-    if not linalg.is_psd(a):
+    w, u = linalg.eigh(a)
+    tol = linalg.spectral_tolerance(w)
+    if not w[0] >= -tol:
         raise DomainError("A must be PSD", "a")
     m = rv.mean()
-    if not linalg.is_psd(m):
+    least, mean_tol = linalg.psd_margin(m)
+    if not least >= -mean_tol:
         raise DomainError("markov_tail needs a PSD-valued random variable", "rv")
-    hits = linalg.not_dominated(rv.values, a)
+    hits = ~linalg.psd_leq(rv.values, a)
     exact = min(1.0, sum(rv.probs[hits].tolist(), 0.0))
-    if not linalg.supports_contained(m, a):
+    support = linalg.hermitize((u * (np.abs(w) > tol).astype(float)) @ u.conj().T)
+    if not linalg.spectral_norm(m - support @ m @ support) <= mean_tol:
         return TailReport(exact, math.inf, 1, 0, 0, "markov-trivial")
-    bound = float(np.trace(m @ linalg.support_inverse(a)).real)
+    inverse = np.zeros_like(w)
+    inverse[w > 0] = w[w > 0] ** -1.0
+    bound = float(np.trace(m @ linalg.hermitize((u * inverse) @ u.conj().T)).real)
     linalg.check_bound("exact markov tail exceeds its bound", exact, bound, 1e-9)
     return TailReport(exact, bound, 1, 0, 0, "markov")
 
@@ -329,7 +340,7 @@ def chebyshev_tail(rv: OperatorRV, delta) -> TailReport:
     if linalg.min_eigenvalue(delta) <= linalg.PSD_TOL:
         raise DomainError("Delta must be positive definite", "delta")
     m = rv.mean()
-    hits = linalg.not_dominated(np.stack([linalg.abs_herm(x - m) for x in rv.values]), delta)
+    hits = ~linalg.psd_leq(np.stack([linalg.abs_herm(x - m) for x in rv.values]), delta)
     exact = min(1.0, sum(rv.probs[hits].tolist(), 0.0))
     s2 = rv.variance()
     bound = float(np.trace(s2 @ linalg.herm_power(delta, -2.0)).real)
@@ -409,7 +420,7 @@ def chernoff_tail(rv: OperatorRV, n: int, a: float, m: float, side: str = "upper
 
     def event(sums):
         if side == "upper":
-            return linalg.not_dominated(sums, target)
+            return ~linalg.psd_leq(sums, target)
         return ~linalg.psd_leq(target, sums)
 
     return _dispatch(rv, n, trials, seed, event, bound, f"chernoff-{side}", proven=True)
@@ -516,7 +527,7 @@ def _probe_divergence_tail(rng, dim: int) -> tuple[float, dict]:
     div_nats = LN2 * linalg.operator_divergence(a_op, mean)
     conj_bound = float(np.trace(linalg.herm_exp(-n * div_nats)).real)
     target = n * a_op
-    exact = exact_tail(rv, n, lambda s: linalg.not_dominated(s, target))
+    exact = exact_tail(rv, n, lambda s: ~linalg.psd_leq(s, target))
     aux = {"n": n, "theta": theta, "conjectured": conj_bound, "exact": exact}
     a_scalar = linalg.min_eigenvalue(a_op)
     m_scalar = linalg.spectral_norm(mean)

@@ -1,8 +1,10 @@
-"""Hypergraph coverings, classical and noncommutative.
+"""Coverings of quantum hypergraphs.
 
 A quantum hypergraph is a finite family of effects (operators between
 zero and the identity) on a d-dimensional space; a covering is a
-sub(multi)set of edges whose sum dominates the identity.  This module
+sub(multi)set of edges whose sum dominates the identity.  A classical
+hypergraph, vertices weighted by edge measures, is the case of
+diagonal edges, so it needs no code of its own.  This module
 implements randomized covering constructions, the sampling
 constructions that approximate an edge mixture by a small multiset
 average, exact and fractional covering numbers of tensor-power
@@ -42,81 +44,6 @@ LP_FEASIBILITY_TOL = 1e-10
 SIMPLEX_PIVOTS = 100_000  # per round; Bland's rule cannot cycle, rounding might
 # value <= value_upper is weak duality, exact up to this relative rounding
 BRACKET_ROUNDING = 1e-12
-
-
-class ClassicalHypergraph:
-    """Vertex-indexed hypergraph with a weight measure on every edge.
-
-    Vertices are 0..num_vertices-1.  Each edge is a subset of vertices
-    carrying a nonnegative measure supported inside it; every single
-    weight is capped by eta.
-    """
-
-    def __init__(self, num_vertices: int, edges, eta: float):
-        self.num_vertices = int(num_vertices)
-        if self.num_vertices <= 0:
-            raise ValueError("num_vertices must be positive")
-        self.eta = float(eta)
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
-        supports = []
-        rows = []
-        for support, measure in edges:
-            sup = frozenset(int(v) for v in support)
-            if not sup <= set(range(self.num_vertices)):
-                raise ValueError("edge support outside the vertex range")
-            row = np.zeros(self.num_vertices)
-            for v, w in dict(measure).items():
-                v, w = int(v), float(w)
-                if w < 0:
-                    raise ValueError("edge measures must be nonnegative")
-                if v not in sup:
-                    raise ValueError("edge measure leaks outside its support")
-                row[v] = w
-            if row.max(initial=0.0) > self.eta + 1e-12:
-                raise ValueError("edge measure exceeds the eta cap")
-            supports.append(sup)
-            rows.append(row)
-        if not rows:
-            raise ValueError("at least one edge required")
-        self.supports = tuple(supports)
-        self.weights = np.array(rows)  # (num_edges, num_vertices)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.supports)
-
-    def mean_measure(self, p) -> np.ndarray:
-        """Mixture measure sum_E P(E) Q_E as a dense vector."""
-        p = _check_distribution(p, self.num_edges)
-        q = np.zeros(self.num_vertices)
-        for e in range(self.num_edges):  # fixed order, see QuantumHypergraph.edge_average
-            q += p[e] * self.weights[e]
-        return q
-
-    def edge_masses(self) -> np.ndarray:
-        return self.weights.sum(axis=1)
-
-    def to_json(self) -> dict:
-        return {
-            "num_vertices": self.num_vertices,
-            "eta": self.eta,
-            "edges": [
-                {
-                    "support": sorted(sup),
-                    "measure": {str(v): float(self.weights[i, v]) for v in sorted(sup)},
-                }
-                for i, sup in enumerate(self.supports)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ClassicalHypergraph":
-        edges = [
-            (e["support"], {int(v): w for v, w in e["measure"].items()})
-            for e in obj["edges"]
-        ]
-        return cls(obj["num_vertices"], edges, obj["eta"])
 
 
 def _check_graph_header(dim, eta) -> int:
@@ -251,30 +178,11 @@ class QuantumHypergraph:
         return out
 
     def edge_average(self, p) -> np.ndarray:
-        """Edge mixture sum_E P(E) E."""
-        # Accumulated edge by edge so the diagonal case runs the exact
-        # same float additions as ClassicalHypergraph.mean_measure.
+        """Edge mixture sum_E P(E) E, accumulated edge by edge in index order (span_combination)."""
         return _degree_from_counts(self, _check_distribution(p, self.num_edges))
 
     def edge_traces(self) -> np.ndarray:
         return np.array([float(np.trace(c).real) for c in self.compressed])
-
-    def is_diagonal(self) -> bool:
-        for e in self.edges:
-            if np.abs(e - np.diag(np.diag(e))).max() > 1e-12:
-                return False
-        return True
-
-    def to_classical(self) -> ClassicalHypergraph:
-        """Induced classical hypergraph when every edge is diagonal."""
-        if not self.is_diagonal():
-            raise ValueError("edges are not diagonal")
-        edges = []
-        for e in self.edges:
-            d = np.real(np.diag(e))
-            support = [v for v in range(self.dim) if d[v] != 0.0]
-            edges.append((support, {v: float(d[v]) for v in support}))
-        return ClassicalHypergraph(self.dim, edges, self.eta)
 
     def to_json(self) -> dict:
         return {
@@ -334,11 +242,12 @@ class CoveringResult:
     past the formula; beyond_bound records a draw count above the
     formula's value, whether by escalation or by the caller's choice.
     For randomized coverings `sampled_average` holds the multiset
-    degree, for the samplers the multiset average (a measure vector in
-    the classical case, an operator otherwise).  `sampled_average`,
-    `pi0` and `pi1` may be given as zero-argument callables, called on
-    first read (to_json reads all three), so a caller that never reads
-    them never forms them.
+    degree, for the sampler the multiset average, an operator either
+    way.  excluded_vertices is always empty: the sampler splits off an
+    eigenspace (pi0), not vertices, and the field stays for the payload
+    format.  `sampled_average`, `pi0` and `pi1` may be given as
+    zero-argument callables, called on first read (to_json reads all
+    three), so a caller that never reads them never forms them.
     """
 
     kind: str
@@ -378,14 +287,11 @@ class CoveringResult:
         return counts
 
     def to_json(self) -> dict:
-        avg = self.sampled_average
         return {
             "kind": self.kind,
             "edge_multiplicities": {str(i): int(c) for i, c in sorted(self.edge_multiplicities.items())},
             "num_draws": int(self.num_draws),
-            "sampled_average": (
-                [float(x) for x in avg] if avg.ndim == 1 else linalg.matrix_to_json(avg)
-            ),
+            "sampled_average": linalg.matrix_to_json(self.sampled_average),
             "certified": bool(self.certified),
             "seed": int(self.seed),
             "beyond_bound": bool(self.beyond_bound),
@@ -398,14 +304,11 @@ class CoveringResult:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CoveringResult":
-        avg = obj["sampled_average"]
         return cls(
             kind=obj["kind"],
             edge_multiplicities={int(i): int(c) for i, c in obj["edge_multiplicities"].items()},
             num_draws=obj["num_draws"],
-            sampled_average=(
-                np.array(avg, dtype=float) if isinstance(avg, list) else linalg.matrix_from_json(avg)
-            ),
+            sampled_average=linalg.matrix_from_json(obj["sampled_average"]),
             certified=obj["certified"],
             seed=obj["seed"],
             beyond_bound=obj["beyond_bound"],
@@ -530,25 +433,16 @@ def covering_randomized(g: QuantumHypergraph, p, seed: int) -> CoveringResult:
     raise RuntimeError(f"covering retry budget exhausted after {attempts} attempts")
 
 
-def _vector_leq(x: np.ndarray, y: np.ndarray) -> bool:
-    """Entrywise x <= y with the tolerance psd_leq applies to diagonals."""
-    diff = np.asarray(y, dtype=float) - np.asarray(x, dtype=float)
-    if diff.size == 0:
-        return True
-    tol = linalg.PSD_TOL * max(1.0, float(np.abs(diff).max()))
-    return float(diff.min()) >= -tol
-
-
 def draw_bound(eta: float, size: int, eps: float, tau: float) -> float:
     """The covering lemma's draw count 1 + eta size (2 ln2 log2(2 size)) / (eps^2 tau).
 
-    size is the vertex count or the dimension.
+    size is the dimension (the vertex count, when the edges are diagonal).
     """
     return 1.0 + eta * size * (2.0 * LN2 * math.log2(2.0 * size)) / (eps * eps * tau)
 
 
 def _sample_plan(formula: float, p: np.ndarray, draws):
-    """Base draw count and escalation depth shared by both samplers."""
+    """Base draw count and escalation depth of the sampler and its replay."""
     if draws is not None:
         linalg.require_positive(draws=draws)
         return int(draws), 1
@@ -558,86 +452,16 @@ def _sample_plan(formula: float, p: np.ndarray, draws):
 
 
 def _budget_exhausted(attempts: int, ok_lower, ok_upper) -> RuntimeError:
-    """The error both samplers raise once every attempt failed, naming the last one's failing side."""
+    """The sampler's error once every attempt failed, naming the last one's failing side."""
     failing = {(False, False): "lower and upper", (False, True): "lower",
                (True, False): "upper"}[(ok_lower, ok_upper)]
     return RuntimeError(f"sampling budget exhausted after {attempts} attempts ({failing} side failing)")
 
 
-def classical_covering_sample(
-    g: ClassicalHypergraph, p, eps: float, tau: float, seed: int, draws: int | None = None
-) -> CoveringResult:
-    """Approximate the mixture measure by an i.i.d. multiset average.
-
-    Vertices where the mixture is below tau / num_vertices are set
-    aside (their total mass stays below tau); on the rest the sampled
-    average has to fall within a factor (1 +- eps) of the mixture,
-    vertex by vertex.  The draw count comes from the
-    1 + eta |V| (2 ln2 log2(2|V|)) / (eps^2 tau) formula unless
-    prescribed.  When all edges carry one common total mass q <= 1 the
-    total variation ||Q - Qbar||_1 <= 2 eps + 2 tau is also enforced.
-    """
-    linalg.require_positive(eps=eps, tau=tau)
-    p = _check_distribution(p, g.num_edges)
-    q = g.mean_measure(p)
-    nv = g.num_vertices
-    keep = q >= tau / nv  # strict drop below the threshold, ties stay
-    excluded = tuple(int(v) for v in np.flatnonzero(~keep))
-    excluded_mass = float(q[~keep].sum())
-    linalg.check_bound("excluded vertices carry mass over tau", excluded_mass, tau, 1e-12)
-
-    formula = draw_bound(g.eta, nv, eps, tau)
-    base, stages = _sample_plan(formula, p, draws)
-    masses = g.edge_masses()
-    equal_mass = float(np.ptp(masses)) <= 1e-9 and float(masses.max()) <= 1.0 + 1e-9
-
-    for attempts, scale, sub in _attempt_schedule(seed, stages):
-        ln = base * scale
-        counts = make_rng(sub).multinomial(ln, p)
-        qbar = np.zeros(nv)
-        for e in range(g.num_edges):
-            qbar += float(counts[e]) * g.weights[e]
-        qbar /= float(ln)
-        ok_lower = _vector_leq((1.0 - eps) * q[keep], qbar[keep])
-        ok_upper = _vector_leq(qbar[keep], (1.0 + eps) * q[keep])
-        if ok_lower and ok_upper:
-            l1 = float(np.abs(q - qbar).sum())
-            l1_bound = 2.0 * eps + 2.0 * tau if equal_mass else None
-            if equal_mass:
-                linalg.check_bound("sampled measure misses the total variation bound",
-                                   l1, l1_bound, 1e-9)
-            beyond = ln > formula
-            return CoveringResult(
-                kind="classical-sample",
-                edge_multiplicities={int(i): int(c) for i, c in enumerate(counts) if c},
-                num_draws=ln,
-                sampled_average=qbar,
-                certified=not (beyond and draws is None),
-                seed=seed,
-                beyond_bound=beyond,
-                attempts=attempts,
-                excluded_vertices=excluded,
-                details={
-                    "eps": eps,
-                    "tau": tau,
-                    "eta": g.eta,
-                    "num_vertices": nv,
-                    "draw_bound": formula,
-                    "threshold": tau / nv,
-                    "excluded_mass": excluded_mass,
-                    "l1_distance": l1,
-                    "l1_bound": l1_bound,
-                    "equal_edge_mass": equal_mass,
-                    "scale": scale,
-                },
-            )
-    raise _budget_exhausted(attempts, ok_lower, ok_upper)
-
-
 def quantum_covering_sample(
     g: QuantumHypergraph, p, eps: float, tau: float, seed: int, draws: int | None = None
 ) -> CoveringResult:
-    """Operator analog of classical_covering_sample.
+    """Approximate the edge mixture rho by an i.i.d. multiset average rhobar.
 
     The eigenspace where the edge mixture falls below tau / dim is
     split off first (the mixture keeps mass at most tau there); on the
@@ -646,7 +470,9 @@ def quantum_covering_sample(
     Draw count formula: 1 + eta dim (2 ln2 log2(2 dim)) / (eps^2 tau).
     When all edges share one trace q <= 1 the trace-norm consequence
     ||rho - rhobar||_1 <= (eps + tau) + sqrt(8 (eps + tau)) is enforced
-    as well.
+    as well.  On diagonal edges this is the classical vertex-wise
+    sampler: the split-off part is the vertices below tau / dim, and the
+    sandwich holds vertex by vertex.
 
     Every operator compared lives in the span of the edges, so the work
     runs on the s x s compressed edges (see QuantumHypergraph) while
@@ -751,24 +577,19 @@ def replay_covering_result(
             "is_covering": linalg.psd_leq(np.eye(g.dim), deg),
             "average_matches": bool(np.allclose(deg, result.sampled_average, atol=1e-10)),
         }
-    elif result.kind in ("classical-sample", "quantum-sample"):
+    elif result.kind == "quantum-sample":
         if p is None or eps is None or tau is None:
             raise ValueError("replaying a sample needs p, eps and tau")
-        if result.kind == "classical-sample":
-            sampler = classical_covering_sample
-            size = g.num_vertices
-        else:
-            sampler = quantum_covering_sample
-            size = g.dim
-        formula = draw_bound(g.eta, size, eps, tau)
+        formula = draw_bound(g.eta, g.dim, eps, tau)
         # Infer whether the draw count was prescribed: the default path
-        # always lands on base * scale.  (The first 64 spawned sub-seeds
-        # coincide between the two schedules, so either way the replay
-        # walks the original attempt sequence.)
+        # always lands on base * scale.  (A prescribed count's single
+        # stage spawns the same first RETRY_SEEDS sub-seeds as the
+        # escalating stages, so either way the replay walks the original
+        # attempt sequence.)
         base, _ = _sample_plan(formula, _check_distribution(p, g.num_edges), None)
         scale = 2 ** ((result.attempts - 1) // RETRY_SEEDS)
         default_path = result.num_draws == base * scale
-        fresh = sampler(
+        fresh = quantum_covering_sample(
             g, p, eps, tau, result.seed, draws=None if default_path else result.num_draws
         )
         checks = {

@@ -149,10 +149,6 @@ def spectral_tolerance(w):
     return PSD_TOL * np.maximum(1.0, np.abs(w).max(axis=-1))
 
 
-def psd_tolerance(a) -> float:
-    return float(spectral_tolerance(np.linalg.eigvalsh(hermitize(a))))
-
-
 def psd_margin(a) -> tuple:
     """Least eigenvalue and PSD tolerance of a matrix, or of each matrix of a stack.
 
@@ -176,11 +172,6 @@ def is_psd(a) -> np.bool_ | np.ndarray:
 def psd_leq(a, b) -> np.bool_ | np.ndarray:
     """Loewner order a <= b up to the PSD tolerance; stacks broadcast like b - a."""
     return is_psd(np.subtract(b, a))
-
-
-def not_dominated(x, a) -> np.bool_ | np.ndarray:
-    """Decide the tail event "x is NOT <= a" (strict order violation)."""
-    return ~psd_leq(x, a)
 
 
 def relative_margin(x, lo: float, hi: float) -> tuple:
@@ -275,27 +266,6 @@ def herm_power(a, s: float) -> np.ndarray:
     pos = w > 0
     out[pos] = w[pos] ** s
     return hermitize((u * out) @ u.conj().T)
-
-
-def support_inverse(a) -> np.ndarray:
-    """Moore-Penrose inverse of a PSD matrix via its eigenbasis."""
-    return herm_power(a, -1.0)
-
-
-def support_projector(a) -> np.ndarray:
-    m = hermitize(a)
-    tol = psd_tolerance(m)
-    w, u = np.linalg.eigh(m)
-    ind = (np.abs(w) > tol).astype(float)
-    return hermitize((u * ind) @ u.conj().T)
-
-
-def supports_contained(a, b) -> bool:
-    """True when supp(a) is contained in supp(b), both PSD."""
-    pb = support_projector(b)
-    m = hermitize(a)
-    resid = m - pb @ m @ pb
-    return spectral_norm(resid) <= psd_tolerance(m)
 
 
 def abs_herm(a) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, floor, log, log2, sqrt
 
 import numpy as np
 from scipy.optimize import linprog
@@ -107,18 +107,139 @@ def product_fractional_cover(edges, n, tol=1e-9, max_rounds=2000):
     raise AssertionError("product LP oracle did not converge")
 
 
+def _hermitian_part(a) -> np.ndarray:
+    a = np.asarray(a, dtype=complex)
+    return (a + a.conj().swapaxes(-1, -2)) / 2
+
+
+def _scaled_tolerance(w, tol=1e-9):
+    return tol * np.maximum(1.0, np.abs(w).max(axis=-1))
+
+
+def _is_psd(a, tol=1e-9) -> np.ndarray:
+    w = np.linalg.eigvalsh(_hermitian_part(a))
+    return w[..., 0] >= -_scaled_tolerance(w, tol)
+
+
 def in_operator_interval(x, lower, upper, tol=1e-9):
     """lower <= x <= upper in the Loewner order, from two eigensolves; stacks broadcast.
 
     Each difference x - lower and upper - x passes when its least
     eigenvalue is >= -tol * max(1, its spectral norm).
     """
-    def is_psd(a):
-        a = np.asarray(a, dtype=complex)
-        w = np.linalg.eigvalsh((a + a.conj().swapaxes(-1, -2)) / 2)
-        return w[..., 0] >= -tol * np.maximum(1.0, np.abs(w).max(axis=-1))
+    return _is_psd(np.subtract(x, lower), tol) & _is_psd(np.subtract(upper, x), tol)
 
-    return is_psd(np.subtract(x, lower)) & is_psd(np.subtract(upper, x))
+
+def support_projector(a) -> np.ndarray:
+    """Projector onto the eigenvectors of a whose eigenvalues exceed its PSD tolerance in modulus.
+
+    The tolerance comes from one spectrum and the eigenbasis from a second eigensolve.
+    """
+    m = _hermitian_part(a)
+    tol = float(_scaled_tolerance(np.linalg.eigvalsh(m)))
+    w, u = np.linalg.eigh(m)
+    return _hermitian_part((u * (np.abs(w) > tol).astype(float)) @ u.conj().T)
+
+
+def supports_contained(a, b) -> bool:
+    """supp(a) within supp(b), both PSD: ||a - P a P|| <= a's PSD tolerance, P = support_projector(b)."""
+    pb = support_projector(b)
+    m = _hermitian_part(a)
+    resid = np.linalg.eigvalsh(_hermitian_part(m - pb @ m @ pb))
+    return float(np.abs(resid).max(initial=0.0)) <= float(_scaled_tolerance(np.linalg.eigvalsh(m)))
+
+
+def support_inverse(a) -> np.ndarray:
+    """Moore-Penrose inverse of a PSD matrix: every positive eigenvalue inverted, from its own eigh."""
+    w, u = np.linalg.eigh(_hermitian_part(a))
+    w = np.clip(w, 0.0, None)
+    out = np.zeros_like(w)
+    out[w > 0] = w[w > 0] ** -1.0
+    return _hermitian_part((u * out) @ u.conj().T)
+
+
+def markov_by_support_checks(probs, values, a) -> tuple:
+    """Operator Markov tail (probability, bound, method), one eigensolve per question.
+
+    A's PSD check, the mean's PSD check, the tail event, A's support
+    projector, the containment of the mean's support in it and A's
+    pseudo-inverse each solve afresh (eight eigensolves).  An empty
+    containment gives the vacuous bound inf and method markov-trivial.
+    """
+    probs = np.asarray(probs, dtype=float)
+    a = _hermitian_part(a)
+    mean = _hermitian_part(np.tensordot(probs, values, axes=1))
+    if not _is_psd(a) or not _is_psd(mean):
+        raise ValueError("A and the mean must be PSD")
+    hits = ~_is_psd(np.subtract(a, values))
+    exact = min(1.0, sum(probs[hits].tolist(), 0.0))
+    if not supports_contained(mean, a):
+        return exact, float("inf"), "markov-trivial"
+    return exact, float(np.trace(mean @ support_inverse(a)).real), "markov"
+
+
+def vertex_covering_sample(weights, p, eps, tau, seed, eta, draws=None) -> dict:
+    """The classical covering sampler, vertex by vertex: the reference for diagonal graphs.
+
+    weights[j] is edge j's measure on the V vertices (the diagonal of a
+    diagonal edge).  Vertices where the mixture q = sum_j p_j weights[j]
+    is below tau / V are set aside; on the rest the multiset average
+    qbar has to lie within a factor (1 +- eps) of q, vertex by vertex,
+    up to 1e-9 * max(1, largest gap).  Draws follow the library's seed
+    schedule: attempt i multinomially draws base * 2^(i // RETRY_SEEDS)
+    edges from the i-th spawned sub-seed, with base
+    floor(1 + eta V (2 ln2 log2(2V)) / (eps^2 tau)) (1 for a point mass)
+    unless prescribed, over ESCALATION_STAGES stages (one when
+    prescribed).  Returns the accepted attempt's figures; raises
+    RuntimeError once every attempt failed.
+    """
+    from opcover.covering import ESCALATION_STAGES, RETRY_SEEDS
+    from opcover.rng import make_rng, seed_stream
+
+    weights = np.asarray(weights, dtype=float)
+    p = np.asarray(p, dtype=float)
+    p = p / float(p.sum())
+    nv = weights.shape[1]
+    q = np.zeros(nv)
+    for e, w in enumerate(weights):
+        q += p[e] * w
+    keep = q >= tau / nv
+    formula = 1.0 + eta * nv * (2.0 * log(2.0) * log2(2.0 * nv)) / (eps * eps * tau)
+    if draws is not None:
+        base, stages = draws, 1
+    elif np.count_nonzero(p) == 1:
+        base, stages = 1, ESCALATION_STAGES
+    else:
+        base, stages = max(1, floor(formula)), ESCALATION_STAGES
+
+    def within(lo, hi):
+        gap = hi - lo
+        return gap.size == 0 or gap.min() >= -1e-9 * max(1.0, float(np.abs(gap).max()))
+
+    subs = seed_stream(seed)
+    for i in range(RETRY_SEEDS * stages):
+        scale = 2 ** (i // RETRY_SEEDS)
+        ln = base * scale
+        counts = make_rng(next(subs)).multinomial(ln, p)
+        qbar = np.zeros(nv)
+        for e, w in enumerate(weights):
+            qbar += float(counts[e]) * w
+        qbar /= float(ln)
+        if within((1.0 - eps) * q[keep], qbar[keep]) and within(qbar[keep], (1.0 + eps) * q[keep]):
+            return {
+                "edge_multiplicities": {int(j): int(c) for j, c in enumerate(counts) if c},
+                "num_draws": ln,
+                "attempts": i + 1,
+                "scale": scale,
+                "certified": not (ln > formula and draws is None),
+                "mixture": q,
+                "sampled_average": qbar,
+                "excluded_vertices": tuple(int(v) for v in np.flatnonzero(~keep)),
+                "excluded_mass": float(q[~keep].sum()),
+                "draw_bound": formula,
+                "l1_distance": float(np.abs(q - qbar).sum()),
+            }
+    raise RuntimeError(f"sampling budget exhausted after {RETRY_SEEDS * stages} attempts")
 
 
 def brute_force_tail(probs, values, n, event) -> float:

@@ -402,6 +402,25 @@ class TestTailCommand:
         assert 0.0 < results["exact_or_empirical"] < 1.0
         assert hashlib.sha256(canonical_json(results).encode()).hexdigest() == digest
 
+    # sha256 of `results`, taken while markov_tail still read A's support,
+    # its support check and its pseudo-inverse off separate eigensolves;
+    # a = 0 has an empty support, so the bound is vacuous (markov-trivial)
+    ONE_SHOT_TAIL_HASHES = [
+        ({"method": "markov", "rv": {"kind": "random", "dim": 3, "atoms": 4}, "a": 0.8},
+         41, "markov", "76943f7fa743b76ddc11444978c85386a03a4479d6fdd6654f7fc87e11f202ca"),
+        ({"method": "markov", "rv": {"kind": "random", "dim": 3, "atoms": 4}, "a": 0},
+         42, "markov-trivial", "40ed3c7cb6c28777efa51d28104a0884f89e35ca662b45703d374d065f1b5d36"),
+        ({"method": "chebyshev", "rv": {"kind": "random", "dim": 3, "atoms": 4}, "delta": 0.5},
+         43, "chebyshev", "248d226392bc3ba4b49507045b1352cc49c9608d8fa7c689e8d0e046159ff510"),
+    ]
+
+    @pytest.mark.parametrize("params, seed, method, digest", ONE_SHOT_TAIL_HASHES,
+                             ids=["markov", "markov-trivial", "chebyshev"])
+    def test_one_shot_tail_payloads_unchanged(self, params, seed, method, digest):
+        results = run({"command": "tail-mc", "params": params, "seed": seed}).results
+        assert results["method"] == method
+        assert hashlib.sha256(canonical_json(results).encode()).hexdigest() == digest
+
 
 # ---------------------------------------------------------------------------
 

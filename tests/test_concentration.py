@@ -21,10 +21,10 @@ from opcover.concentration import (
     two_sided_chernoff,
     weak_law_tail,
 )
-from opcover.rng import make_rng
+from opcover.rng import haar_unitary, make_rng, random_distribution, random_effect
 
 from oracles import (binom_tail_ge, binom_tail_le, brute_force_tail, half_integer_sum_pmf,
-                     in_operator_interval, per_trial_mc_tail)
+                     in_operator_interval, markov_by_support_checks, per_trial_mc_tail)
 
 E0 = np.diag([1.0, 0.0])
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -80,6 +80,69 @@ class TestMarkov:
         assert math.isinf(rep.bound)
         assert rep.method == "markov-trivial"
         assert 0.0 <= rep.probability <= 1.0
+
+    @staticmethod
+    def instance(seed):
+        """A seeded (rv, A): A Haar-rotated or diagonal, of full rank or singular.
+
+        For half the singular A the atoms are compressed into A's range,
+        so the mean's support is contained in a proper subspace.
+        """
+        rng = make_rng(seed)
+        d, k = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        diagonal, singular, inside = seed % 2 == 0, seed % 4 >= 2, seed % 8 >= 6
+        basis = np.eye(d) if diagonal else haar_unitary(rng, d)
+        w = rng.uniform(0.2, 2.0, size=d)
+        if singular:
+            w[int(rng.integers(0, d)):] = 0.0
+        a = linalg.hermitize((basis * w) @ basis.conj().T)
+        values = [random_effect(rng, d) for _ in range(k)]
+        if inside:
+            keep = basis[:, w > 0]
+            values = [linalg.hermitize(keep @ keep.conj().T @ x @ keep @ keep.conj().T) for x in values]
+        return OperatorRV(random_distribution(rng, k), values), a
+
+    def test_one_eigh_of_a_agrees_with_the_separate_support_checks(self):
+        methods = {"markov": 0, "markov-trivial": 0}
+        singular_bounded = 0
+        for seed in range(400):
+            rv, a = self.instance(seed)
+            ref = markov_by_support_checks(rv.probs, rv.values, a)
+            try:
+                rep = markov_tail(rv, a)
+            except linalg.BoundViolation:
+                # both invert A's positive eigenvalues below the support
+                # tolerance as well, so a rounding-level kernel eigenvalue
+                # can push the bound under the probability: then the
+                # reference's figures fail the very check that raised
+                assert ref[2] == "markov" and not ref[0] <= ref[1] + 1e-9
+                continue
+            assert (rep.probability, rep.bound, rep.method) == ref
+            methods[rep.method] += 1
+            singular_bounded += rep.method == "markov" and seed % 4 >= 2
+        assert methods["markov"] >= 200 and methods["markov-trivial"] >= 50
+        assert singular_bounded >= 30
+
+    def test_makes_one_eigh_of_a(self, monkeypatch):
+        calls = []
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+        def spy(fn, name):
+            def wrapped(m):
+                calls.append((name, np.shape(m)))
+                return fn(m)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigh", spy(eigh, "eigh"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy(eigvalsh, "eigvalsh"))
+        rv = OperatorRV([0.2, 0.3, 0.5], [E0, PLUS, 0.5 * np.eye(2)])
+        for a, method in ((0.9 * np.eye(2), "markov"), (np.diag([1.0, 0.0]), "markov-trivial")):
+            calls.clear()
+            assert markov_tail(rv, a).method == method
+            # A's check, support and pseudo-inverse; the mean's check and
+            # tolerance; the event on every atom; the support containment
+            assert calls == [("eigh", (2, 2)), ("eigvalsh", (2, 2)), ("eigvalsh", (3, 2, 2)),
+                             ("eigvalsh", (2, 2))]
 
 
 class TestChebyshev:
@@ -211,7 +274,7 @@ class TestBernstein:
         n = 10
         a_op = 0.9 * np.eye(2)
         bound = bernstein_bound(rv, a_op, np.eye(2), n)
-        tail = exact_tail(rv, n, lambda s: linalg.not_dominated(s, n * a_op))
+        tail = exact_tail(rv, n, lambda s: ~linalg.psd_leq(s, n * a_op))
         assert tail <= bound + 1e-12
 
     def test_singular_t_rejected(self):
@@ -224,8 +287,8 @@ class TestEnumerationEngine:
         rv = OperatorRV([0.35, 0.65], [E0, PLUS])
         n = 5
         target = n * 0.8 * np.eye(2)
-        mine = exact_tail(rv, n, lambda s: linalg.not_dominated(s, target))
-        brute = brute_force_tail(rv.probs, rv.values, n, lambda s: linalg.not_dominated(s, target))
+        mine = exact_tail(rv, n, lambda s: ~linalg.psd_leq(s, target))
+        brute = brute_force_tail(rv.probs, rv.values, n, lambda s: ~linalg.psd_leq(s, target))
         assert mine == pytest.approx(brute, abs=1e-12)
 
     def test_overflow_requires_trials(self):
@@ -241,7 +304,7 @@ class TestEnumerationEngine:
         assert math.comb(n + 2, 2) > ENUMERATION_CHUNK_ENTRIES
         pmf = half_integer_sum_pmf(probs, n)
         for threshold in (60.0, 70.0):
-            got = exact_tail(rv, n, lambda s: linalg.not_dominated(s, np.array([[threshold]])))
+            got = exact_tail(rv, n, lambda s: ~linalg.psd_leq(s, np.array([[threshold]])))
             want = sum(pmf[int(2 * threshold) + 1:])
             assert got == pytest.approx(float(want), abs=1e-12)
 
@@ -300,7 +363,7 @@ class TestEnumerationEngine:
 
         def event(sums):
             seen.append(len(sums))
-            return linalg.not_dominated(sums, 2.0 * np.eye(2))
+            return ~linalg.psd_leq(sums, 2.0 * np.eye(2))
 
         tracemalloc.start()
         try:
@@ -362,7 +425,7 @@ class TestEnumerationEngine:
         rv = OperatorRV([0.2, 0.3, 0.1, 0.4], [E0, PLUS, 0.5 * np.eye(2), np.diag([0.0, 1.0])])
 
         def event(sums):
-            return linalg.not_dominated(sums, 0.6 * 18 * np.eye(2))
+            return ~linalg.psd_leq(sums, 0.6 * 18 * np.eye(2))
 
         want = per_trial_mc_tail(rv.probs, rv.values, 18, 3000, make_rng(4), event)
         monkeypatch.setattr(concentration, "make_rng", lambda seed: NoChoice(make_rng(seed)))
@@ -376,7 +439,7 @@ class TestEnumerationEngine:
         def spy(sizes):
             def event(sums):
                 sizes.append(len(sums))
-                return linalg.not_dominated(sums, 0.6 * n * np.eye(2))
+                return ~linalg.psd_leq(sums, 0.6 * n * np.eye(2))
             return event
 
         mc_sizes, exact_sizes = [], []

@@ -9,10 +9,8 @@ from scipy.optimize import linprog
 from opcover import covering, linalg
 from opcover.covering import (
     CapacityResult,
-    ClassicalHypergraph,
     CoveringResult,
     QuantumHypergraph,
-    classical_covering_sample,
     covering_capacity,
     covering_number_bruteforce,
     covering_randomized,
@@ -27,7 +25,7 @@ from opcover.covering import (
 )
 from opcover.linalg import LN2, BoundViolation
 from opcover.rng import haar_unitary, make_rng, random_distribution, random_effect, spawn_seeds
-from oracles import assert_same_sample, product_fractional_cover
+from oracles import assert_same_sample, product_fractional_cover, vertex_covering_sample
 
 E0 = np.diag([1.0, 0.0])
 E1 = np.diag([0.0, 1.0])
@@ -58,27 +56,6 @@ def lp_capacity_diagonal(g):
 
 
 class TestHypergraphTypes:
-    def test_classical_validation(self):
-        with pytest.raises(ValueError, match="support"):
-            ClassicalHypergraph(3, [((0, 5), {0: 0.1})], 1.0)
-        with pytest.raises(ValueError, match="leaks"):
-            ClassicalHypergraph(3, [((0,), {1: 0.1})], 1.0)
-        with pytest.raises(ValueError, match="eta"):
-            ClassicalHypergraph(3, [((0,), {0: 0.5})], 0.4)
-        with pytest.raises(ValueError, match="nonnegative"):
-            ClassicalHypergraph(3, [((0,), {0: -0.1})], 1.0)
-
-    def test_classical_mean_and_json(self):
-        g = ClassicalHypergraph(
-            4, [((0, 1), {0: 0.5, 1: 0.25}), ((2, 3), {2: 0.5, 3: 0.5})], 0.5
-        )
-        q = g.mean_measure([0.25, 0.75])
-        assert np.allclose(q, [0.125, 0.0625, 0.375, 0.375])
-        g2 = ClassicalHypergraph.from_json(g.to_json())
-        assert g2.num_vertices == 4 and g2.eta == 0.5
-        assert np.array_equal(g2.weights, g.weights)
-        assert g2.supports == g.supports
-
     def test_quantum_validation(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
             QuantumHypergraph(2, [np.diag([-0.2, 0.5])], 1.0)
@@ -133,14 +110,6 @@ class TestHypergraphTypes:
         assert np.allclose(rho, 0.5 * E0 + 0.5 * PLUS)
         g2 = QuantumHypergraph.from_json(g.to_json())
         assert all(np.allclose(a, b) for a, b in zip(g.edges, g2.edges))
-
-    def test_diagonal_conversion(self):
-        g = QuantumHypergraph(3, [np.diag([0.5, 0.0, 0.25]), np.diag([0.0, 1.0, 0.0])], 1.0)
-        c = g.to_classical()
-        assert c.supports == (frozenset({0, 2}), frozenset({1}))
-        assert np.allclose(c.weights[0], [0.5, 0.0, 0.25])
-        with pytest.raises(ValueError, match="diagonal"):
-            QuantumHypergraph(2, [PLUS], 1.0).to_classical()
 
 
 class TestDegreeAndCovering:
@@ -234,67 +203,114 @@ class TestCoveringRandomized:
         assert math.isclose(bounds["min_eig"], 1.0 + 8.0 * LN2 / 0.25)
 
 
+def diagonal_graph(weights, eta):
+    """The diagonal QuantumHypergraph whose edge j has the vertex measure weights[j]."""
+    return QuantumHypergraph(len(weights[0]), [np.diag(w) for w in weights], eta)
+
+
+def assert_matches_vertex_sampler(res, g, p, eps, tau, seed, draws=None):
+    """The quantum sampler on a diagonal graph reproduces the vertex-wise one, draw for draw.
+
+    Returns the reference's figures.
+    """
+    weights = np.array([np.real(np.diag(e)) for e in g.edges])
+    ref = vertex_covering_sample(weights, p, eps, tau, seed, g.eta, draws)
+    assert res.edge_multiplicities == ref["edge_multiplicities"]
+    assert (res.num_draws, res.attempts, res.certified) == (ref["num_draws"], ref["attempts"], ref["certified"])
+    assert res.details["scale"] == ref["scale"]
+    assert res.details["draw_bound"] == ref["draw_bound"]
+    assert abs(res.details["excluded_mass"] - ref["excluded_mass"]) <= 1e-12
+    assert np.abs(res.sampled_average - np.diag(ref["sampled_average"])).max() <= 1e-12
+    # the split-off eigenspace is spanned by the excluded vertices
+    cut = np.zeros(g.dim)
+    cut[list(ref["excluded_vertices"])] = 1.0
+    assert np.abs(res.pi0 - np.diag(cut)).max() <= 1e-12
+    return ref
+
+
 def e_uniform_instance():
     # 8 vertices, two disjoint 4-vertex edges, weight 1/e = 1/4 inside
-    edges = [
-        (range(0, 4), {v: 0.25 for v in range(0, 4)}),
-        (range(4, 8), {v: 0.25 for v in range(4, 8)}),
-    ]
-    return ClassicalHypergraph(8, edges, 0.25)
+    return diagonal_graph([[0.25] * 4 + [0.0] * 4, [0.0] * 4 + [0.25] * 4], 0.25)
 
 
 class TestClassicalSample:
+    """The classical covering lemma, as the sampler's diagonal case checked against the vertex-wise reference."""
+
     def test_single_edge_exact(self):
-        g = ClassicalHypergraph(4, [(range(4), {v: 0.25 for v in range(4)})], 0.25)
-        res = classical_covering_sample(g, [1.0], eps=0.5, tau=0.5, seed=3)
+        g = diagonal_graph([[0.25] * 4], 0.25)
+        res = quantum_covering_sample(g, [1.0], eps=0.5, tau=0.5, seed=3)
+        ref = assert_matches_vertex_sampler(res, g, [1.0], 0.5, 0.5, 3)
         assert res.num_draws == 1
-        assert res.excluded_vertices == ()
-        assert np.array_equal(res.sampled_average, g.mean_measure([1.0]))
+        assert ref["excluded_vertices"] == () and res.excluded_vertices == ()
+        assert np.array_equal(res.sampled_average, g.edge_average([1.0]))
         assert res.certified
         assert res.details["l1_distance"] == 0.0
 
     def test_e_uniform_instance(self):
         g = e_uniform_instance()
-        res = classical_covering_sample(g, [0.5, 0.5], eps=0.2, tau=0.2, seed=17)
+        res = quantum_covering_sample(g, [0.5, 0.5], eps=0.2, tau=0.2, seed=17)
+        ref = assert_matches_vertex_sampler(res, g, [0.5, 0.5], 0.2, 0.2, 17)
         assert res.certified
         # draw-count formula frozen: 1 + 2 * (2 ln2 * 4) / 0.008
         assert math.isclose(res.details["draw_bound"], 1387.2943611198905)
         assert res.num_draws == 1387
         # verify every postcondition directly over all 8 vertices
-        q = g.mean_measure([0.5, 0.5])
+        q = np.real(np.diag(g.edge_average([0.5, 0.5])))
         counts = res.counts_vector(2)
-        qbar = (counts[0] * g.weights[0] + counts[1] * g.weights[1]) / res.num_draws
-        assert np.allclose(qbar, res.sampled_average)
-        assert res.excluded_vertices == ()  # Q(v) = 1/8 >= 0.2/8 everywhere
+        qbar = (counts[0] * np.diag(g.edges[0]) + counts[1] * np.diag(g.edges[1])).real / res.num_draws
+        assert np.allclose(qbar, ref["sampled_average"])
+        assert ref["excluded_vertices"] == ()  # Q(v) = 1/8 >= 0.2/8 everywhere
         assert np.all(qbar >= (1 - 0.2) * q - 1e-12)
         assert np.all(qbar <= (1 + 0.2) * q + 1e-12)
+        # equal edge masses: the classical total-variation bound 2 eps + 2 tau
         assert np.abs(q - qbar).sum() <= 2 * 0.2 + 2 * 0.2
+        assert abs(res.details["l1_distance"] - np.abs(q - qbar).sum()) <= 1e-12
         assert replay_covering_result(g, res, p=[0.5, 0.5], eps=0.2, tau=0.2)["all"]
 
     def test_seeded_random_instance(self):
         rng = make_rng(29)
-        edges = []
-        for _ in range(10):
+        weights = np.zeros((10, 32))
+        for row in weights:
             support = sorted(rng.choice(32, size=12, replace=False).tolist())
-            edges.append((support, {v: float(rng.uniform(0.05, 0.5)) for v in support}))
-        g = ClassicalHypergraph(32, edges, 0.5)
+            row[support] = [float(rng.uniform(0.05, 0.5)) for _ in support]
+        g = diagonal_graph(weights, 0.5)
         p = rng.dirichlet(np.ones(10))
-        res = classical_covering_sample(g, p, eps=0.3, tau=0.3, seed=31)
+        res = quantum_covering_sample(g, p, eps=0.3, tau=0.3, seed=31)
+        assert_matches_vertex_sampler(res, g, p, 0.3, 0.3, 31)
         assert res.certified
         assert res.details["excluded_mass"] <= 0.3
         assert replay_covering_result(g, res, p=p, eps=0.3, tau=0.3)["all"]
 
     def test_budget_exhaustion_reports_side(self):
         g = e_uniform_instance()
+        weights = [[0.25] * 4 + [0.0] * 4, [0.0] * 4 + [0.25] * 4]
         with pytest.raises(RuntimeError, match="budget exhausted"):
-            classical_covering_sample(g, [0.5, 0.5], eps=1e-4, tau=0.2, seed=1, draws=3)
+            vertex_covering_sample(weights, [0.5, 0.5], 1e-4, 0.2, 1, 0.25, draws=3)
+        with pytest.raises(RuntimeError, match=r"budget exhausted after 64 attempts \(.* side failing\)"):
+            quantum_covering_sample(g, [0.5, 0.5], eps=1e-4, tau=0.2, seed=1, draws=3)
 
     def test_unequal_masses_skip_l1_bound(self):
-        g = ClassicalHypergraph(
-            2, [((0,), {0: 0.5}), ((0, 1), {0: 0.5, 1: 0.5})], 0.5
-        )
-        res = classical_covering_sample(g, [0.4, 0.6], eps=0.5, tau=0.5, seed=9)
+        g = diagonal_graph([[0.5, 0.0], [0.5, 0.5]], 0.5)
+        res = quantum_covering_sample(g, [0.4, 0.6], eps=0.5, tau=0.5, seed=9)
+        assert_matches_vertex_sampler(res, g, [0.4, 0.6], 0.5, 0.5, 9)
         assert res.details["l1_bound"] is None
+
+    def test_equal_masses_meet_the_total_variation_bound(self):
+        # every edge carries one mass c <= 1, so sum_v |Q(v) - Qbar(v)| <= 2 eps + 2 tau
+        for seed in range(12):
+            rng = make_rng(900 + seed)
+            dim, m = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+            weights = rng.uniform(0.0, 1.0, size=(m, dim)) * (rng.uniform(size=(m, dim)) < 0.7)
+            weights[:, 0] += 0.1  # no empty edge
+            weights *= rng.uniform(0.3, 1.0) / weights.sum(axis=1, keepdims=True)
+            g = diagonal_graph(weights, float(weights.max()))
+            p = random_distribution(rng, m)
+            eps, tau = float(rng.uniform(0.2, 0.5)), float(rng.uniform(0.1, 0.4))
+            res = quantum_covering_sample(g, p, eps, tau, seed=seed)
+            ref = assert_matches_vertex_sampler(res, g, p, eps, tau, seed)
+            assert res.details["equal_edge_trace"]
+            assert ref["l1_distance"] <= 2 * eps + 2 * tau + 1e-12
+            assert abs(res.details["l1_distance"] - ref["l1_distance"]) <= 1e-12
 
 
 class TestQuantumSample:
@@ -364,25 +380,19 @@ class TestQuantumSample:
             quantum_covering_sample(g, [1.0], eps=0.1, tau=0.1, seed=0)
 
     def test_diagonal_case_matches_classical(self):
-        # same seed protocol: a diagonal family must reproduce the
-        # classical sampler on the induced hypergraph, draw for draw
+        # same seed protocol: a diagonal family reproduces the vertex-wise
+        # classical sampler on its diagonals, draw for draw
         diags = [
-            np.diag([0.5, 0.3, 0.0001, 0.2]),
-            np.diag([0.1, 0.4, 0.0001, 0.3]),
-            np.diag([0.3, 0.1, 0.0001, 0.5]),
+            [0.5, 0.3, 0.0001, 0.2],
+            [0.1, 0.4, 0.0001, 0.3],
+            [0.3, 0.1, 0.0001, 0.5],
         ]
-        g = QuantumHypergraph(4, diags, 0.5)
+        g = diagonal_graph(diags, 0.5)
         p = [0.3, 0.3, 0.4]
         qres = quantum_covering_sample(g, p, eps=0.25, tau=0.3, seed=57)
-        cres = classical_covering_sample(g.to_classical(), p, eps=0.25, tau=0.3, seed=57)
-        assert qres.edge_multiplicities == cres.edge_multiplicities
-        assert qres.num_draws == cres.num_draws
-        assert qres.attempts == cres.attempts
-        assert qres.certified == cres.certified
-        assert np.allclose(np.real(np.diag(qres.sampled_average)), cres.sampled_average,
-                           atol=1e-12)
+        ref = assert_matches_vertex_sampler(qres, g, p, 0.25, 0.3, 57)
         # vertex 2 sits below tau/dim = 0.075 and is cut on both sides
-        assert cres.excluded_vertices == (2,)
+        assert ref["excluded_vertices"] == (2,)
         assert np.allclose(np.real(np.diag(qres.pi0)), [0.0, 0.0, 1.0, 0.0], atol=1e-12)
 
 

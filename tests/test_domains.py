@@ -14,7 +14,7 @@ import pytest
 from opcover import channels, concentration, covering, identification, linalg, rng
 from opcover.channels import CQChannel
 from opcover.concentration import OperatorRV
-from opcover.covering import ClassicalHypergraph, QuantumHypergraph
+from opcover.covering import QuantumHypergraph
 from opcover.linalg import DomainError
 
 ZERO = np.diag([1.0, 0.0])
@@ -87,8 +87,9 @@ CASES = [
     ("eps", lambda: covering.quantum_covering_sample(_graph(), [0.5, 0.5], 0.0, 0.5, 1)),
     ("tau", lambda: covering.quantum_covering_sample(_graph(), [0.5, 0.5], 0.5, -1.0, 1)),
     ("draws", lambda: covering.quantum_covering_sample(_graph(), [0.5, 0.5], 0.5, 0.5, 1, draws=0)),
-    ("eps", lambda: covering.classical_covering_sample(
-        ClassicalHypergraph(2, [((0, 1), {0: 0.5, 1: 0.5})], 1.0), [1.0], -0.1, 0.5, 1)),
+    # a negative eps on a diagonal (classical) graph
+    ("eps", lambda: covering.quantum_covering_sample(
+        QuantumHypergraph(2, [np.diag([0.5, 0.5])], 1.0), [1.0], -0.1, 0.5, 1)),
     ("n", lambda: covering.product_hypergraph(_graph(), 0)),
     ("n_values", lambda: covering.product_covering_table(_graph(), [1, 0])),
     ("tol", lambda: covering.covering_capacity(_graph(), 1e-12)),
