@@ -306,10 +306,9 @@ def markov_tail(rv: OperatorRV, a) -> TailReport:
     If supp(A) does not contain supp(mean) the bound is vacuous and the
     report is flagged trivial (bound = inf) rather than failing.  One
     eigh of A gives its PSD check, its support (eigenvalues above the
-    PSD tolerance in modulus) and the pseudo-inverse (every positive
-    eigenvalue inverted); the mean's PSD check gives the tolerance of
-    the containment test ||mean - P mean P|| <= tol, P the support
-    projector.
+    PSD tolerance in modulus) and the pseudo-inverse on that support
+    alone; the mean's PSD check gives the tolerance of the containment
+    test ||mean - P mean P|| <= tol, P the support projector.
     """
     linalg.require_finite(a, "a")
     a = linalg.require_hermitian(a, name="A")
@@ -323,11 +322,12 @@ def markov_tail(rv: OperatorRV, a) -> TailReport:
         raise DomainError("markov_tail needs a PSD-valued random variable", "rv")
     hits = ~linalg.psd_leq(rv.values, a)
     exact = min(1.0, sum(rv.probs[hits].tolist(), 0.0))
-    support = linalg.hermitize((u * (np.abs(w) > tol).astype(float)) @ u.conj().T)
+    kept = np.abs(w) > tol
+    support = linalg.hermitize((u * kept.astype(float)) @ u.conj().T)
     if not linalg.spectral_norm(m - support @ m @ support) <= mean_tol:
         return TailReport(exact, math.inf, 1, 0, 0, "markov-trivial")
     inverse = np.zeros_like(w)
-    inverse[w > 0] = w[w > 0] ** -1.0
+    inverse[kept] = w[kept] ** -1.0
     bound = float(np.trace(m @ linalg.hermitize((u * inverse) @ u.conj().T)).real)
     linalg.check_bound("exact markov tail exceeds its bound", exact, bound, 1e-9)
     return TailReport(exact, bound, 1, 0, 0, "markov")

@@ -207,29 +207,6 @@ def random_hypergraph(seed: int, dim: int, num_edges: int, eta: float = 1.0) -> 
     return QuantumHypergraph(dim, edges, eta)
 
 
-class _OnFirstRead:
-    """Dataclass field that may be given as a zero-argument callable, called once on first read."""
-
-    def __init__(self, *default):
-        self.default = default
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:  # dataclass asks the class for the field's default
-            if not self.default:
-                raise AttributeError(self.slot)
-            return self.default[0]
-        value = obj.__dict__[self.slot]
-        if callable(value):
-            value = obj.__dict__[self.slot] = value()
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.slot] = value
-
-
 @dataclass(frozen=True)
 class CoveringResult:
     """One sampled covering or mixture approximation.
@@ -245,31 +222,25 @@ class CoveringResult:
     degree, for the sampler the multiset average, an operator either
     way.  excluded_vertices is always empty: the sampler splits off an
     eigenspace (pi0), not vertices, and the field stays for the payload
-    format.  `sampled_average`, `pi0` and `pi1` may be given as
-    zero-argument callables, called on first read (to_json reads all
-    three), so a caller that never reads them never forms them.
+    format.
     """
 
     kind: str
     edge_multiplicities: dict
     num_draws: int
-    sampled_average: np.ndarray = _OnFirstRead()
+    sampled_average: np.ndarray
     certified: bool
     seed: int
     beyond_bound: bool = False
     attempts: int = 1
     excluded_vertices: tuple = ()
-    pi0: np.ndarray | None = _OnFirstRead(None)
-    pi1: np.ndarray | None = _OnFirstRead(None)
+    pi0: np.ndarray | None = None
+    pi1: np.ndarray | None = None
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if sum(self.edge_multiplicities.values()) != self.num_draws:
             raise ValueError("edge multiplicities must sum to num_draws")
-
-    @property
-    def L(self) -> int:
-        return self.num_draws
 
     @property
     def picked_edge_indices(self) -> list:
@@ -395,42 +366,32 @@ def covering_randomized(g: QuantumHypergraph, p, seed: int) -> CoveringResult:
         deg = _degree_from_counts(g, counts)
         least, tol = linalg.psd_margin(deg - np.eye(g.dim))
         linalg.check_bound(f"{k} = ceil(1/mu) copies of the edge fail to cover", -least, 0.0, tol)
-        beyond = k > formula
-        return CoveringResult(
-            kind="randomized-covering",
-            edge_multiplicities={int(support[0]): k},
-            num_draws=k,
-            sampled_average=deg,
-            certified=not beyond,
-            seed=seed,
-            beyond_bound=beyond,
-            attempts=1,
-            details=dict(details, scale=1, min_eig_degree=linalg.min_eigenvalue(deg)),
-        )
-
-    # The stated size only incorporates the k >= 2/mu requirement of its
-    # own derivation when d >= 2; dimension one degenerates (log2 d = 0)
-    # and needs the 2/mu floor restored, at the price of the bound flag.
-    k_base = max(1, math.floor(formula), math.ceil(2.0 / mu) if g.dim == 1 else 1)
-    attempts = 0
-    for attempts, scale, sub in _attempt_schedule(seed, ESCALATION_STAGES):
-        k = k_base * scale
-        counts = make_rng(sub).multinomial(k, p)
-        deg = _degree_from_counts(g, counts)
-        if linalg.psd_leq(np.eye(g.dim), deg):
-            beyond = k > formula
-            return CoveringResult(
-                kind="randomized-covering",
-                edge_multiplicities={int(i): int(c) for i, c in enumerate(counts) if c},
-                num_draws=k,
-                sampled_average=deg,
-                certified=not (beyond or scale > 1),
-                seed=seed,
-                beyond_bound=beyond,
-                attempts=attempts,
-                details=dict(details, scale=scale, min_eig_degree=linalg.min_eigenvalue(deg)),
-            )
-    raise RuntimeError(f"covering retry budget exhausted after {attempts} attempts")
+        attempts, scale = 1, 1
+    else:
+        # The stated size only incorporates the k >= 2/mu requirement of its
+        # own derivation when d >= 2; dimension one degenerates (log2 d = 0)
+        # and needs the 2/mu floor restored, at the price of the bound flag.
+        k_base = max(1, math.floor(formula), math.ceil(2.0 / mu) if g.dim == 1 else 1)
+        for attempts, scale, sub in _attempt_schedule(seed, ESCALATION_STAGES):
+            k = k_base * scale
+            counts = make_rng(sub).multinomial(k, p)
+            deg = _degree_from_counts(g, counts)
+            if linalg.psd_leq(np.eye(g.dim), deg):
+                break
+        else:
+            raise RuntimeError(f"covering retry budget exhausted after {attempts} attempts")
+    beyond = k > formula
+    return CoveringResult(
+        kind="randomized-covering",
+        edge_multiplicities={int(i): int(c) for i, c in enumerate(counts) if c},
+        num_draws=k,
+        sampled_average=deg,
+        certified=not (beyond or scale > 1),
+        seed=seed,
+        beyond_bound=beyond,
+        attempts=attempts,
+        details=dict(details, scale=scale, min_eig_degree=linalg.min_eigenvalue(deg)),
+    )
 
 
 def draw_bound(eta: float, size: int, eps: float, tau: float) -> float:
@@ -475,11 +436,11 @@ def quantum_covering_sample(
     sandwich holds vertex by vertex.
 
     Every operator compared lives in the span of the edges, so the work
-    runs on the s x s compressed edges (see QuantumHypergraph) while
-    dim stays in the formula and the threshold.  The dim - s zero
-    eigenvalues of the mixture off the span fall in the split-off part.
-    `sampled_average`, `pi0` and `pi1` are lifted to dim x dim on first
-    read of the result.
+    (_sample_in_span) runs on the s x s compressed edges (see
+    QuantumHypergraph) while dim stays in the formula and the threshold.
+    The dim - s zero eigenvalues of the mixture off the span fall in the
+    split-off part.  The result lifts `sampled_average`, `pi0` and `pi1`
+    to dim x dim.
 
     Both sides are decided from one spectrum.  With rho = U diag(w) U^dagger
     and D the kept eigenvalues (all >= tau / dim > 0), congruence by
@@ -490,6 +451,35 @@ def quantum_covering_sample(
     and (1 + eps) - lambda_max(X), never clamped; they do not depend on
     whether the graph is compressed, and they are infinite when no
     eigenvalue is kept.
+    """
+    counts, ln, attempts, details, rhobar, u, kept = _sample_in_span(g, p, eps, tau, seed, draws)
+    pi1 = g.lift(linalg.hermitize((u * kept.astype(float)) @ u.conj().T))
+    if g.basis is not None:
+        pi0 = linalg.hermitize(np.eye(g.dim) - pi1)
+    else:
+        pi0 = linalg.hermitize((u * (~kept).astype(float)) @ u.conj().T)
+    beyond = ln > details["draw_bound"]
+    return CoveringResult(
+        kind="quantum-sample",
+        edge_multiplicities={int(i): int(c) for i, c in enumerate(counts) if c},
+        num_draws=ln,
+        sampled_average=g.lift(rhobar),
+        certified=not (beyond and draws is None),
+        seed=seed,
+        beyond_bound=beyond,
+        attempts=attempts,
+        pi0=pi0,
+        pi1=pi1,
+        details=details,
+    )
+
+
+def _sample_in_span(g: QuantumHypergraph, p, eps: float, tau: float, seed: int, draws: int | None):
+    """quantum_covering_sample's attempt loop and checks, with nothing lifted to dim x dim.
+
+    Returns (counts, num_draws, attempts, details, rhobar, u, kept) of the
+    accepted attempt: its edge draw counts and s x s average rhobar, and the
+    mixture's eigenbasis u with the mask of the eigenvalues kept.
     """
     linalg.require_positive(eps=eps, tau=tau)
     p = _check_distribution(p, g.num_edges)
@@ -519,45 +509,22 @@ def quantum_covering_sample(
             l1_bound = (eps + tau) + math.sqrt(8.0 * (eps + tau)) if equal_trace else None
             if equal_trace:
                 linalg.check_bound("sampled operator misses the trace-norm bound", l1, l1_bound, 1e-9)
-
-            @functools.cache
-            def pi1():
-                return g.lift(linalg.hermitize((u * (~small).astype(float)) @ u.conj().T))
-
-            if g.basis is not None:
-                def pi0():
-                    return linalg.hermitize(np.eye(g.dim) - pi1())
-            else:
-                def pi0():
-                    return linalg.hermitize((u * small.astype(float)) @ u.conj().T)
-            beyond = ln > formula
-            return CoveringResult(
-                kind="quantum-sample",
-                edge_multiplicities={int(i): int(c) for i, c in enumerate(counts) if c},
-                num_draws=ln,
-                sampled_average=functools.partial(g.lift, rhobar),
-                certified=not (beyond and draws is None),
-                seed=seed,
-                beyond_bound=beyond,
-                attempts=attempts,
-                pi0=pi0,
-                pi1=pi1,
-                details={
-                    "eps": eps,
-                    "tau": tau,
-                    "eta": g.eta,
-                    "dim": g.dim,
-                    "draw_bound": formula,
-                    "threshold": tau / g.dim,
-                    "excluded_mass": excluded_mass,
-                    "sandwich_lower_slack": float(lower),
-                    "sandwich_upper_slack": float(upper),
-                    "l1_distance": l1,
-                    "l1_bound": l1_bound,
-                    "equal_edge_trace": equal_trace,
-                    "scale": scale,
-                },
-            )
+            details = {
+                "eps": eps,
+                "tau": tau,
+                "eta": g.eta,
+                "dim": g.dim,
+                "draw_bound": formula,
+                "threshold": tau / g.dim,
+                "excluded_mass": excluded_mass,
+                "sandwich_lower_slack": float(lower),
+                "sandwich_upper_slack": float(upper),
+                "l1_distance": l1,
+                "l1_bound": l1_bound,
+                "equal_edge_trace": equal_trace,
+                "scale": scale,
+            }
+            return counts, ln, attempts, details, rhobar, u, ~small
     raise _budget_exhausted(attempts, lower >= -linalg.PSD_TOL, upper >= -linalg.PSD_TOL)
 
 

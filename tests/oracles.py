@@ -150,11 +150,15 @@ def supports_contained(a, b) -> bool:
 
 
 def support_inverse(a) -> np.ndarray:
-    """Moore-Penrose inverse of a PSD matrix: every positive eigenvalue inverted, from its own eigh."""
+    """Pseudo-inverse of a PSD matrix on its support, from its own eigh.
+
+    Only eigenvalues above the PSD tolerance are inverted (the support of
+    support_projector); those below it are rounding, not support.
+    """
     w, u = np.linalg.eigh(_hermitian_part(a))
-    w = np.clip(w, 0.0, None)
+    keep = np.abs(w) > _scaled_tolerance(w)
     out = np.zeros_like(w)
-    out[w > 0] = w[w > 0] ** -1.0
+    out[keep] = w[keep] ** -1.0
     return _hermitian_part((u * out) @ u.conj().T)
 
 

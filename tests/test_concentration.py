@@ -108,20 +108,22 @@ class TestMarkov:
         for seed in range(400):
             rv, a = self.instance(seed)
             ref = markov_by_support_checks(rv.probs, rv.values, a)
-            try:
-                rep = markov_tail(rv, a)
-            except linalg.BoundViolation:
-                # both invert A's positive eigenvalues below the support
-                # tolerance as well, so a rounding-level kernel eigenvalue
-                # can push the bound under the probability: then the
-                # reference's figures fail the very check that raised
-                assert ref[2] == "markov" and not ref[0] <= ref[1] + 1e-9
-                continue
+            rep = markov_tail(rv, a)
             assert (rep.probability, rep.bound, rep.method) == ref
             methods[rep.method] += 1
             singular_bounded += rep.method == "markov" and seed % 4 >= 2
         assert methods["markov"] >= 200 and methods["markov-trivial"] >= 50
         assert singular_bounded >= 30
+
+    @pytest.mark.parametrize("seed, bound", [(63, 0.8398988775302177), (167, 2.3071173254142856),
+                                             (207, 1.8651357243846287)])
+    def test_rounding_level_kernel_eigenvalues_are_not_inverted(self, seed, bound):
+        # singular A whose kernel eigenvalues come out near 1e-17: inverting
+        # them read 2.25 and 1.906 for the first two and -1.875 for the
+        # last, which raised BoundViolation against its probability 1
+        rep = markov_tail(*self.instance(seed))
+        assert rep.method == "markov" and rep.bound == pytest.approx(bound, rel=1e-12)
+        assert rep.probability <= rep.bound
 
     def test_makes_one_eigh_of_a(self, monkeypatch):
         calls = []

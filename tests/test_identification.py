@@ -589,7 +589,7 @@ def type_graphs(monkeypatch, P, channel, lam, seed, **overrides):
     """
     built, sampled = {}, {}
     from_orbit = covering.QuantumHypergraph.from_orbit.__func__
-    sampler = identification.quantum_covering_sample
+    sampler = identification._sample_in_span
 
     def record_orbit(cls, factor, weights, perms):
         g = from_orbit(cls, factor, weights, perms)
@@ -602,7 +602,7 @@ def type_graphs(monkeypatch, P, channel, lam, seed, **overrides):
         return sampler(g, p, eps, tau, seed, draws=draws)
 
     monkeypatch.setattr(covering.QuantumHypergraph, "from_orbit", classmethod(record_orbit))
-    monkeypatch.setattr(identification, "quantum_covering_sample", record_sample)
+    monkeypatch.setattr(identification, "_sample_in_span", record_sample)
     resolvability_regularize(P, channel, lam, seed=seed, **overrides)
     monkeypatch.undo()
     return list(sampled.values())
@@ -694,6 +694,15 @@ class TestSpanCompressedResolvability:
         ({"command": "cover-sample", "seed": 22, "params": {
             "hypergraph": {"kind": "random", "dim": 2, "num_edges": 3}, "eps": 0.2, "tau": 0.25}},
          "d1eeda61cd5297b137e759dbb201becfdbae1ace0cc44ed9b0b2925255af48b7"),
+        # zero-plus types take from_orbit's narrow (QR span) route, the one
+        # where a lift is not the identity; taken before resolvability read
+        # its draw counts off the sampler's span-coordinate core
+        ({"command": "resolvability", "seed": 14, "params": {
+            "channel": {"kind": "zero-plus"}, "P": {"kind": "uniform", "n": 6}, "lambda": 0.6}},
+         "877cd453e3bfe7c409037e3b894cf1a5aaa5622e5958400ddf2f09a8b51f4c1a"),
+        ({"command": "resolvability", "seed": 15, "params": {
+            "channel": {"kind": "zero-plus"}, "P": {"kind": "random", "n": 7, "support": 12}, "lambda": 0.6}},
+         "0366fb50c3fc9a5e8fed93d9567e8da22bcae1ccb6919328fa9e6ec1311145ea"),
     ]
 
     @pytest.mark.parametrize("config, digest", RESULT_HASHES)
