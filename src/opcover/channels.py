@@ -44,6 +44,9 @@ ARMIJO = 1e-4
 MAX_HALVINGS = 40
 # Changes of I(P) this small are float noise at the scale of bits.
 INFO_NOISE = 1e-14
+# Class counts of product indices are held for at most this many
+# (class, index) pairs at once: one byte each while m < 256.
+COUNT_BLOCK_ENTRIES = 1 << 22
 
 
 class CQChannel:
@@ -141,8 +144,9 @@ def product_mixture(weights, channel: CQChannel) -> np.ndarray:
     factors as sum_x (sum below child x) (x) W_x: one kron per tree
     node, so k sequences cost O(d^(2n)) where summing k tensor outputs
     costs O(k d^(2n)).  Factors multiply in sequence order, first factor
-    most significant.  Symbols and the output dimension are checked
-    before any allocation.
+    most significant, through linalg.kron (numpy.kron's products without
+    its per-call set-up, which dominates at the tree's small nodes).
+    Symbols and the output dimension are checked before any allocation.
     """
     atoms = sorted(
         (_check_sequence(xn, channel.alphabet_size)[::-1], float(w))
@@ -167,7 +171,7 @@ def product_mixture(weights, channel: CQChannel) -> np.ndarray:
             if depth == n - 1:
                 term = atoms[lo][1] * channel.states[x]  # distinct keys: mid == lo + 1
             else:
-                term = np.kron(below(lo, mid, depth + 1), channel.states[x])
+                term = linalg.kron(below(lo, mid, depth + 1), channel.states[x])
             if out is None:
                 out = term
             else:
@@ -622,15 +626,51 @@ def _product_mask(values, ids, m: int, targets, widths) -> tuple[np.ndarray, np.
     arrays, first factor most significant.  Returns (ascending flat
     indices, eigenvalue products), each product a running product of
     the clipped eigenvalues in factor order.
+
+    No m x a^m digit array is formed.  The class counts are built in
+    the smallest unsigned dtype that holds m (_class_counts), for up to
+    COUNT_BLOCK_ENTRIES // a^m classes at once.  The running products
+    grow one digit position at a time, as the outer product of the
+    products so far with the next factor's values, over every index;
+    the admissible ones are picked at the end.
     """
-    digits = np.indices((len(values),) * m).reshape(m, -1)
-    classes = np.asarray(ids)[digits]
-    ok = np.ones(digits.shape[1], dtype=bool)
-    for c in range(len(targets)):
-        occ = (classes == c).sum(axis=0)
-        ok &= np.abs(occ - targets[c]) <= widths[c]
+    values, ids = np.asarray(values, dtype=float), np.asarray(ids)
+    size = len(values) ** m
+    count_dtype = np.min_scalar_type(m)
+    # allowed[c, j]: j digits in class c lie within its window
+    allowed = np.abs(np.arange(m + 1) - targets[:, None]) <= widths[:, None]
+    ok = np.ones(size, dtype=bool)
+    group = max(1, COUNT_BLOCK_ENTRIES // size)
+    for lo in range(0, len(allowed), group):
+        classes = np.arange(lo, min(lo + group, len(allowed)))[:, None]
+        ok &= allowed[classes, _class_counts((ids == classes).astype(count_dtype), m)].all(axis=0)
+    clipped = np.where(values > 0.0, values, 0.0)
+    probs = np.ones(1)
+    for _ in range(m):
+        probs = (probs[:, None] * clipped).ravel()
     mask = np.flatnonzero(ok)
-    return mask, _running_product([values] * m, digits[:, mask])
+    return mask, probs[mask]
+
+
+def _class_counts(hits: np.ndarray, m: int) -> np.ndarray:
+    """counts[g, f], how many of the m digits of flat index f fall in class g.
+
+    hits[g, x] is 1 when digit x lies in class g.  The counts of a block
+    of digit positions followed by another are their outer sum, so the m
+    positions are covered by blocks of 1, 2, 4, ... positions, each the
+    outer sum of the one before with itself.
+    """
+    def outer(head, tail):
+        return (head[:, :, None] + tail[:, None, :]).reshape(len(hits), -1)
+
+    counts, block = np.zeros((len(hits), 1), dtype=hits.dtype), hits
+    while True:
+        if m & 1:
+            counts = outer(counts, block)
+        m >>= 1
+        if not m:
+            return counts
+        block = outer(block, block)
 
 
 def _running_product(factor_values, digits) -> np.ndarray:
@@ -774,24 +814,32 @@ def conditional_typical_projector(
     )
 
 
-def range_permutation(proj: TypicalProjector, xn, ys) -> np.ndarray:
-    """Where proj's range vectors land in its own range when xn is rearranged to ys.
+def range_permutation(proj: TypicalProjector, xns, ys) -> np.ndarray:
+    """Where proj's range vectors land in its own range when each xn is rearranged to ys.
 
-    The factor at position i of xn moves to position source[i] of ys,
-    the one carrying the same symbol (stable among equal symbols), so
-    range vector j of proj (digits j, one per factor) becomes j' with
-    j'[source] = j; perm[j] is the index of j' in proj's range.  An
-    unconditional projector's range is invariant under moving factors,
-    so there perm permutes proj's range.  A moved vector outside that
-    range raises; it is never clamped onto a neighbour.
+    xns is an (m, n) array of sequences, each a rearrangement of ys.
+    The factor at position i of xns[k] moves to position source[k, i]
+    of ys, the one carrying the same symbol (stable among equal
+    symbols), so range vector j of proj (digits j, one per factor)
+    becomes j' with j'[source[k]] = j; perm[k, j] is the index of j' in
+    proj's range.  All m sequences are relabeled together: one
+    ravel_multi_index and one searchsorted over the (m, rank) moved
+    vectors.  An unconditional projector's range is invariant under
+    moving factors, so there every row of perm permutes proj's range.
+    A moved vector outside that range raises; it is never clamped onto
+    a neighbour.
     """
-    xn, ys = tuple(int(x) for x in xn), tuple(int(y) for y in ys)
-    if sorted(xn) != sorted(ys) or proj.n != len(xn):
-        raise ValueError("ys must be a rearrangement of xn, and proj of that length")
-    source = np.empty(len(xn), dtype=int)
-    source[np.argsort(xn, kind="stable")] = np.argsort(ys, kind="stable")
-    moved = np.empty_like(proj.digits)
-    moved[source] = proj.digits
+    xns = np.asarray(xns, dtype=np.intp)
+    ys = np.asarray(ys, dtype=np.intp)
+    if (xns.ndim != 2 or ys.shape != (proj.n,) or xns.shape[1] != proj.n
+            or (np.sort(xns, axis=1) != np.sort(ys)).any()):
+        raise ValueError("every xn must be a rearrangement of ys, and proj of that length")
+    m = len(xns)
+    source = np.empty_like(xns)
+    np.put_along_axis(source, np.argsort(xns, axis=1, kind="stable"),
+                      np.argsort(ys, kind="stable"), axis=1)
+    moved = np.empty((proj.n, m, proj.rank), dtype=proj.digits.dtype)
+    moved[source, np.arange(m)[:, None]] = proj.digits
     keys = np.ravel_multi_index(moved, proj.factor_dims)
     perm = np.searchsorted(proj.mask, keys)
     inside = perm < proj.rank

@@ -313,6 +313,14 @@ class RegularizationResult:
     replacement; certified means that distance met the lambda/3 budget
     (every per-type covering_certified is true: the sampler, given L,
     returns only samples that passed its checks and raises otherwise).
+
+    A type with one member is not sampled: its row records counts [L]
+    and one attempt.  It is certified because the checks hold by
+    construction.  Every multiset of one edge averages to that edge, the
+    mixture itself, so the sandwich holds with all of eps to spare and
+    the l1 distance is 0 up to rounding.  The mixture has at most dim
+    eigenvalues below tau / dim, so the excluded mass is below tau by
+    counting alone.
     """
 
     sparse_distribution: dict
@@ -376,6 +384,20 @@ def _sandwiched_edge(outer: TypicalProjector, digits: np.ndarray, overlaps) -> n
     return m
 
 
+def _draw_type(rec: dict, eps: float, tau: float, seed: int, draws: int) -> tuple[np.ndarray, int]:
+    """(edge draw counts, attempts) of one active type's multiset of `draws` edges.
+
+    A type with one member has a point-mass conditional law: every
+    multiset repeats its one edge, whose average is the edge itself, so
+    the sampler's checks would all pass at the first attempt (see
+    RegularizationResult) and it is not run.
+    """
+    if rec["graph"].num_edges == 1:
+        return np.array([draws], dtype=np.int64), 1
+    counts, _, attempts, *_ = _sample_in_span(rec["graph"], rec["p"], eps, tau, seed, draws=draws)
+    return counts, attempts
+
+
 def resolvability_regularize(
     P,
     channel: CQChannel,
@@ -399,8 +421,12 @@ def resolvability_regularize(
     invariant under moving tensor factors, so each member's sandwiched
     edge is the sorted sequence's with rows and columns relabeled: per
     type one conditional projector, one edge factor and one
-    eigensolve; a member is an index
-    permutation (range_permutation, QuantumHypergraph.from_orbit).  The
+    eigensolve; the members are index permutations, found by one
+    range_permutation call per type (QuantumHypergraph.from_orbit).
+    A type with a single member is a point mass: its graph is still
+    built (eta, range_dim and the draw formula enter L and the row),
+    but it is not sampled, since all L draws pick its one edge.  Its
+    stage seeds are still drawn, so no other type's seed moves.  The
     measured distance is half the trace norm of one signed
     product_mixture with weights P - P_bar; no per-atom d^n x d^n
     output is formed.
@@ -478,7 +504,7 @@ def resolvability_regularize(
         graph = QuantumHypergraph.from_orbit(
             _sandwiched_edge(mix_proj, ref.digits, [overlaps[x] for x in ref.sequence]),
             ref.probs,
-            [range_permutation(mix_proj, xn, ref.sequence) for xn in seqs],
+            range_permutation(mix_proj, seqs, ref.sequence),
         )
         if graph.eta <= 0.0:
             raise DomainError("typical projection annihilated every edge; alpha too small", "alpha")
@@ -507,10 +533,7 @@ def resolvability_regularize(
         # one seed per type per stage, drawn before a failure can cut the stage short
         stage_seeds = [next(seeds) for _ in active]
         try:
-            results = [
-                _sample_in_span(rec["graph"], rec["p"], eps, tau, sub, draws=L)
-                for rec, sub in zip(active, stage_seeds)
-            ]
+            results = [_draw_type(rec, eps, tau, sub, L) for rec, sub in zip(active, stage_seeds)]
             break
         except RuntimeError as exc:
             results, last_failure = None, exc
@@ -520,7 +543,7 @@ def resolvability_regularize(
         ) from last_failure
 
     sparse: dict[tuple, Fraction] = {}
-    for rec, (counts, *_) in zip(active, results):
+    for rec, (counts, _) in zip(active, results):
         for e_idx in np.flatnonzero(counts):
             xn = rec["seqs"][e_idx]
             sparse[xn] = sparse.get(xn, Fraction(0)) + rec["weight"] * Fraction(int(counts[e_idx]), L)
@@ -543,7 +566,7 @@ def resolvability_regularize(
             "active": quantized[i] != 0,
         }
         if i in by_index:
-            rec, (counts, _, attempts, *_) = by_index[i]
+            rec, (counts, attempts) = by_index[i]
             row.update(
                 class_support=len(rec["seqs"]),
                 range_dim=rec["graph"].dim,

@@ -407,10 +407,24 @@ def gentle_projection(rho, pi) -> tuple[np.ndarray, float]:
     return clipped, bound
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two 2-D arrays, bitwise equal to numpy.kron(a, b).
+
+    Entry (i, k), (j, l) is a[i, j] * b[k, l], the one product numpy.kron
+    forms too, without its general-rank set-up.
+    """
+    (p, q), (r, s) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(p * r, q * s)
+
+
 def kron_all(mats) -> np.ndarray:
+    """Left-to-right Kronecker product of square matrices, from the 1 x 1 complex identity.
+
+    Each step is one kron, so the result is bitwise the chain of numpy.kron calls.
+    """
     out = np.array([[1.0 + 0.0j]])
     for m in mats:
-        out = np.kron(out, as_matrix(m))
+        out = kron(out, as_matrix(m))
     return out
 
 

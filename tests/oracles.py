@@ -358,6 +358,24 @@ def conditional_mask_all_factors(systems, xn, alpha: float) -> tuple[np.ndarray,
     return mask, probs
 
 
+def range_permutation_one_sequence(proj, xn, ys) -> np.ndarray:
+    """Where proj's range vectors land when xn is rearranged to ys, for one sequence.
+
+    The factor at position i of xn moves to position source[i] of ys
+    (stable among equal symbols), so range vector j becomes j' with
+    j'[source] = j; perm[j] is the index of j' in proj's range, which
+    it must not leave.
+    """
+    source = np.empty(len(xn), dtype=int)
+    source[np.argsort(xn, kind="stable")] = np.argsort(ys, kind="stable")
+    moved = np.empty_like(proj.digits)
+    moved[source] = proj.digits
+    keys = np.ravel_multi_index(moved, proj.factor_dims)
+    perm = np.searchsorted(proj.mask, keys)
+    assert np.array_equal(proj.mask[perm], keys), xn
+    return perm
+
+
 def range_basis(proj) -> np.ndarray:
     """Range columns of a factored typical projector, one Kronecker product per column.
 

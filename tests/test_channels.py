@@ -29,7 +29,7 @@ from opcover.rng import make_rng, random_density, random_distribution, random_st
 
 from oracles import (blahut_arimoto_capacity, classical_capacity_oracle,
                      conditional_mask_all_factors, dense_mixture, dense_projector, range_basis,
-                     typical_set_by_loop)
+                     range_permutation_one_sequence, typical_set_by_loop)
 
 KET0 = np.diag([1.0, 0.0])
 KET1 = np.diag([0.0, 1.0])
@@ -161,7 +161,7 @@ class TestProductMixture:
         ch = CQChannel([KET0, PLUS])
         with pytest.raises(ValueError, match="one length"):
             product_mixture({(0, 1): 0.5, (1,): 0.5}, ch)
-        monkeypatch.setattr(np, "kron", lambda *args: pytest.fail("allocated past the cap"))
+        monkeypatch.setattr(linalg, "kron", lambda *args: pytest.fail("allocated past the cap"))
         with pytest.raises(linalg.DomainError, match="exceeds"):
             product_mixture({(0,) * 13: 1.0}, ch)
 
@@ -200,7 +200,7 @@ class TestPermutedRange:
                 assert np.array_equal(ref.digits[:, perm][source], direct.digits), xn
                 assert np.allclose(ref.probs[perm], direct.probs, rtol=1e-14, atol=0.0), xn
                 # an unconditional range is invariant: perm permutes it
-                perm = range_permutation(mix, xn, key)
+                (perm,) = range_permutation(mix, [xn], key)
                 assert np.array_equal(np.sort(perm), np.arange(mix.rank)), xn
                 assert np.array_equal(mix.digits[:, perm][source], mix.digits), xn
                 partial += 0 < direct.rank < direct.dim and 0 < mix.rank < mix.dim
@@ -210,12 +210,34 @@ class TestPermutedRange:
         ch = CQChannel([KET0, PLUS])
         proj = conditional_typical_projector(ch, (0, 0, 1), 1.0)
         with pytest.raises(ValueError, match="rearrangement"):
-            range_permutation(proj, (0, 0, 1), (0, 1, 1))
+            range_permutation(proj, [(0, 0, 1)], (0, 1, 1))
         with pytest.raises(ValueError, match="rearrangement"):
-            range_permutation(typical_projector(PLUS, 2, 1.0), (0, 0, 1), (0, 1, 0))
+            range_permutation(typical_projector(PLUS, 2, 1.0), [(0, 0, 1)], (0, 1, 0))
+        # one member of the batch off the type is enough
+        with pytest.raises(ValueError, match="rearrangement"):
+            range_permutation(proj, [(0, 1, 0), (0, 1, 1)], (0, 0, 1))
         # a conditional range is not invariant: moved, it leaves itself
         with pytest.raises(ValueError, match="leaves the target range"):
-            range_permutation(proj, (0, 0, 1), (0, 1, 0))
+            range_permutation(proj, [(0, 0, 1)], (0, 1, 0))
+        with pytest.raises(ValueError, match="leaves the target range"):
+            range_permutation(proj, [(1, 0, 0), (0, 0, 1)], (0, 0, 1))
+
+    def test_batch_matches_the_per_sequence_relabeling(self):
+        regimes = set()
+        channel_list = (channels.random_channel(17, 2, 2), channels.random_channel(23, 3, 2))
+        for ch, alpha in itertools.product(channel_list, (30.0, 1.0)):
+            a = ch.alphabet_size
+            for n in range(1, 7):
+                for t in type_enumerate(n, a):
+                    ys = tuple(x for x, c in enumerate(t.counts) for _ in range(c))
+                    members = sorted(set(itertools.permutations(ys)))
+                    mix = typical_projector(output_state(t.probabilities(), ch), n, alpha)
+                    perm = range_permutation(mix, members, ys)
+                    assert perm.shape == (len(members), mix.rank) and perm.dtype == np.intp
+                    for row, xn in zip(perm, members):
+                        assert np.array_equal(row, range_permutation_one_sequence(mix, xn, ys)), xn
+                    regimes.add("full" if mix.rank == mix.dim else "cut" if mix.rank else "empty")
+        assert {"full", "cut"} <= regimes
 
 
 class TestHolevo:
@@ -689,6 +711,39 @@ class TestFactoredProjector:
         ch = channels.random_channel(79, 3, 2)
         conditional_typical_projector(ch, (2, 0, 2, 2, 1, 0, 2), 2.0)
         assert sorted(calls) == [1, 2, 4]
+
+    @pytest.mark.parametrize("block_entries", [channels.COUNT_BLOCK_ENTRIES, 1])
+    def test_block_mask_matches_the_all_factor_digit_arrays(self, monkeypatch, block_entries):
+        # one block_entries of 1 counts one class at a time
+        monkeypatch.setattr(channels, "COUNT_BLOCK_ENTRIES", block_entries)
+        rng = make_rng(83)
+        for i in range(60):
+            a, m = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+            values = rng.dirichlet(np.ones(a))
+            if a > 2 and i % 3 == 0:
+                values[1] = values[0]  # a merged class
+            if i % 4 == 0:
+                values[-1] = -1e-17  # clipped to zero in the products
+            alpha = float(rng.uniform(0.0, 3.0))
+            ids, masses = channels._merge_close(values)
+            mask, probs = channels._product_mask(values, ids, m, *channels._window(masses, m, alpha))
+            systems = {0: (values, np.eye(a), ids, masses)}
+            want_mask, want_probs = conditional_mask_all_factors(systems, (0,) * m, alpha)
+            assert mask.dtype == want_mask.dtype and probs.dtype == want_probs.dtype
+            assert np.array_equal(mask, want_mask) and np.array_equal(probs, want_probs), i
+
+    def test_block_mask_memory_is_bounded(self):
+        # 2^19 indices: the result is 8 MB; m x a^m int64 digit arrays were 80 MB each
+        values = np.array([0.5, 0.5])
+        ids, masses = channels._merge_close(values)
+        tracemalloc.start()
+        try:
+            mask, probs = channels._product_mask(values, ids, 19, *channels._window(masses, 19, 3.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mask.size > 2**18
+        assert peak <= 64 * 2**20
 
 
 class TestCrossTypicalMass:

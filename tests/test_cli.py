@@ -206,6 +206,20 @@ class TestRun:
         assert record.wall_time_ms >= 0
         assert "wall_time_ms" not in record.results
 
+    def test_tool_version_is_looked_up_once_per_process(self, monkeypatch):
+        import importlib.metadata
+
+        lookups = []
+        version = importlib.metadata.version
+        monkeypatch.setattr(importlib.metadata, "version", lambda name: lookups.append(name) or version(name))
+        cli.tool_version.cache_clear()
+        try:
+            records = [run(BSC_CONFIG) for _ in range(3)]
+        finally:
+            cli.tool_version.cache_clear()
+        assert lookups == ["opcover"]
+        assert len({r.tool_version for r in records}) == 1
+
     def test_rerun_reproduces_results_payload(self):
         a = canonical_json(run(BSC_CONFIG).results)
         b = canonical_json(run(BSC_CONFIG).results)

@@ -585,31 +585,48 @@ def type_graphs(monkeypatch, P, channel, lam, seed, **overrides):
     """Per active type, in type order: (factor, weights, perms, graph, p, eps, tau).
 
     The first three are what a resolvability run hands from_orbit, the
-    rest what it hands the sampler for the graph built from them.
+    rest what it hands the sampler for the graph built from them.  A
+    type with one member is not sampled; its p is the point mass [1.0].
     """
-    built, sampled = {}, {}
+    built, sampled = [], {}
     from_orbit = covering.QuantumHypergraph.from_orbit.__func__
     sampler = identification._sample_in_span
 
     def record_orbit(cls, factor, weights, perms):
         g = from_orbit(cls, factor, weights, perms)
-        built[id(g)] = (factor, weights, perms)
+        built.append((factor, weights, perms, g))
         return g
 
     def record_sample(g, p, eps, tau, seed, draws=None):
         # escalation samples a graph again
-        sampled.setdefault(id(g), built[id(g)] + (g, p, eps, tau))
+        sampled.setdefault(id(g), p)
         return sampler(g, p, eps, tau, seed, draws=draws)
 
     monkeypatch.setattr(covering.QuantumHypergraph, "from_orbit", classmethod(record_orbit))
     monkeypatch.setattr(identification, "_sample_in_span", record_sample)
-    resolvability_regularize(P, channel, lam, seed=seed, **overrides)
+    reg = resolvability_regularize(P, channel, lam, seed=seed, **overrides)
     monkeypatch.undo()
-    return list(sampled.values())
+    eps, tau = reg.details["eps"], reg.details["tau"]
+    return [
+        (factor, weights, perms, g, sampled[id(g)] if g.num_edges > 1 else np.array([1.0]), eps, tau)
+        for factor, weights, perms, g in built
+    ]
 
 
 def zero_plus_type_graphs(monkeypatch, P, n):
     return type_graphs(monkeypatch, P, zero_plus_channel(), 0.6, n)
+
+
+# two active types of one member each: of 5 active types (seed 13, a
+# random law on 12 sequences) and of 8 (uniform n = 7, the pure types)
+SINGLE_MEMBER_CONFIGS = [
+    {"command": "resolvability", "seed": 13, "params": {
+        "channel": {"kind": "random", "dim": 2, "inputs": 2},
+        "P": {"kind": "random", "n": 7, "support": 12}, "lambda": 0.6}},
+    {"command": "resolvability", "seed": 16, "params": {
+        "channel": {"kind": "random", "dim": 2, "inputs": 2},
+        "P": {"kind": "uniform", "n": 7}, "lambda": 0.6}},
+]
 
 
 class TestSpanCompressedResolvability:
@@ -703,6 +720,11 @@ class TestSpanCompressedResolvability:
         ({"command": "resolvability", "seed": 15, "params": {
             "channel": {"kind": "zero-plus"}, "P": {"kind": "random", "n": 7, "support": 12}, "lambda": 0.6}},
          "0366fb50c3fc9a5e8fed93d9567e8da22bcae1ccb6919328fa9e6ec1311145ea"),
+        # types of one member: taken while every active type was still sampled
+        (SINGLE_MEMBER_CONFIGS[0],
+         "d154fc56fcc0b11495cfcc6cd644b591bb9c077d537118291493cafc83619449"),
+        (SINGLE_MEMBER_CONFIGS[1],
+         "7d836c95845674a0cae17545a243778e056c6836d24fc7ed66de4695afead8a0"),
     ]
 
     @pytest.mark.parametrize("config, digest", RESULT_HASHES)
@@ -806,6 +828,64 @@ class TestTypeOrbits:
         for g, calls in builds:
             assert g.basis is None
             assert calls == [("eigvalsh", (g.dim, g.dim))]
+
+
+class TestSingleMemberTypes:
+    @staticmethod
+    def run(monkeypatch, config):
+        """(results, the graphs from_orbit built, the graphs sampled in call order)."""
+        built, sampled = [], []
+        from_orbit = covering.QuantumHypergraph.from_orbit.__func__
+        sampler = identification._sample_in_span
+
+        def record_orbit(cls, factor, weights, perms):
+            built.append(from_orbit(cls, factor, weights, perms))
+            return built[-1]
+
+        def record_sample(g, p, eps, tau, seed, draws=None):
+            sampled.append(g)
+            return sampler(g, p, eps, tau, seed, draws=draws)
+
+        monkeypatch.setattr(covering.QuantumHypergraph, "from_orbit", classmethod(record_orbit))
+        monkeypatch.setattr(identification, "_sample_in_span", record_sample)
+        results = cli.run(config).results
+        monkeypatch.undo()
+        return results, built, sampled
+
+    @pytest.mark.parametrize("config", SINGLE_MEMBER_CONFIGS)
+    def test_only_types_of_several_members_are_sampled(self, monkeypatch, config):
+        results, built, sampled = self.run(monkeypatch, config)
+        rows = [row for row in results["per_type_details"] if row["active"]]
+        assert [g.num_edges for g in built] == [row["class_support"] for row in rows]
+        assert [g.num_edges for g in built].count(1) == 2
+        assert results["details"]["stages_used"] == 1
+        # one sampler call per active type of several members, in type order
+        assert [id(g) for g in sampled] == [id(g) for g in built if g.num_edges > 1]
+
+    @pytest.mark.parametrize("config", SINGLE_MEMBER_CONFIGS)
+    def test_bypassed_rows_are_what_the_sampler_returns(self, monkeypatch, config):
+        results, built, _ = self.run(monkeypatch, config)
+        L, eps, tau = results["L"], results["details"]["eps"], results["details"]["tau"]
+        rows = [row for row in results["per_type_details"] if row["active"]]
+        sparse = {tuple(xn): Fraction(w) for xn, w in results["sparse_distribution"]}
+        singles = [(g, row) for g, row in zip(built, rows) if g.num_edges == 1]
+        assert len(singles) == 2
+        for g, row in singles:
+            for seed in range(3):
+                counts, ln, attempts, details, *_ = covering._sample_in_span(
+                    g, [1.0], eps, tau, seed, draws=L)
+                assert counts.tolist() == [L] and ln == row["draws"] == L
+                assert attempts == row["attempts"] == 1
+                assert row["edges_drawn"] == int(np.count_nonzero(counts)) == 1
+                assert details["draw_bound"] == row["formula_draws"]
+                assert row["beyond_bound"] == (L > details["draw_bound"])
+                assert row["covering_certified"] is True
+                # the sampler's checks pass with nothing to spare
+                assert details["excluded_mass"] <= tau and details["l1_distance"] <= 1e-12
+                assert min(details["sandwich_lower_slack"], details["sandwich_upper_slack"]) >= 0.0
+            # all L draws land on the one member: it keeps its type's whole quantized weight
+            (xn,) = [xn for xn in sparse if list(np.bincount(xn, minlength=2)) == row["type"]]
+            assert sparse[xn] == Fraction(row["quantized_weight"])
 
 
 class TestTypeClassSharing:

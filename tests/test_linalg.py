@@ -439,3 +439,22 @@ def test_herm_sqrt_makes_one_eigensolve(monkeypatch):
     assert np.allclose(root, np.diag([0.5, 0.0]), atol=1e-6)
     with pytest.raises(ValueError, match="negative eigenvalue"):
         linalg.herm_sqrt(np.diag([0.25, -1e-6]))
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((1, 1), (1, 1)), ((1, 1), (3, 3)), ((2, 2), (1, 1)), ((2, 2), (2, 2)),
+    ((2, 3), (4, 1)), ((1, 5), (3, 2)), ((4, 4), (8, 8)),
+])
+def test_kron_is_bitwise_np_kron(a_shape, b_shape):
+    rng = make_rng(sum(a_shape) * 10 + sum(b_shape))
+
+    def draw(shape, kind):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if kind == "complex" else x
+
+    for ka, kb in itertools.product(("real", "complex"), repeat=2):
+        a, b = draw(a_shape, ka), draw(b_shape, kb)
+        got = linalg.kron(a, b)
+        want = np.kron(a, b)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (ka, kb)
+
