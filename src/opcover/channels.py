@@ -47,24 +47,37 @@ INFO_NOISE = 1e-14
 # Class counts of product indices are held for at most this many
 # (class, index) pairs at once: one byte each while m < 256.
 COUNT_BLOCK_ENTRIES = 1 << 22
+# typical_set turns at most this many mask entries into tuples at once.
+MEMBER_CHUNK = 1 << 16
 
 
 class CQChannel:
     """Map from a finite input alphabet into density operators.
 
-    States are stored as a stack of shape (alphabet_size, dim, dim);
-    every one is validated as a density operator on construction.
+    States are stored as a read-only copy of shape (alphabet_size, dim,
+    dim), every one validated as a density operator on construction, so
+    the letter eigensystems in `systems` are made once and stay valid.
     """
 
     def __init__(self, states):
-        arr = np.asarray(states, dtype=np.complex128)
+        arr = np.array(states, dtype=np.complex128)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError("states must be a stack of square matrices")
         if arr.shape[0] < 1:
             raise ValueError("channel needs at least one input symbol")
         for x in range(arr.shape[0]):
             arr[x] = linalg.require_density(arr[x], name=f"state {x}")
+        arr.flags.writeable = False
         self.states = arr
+
+    @functools.cached_property
+    def systems(self) -> tuple:
+        """(eigenvalues, eigenbasis, class ids, class masses) of every letter, by symbol.
+
+        Made and checked by _factor_system on first use; every projector
+        built on this channel shares them.
+        """
+        return tuple(_factor_system(w) for w in self.states)
 
     @property
     def alphabet_size(self) -> int:
@@ -420,7 +433,7 @@ class EmpiricalDistribution:
 def type_enumerate(n: int, a: int) -> list[EmpiricalDistribution]:
     """All empirical distributions of length-n sequences over a symbols."""
     if n < 1 or a < 1:
-        raise ValueError("need n >= 1 and a >= 1")
+        raise DomainError("need n >= 1 and a >= 1", "n" if n < 1 else "a")
     total = math.comb(n + a - 1, a - 1)
     linalg.require_size("n", total, MAX_TYPES, f"{total} types exceed the enumeration cap {MAX_TYPES}")
     # one chunk: the list of types outweighs the array of their counts
@@ -452,22 +465,22 @@ def typical_set(p, n: int, alpha: float) -> set:
     Membership: |N(x|seq) - n p(x)| <= alpha * sqrt(n p(x) (1 - p(x)))
     for every symbol.  The total probability of the set is summed
     exactly over the enumeration and checked against the Chebyshev
-    guarantee 1 - a/alpha^2.
+    guarantee 1 - a/alpha^2.  Tuples are made MEMBER_CHUNK mask entries
+    at a time, so only one chunk of digit arrays is held beside the set.
     """
     p = np.asarray(p, dtype=float).reshape(-1)
     a = p.size
     p = check_distribution(p, a)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if alpha < 0.0:
-        raise ValueError("alpha must be nonnegative")
+    _check_length_and_alpha(n, alpha)
     linalg.require_size("n", a, MAX_SEQUENCE_SPACE, exponent=n, message=(
         f"sequence space {a}^{n} exceeds {MAX_SEQUENCE_SPACE}"))
     # one factor per position, one eigenspace class per symbol
     targets, widths = _window(p, n, alpha)
     mask, member_probs = _product_mask(p, np.arange(a), n, targets, widths)
-    digits = np.unravel_index(mask, (a,) * n)
-    members = set(zip(*(d.tolist() for d in digits)))
+    members = set()
+    for lo in range(0, mask.size, MEMBER_CHUNK):
+        digits = np.unravel_index(mask[lo:lo + MEMBER_CHUNK], (a,) * n)
+        members.update(zip(*(d.tolist() for d in digits)))
     mass = math.fsum(member_probs)
     bound = 1.0 - a / alpha**2 if alpha > 0.0 else -math.inf
     # float slack only: the Chebyshev argument already covers sequences
@@ -502,11 +515,13 @@ def _merge_close(values) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _factor_system(state) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenbasis, class ids, class masses).
+    """(eigenvalues, eigenbasis, class ids, class masses), the basis checked.
 
-    A diagonal state keeps its diagonal and the standard basis np.eye(d)
-    without an eigensolve; products with an identity are exact, so
-    downstream builders stay exactly diagonal.
+    The one maker of factor bases: each passes _check_factor here, once,
+    and no projector checks its factors again.  A diagonal state keeps
+    its diagonal and the standard basis np.eye(d) without an eigensolve;
+    products with an identity are exact, so downstream builders stay
+    exactly diagonal.
     """
     m = linalg.as_matrix(state)
     diag = np.diagonal(m)
@@ -515,17 +530,9 @@ def _factor_system(state) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
         values, basis = diag.real.copy(), np.eye(len(diag))
     else:
         values, basis = linalg.eigh(m)
+    _check_factor(basis, values, m)
     ids, masses = _merge_close(values)
     return values, basis, ids, masses
-
-
-def letter_systems(channel: CQChannel) -> dict:
-    """Eigensystem of every letter state, keyed by input symbol.
-
-    Pass the result as `systems` to conditional_typical_projector to
-    share one eigendecomposition per letter across many sequences.
-    """
-    return {x: _factor_system(w) for x, w in enumerate(channel.states)}
 
 
 def _check_factor(basis, values, letter) -> None:
@@ -552,39 +559,29 @@ class TypicalProjector:
     eigenvalues `factor_values[i]` of its letter state.  `mask` lists
     the flat indices (first factor most significant) of the product
     eigenvectors spanning the range, strictly increasing, and `probs`
-    their reference eigenvalues.  `trace_mass` is the exact overlap of
-    the reference product state with the range, guaranteed to reach
+    their reference eigenvalues.  `sequence` is the input sequence of a
+    conditional projector and None for an unconditional one.
+    `trace_mass`, the sum of `probs`, is the exact overlap of the
+    reference product state with the range, guaranteed to reach
     `mass_bound` by Chebyshev counting.
 
-    Validation is factored and runs at every size: unitary factor bases
-    that diagonalize their letters and an in-range increasing mask make
-    the product projector Hermitian, idempotent and commuting with the
-    reference state.  No dense dim x dim projector is ever built.
+    Validation is factored and runs at every size: factor bases were
+    checked unitary and diagonalizing where they were made
+    (_factor_system), and an in-range increasing mask makes the product
+    projector Hermitian, idempotent and commuting with the reference
+    state.  No dense dim x dim projector is ever built.
     """
 
     factor_bases: tuple
     factor_values: tuple
     mask: np.ndarray
     probs: np.ndarray
-    n: int
     alpha: float
-    kind: str  # "unconditional" | "conditional"
-    letter_states: tuple
     sequence: tuple[int, ...] | None
-    trace_mass: float
     mass_bound: float
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        factors = (self.factor_bases, self.factor_values, self.letter_states)
-        if any(len(f) != self.n for f in factors):
-            raise ValueError("need one basis, spectrum and letter state per factor")
-        checked = set()
-        for factor in zip(*factors):
-            key = tuple(id(f) for f in factor)
-            if key not in checked:
-                checked.add(key)
-                _check_factor(*factor)
         mask = self.mask
         if mask.ndim != 1 or not np.issubdtype(mask.dtype, np.integer):
             raise ValueError("mask must be a 1-d integer array")
@@ -594,6 +591,18 @@ class TypicalProjector:
             raise ValueError("mask must be strictly increasing inside [0, dim)")
         linalg.check_bound("typical mass falls below its guarantee",
                            self.mass_bound, self.trace_mass, 1e-12)
+
+    @property
+    def n(self) -> int:
+        return len(self.factor_values)
+
+    @property
+    def kind(self) -> str:
+        return "unconditional" if self.sequence is None else "conditional"
+
+    @functools.cached_property
+    def trace_mass(self) -> float:
+        return math.fsum(self.probs)
 
     @property
     def factor_dims(self) -> tuple[int, ...]:
@@ -611,10 +620,6 @@ class TypicalProjector:
     def digits(self) -> np.ndarray:
         """Per-factor eigenvector index of every range vector, shape (n, rank)."""
         return np.array(np.unravel_index(self.mask, self.factor_dims)).reshape(self.n, self.rank)
-
-    def reference_state(self) -> np.ndarray:
-        """The product state the projector was built for."""
-        return linalg.kron_all(self.letter_states)
 
 
 def _product_mask(values, ids, m: int, targets, widths) -> tuple[np.ndarray, np.ndarray]:
@@ -738,37 +743,29 @@ def typical_projector(rho, n: int, alpha: float) -> TypicalProjector:
         factor_values=(values,) * n,
         mask=mask,
         probs=probs,
-        n=n,
         alpha=float(alpha),
-        kind="unconditional",
-        letter_states=(rho,) * n,
         sequence=None,
-        trace_mass=math.fsum(probs),
         mass_bound=bound,
         details=details,
     )
 
 
-def conditional_typical_projector(
-    channel: CQChannel, xn, alpha: float, *, systems: dict | None = None
-) -> TypicalProjector:
+def conditional_typical_projector(channel: CQChannel, xn, alpha: float) -> TypicalProjector:
     """Projector onto jointly typical eigenvectors of a product output.
 
     Tensor factors group into blocks by input symbol; each block gets
     the unconditional construction for its letter state at deviation
     alpha, and the blocks tensor together: the range is every choice
     of one admissible vector per block.  The retained mass is at least
-    1 - a*d/alpha^2 by a union bound over blocks.  `systems` may carry
-    letter_systems(channel), computed once for many calls.
+    1 - a*d/alpha^2 by a union bound over blocks.  The letter
+    eigensystems are the channel's own `systems`.
     """
     xn = _check_sequence(xn, channel.alphabet_size)
     n = len(xn)
     d = channel.dim
     _check_build_size(d, n, alpha, "sequence")
     symbols = sorted(set(xn))
-    if systems is None:
-        systems = {x: _factor_system(channel.states[x]) for x in symbols}
-    letters = {x: channel.states[x] for x in symbols}
+    systems = channel.systems
     strides = d ** np.arange(n - 1, -1, -1, dtype=np.intp)
     mask = np.zeros(1, dtype=np.intp)
     block_details = []
@@ -803,12 +800,8 @@ def conditional_typical_projector(
         factor_values=tuple(systems[x][0] for x in xn),
         mask=mask,
         probs=probs,
-        n=n,
         alpha=float(alpha),
-        kind="conditional",
-        letter_states=tuple(letters[x] for x in xn),
         sequence=xn,
-        trace_mass=math.fsum(probs),
         mass_bound=bound,
         details=details,
     )
@@ -849,11 +842,15 @@ def range_permutation(proj: TypicalProjector, xns, ys) -> np.ndarray:
     return perm
 
 
-def _check_build_size(d: int, n: int, alpha: float, param: str = "n") -> None:
+def _check_length_and_alpha(n: int, alpha: float) -> None:
     if n < 1:
         raise DomainError("n must be a positive integer", "n")
     if not alpha >= 0.0:
         raise DomainError("alpha must be nonnegative", "alpha")
+
+
+def _check_build_size(d: int, n: int, alpha: float, param: str = "n") -> None:
+    _check_length_and_alpha(n, alpha)
     linalg.require_size(param, d, MAX_TENSOR_DIM, exponent=n, message=(
         f"product dimension {d}^{n} exceeds {MAX_TENSOR_DIM}"))
 
@@ -869,8 +866,7 @@ def cross_typical_mass(channel: CQChannel, xn, alpha: float) -> tuple[float, Typ
     Chebyshev count keeps this above 1 - a*d/alpha^2.
     """
     xn = _check_sequence(xn, channel.alphabet_size)
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    linalg.require_positive(alpha=alpha)
     a = channel.alphabet_size
     t = EmpiricalDistribution.from_sequence(xn, a)
     mix = output_state(t.probabilities(), channel)

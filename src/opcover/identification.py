@@ -28,7 +28,6 @@ from .channels import (
     CQChannel,
     TypicalProjector,
     conditional_typical_projector,
-    letter_systems,
     output_state,
     product_mixture,
     range_permutation,
@@ -251,7 +250,7 @@ def quantize_distribution(weights, K: int) -> list:
     """
     K = int(K)
     if K < 1:
-        raise ValueError("K must be a positive integer")
+        raise DomainError("K must be a positive integer", "K")
     exact = [Fraction(w) for w in weights]
     if any(w < 0 for w in exact):
         raise ValueError("weights must be nonnegative")
@@ -279,8 +278,9 @@ def quantization_resolution(n: int, a: int, lam) -> int:
     off by one in reach (3*(20+1)**2 / 0.35 rounds just above the
     exact 3780).
     """
-    if int(n) != n or n < 1 or int(a) != a or a < 1:
-        raise ValueError("n and a must be positive integers")
+    for name, v in (("n", n), ("a", a)):
+        if int(v) != v or v < 1:
+            raise DomainError("n and a must be positive integers", name)
     lam_exact = Fraction(str(lam))
     if not 0 < lam_exact < 1:
         raise DomainError("lambda must lie strictly between 0 and 1", "lambda")
@@ -478,7 +478,6 @@ def resolvability_regularize(
                        quantization_tv, lam_exact / 3)
 
     sqrt_a = math.sqrt(a)
-    systems = letter_systems(channel)
     active = []
     for i, t in enumerate(types):
         if quantized[i] == 0:
@@ -490,12 +489,12 @@ def resolvability_regularize(
         if mix_proj.rank == 0:
             raise DomainError("mixture typical projector has empty range; alpha too small", "alpha")
         v_mix = mix_proj.factor_bases[0]
-        overlaps = {x: v_mix.conj().T @ system[1] for x, system in systems.items()}
+        overlaps = [v_mix.conj().T @ basis for _, basis, _, _ in channel.systems]
         # the type's members are rearrangements of its sorted sequence ref,
         # and the mixture range is invariant under moving factors: each
         # member's edge factor is ref's with its rows relabeled
         ref = conditional_typical_projector(
-            channel, [x for x, c in enumerate(t.counts) for _ in range(c)], alpha, systems=systems
+            channel, [x for x, c in enumerate(t.counts) for _ in range(c)], alpha
         )
         # the type's edge stack, m x s x s with from_orbit's span width s,
         # is refused before it is allocated
@@ -645,7 +644,7 @@ def code_count_bound(K: int, L: int, a: int, n: int):
     """
     for name, v in (("K", K), ("L", L), ("a", a), ("n", n)):
         if int(v) != v or v < 1:
-            raise ValueError(f"{name} must be a positive integer")
+            raise DomainError(f"{name} must be a positive integer", name)
     K, L, a, n = int(K), int(L), int(a), int(n)
     if a & (a - 1) == 0:
         return n * (a.bit_length() - 1) * K * L
@@ -664,13 +663,12 @@ def strong_converse_bound(n: int, c_bits, delta) -> Fraction:
     arithmetic settles just below it.
     """
     if int(n) != n or n < 1:
-        raise ValueError("n must be a positive integer")
+        raise DomainError("n must be a positive integer", "n")
     capacity_bits = Fraction(str(c_bits))
     slack = Fraction(str(delta))
     if capacity_bits < 0:
-        raise ValueError("capacity must be nonnegative")
-    if slack <= 0:
-        raise ValueError("delta must be positive")
+        raise DomainError("capacity must be nonnegative", "c_bits")
+    linalg.require_positive(delta=slack)
     return int(n) * (capacity_bits + slack)
 
 
@@ -691,8 +689,7 @@ def resolution_probe(
     lands within eps.  This probes achievable resolutions for the
     given candidates only; it is not an infimum over all inputs.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    linalg.require_positive(eps=eps)
     n = int(n)
     a = channel.alphabet_size
     linalg.require_size("n", a * channel.dim**2, MAX_TENSOR_DIM**2, exponent=n, message=(

@@ -333,7 +333,7 @@ def conditional_mask_all_factors(systems, xn, alpha: float) -> tuple[np.ndarray,
     """Conditional typical (mask, probs) by testing every block on all d^n digit arrays.
 
     systems maps each symbol to (eigenvalues, basis, class ids, class
-    masses), as channels.letter_systems gives them.  A product index is
+    masses), as CQChannel.systems holds them.  A product index is
     kept when each symbol's block, the positions carrying it, has its
     class counts within the windows the library uses; probs are running
     products of the clipped eigenvalues in factor order.

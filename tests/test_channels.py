@@ -176,18 +176,17 @@ class TestPermutedRange:
     @pytest.mark.parametrize("name", sorted(CHANNELS))
     def test_matches_direct_build_bit_for_bit(self, name):
         ch = self.CHANNELS[name]()
-        systems = channels.letter_systems(ch)
         partial = 0
         for n in range(1, 8):
             refs, mixes = {}, {}
             for xn in itertools.product(range(ch.alphabet_size), repeat=n):
                 key = tuple(sorted(xn))
                 if key not in refs:
-                    refs[key] = conditional_typical_projector(ch, key, 1.0, systems=systems)
+                    refs[key] = conditional_typical_projector(ch, key, 1.0)
                     t = EmpiricalDistribution.from_sequence(key, ch.alphabet_size)
                     mixes[key] = typical_projector(output_state(t.probabilities(), ch), n, 1.0)
                 ref, mix = refs[key], mixes[key]
-                direct = conditional_typical_projector(ch, xn, 1.0, systems=systems)
+                direct = conditional_typical_projector(ch, xn, 1.0)
                 # xn's conditional range, its factors moved to key's positions,
                 # is ref's: the digits agree bit for bit, probs to rounding
                 source = np.empty(n, dtype=int)
@@ -466,6 +465,29 @@ class TestTypicalSet:
             alpha = (0.0, 0.5, 1.0, 1.7, 3.0, 1e6)[case % 6]
             assert typical_set(p, n, alpha) == typical_set_by_loop(p, n, alpha), (a, n, alpha, p)
 
+    @pytest.mark.parametrize("chunk", [1, 5])
+    def test_chunked_members_match_the_sequence_loop(self, monkeypatch, chunk):
+        # chunks of 1 and 5 mask entries: the tuples are cut at every place
+        monkeypatch.setattr(channels, "MEMBER_CHUNK", chunk)
+        rng = make_rng(101)
+        for case in range(60):
+            a, n = int(rng.integers(1, 4)), int(rng.integers(1, 8))
+            p = random_distribution(rng, a)
+            alpha = (0.5, 1.0, 1.7, 3.0, 1e6)[case % 5]
+            assert typical_set(p, n, alpha) == typical_set_by_loop(p, n, alpha), (a, n, alpha, p)
+
+    def test_memory_is_bounded_at_the_size_cap(self):
+        # the returned 523,906 tuples alone hold about 112 MB; n full-length
+        # digit arrays and their lists took the peak to 271 MB
+        tracemalloc.start()
+        try:
+            got = typical_set([0.5, 0.5], 19, 3.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 523_906
+        assert peak <= 160 * 2**20
+
 
 class TestTypicalProjector:
     def test_huge_alpha_gives_identity(self):
@@ -527,7 +549,7 @@ class TestTypicalProjector:
             assert proj.trace_mass + 1e-12 >= 1.0 - dim / alpha**2
             pi = dense_projector(proj)
             assert linalg.frobenius(pi @ pi - pi) <= 1e-9
-            ref = proj.reference_state()
+            ref = linalg.kron_all([rho] * n)
             assert linalg.commutator_norm(pi, ref) <= 1e-9 * pi.shape[0]
             # matrix trace agrees with the analytic mask sum
             overlap = float(np.einsum("ij,ji->", ref, pi).real)
@@ -611,8 +633,7 @@ class TestConditionalProjector:
             assert proj.trace_mass + 1e-12 >= 1.0 - 3 * 2 / alpha**2
             pi = dense_projector(proj)
             assert linalg.frobenius(pi @ pi - pi) <= 1e-9
-            ref = proj.reference_state()
-            assert np.allclose(ref, tensor_output(xn, ch), atol=1e-12)
+            ref = tensor_output(xn, ch)
             assert linalg.commutator_norm(pi, ref) <= 1e-9 * pi.shape[0]
             overlap = float(np.einsum("ij,ji->", ref, pi).real)
             assert math.isclose(overlap, proj.trace_mass, abs_tol=1e-9)
@@ -620,11 +641,52 @@ class TestConditionalProjector:
     def test_range_basis_spans_projector(self):
         # the factored data name orthonormal eigenvectors of the reference
         # state with eigenvalues probs
-        proj = conditional_typical_projector(self.qubit_channel(), (0, 1, 0), 2.0)
+        ch = self.qubit_channel()
+        proj = conditional_typical_projector(ch, (0, 1, 0), 2.0)
         basis = range_basis(proj)
         assert basis.shape == (8, proj.rank)
         assert np.allclose(basis.conj().T @ basis, np.eye(proj.rank), atol=1e-12)
-        assert np.allclose(proj.reference_state() @ basis, basis * proj.probs, atol=1e-12)
+        assert np.allclose(tensor_output((0, 1, 0), ch) @ basis, basis * proj.probs, atol=1e-12)
+
+
+class TestLetterSystems:
+    STATES = [np.diag([0.9, 0.1]), PLUS, random_density(make_rng(91), 2)]
+
+    def test_one_eigensystem_per_letter_per_channel(self, monkeypatch):
+        calls = []
+        make = channels._factor_system
+
+        def spy(state):
+            calls.append(state)
+            return make(state)
+
+        monkeypatch.setattr(channels, "_factor_system", spy)
+        ch = CQChannel(self.STATES)
+        capacity(ch)
+        assert calls == []  # the density checks and capacity make no eigensystem
+        for xn in [(0, 1, 2), (2, 2, 0, 1), (1,), (0, 0)]:
+            proj = conditional_typical_projector(ch, xn, 2.0)
+            assert all(b is ch.systems[x][1] for b, x in zip(proj.factor_bases, xn))
+        assert len(calls) == 3
+        conditional_typical_projector(CQChannel(self.STATES), (0, 1), 2.0)
+        assert len(calls) == 6
+
+    def test_states_are_a_read_only_copy(self):
+        states = np.array(self.STATES, dtype=np.complex128)
+        ch = CQChannel(states)
+        with pytest.raises(ValueError, match="read-only"):
+            ch.states[0, 0, 0] = 0.5
+        states[0] = KET1
+        assert np.array_equal(ch.states[0], self.STATES[0])
+
+    def test_projector_stores_only_what_it_cannot_derive(self):
+        fields = [f.name for f in dataclasses.fields(channels.TypicalProjector)]
+        assert fields == ["factor_bases", "factor_values", "mask", "probs", "alpha",
+                          "sequence", "mass_bound", "details"]
+        cond = conditional_typical_projector(CQChannel(self.STATES), (0, 2, 2), 2.0)
+        state = typical_projector(self.STATES[2], 4, 2.0)
+        assert (cond.n, cond.kind, state.n, state.kind) == (3, "conditional", 4, "unconditional")
+        assert cond.trace_mass == math.fsum(cond.probs)
 
 
 class TestFactoredProjector:
@@ -645,23 +707,44 @@ class TestFactoredProjector:
             assert proj.dim == 4096
             assert peak < 32 * 2**20
 
-    def test_non_unitary_factor_basis_rejected_above_old_validation_size(self):
-        proj = typical_projector(random_density(make_rng(73), 2), 11, 2.0)
-        assert proj.dim == 2048
-        basis = proj.factor_bases[0]
-        assert basis is not None
-        with pytest.raises(ValueError, match="not unitary"):
-            dataclasses.replace(proj, factor_bases=(1.01 * basis,) * 11)
+    @staticmethod
+    def corrupt_eigh(monkeypatch, corrupt):
+        eigh = linalg.eigh
 
-    def test_basis_must_diagonalize_its_letter(self):
-        proj = typical_projector(random_density(make_rng(74), 2), 3, 2.0)
-        swapped = proj.factor_bases[0][:, ::-1]
+        def corrupted(a):
+            w, u = eigh(a)
+            return w, corrupt(u)
+
+        monkeypatch.setattr(linalg, "eigh", corrupted)
+
+    def test_non_unitary_factor_basis_rejected_above_old_validation_size(self, monkeypatch):
+        # the basis is checked where it is made, at any n, for states and channels alike
+        rho = random_density(make_rng(73), 2)
+        ch = CQChannel([rho, random_density(make_rng(75), 2)])
+        self.corrupt_eigh(monkeypatch, lambda u: 1.01 * u)
+        with pytest.raises(ValueError, match="not unitary"):
+            typical_projector(rho, 11, 2.0)
+        with pytest.raises(ValueError, match="not unitary"):
+            ch.systems
+        with pytest.raises(ValueError, match="not unitary"):
+            conditional_typical_projector(ch, (0, 1) * 5 + (0,), 2.0)
+        monkeypatch.undo()
+        # a rejected eigensystem is not kept
+        assert conditional_typical_projector(ch, (0, 1) * 5 + (0,), 2.0).dim == 2048
+
+    def test_basis_must_diagonalize_its_letter(self, monkeypatch):
+        rho = random_density(make_rng(74), 2)
+        ch = CQChannel([rho, np.diag([0.7, 0.3])])
+        self.corrupt_eigh(monkeypatch, lambda u: u[:, ::-1])
         with pytest.raises(ValueError, match="diagonalize"):
-            dataclasses.replace(proj, factor_bases=(swapped,) * 3)
+            typical_projector(rho, 3, 2.0)
+        with pytest.raises(ValueError, match="diagonalize"):
+            ch.systems
+        # a diagonal letter takes no eigensolve: its identity basis passes
         diag = typical_projector(np.diag([0.7, 0.3]), 3, 2.0)
         assert all(np.array_equal(b, np.eye(2)) for b in diag.factor_bases)
         with pytest.raises(ValueError, match="diagonalize"):
-            dataclasses.replace(diag, factor_values=(np.array([0.3, 0.7]),) * 3)
+            channels._check_factor(np.eye(2), np.array([0.3, 0.7]), np.diag([0.7, 0.3]))
 
     def test_mask_must_increase_inside_dim(self):
         proj = typical_projector(np.diag([0.7, 0.3]), 3, 1e9)
@@ -693,7 +776,7 @@ class TestFactoredProjector:
             xn = tuple(int(s) for s in rng.integers(0, a, size=n))
             alpha = float(rng.uniform(0.5, 2.5))
             proj = conditional_typical_projector(ch, xn, alpha)
-            mask, probs = conditional_mask_all_factors(channels.letter_systems(ch), xn, alpha)
+            mask, probs = conditional_mask_all_factors(ch.systems, xn, alpha)
             assert proj.mask.dtype == mask.dtype and proj.probs.dtype == probs.dtype
             assert np.array_equal(proj.mask, mask) and np.array_equal(proj.probs, probs), i
             ranges.add("empty" if proj.rank == 0 else "proper" if proj.rank < proj.dim else "full")

@@ -158,6 +158,20 @@ CASES = [
     ("rv", lambda: concentration.two_sided_chernoff(OperatorRV([0.5, 0.5], [ZERO, ZERO]), 2, 0.2)),
     # the trials x atoms count matrix: 2 x 10^7 entries, though trials x n is only 2 x 10^4
     ("trials", lambda: concentration.mc_tail(_many_atoms(), 2, 10_000, 1, lambda s: s)),
+    # scalar range checks of the type machinery and the identification bounds
+    ("n", lambda: channels.typical_set([0.5, 0.5], 0, 1.0)),
+    ("alpha", lambda: channels.typical_set([0.5, 0.5], 2, -1.0)),
+    ("alpha", lambda: channels.cross_typical_mass(_channel(), [0, 1], 0.0)),
+    ("n", lambda: channels.type_enumerate(0, 2)),
+    ("a", lambda: channels.type_enumerate(2, 0)),
+    ("K", lambda: identification.quantize_distribution([0.5, 0.5], 0)),
+    ("n", lambda: identification.quantization_resolution(0, 2, 0.5)),
+    ("a", lambda: identification.quantization_resolution(2, 1.5, 0.5)),
+    ("L", lambda: identification.code_count_bound(2, 0, 2, 3)),
+    ("n", lambda: identification.strong_converse_bound(0, 0.5, 0.1)),
+    ("c_bits", lambda: identification.strong_converse_bound(2, -0.5, 0.1)),
+    ("delta", lambda: identification.strong_converse_bound(2, 0.5, 0.0)),
+    ("eps", lambda: identification.resolution_probe(_channel(), 2, 0.0, [], 1)),
 ]
 
 

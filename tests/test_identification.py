@@ -677,8 +677,8 @@ class TestSpanCompressedResolvability:
         assert sizes and max(sizes) <= g.span_dim < g.dim
 
     def test_no_dense_lift(self, monkeypatch):
-        # the samplers' results lift sampled_average, pi0 and pi1 lazily,
-        # and the pipeline reads none of them
+        # resolvability reads its draw counts off the sampler's
+        # span-coordinate core, which lifts nothing to dim x dim
         monkeypatch.setattr(covering.QuantumHypergraph, "lift", lambda g, c: pytest.fail("lifted"))
         reg = resolvability_regularize(uniform_distribution(2, 6), zero_plus_channel(), 0.6, seed=7)
         assert reg.L > 0
@@ -689,9 +689,8 @@ class TestSpanCompressedResolvability:
     # one signed product mixture, and again when each type's edges
     # became relabelings of one reference edge with one eigensolve,
     # which moved only the last bits of eta and formula_draws (2.1e-15
-    # relative); the lazy lifts left the cover-sample digests alone, and
-    # they were retaken when the sandwich slacks became relative ones
-    # (only the two slack fields moved)
+    # relative); the cover-sample digests were retaken when the sandwich
+    # slacks became relative ones (only the two slack fields moved)
     RESULT_HASHES = [
         ({"command": "resolvability", "seed": 11, "params": {
             "channel": {"kind": "random", "dim": 2, "inputs": 2},
@@ -784,7 +783,6 @@ class TestTypeOrbits:
         ch = channel()
         types = type_graphs(monkeypatch, uniform_distribution(2, n), ch, 0.6, 3, **overrides)
         alpha = overrides.get("alpha", math.sqrt(600.0 * 2 * 2) / 0.6)
-        systems = channels.letter_systems(ch)
         regimes, cut = set(), 0
         for (*_, g, _, _, _), t in zip(types, type_enumerate(n, 2)):
             seqs = sorted(xn for xn in itertools.product(range(2), repeat=n)
@@ -792,8 +790,8 @@ class TestTypeOrbits:
             mix = typical_projector(output_state(t.probabilities(), ch), n, alpha * math.sqrt(2))
             assert g.num_edges == len(seqs) and g.dim == mix.rank
             for edge, xn in zip(g.edges, seqs):
-                cond = conditional_typical_projector(ch, xn, alpha, systems=systems)
-                overlaps = [mix.factor_bases[0].conj().T @ systems[x][1] for x in xn]
+                cond = conditional_typical_projector(ch, xn, alpha)
+                overlaps = [mix.factor_bases[0].conj().T @ ch.systems[x][1] for x in xn]
                 factor = _sandwiched_edge(mix, cond.digits, overlaps)
                 assert np.abs(edge - (factor * cond.probs) @ factor.conj().T).max() <= 1e-13, xn
             regimes.add(g.basis is None)
@@ -906,6 +904,37 @@ class TestTypeClassSharing:
         assert sorted(calls) == sorted(
             tuple(x for x, c in enumerate(t) for _ in range(c)) for t in active
         )
+
+    def test_every_factor_basis_is_checked_once_where_it_is_made(self, monkeypatch):
+        made, checked, built = [], [], []
+        make, check = channels._factor_system, channels._check_factor
+
+        def spy_make(state):
+            system = make(state)
+            made.append(system[1])
+            return system
+
+        def spy_check(basis, values, letter):
+            checked.append(basis)
+            check(basis, values, letter)
+
+        def record(build):
+            def wrapped(*args):
+                built.append(build(*args))
+                return built[-1]
+            return wrapped
+
+        monkeypatch.setattr(channels, "_factor_system", spy_make)
+        monkeypatch.setattr(channels, "_check_factor", spy_check)
+        for name in ("typical_projector", "conditional_typical_projector"):
+            monkeypatch.setattr(identification, name, record(getattr(identification, name)))
+        ch = channels.random_channel(11, 2, 2)
+        resolvability_regularize(uniform_distribution(2, 6), ch, 0.6, seed=3)
+        # one eigensystem per letter and one per type's mixture, each checked once
+        mixtures = sum(proj.kind == "unconditional" for proj in built)
+        assert mixtures == 7 and len(made) == ch.alphabet_size + mixtures
+        assert [id(b) for b in checked] == [id(b) for b in made]
+        assert {id(b) for proj in built for b in proj.factor_bases} <= {id(b) for b in made}
 
     def test_validates_the_input_law_once(self, monkeypatch):
         calls = []
