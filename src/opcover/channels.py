@@ -129,10 +129,11 @@ def embed_classical(w) -> CQChannel:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
         raise ValueError("stochastic matrix must be 2-d and nonempty")
-    if w.min() < -1e-12:
-        raise ValueError("stochastic matrix has negative entries")
+    # written so that a NaN weight fails both tests
+    if not w.min() >= -1e-12:
+        raise ValueError("stochastic matrix weights must be nonnegative numbers")
     sums = w.sum(axis=1)
-    if np.abs(sums - 1.0).max() > 1e-12:
+    if not np.abs(sums - 1.0).max() <= 1e-12:
         raise ValueError(f"rows must sum to 1 within 1e-12, got {sums.tolist()}")
     states = np.stack([np.diag(np.maximum(row, 0.0)).astype(np.complex128) for row in w])
     return CQChannel(states)
@@ -406,7 +407,7 @@ class EmpiricalDistribution:
     def __post_init__(self):
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
         if self.n < 1:
-            raise ValueError("n must be a positive integer")
+            raise DomainError("n must be a positive integer", "n")
         if not self.counts:
             raise ValueError("counts must be nonempty")
         if any(c < 0 for c in self.counts):

@@ -67,18 +67,13 @@ class OperatorRV:
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a nonempty vector")
-        if p.min() < -1e-12:
-            raise ValueError("probs must be nonnegative")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probs sum to {p.sum()}, expected 1")
+        self.probs = linalg.check_distribution(p, p.size)
         vals = [linalg.require_hermitian(v, name=f"values[{i}]") for i, v in enumerate(values)]
         if len(vals) != p.size:
             raise ValueError("probs and values must have equal length")
         dims = {v.shape[0] for v in vals}
         if len(dims) != 1:
             raise ValueError(f"values have mixed dimensions {sorted(dims)}")
-        self.probs = np.clip(p, 0.0, None)
-        self.probs /= self.probs.sum()
         self.values = np.stack(vals)
 
     @classmethod
@@ -412,7 +407,7 @@ def chernoff_tail(rv: OperatorRV, n: int, a: float, m: float, side: str = "upper
         if not linalg.psd_leq(m * eye, mean):
             raise DomainError("lower tail needs mean >= m * identity", "m")
     else:
-        raise ValueError(f"unknown side {side!r}")
+        raise DomainError(f"unknown side {side!r}", "side")
 
     div = linalg.binary_divergence(a, m)
     bound = 0.0 if math.isinf(div) else rv.dim * 2.0 ** (-n * div)

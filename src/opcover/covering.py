@@ -15,7 +15,12 @@ Sampling ops share a retry protocol: up to RETRY_SEEDS fresh sub-seeds
 at the formula's draw count, then the count escalates by factors of two
 (results found after escalation are flagged beyond_bound and are not
 certified).  Callers may instead prescribe the draw count, in which
-case no escalation happens and exhaustion raises.
+case no escalation happens and exhaustion raises SamplingExhausted.
+A family of graphs sharing one draw count (sample_family) climbs the
+same ladder as a whole: each stage samples every graph once at its
+prescribed count, and a stage in which any graph exhausts its budget
+is abandoned for one at twice the count.  Only SamplingExhausted
+escalates; a BoundViolation always propagates.
 """
 
 from __future__ import annotations
@@ -379,7 +384,7 @@ def covering_randomized(g: QuantumHypergraph, p, seed: int) -> CoveringResult:
             if linalg.psd_leq(np.eye(g.dim), deg):
                 break
         else:
-            raise RuntimeError(f"covering retry budget exhausted after {attempts} attempts")
+            raise SamplingExhausted(f"covering retry budget exhausted after {attempts} attempts")
     beyond = k > formula
     return CoveringResult(
         kind="randomized-covering",
@@ -412,11 +417,15 @@ def _sample_plan(formula: float, p: np.ndarray, draws):
     return max(1, math.floor(formula)), ESCALATION_STAGES
 
 
-def _budget_exhausted(attempts: int, ok_lower, ok_upper) -> RuntimeError:
+class SamplingExhausted(RuntimeError):
+    """Every attempt a sampler's budget allows failed its checks; a larger draw count may not."""
+
+
+def _budget_exhausted(attempts: int, ok_lower, ok_upper) -> SamplingExhausted:
     """The sampler's error once every attempt failed, naming the last one's failing side."""
     failing = {(False, False): "lower and upper", (False, True): "lower",
                (True, False): "upper"}[(ok_lower, ok_upper)]
-    return RuntimeError(f"sampling budget exhausted after {attempts} attempts ({failing} side failing)")
+    return SamplingExhausted(f"sampling budget exhausted after {attempts} attempts ({failing} side failing)")
 
 
 def quantum_covering_sample(
@@ -526,6 +535,51 @@ def _sample_in_span(g: QuantumHypergraph, p, eps: float, tau: float, seed: int, 
             }
             return counts, ln, attempts, details, rhobar, u, ~small
     raise _budget_exhausted(attempts, lower >= -linalg.PSD_TOL, upper >= -linalg.PSD_TOL)
+
+
+def sample_family(graphs, ps, eps: float, tau: float, seed: int, draws: int | None = None):
+    """Sample each graph's edge mixture ps[i] at one draw count L shared by all graphs.
+
+    L is `draws` when prescribed (one stage), else max(1, the largest
+    floor of the draw_bound formulas), doubled for up to ESCALATION_STAGES
+    stages: a stage in which some graph's sampler exhausts its budget is
+    abandoned whole.  Each stage draws one seed_stream(seed) seed per
+    graph before it samples any, so a failure never moves a later seed.
+
+    A graph with one edge is not sampled (counts [L], one attempt): the
+    sampler's checks hold by construction.  Every multiset of one edge
+    averages to that edge, the mixture itself, so the sandwich holds with
+    all of eps to spare and the l1 distance is 0 up to rounding; the
+    mixture has at most dim eigenvalues below tau / dim, so the excluded
+    mass is below tau by counting alone.
+
+    Returns (L, stages used, the formulas, [(edge draw counts, attempts)]).
+    """
+    if len(graphs) != len(ps):
+        raise ValueError("one edge distribution per graph required")
+    formulas = [draw_bound(g.eta, g.dim, eps, tau) for g in graphs]
+    if draws is not None:
+        linalg.require_positive(draws=draws)
+        base, stages = int(draws), 1
+    else:
+        base, stages = max([1] + [math.floor(f) for f in formulas]), ESCALATION_STAGES
+    seeds = seed_stream(seed)
+    for stage in range(stages):
+        L = base * 2**stage
+        subs = [next(seeds) for _ in graphs]
+        drawn = []
+        try:
+            for g, p, sub in zip(graphs, ps, subs):
+                if g.num_edges == 1:
+                    drawn.append((np.array([L], dtype=np.int64), 1))
+                else:
+                    counts, _, attempts, *_ = _sample_in_span(g, p, eps, tau, sub, L)
+                    drawn.append((counts, attempts))
+        except SamplingExhausted as exc:
+            failure = exc
+        else:
+            return L, stage + 1, formulas, drawn
+    raise SamplingExhausted(f"sampling failed at every draw count up to {L}") from failure
 
 
 def replay_covering_result(

@@ -35,9 +35,9 @@ from .channels import (
     type_enumerate,
     typical_projector,
 )
-from .covering import ESCALATION_STAGES, QuantumHypergraph, _sample_in_span, draw_bound
+from .covering import QuantumHypergraph, SamplingExhausted, sample_family
 from .linalg import MAX_SEQUENCE_SPACE, MAX_TENSOR_DIM, DomainError
-from .rng import make_rng, random_distribution, random_effect, seed_stream, spawn_seeds
+from .rng import make_rng, random_distribution, random_effect, spawn_seeds
 
 DEFAULT_PROBE_LAMBDAS = (0.9, 0.75, 0.6, 0.45, 0.3)
 
@@ -69,7 +69,7 @@ def check_sequence_distribution(
                 raise DomainError(f"symbol {s} outside the alphabet of size {alphabet_size}", param)
         if not isinstance(w, Fraction):
             w = float(w)
-            if w < -1e-12:
+            if not w >= -1e-12:  # NaN fails too
                 raise ValueError("sequence weights must be nonnegative")
             w = max(0.0, w)
         elif w < 0:
@@ -311,16 +311,9 @@ class RegularizationResult:
     denominators divide K*L; measured_distance is half the trace-norm
     distance between the channel outputs of the input and the
     replacement; certified means that distance met the lambda/3 budget
-    (every per-type covering_certified is true: the sampler, given L,
-    returns only samples that passed its checks and raises otherwise).
-
-    A type with one member is not sampled: its row records counts [L]
-    and one attempt.  It is certified because the checks hold by
-    construction.  Every multiset of one edge averages to that edge, the
-    mixture itself, so the sandwich holds with all of eps to spare and
-    the l1 distance is 0 up to rounding.  The mixture has at most dim
-    eigenvalues below tau / dim, so the excluded mass is below tau by
-    counting alone.
+    (every per-type covering_certified is true: covering.sample_family,
+    given L, returns only samples that passed the sampler's checks, or
+    hold them by construction, and raises otherwise).
     """
 
     sparse_distribution: dict
@@ -384,20 +377,6 @@ def _sandwiched_edge(outer: TypicalProjector, digits: np.ndarray, overlaps) -> n
     return m
 
 
-def _draw_type(rec: dict, eps: float, tau: float, seed: int, draws: int) -> tuple[np.ndarray, int]:
-    """(edge draw counts, attempts) of one active type's multiset of `draws` edges.
-
-    A type with one member has a point-mass conditional law: every
-    multiset repeats its one edge, whose average is the edge itself, so
-    the sampler's checks would all pass at the first attempt (see
-    RegularizationResult) and it is not run.
-    """
-    if rec["graph"].num_edges == 1:
-        return np.array([draws], dtype=np.int64), 1
-    counts, _, attempts, *_ = _sample_in_span(rec["graph"], rec["p"], eps, tau, seed, draws=draws)
-    return counts, attempts
-
-
 def resolvability_regularize(
     P,
     channel: CQChannel,
@@ -425,16 +404,15 @@ def resolvability_regularize(
     range_permutation call per type (QuantumHypergraph.from_orbit).
     A type with a single member is a point mass: its graph is still
     built (eta, range_dim and the draw formula enter L and the row),
-    but it is not sampled, since all L draws pick its one edge.  Its
-    stage seeds are still drawn, so no other type's seed moves.  The
-    measured distance is half the trace norm of one signed
-    product_mixture with weights P - P_bar; no per-atom d^n x d^n
-    output is formed.
+    and covering.sample_family does not sample it.  The measured
+    distance is half the trace norm of one signed product_mixture with
+    weights P - P_bar; no per-atom d^n x d^n output is formed.
 
     With no overrides the constants are alpha = sqrt(600 a d)/lambda,
     eps = tau = lambda^2/1200 and the per-type draw count L comes from
     the sampler's formula (its maximum over types, so all types share
-    one L and the remixed weights are exact multiples of 1/(K*L)).
+    one L and the remixed weights are exact multiples of 1/(K*L)), and
+    escalates as covering.sample_family does.
     Those constants are asymptotic: at small n certification may
     legitimately fail, and the measured distance is the honest
     deliverable either way.
@@ -478,7 +456,7 @@ def resolvability_regularize(
                        quantization_tv, lam_exact / 3)
 
     sqrt_a = math.sqrt(a)
-    active = []
+    active, graphs, ps = [], [], []
     for i, t in enumerate(types):
         if quantized[i] == 0:
             continue
@@ -507,45 +485,16 @@ def resolvability_regularize(
         )
         if graph.eta <= 0.0:
             raise DomainError("typical projection annihilated every edge; alpha too small", "alpha")
-        formula = draw_bound(graph.eta, graph.dim, eps, tau)
-        active.append(
-            {
-                "index": i,
-                "seqs": seqs,
-                "graph": graph,
-                "p": np.array([float(cond[xn]) for xn in seqs]),
-                "formula": formula,
-                "weight": quantized[i],
-            }
-        )
-
-    if draws is not None:
-        base, stages = int(draws), 1
-    else:
-        base = max(1, max(math.floor(rec["formula"]) for rec in active))
-        stages = ESCALATION_STAGES
-    seeds = seed_stream(seed)
-    results, L, stages_used, last_failure = None, base, 0, None
-    for s in range(stages):
-        L = base * 2**s
-        stages_used = s + 1
-        # one seed per type per stage, drawn before a failure can cut the stage short
-        stage_seeds = [next(seeds) for _ in active]
-        try:
-            results = [_draw_type(rec, eps, tau, sub, L) for rec, sub in zip(active, stage_seeds)]
-            break
-        except RuntimeError as exc:
-            results, last_failure = None, exc
-    if results is None:
-        raise RuntimeError(
-            f"per-type covering failed at every draw count up to {L}"
-        ) from last_failure
+        active.append((i, seqs))
+        graphs.append(graph)
+        ps.append(np.array([float(cond[xn]) for xn in seqs]))
+    L, stages_used, formulas, drawn = sample_family(graphs, ps, eps, tau, seed, draws)
 
     sparse: dict[tuple, Fraction] = {}
-    for rec, (counts, _) in zip(active, results):
+    for (i, seqs), (counts, _) in zip(active, drawn):
         for e_idx in np.flatnonzero(counts):
-            xn = rec["seqs"][e_idx]
-            sparse[xn] = sparse.get(xn, Fraction(0)) + rec["weight"] * Fraction(int(counts[e_idx]), L)
+            xn = seqs[e_idx]
+            sparse[xn] = sparse.get(xn, Fraction(0)) + quantized[i] * Fraction(int(counts[e_idx]), L)
 
     # supp(sparse) lies inside supp(P): the output difference is one
     # signed product mixture, its weights P - P_bar exact until rounded
@@ -555,29 +504,27 @@ def resolvability_regularize(
     measured = 0.5 * linalg.trace_norm(delta)
     certified = measured <= lam / 3.0
 
-    by_index = {rec["index"]: (rec, res) for rec, res in zip(active, results)}
-    rows = []
-    for i, t in enumerate(types):
-        row = {
+    rows = [
+        {
             "type": list(t.counts),
             "probability_mass": float(masses[i]),
             "quantized_weight": str(quantized[i]),
             "active": quantized[i] != 0,
         }
-        if i in by_index:
-            rec, (counts, attempts) = by_index[i]
-            row.update(
-                class_support=len(rec["seqs"]),
-                range_dim=rec["graph"].dim,
-                eta=rec["graph"].eta,
-                formula_draws=rec["formula"],
-                draws=L,
-                edges_drawn=int(np.count_nonzero(counts)),
-                attempts=attempts,
-                covering_certified=True,
-                beyond_bound=L > rec["formula"],
-            )
-        rows.append(row)
+        for i, t in enumerate(types)
+    ]
+    for (i, seqs), graph, formula, (counts, attempts) in zip(active, graphs, formulas, drawn):
+        rows[i].update(
+            class_support=len(seqs),
+            range_dim=graph.dim,
+            eta=graph.eta,
+            formula_draws=formula,
+            draws=L,
+            edges_drawn=int(np.count_nonzero(counts)),
+            attempts=attempts,
+            covering_certified=True,
+            beyond_bound=L > formula,
+        )
 
     return RegularizationResult(
         sparse_distribution=sparse,
@@ -596,7 +543,7 @@ def resolvability_regularize(
             "n": n,
             "alphabet_size": a,
             "dim": d,
-            "base_draws": int(base),
+            "base_draws": L // 2 ** (stages_used - 1),
             "stages_used": stages_used,
             "distance_budget": lam / 3.0,
             "quantization_tv": float(quantization_tv),
@@ -712,7 +659,7 @@ def resolution_probe(
             sub = seeds[ci * len(lambdas) + li]
             try:
                 reg = resolvability_regularize(P, channel, lam, sub)
-            except RuntimeError as exc:
+            except SamplingExhausted as exc:
                 rows.append({"lambda": lam, "error": str(exc)})
                 continue
             distance = 2.0 * reg.measured_distance

@@ -314,11 +314,12 @@ def check_distribution(p, size: int) -> np.ndarray:
     p = np.asarray(p, dtype=float).reshape(-1)
     if p.shape != (size,):
         raise ValueError(f"distribution has length {p.size}, expected {size}")
-    if p.min(initial=0.0) < -1e-12:
-        raise ValueError("distribution has negative entries")
+    # written so that a NaN weight fails both tests
+    if not p.min(initial=0.0) >= -1e-12:
+        raise ValueError("distribution weights must be nonnegative numbers")
     total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"distribution sums to {total}, expected 1")
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValueError(f"distribution weights sum to {total}, expected 1")
     # clip stray negatives and renormalize so numpy's multinomial never
     # rejects the vector
     return np.maximum(p, 0.0) / float(np.maximum(p, 0.0).sum())

@@ -867,6 +867,32 @@ class TestMain:
         assert err["error"] == "schema-violation"
         assert err["path"] == path
 
+    # the schema's "number" admits NaN; each distribution check refuses it
+    # (before, resolvability dropped the atom and the others blamed m or a state)
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["resolvability", "--param", 'channel={"kind":"zero-plus"}', "--param",
+              'P={"kind":"explicit","atoms":[[[0,1],NaN],[[1,1],1.0]]}', "--param", "lambda=0.6"],
+             "sequence weights must be nonnegative"),
+            (["tail-mc", "--param", 'rv={"kind":"scalar","probs":[NaN,1.0],"values":[0.2,0.5]}',
+              "--param", "method=chernoff-upper", "--param", "n=5", "--param", "a=0.9",
+              "--param", "m=0.5"],
+             "distribution weights must be nonnegative"),
+            (["cover-sample", "--param", 'hypergraph={"kind":"random","dim":2,"num_edges":2}',
+              "--param", "p=[NaN,1.0]", "--param", "eps=0.3", "--param", "tau=0.3"],
+             "distribution weights must be nonnegative"),
+            (["capacity", "--param", 'channel={"kind":"classical","rows":[[NaN,1.0],[0.5,0.5]]}'],
+             "stochastic matrix weights must be nonnegative"),
+        ],
+        ids=["resolvability", "tail-mc", "cover-sample", "capacity"],
+    )
+    def test_nan_weight_exits_3_naming_the_weights(self, args, message, capsys):
+        assert cli.main(args + ["--seed", "1"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["type"]) == ("numeric-failure", "ValueError")
+        assert message in err["message"]
+
     def test_sweep_missing_axis_exits_2(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"template": BSC_CONFIG, "values": [1]}))

@@ -25,7 +25,7 @@ from opcover.covering import (
     replay_covering_result,
 )
 from opcover.linalg import LN2, BoundViolation
-from opcover.rng import haar_unitary, make_rng, random_distribution, random_effect, spawn_seeds
+from opcover.rng import haar_unitary, make_rng, random_distribution, random_effect, seed_stream, spawn_seeds
 from oracles import assert_same_sample, product_fractional_cover, vertex_covering_sample
 
 E0 = np.diag([1.0, 0.0])
@@ -182,6 +182,11 @@ class TestCoveringRandomized:
         with pytest.raises(ValueError, match="singular"):
             covering_randomized(g, [1.0], seed=0)
 
+    def test_exhaustion_is_sampling_exhausted(self, monkeypatch):
+        monkeypatch.setattr(linalg, "psd_leq", lambda a, b: False)
+        with pytest.raises(covering.SamplingExhausted, match="after 256 attempts"):
+            covering_randomized(orthogonal_pair(), [0.5, 0.5], seed=7)
+
     def test_uniform_degree_bound_agrees(self):
         # with uniform P the two reported size bounds coincide
         g = random_hypergraph(23, dim=2, num_edges=4)
@@ -287,7 +292,8 @@ class TestClassicalSample:
         weights = [[0.25] * 4 + [0.0] * 4, [0.0] * 4 + [0.25] * 4]
         with pytest.raises(RuntimeError, match="budget exhausted"):
             vertex_covering_sample(weights, [0.5, 0.5], 1e-4, 0.2, 1, 0.25, draws=3)
-        with pytest.raises(RuntimeError, match=r"budget exhausted after 64 attempts \(.* side failing\)"):
+        with pytest.raises(covering.SamplingExhausted,
+                           match=r"budget exhausted after 64 attempts \(.* side failing\)"):
             quantum_covering_sample(g, [0.5, 0.5], eps=1e-4, tau=0.2, seed=1, draws=3)
 
     def test_unequal_masses_skip_l1_bound(self):
@@ -395,6 +401,21 @@ class TestQuantumSample:
         # vertex 2 sits below tau/dim = 0.075 and is cut on both sides
         assert ref["excluded_vertices"] == (2,)
         assert np.allclose(np.real(np.diag(qres.pi0)), [0.0, 0.0, 1.0, 0.0], atol=1e-12)
+
+    def test_family_shares_one_draw_count(self):
+        # a one-edge graph is not sampled: all L draws land on its edge
+        one = QuantumHypergraph(2, [0.5 * PLUS], None)
+        g = e_uniform_instance()
+        L, stages, formulas, drawn = covering.sample_family([g, one], [[0.5, 0.5], [1.0]], 0.3, 0.3, 4)
+        assert stages == 1
+        assert formulas == [covering.draw_bound(h.eta, h.dim, 0.3, 0.3) for h in (g, one)]
+        assert L == max(math.floor(f) for f in formulas)
+        assert drawn[1][0].tolist() == [L] and drawn[1][1] == 1
+        seed = next(seed_stream(4))
+        counts, ln, attempts, *_ = covering._sample_in_span(g, [0.5, 0.5], 0.3, 0.3, seed, L)
+        assert drawn[0][0].tolist() == counts.tolist() and drawn[0][1] == attempts and ln == L
+        with pytest.raises(ValueError, match="one edge distribution per graph"):
+            covering.sample_family([g, one], [[0.5, 0.5]], 0.3, 0.3, 4)
 
 
 def orbit(seed, dim, r, members):

@@ -172,6 +172,8 @@ CASES = [
     ("c_bits", lambda: identification.strong_converse_bound(2, -0.5, 0.1)),
     ("delta", lambda: identification.strong_converse_bound(2, 0.5, 0.0)),
     ("eps", lambda: identification.resolution_probe(_channel(), 2, 0.0, [], 1)),
+    ("n", lambda: channels.EmpiricalDistribution(0, (0,))),
+    ("side", lambda: concentration.chernoff_tail(_rv(), 2, 0.8, 0.5, side="middle")),
 ]
 
 

@@ -43,7 +43,7 @@ from opcover.identification import (
     uniform_distribution,
 )
 from opcover.linalg import BoundViolation
-from opcover.rng import make_rng, random_density, random_distribution, random_effect
+from opcover.rng import make_rng, random_density, random_distribution, random_effect, seed_stream
 
 from oracles import assert_same_sample, dense_projector, range_basis
 
@@ -590,7 +590,7 @@ def type_graphs(monkeypatch, P, channel, lam, seed, **overrides):
     """
     built, sampled = [], {}
     from_orbit = covering.QuantumHypergraph.from_orbit.__func__
-    sampler = identification._sample_in_span
+    sampler = covering._sample_in_span
 
     def record_orbit(cls, factor, weights, perms):
         g = from_orbit(cls, factor, weights, perms)
@@ -603,7 +603,7 @@ def type_graphs(monkeypatch, P, channel, lam, seed, **overrides):
         return sampler(g, p, eps, tau, seed, draws=draws)
 
     monkeypatch.setattr(covering.QuantumHypergraph, "from_orbit", classmethod(record_orbit))
-    monkeypatch.setattr(identification, "_sample_in_span", record_sample)
+    monkeypatch.setattr(covering, "_sample_in_span", record_sample)
     reg = resolvability_regularize(P, channel, lam, seed=seed, **overrides)
     monkeypatch.undo()
     eps, tau = reg.details["eps"], reg.details["tau"]
@@ -834,7 +834,7 @@ class TestSingleMemberTypes:
         """(results, the graphs from_orbit built, the graphs sampled in call order)."""
         built, sampled = [], []
         from_orbit = covering.QuantumHypergraph.from_orbit.__func__
-        sampler = identification._sample_in_span
+        sampler = covering._sample_in_span
 
         def record_orbit(cls, factor, weights, perms):
             built.append(from_orbit(cls, factor, weights, perms))
@@ -845,7 +845,7 @@ class TestSingleMemberTypes:
             return sampler(g, p, eps, tau, seed, draws=draws)
 
         monkeypatch.setattr(covering.QuantumHypergraph, "from_orbit", classmethod(record_orbit))
-        monkeypatch.setattr(identification, "_sample_in_span", record_sample)
+        monkeypatch.setattr(covering, "_sample_in_span", record_sample)
         results = cli.run(config).results
         monkeypatch.undo()
         return results, built, sampled
@@ -884,6 +884,98 @@ class TestSingleMemberTypes:
             # all L draws land on the one member: it keeps its type's whole quantized weight
             (xn,) = [xn for xn in sparse if list(np.bincount(xn, minlength=2)) == row["type"]]
             assert sparse[xn] == Fraction(row["quantized_weight"])
+
+
+class TestFamilyLadder:
+    """covering.sample_family's stages, reached through a core that fails on demand.
+
+    Zero-plus, uniform P at n = 4, alpha = 3, eps = tau = 0.3: five active
+    types, three of several members; every type passes at stage 0 unpatched.
+    """
+
+    P = uniform_distribution(2, 4)
+    KW = {"alpha": 3.0, "eps": 0.3, "tau": 0.3}
+    SEED = 5
+
+    @classmethod
+    def run(cls, monkeypatch, fail, **overrides):
+        """(the regularization, the core's calls as (graph, seed, draws)).
+
+        fail(call index) returns the exception the core raises at that call, or None.
+        """
+        calls = []
+        core = covering._sample_in_span
+
+        def spy(g, p, eps, tau, seed, draws=None):
+            calls.append((g, seed, draws))
+            exc = fail(len(calls) - 1)
+            if exc is not None:
+                raise exc
+            return core(g, p, eps, tau, seed, draws)
+
+        monkeypatch.setattr(covering, "_sample_in_span", spy)
+        reg = cls.plain(**overrides)
+        monkeypatch.undo()
+        return reg, calls
+
+    @classmethod
+    def plain(cls, **overrides):
+        kwargs = dict(cls.KW, **overrides)
+        return resolvability_regularize(cls.P, zero_plus_channel(), 0.6, cls.SEED, **kwargs)
+
+    @staticmethod
+    def exhausted(index):
+        return covering.SamplingExhausted("sampling budget exhausted") if index == 0 else None
+
+    @staticmethod
+    def always_exhausted(index):
+        return covering.SamplingExhausted("sampling budget exhausted")
+
+    def test_exhaustion_at_stage_zero_doubles_L_once(self, monkeypatch):
+        plain = self.plain()
+        assert plain.details["stages_used"] == 1
+        reg, _ = self.run(monkeypatch, self.exhausted)
+        assert reg.details["stages_used"] == 2
+        assert reg.L == 2 * plain.L
+        assert reg.details["base_draws"] == plain.details["base_draws"] == plain.L
+        active = [row for row in reg.per_type_details if row["active"]]
+        assert all(row["draws"] == reg.L and row["beyond_bound"] for row in active)
+
+    def test_stage_seeds_follow_the_seed_stream(self, monkeypatch):
+        reg, calls = self.run(monkeypatch, self.exhausted)
+        sizes = [row["class_support"] for row in reg.per_type_details if row["active"]]
+        sampled = [j for j, size in enumerate(sizes) if size > 1]
+        assert len(sizes) == 5 and len(sampled) == 3
+        stream = seed_stream(self.SEED)
+        stage0 = [next(stream) for _ in sizes]
+        stage1 = [next(stream) for _ in sizes]
+        # stage 0 stops at its first graph of several members; stage 1 samples them all
+        assert [seed for _, seed, _ in calls] == [stage0[sampled[0]]] + [stage1[j] for j in sampled]
+        assert [draws for *_, draws in calls] == [reg.L // 2] + [reg.L] * 3
+
+    def test_exhaustion_at_every_stage_names_the_last_L(self, monkeypatch):
+        base = self.plain().L
+        with pytest.raises(covering.SamplingExhausted, match=f"every draw count up to {8 * base}$"):
+            self.run(monkeypatch, self.always_exhausted)
+        # a prescribed count is one stage
+        with pytest.raises(covering.SamplingExhausted, match="every draw count up to 64$"):
+            self.run(monkeypatch, self.always_exhausted, draws=64)
+
+    def test_bound_violation_is_not_retried(self, monkeypatch):
+        with pytest.raises(BoundViolation):
+            self.run(monkeypatch, lambda _: BoundViolation("trace-norm bound missed"))
+
+    def test_bound_violation_is_not_a_probe_error_row(self, monkeypatch):
+        calls = []
+
+        def violate(*args, **kwargs):
+            calls.append(args)
+            raise BoundViolation("sampled operator misses the trace-norm bound")
+
+        monkeypatch.setattr(covering, "_sample_in_span", violate)
+        with pytest.raises(BoundViolation):
+            resolution_probe(zero_plus_channel(), 4, 0.5, [self.P], seed=3, lambdas=(0.6,))
+        assert len(calls) == 1
 
 
 class TestTypeClassSharing:
