@@ -302,8 +302,10 @@ def markov_tail(rv: OperatorRV, a) -> TailReport:
     report is flagged trivial (bound = inf) rather than failing.  One
     eigh of A gives its PSD check, its support (eigenvalues above the
     PSD tolerance in modulus) and the pseudo-inverse on that support
-    alone; the mean's PSD check gives the tolerance of the containment
-    test ||mean - P mean P|| <= tol, P the support projector.
+    alone.  The bound needs X >= 0 on every atom, checked by one batched
+    eigensolve of the atoms; the mean's PSD check gives the tolerance of
+    the containment test ||mean - P mean P|| <= tol, P the support
+    projector.
     """
     linalg.require_finite(a, "a")
     a = linalg.require_hermitian(a, name="A")
@@ -311,9 +313,10 @@ def markov_tail(rv: OperatorRV, a) -> TailReport:
     tol = linalg.spectral_tolerance(w)
     if not w[0] >= -tol:
         raise DomainError("A must be PSD", "a")
+    least, atom_tol = linalg.psd_margin(rv.values)
     m = rv.mean()
-    least, mean_tol = linalg.psd_margin(m)
-    if not least >= -mean_tol:
+    mean_least, mean_tol = linalg.psd_margin(m)
+    if not ((least >= -atom_tol).all() and mean_least >= -mean_tol):
         raise DomainError("markov_tail needs a PSD-valued random variable", "rv")
     hits = ~linalg.psd_leq(rv.values, a)
     exact = min(1.0, sum(rv.probs[hits].tolist(), 0.0))

@@ -71,10 +71,13 @@ class QuantumHypergraph:
     `basis` Q (dim x s) orthonormal columns and `compressed[j]` = C_j
     (s x s).  E_j has the spectrum of C_j plus dim - s zeros, so
     spectra, traces and mixtures are computed on the C_j.  Graphs built
-    from dense edges keep Q = identity (`basis` None, C_j = E_j);
-    `from_orbit` builds edges that relabel one edge's indices, spans Q
-    by one QR when they are narrow, and validates them all with one
-    eigensolve.  The dense `edges` are lifted on first access.
+    from dense edges keep Q = identity (`basis` None, C_j = E_j).
+    `from_orbit` builds edges that relabel one edge's indices and
+    validates them all with one eigensolve; it keeps only the factor,
+    weights and permutations, and forms `basis` and `compressed` (one QR
+    when the edges are narrow, else one gather) on their first read.
+    `num_edges`, `span_dim` and `edge_traces` never need them.  The
+    dense `edges` are lifted on first access.
     """
 
     def __init__(self, dim: int, edges, eta: float | None):
@@ -88,7 +91,10 @@ class QuantumHypergraph:
         if not mats:
             raise ValueError("at least one edge required")
         stack = np.stack(mats)
-        self._set_edges(None, stack, np.linalg.eigvalsh(stack), eta)
+        self._set_edges(np.linalg.eigvalsh(stack), eta)
+        self._orbit = None
+        self._span = (None, stack)
+        self.num_edges, self.span_dim = len(stack), self.dim
 
     @classmethod
     def from_orbit(cls, factor, weights, perms) -> "QuantumHypergraph":
@@ -100,12 +106,13 @@ class QuantumHypergraph:
         therefore validates every edge and gives eta: of the r x r Gram
         matrix F^dagger F, F = M diag(sqrt(w)), when r < dim (it has the
         nonzero eigenvalues of E = F F^dagger, and the zeros it lacks
-        decide nothing), else of C = M diag(w) M^dagger.  When
-        0 < m r < dim for m = len(perms), one QR of the row gathers
-        [M[perm_1] ... M[perm_m]] = Q R spans the edges: C_j = R_j diag(w)
-        R_j^dagger with R_j the j-th r columns of R.  Otherwise Q = identity
-        and C_j = C[perm_j][:, perm_j], an exact relabeling of one float
-        matrix.
+        decide nothing), else of C = M diag(w) M^dagger.  Every edge has
+        the trace sum_k w_k ||M[:, k]||^2.  The span (_span) is formed on
+        first read: when 0 < m r < dim for m = len(perms), one QR of the
+        row gathers [M[perm_1] ... M[perm_m]] = Q R spans the edges, C_j =
+        R_j diag(w) R_j^dagger with R_j the j-th r columns of R; otherwise
+        Q = identity and C_j = C[perm_j][:, perm_j], an exact relabeling
+        of one float matrix.
         """
         factor = np.asarray(factor, dtype=np.complex128)
         weights = np.asarray(weights, dtype=float)
@@ -121,22 +128,18 @@ class QuantumHypergraph:
             raise ValueError("weights must be nonnegative")
         g = cls.__new__(cls)
         g.dim = _check_graph_header(dim, None)
-        m = len(perms)
-        if 0 < m * r < dim:
-            basis, coeffs = np.linalg.qr(np.hstack([factor[p] for p in perms]))
-            compressed = np.empty((m, m * r, m * r), dtype=np.complex128)
-            for c, f in zip(compressed, np.split(coeffs, m, axis=1)):
-                c[...] = linalg.hermitize((f * weights) @ f.conj().T)
-        else:
-            c = linalg.hermitize((factor * weights) @ factor.conj().T)
-            basis, compressed = None, c[perms[:, :, None], perms[:, None, :]]
-        if 0 < r < dim:  # otherwise the branch above set c
+        if 0 < r < dim:
             f = factor * np.sqrt(weights)
             c = linalg.hermitize(f.conj().T @ f)
-        g._set_edges(basis, compressed, np.linalg.eigvalsh(c)[None], None)
+        else:
+            c = linalg.hermitize((factor * weights) @ factor.conj().T)
+        g._set_edges(np.linalg.eigvalsh(c)[None], None)
+        g._orbit = (factor, weights, perms)
+        m = len(perms)
+        g.num_edges, g.span_dim = m, m * r if 0 < m * r < dim else dim
         return g
 
-    def _set_edges(self, basis, compressed: np.ndarray, w: np.ndarray, eta: float | None) -> None:
+    def _set_edges(self, w: np.ndarray, eta: float | None) -> None:
         # One spectrum decides both orders: E >= 0 on the spectrum w, and
         # cap*I - E >= 0 on its spectrum cap - w, each with its own tolerance.
         # w is a stack holding every edge's nonzero eigenvalues; the zeros
@@ -148,17 +151,29 @@ class QuantumHypergraph:
         gap = min(1.0, self.eta) - w
         if (gap[:, -1] < -linalg.spectral_tolerance(gap)).any():
             raise ValueError("edge exceeds the eta cap")
-        self.basis = basis
-        self.compressed = compressed
+
+    @functools.cached_property
+    def _span(self) -> tuple:
+        """(basis, compressed) of a from_orbit graph (see from_orbit), formed on first read."""
+        factor, weights, perms = self._orbit
+        if self.span_dim == self.dim:
+            c = linalg.hermitize((factor * weights) @ factor.conj().T)
+            return None, c[perms[:, :, None], perms[:, None, :]]
+        basis, coeffs = np.linalg.qr(np.hstack([factor[p] for p in perms]))
+        compressed = np.empty((self.num_edges, self.span_dim, self.span_dim), dtype=np.complex128)
+        for c, f in zip(compressed, np.split(coeffs, self.num_edges, axis=1)):
+            c[...] = linalg.hermitize((f * weights) @ f.conj().T)
+        return basis, compressed
 
     @property
-    def num_edges(self) -> int:
-        return len(self.compressed)
+    def basis(self):
+        """Q, the dim x s span basis, or None for the identity."""
+        return self._span[0]
 
     @property
-    def span_dim(self) -> int:
-        """s, the number of span basis columns (dim when the basis is the identity)."""
-        return self.compressed.shape[-1]
+    def compressed(self) -> np.ndarray:
+        """The num_edges x s x s stack of the C_j."""
+        return self._span[1]
 
     def lift(self, c: np.ndarray) -> np.ndarray:
         """Q c Q^dagger: an s x s span operator as a dim x dim one."""
@@ -187,7 +202,11 @@ class QuantumHypergraph:
         return _degree_from_counts(self, _check_distribution(p, self.num_edges))
 
     def edge_traces(self) -> np.ndarray:
-        return np.array([float(np.trace(c).real) for c in self.compressed])
+        """tr C_j per edge, read off the factor for a from_orbit graph (every edge alike)."""
+        if self._orbit is None:
+            return np.array([float(np.trace(c).real) for c in self.compressed])
+        factor, weights, perms = self._orbit
+        return np.full(len(perms), float(weights @ (np.abs(factor) ** 2).sum(axis=0)))
 
     def to_json(self) -> dict:
         return {
@@ -459,15 +478,37 @@ def quantum_covering_sample(
     reported sandwich slacks are the relative ones, lambda_min(X) - (1 - eps)
     and (1 + eps) - lambda_max(X), never clamped; they do not depend on
     whether the graph is compressed, and they are infinite when no
-    eigenvalue is kept.
+    eigenvalue is kept.  The attempt loop may accept an attempt from its
+    draw counts alone (_sample_in_span's ratio certificate); the slacks
+    and the trace-norm distance reported are still those of the spectral
+    test, run on the accepted counts, which must then pass it.
     """
-    counts, ln, attempts, details, rhobar, u, kept = _sample_in_span(g, p, eps, tau, seed, draws)
+    counts, ln, attempts, test, measured = _sample_in_span(g, p, eps, tau, seed, draws)
+    rhobar, lower, upper, l1 = test(counts, ln) if measured is None else measured
+    linalg.check_bound("accepted counts miss the spectral sandwich", -min(lower, upper), linalg.PSD_TOL)
+    _, u, kept, excluded_mass, _ = test.mixture
     pi1 = g.lift(linalg.hermitize((u * kept.astype(float)) @ u.conj().T))
     if g.basis is not None:
         pi0 = linalg.hermitize(np.eye(g.dim) - pi1)
     else:
         pi0 = linalg.hermitize((u * (~kept).astype(float)) @ u.conj().T)
-    beyond = ln > details["draw_bound"]
+    formula = draw_bound(g.eta, g.dim, eps, tau)
+    beyond = ln > formula
+    details = {
+        "eps": eps,
+        "tau": tau,
+        "eta": g.eta,
+        "dim": g.dim,
+        "draw_bound": formula,
+        "threshold": tau / g.dim,
+        "excluded_mass": excluded_mass,
+        "sandwich_lower_slack": lower,
+        "sandwich_upper_slack": upper,
+        "l1_distance": l1,
+        "l1_bound": test.l1_bound,
+        "equal_edge_trace": test.l1_bound is not None,
+        "scale": 2 ** ((attempts - 1) // RETRY_SEEDS),  # L doubles every RETRY_SEEDS attempts
+    }
     return CoveringResult(
         kind="quantum-sample",
         edge_multiplicities={int(i): int(c) for i, c in enumerate(counts) if c},
@@ -483,57 +524,114 @@ def quantum_covering_sample(
     )
 
 
+class _SpectralTest:
+    """The sampler's spectral test of one call: rhobar against rho on rho's kept eigenspace.
+
+    Its set-up (`mixture`: rho, one eigh, the zero and excluded-mass
+    checks, the whitening) is formed on first need, so a call whose
+    attempts the ratio certificate decides makes none of it.
+    """
+
+    def __init__(self, g: QuantumHypergraph, p: np.ndarray, eps: float, tau: float, l1_bound):
+        self.g, self.p, self.eps, self.tau, self.l1_bound = g, p, eps, tau, l1_bound
+
+    @functools.cached_property
+    def mixture(self) -> tuple:
+        """(rho, its eigenbasis u, the mask of kept eigenvalues, the excluded mass, U_k D^-1/2)."""
+        rho = linalg.hermitize(self.g.span_combination(self.p))
+        w, u = linalg.eigh(rho)
+        if not np.abs(w).max() > 0.0:
+            raise ValueError("edge mixture is zero")
+        small = w < self.tau / self.g.dim  # strict: eigenvalues at the threshold stay
+        excluded_mass = float(w[small].sum())
+        linalg.check_bound("excluded eigenspace carries mass over tau", excluded_mass, self.tau, 1e-12)
+        return rho, u, ~small, excluded_mass, u[:, ~small] / np.sqrt(w[~small])
+
+    def __call__(self, counts: np.ndarray, ln: int) -> tuple:
+        """(rhobar, lower slack, upper slack, l1 distance) of the counts; l1 is None outside the sandwich.
+
+        Inside it the trace-norm bound is enforced, when it applies (l1_bound).
+        """
+        rho, *_, whiten = self.mixture
+        rhobar = linalg.hermitize(self.g.span_combination(counts) / float(ln))
+        lower, upper, inside = linalg.relative_margin(
+            whiten.conj().T @ rhobar @ whiten, 1.0 - self.eps, 1.0 + self.eps
+        )
+        if not inside:
+            return rhobar, float(lower), float(upper), None
+        l1 = linalg.trace_norm(rho - rhobar)
+        if self.l1_bound is not None:
+            linalg.check_bound("sampled operator misses the trace-norm bound", l1, self.l1_bound, 1e-9)
+        return rhobar, float(lower), float(upper), l1
+
+
 def _sample_in_span(g: QuantumHypergraph, p, eps: float, tau: float, seed: int, draws: int | None):
     """quantum_covering_sample's attempt loop and checks, with nothing lifted to dim x dim.
 
-    Returns (counts, num_draws, attempts, details, rhobar, u, kept) of the
-    accepted attempt: its edge draw counts and s x s average rhobar, and the
-    mixture's eigenbasis u with the mask of the eigenvalues kept.
+    Returns (counts, num_draws, attempts, test, measured) of the accepted
+    attempt: its edge draw counts, the call's _SpectralTest, and test's
+    (rhobar, slacks, l1 distance) of those counts, or None when the ratio
+    certificate accepted them without it.
+
+    Ratio certificate.  With rho = sum_j p_j C_j and rhobar =
+    sum_j (c_j / L) C_j, let r_j = c_j / (L p_j) - 1 over the edges with
+    p_j > 0 (no draw lands elsewhere) and beta = max_j |r_j|.  Then
+    rhobar - rho = sum_j r_j p_j C_j with every p_j C_j >= 0, so
+
+        (1 + min_j r_j) rho <= rhobar <= (1 + max_j r_j) rho,
+
+    and compressing by the projector onto rho's kept eigenspace keeps both
+    inequalities: beta <= eps proves the sandwich, with both relative
+    slacks at least eps - beta.  The triangle inequality gives
+    ||rho - rhobar||_1 <= sum_j |c_j / L - p_j| tr C_j, which proves the
+    equal-trace check whenever it is within that check's bound.  The
+    excluded-mass check holds by counting: at most s <= dim eigenvalues
+    of rho lie below tau / dim, so together they carry less than tau.
+    An attempt the certificate accepts is thus one the spectral test
+    accepts too, and the attempt returned is the one the spectral test
+    alone would accept; the test runs only on the attempts the
+    certificate leaves undecided.  A zero mixture (zero trace) is left
+    to the spectral test, which refuses it.
+
+    Tolerance and rounding.  The C_j are PSD only up to the tolerance
+    _set_edges accepts, C_j >= -delta with delta = PSD_TOL max(1, |w|)
+    <= 2 PSD_TOL (edge spectra lie below 1 + PSD_TOL).  That moves
+    rhobar - (1 + min r) rho by at most sum_j (r_j - min r) p_j delta
+    <= 2 beta delta, and 2 beta delta dim / tau once whitened by the kept
+    eigenvalues (all >= tau / dim); it moves ||C_j||_1 above tr C_j by at
+    most 2 s delta.  The certificate therefore asks beta (1 + 2 delta dim
+    / tau) <= eps and weighs |c_j / L - p_j| by tr C_j + 2 s delta.  It is
+    used only while L < 2^53, so every count is an exact float (at paper
+    constants the ladder's largest L, 8 times the first, stays far below
+    that); r_j is then two roundings off, an error of a few 1e-16 (1 +
+    beta), far inside the spectral test's own PSD_TOL.
     """
     linalg.require_positive(eps=eps, tau=tau)
     p = _check_distribution(p, g.num_edges)
-    rho = linalg.hermitize(g.span_combination(p))
-    w, u = linalg.eigh(rho)
-    if not np.abs(w).max() > 0.0:
-        raise ValueError("edge mixture is zero")
-    small = w < tau / g.dim  # strict: eigenvalues at the threshold stay
-    excluded_mass = float(w[small].sum())
-    linalg.check_bound("excluded eigenspace carries mass over tau", excluded_mass, tau, 1e-12)
-    whiten = u[:, ~small] / np.sqrt(w[~small])  # U_k D^-1/2
-
-    formula = draw_bound(g.eta, g.dim, eps, tau)
-    base, stages = _sample_plan(formula, p, draws)
+    base, stages = _sample_plan(draw_bound(g.eta, g.dim, eps, tau), p, draws)
     traces = g.edge_traces()
     equal_trace = float(np.ptp(traces)) <= 1e-9 and float(traces.max()) <= 1.0 + 1e-9
+    l1_bound = (eps + tau) + math.sqrt(8.0 * (eps + tau)) if equal_trace else None
+    test = _SpectralTest(g, p, eps, tau, l1_bound)
 
+    on = p > 0.0
+    delta = 2.0 * linalg.PSD_TOL
+    spread = 1.0 + 2.0 * delta * g.dim / tau
+    norms = traces + 2.0 * g.span_dim * delta
+    certify = float(p @ traces) > 0.0
     for attempts, scale, sub in _attempt_schedule(seed, stages):
         ln = base * scale
         counts = make_rng(sub).multinomial(ln, p)
-        rhobar = linalg.hermitize(g.span_combination(counts) / float(ln))
-        lower, upper, inside = linalg.relative_margin(
-            whiten.conj().T @ rhobar @ whiten, 1.0 - eps, 1.0 + eps
-        )
-        if inside:
-            l1 = linalg.trace_norm(rho - rhobar)
-            l1_bound = (eps + tau) + math.sqrt(8.0 * (eps + tau)) if equal_trace else None
-            if equal_trace:
-                linalg.check_bound("sampled operator misses the trace-norm bound", l1, l1_bound, 1e-9)
-            details = {
-                "eps": eps,
-                "tau": tau,
-                "eta": g.eta,
-                "dim": g.dim,
-                "draw_bound": formula,
-                "threshold": tau / g.dim,
-                "excluded_mass": excluded_mass,
-                "sandwich_lower_slack": float(lower),
-                "sandwich_upper_slack": float(upper),
-                "l1_distance": l1,
-                "l1_bound": l1_bound,
-                "equal_edge_trace": equal_trace,
-                "scale": scale,
-            }
-            return counts, ln, attempts, details, rhobar, u, ~small
+        if certify and ln < 2**53:
+            beta = float(np.abs(counts[on] / (ln * p[on]) - 1.0).max())
+            if beta * spread <= eps and (
+                l1_bound is None or float(np.abs(counts / ln - p) @ norms) <= l1_bound
+            ):
+                return counts, ln, attempts, test, None
+        measured = test(counts, ln)
+        if measured[3] is not None:
+            return counts, ln, attempts, test, measured
+    _, lower, upper, _ = measured
     raise _budget_exhausted(attempts, lower >= -linalg.PSD_TOL, upper >= -linalg.PSD_TOL)
 
 
@@ -552,6 +650,25 @@ def sample_family(graphs, ps, eps: float, tau: float, seed: int, draws: int | No
     all of eps to spare and the l1 distance is 0 up to rounding; the
     mixture has at most dim eigenvalues below tau / dim, so the excluded
     mass is below tau by counting alone.
+
+    The other graphs are sampled by _sample_in_span, whose ratio
+    certificate decides an attempt from its counts alone: with r_j =
+    c_j / (L p_j) - 1 and every p_j C_j >= 0,
+
+        (1 + min_j r_j) rho <= rhobar <= (1 + max_j r_j) rho,
+
+    so max_j |r_j| <= eps proves the sandwich on every compression, the
+    kept eigenspace included; sum_j |c_j / L - p_j| tr C_j bounds
+    ||rho - rhobar||_1 for the equal-trace check; and the excluded-mass
+    check holds by the counting argument above.  At paper constants L is
+    large enough that the certificate decides practically every attempt,
+    so no s x s eigensolve runs and no graph forms its compressed edge
+    stack.  The C_j are PSD only up to the tolerance _set_edges accepts,
+    and the certificate allows for it; it is used while L < 2^53, where
+    the counts are exact floats (8 L < 2^53 covers the whole ladder), and
+    r_j carries a rounding error far inside the spectral test's PSD_TOL.
+    An attempt it leaves undecided gets the spectral test, which then
+    decides exactly as it would alone (_sample_in_span).
 
     Returns (L, stages used, the formulas, [(edge draw counts, attempts)]).
     """

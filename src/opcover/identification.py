@@ -47,11 +47,11 @@ def check_sequence_distribution(
 ) -> dict:
     """Validate a sparse distribution on length-n symbol sequences.
 
-    Keys become tuples of ints, zero-weight atoms are dropped, and the
-    total weight must be 1 within 1e-12.  Fraction weights pass
-    through untouched so exact distributions stay exact; float weights
-    are kept as floats.  A symbol outside the alphabet is a
-    DomainError naming `param`.
+    Keys become tuples of ints, zero-weight atoms are dropped, a NaN or
+    infinite weight is refused, and the total weight must be 1 within
+    1e-12.  Fraction weights pass through untouched so exact
+    distributions stay exact; float weights are kept as floats.  A
+    symbol outside the alphabet is a DomainError naming `param`.
     """
     out = {}
     for key, w in dict(entries).items():
@@ -69,8 +69,8 @@ def check_sequence_distribution(
                 raise DomainError(f"symbol {s} outside the alphabet of size {alphabet_size}", param)
         if not isinstance(w, Fraction):
             w = float(w)
-            if not w >= -1e-12:  # NaN fails too
-                raise ValueError("sequence weights must be nonnegative")
+            if not -1e-12 <= w < math.inf:  # NaN fails too
+                raise ValueError("sequence weights must be nonnegative and finite")
             w = max(0.0, w)
         elif w < 0:
             raise ValueError("sequence weights must be nonnegative")

@@ -417,3 +417,29 @@ def dense_mixture(weights, channel) -> np.ndarray:
     for xn, w in items:
         out = out + float(w) * tensor_output(xn, channel)
     return out
+
+
+def spectral_walk(g, p, eps, tau, seed, draws):
+    """The covering sampler's spectral test alone, attempt by attempt, at a prescribed draw count.
+
+    Returns (counts, attempts, (lower, upper) relative slacks, l1 distance)
+    of the first attempt of the budget whose whitened average has its
+    spectrum in [1 - eps, 1 + eps], or None when every attempt fails.  No
+    ratio certificate: every attempt gets the eigensolve.
+    """
+    from opcover import covering, linalg
+    from opcover.rng import make_rng
+
+    p = linalg.check_distribution(p, g.num_edges)
+    rho = linalg.hermitize(g.span_combination(p))
+    w, u = linalg.eigh(rho)
+    keep = w >= tau / g.dim
+    whiten = u[:, keep] / np.sqrt(w[keep])
+    for attempts, _, sub in covering._attempt_schedule(seed, 1):
+        counts = make_rng(sub).multinomial(draws, p)
+        rhobar = linalg.hermitize(g.span_combination(counts) / float(draws))
+        lower, upper, inside = linalg.relative_margin(
+            whiten.conj().T @ rhobar @ whiten, 1.0 - eps, 1.0 + eps)
+        if inside:
+            return counts, attempts, (float(lower), float(upper)), linalg.trace_norm(rho - rhobar)
+    return None

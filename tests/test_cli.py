@@ -867,14 +867,28 @@ class TestMain:
         assert err["error"] == "schema-violation"
         assert err["path"] == path
 
-    # the schema's "number" admits NaN; each distribution check refuses it
-    # (before, resolvability dropped the atom and the others blamed m or a state)
+    def test_markov_on_a_negative_atom_exits_2_at_rv(self, capsys):
+        # the mean 0.25 is PSD, but operator Markov needs X >= 0 on every atom:
+        # a domain error at rv, not the engine's own bound check failing (exit 3)
+        args = ["tail-mc", "--param", 'rv={"kind":"scalar","probs":[0.5,0.5],"values":[-1.0,1.5]}',
+                "--param", "method=markov", "--param", "a=0.8", "--seed", "7"]
+        assert cli.main(args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "schema-violation"
+        assert err["path"] == ["params", "rv"]
+
+    # the schema's "number" admits NaN (and Python's json Infinity); each
+    # distribution check refuses it (before, resolvability dropped a NaN atom,
+    # failed inside Fraction on an infinite one, and the others blamed m or a state)
     @pytest.mark.parametrize(
         "args, message",
         [
             (["resolvability", "--param", 'channel={"kind":"zero-plus"}', "--param",
               'P={"kind":"explicit","atoms":[[[0,1],NaN],[[1,1],1.0]]}', "--param", "lambda=0.6"],
              "sequence weights must be nonnegative"),
+            (["resolvability", "--param", 'channel={"kind":"zero-plus"}', "--param",
+              'P={"kind":"explicit","atoms":[[[0,1],Infinity],[[1,1],1.0]]}', "--param", "lambda=0.6"],
+             "sequence weights must be nonnegative and finite"),
             (["tail-mc", "--param", 'rv={"kind":"scalar","probs":[NaN,1.0],"values":[0.2,0.5]}',
               "--param", "method=chernoff-upper", "--param", "n=5", "--param", "a=0.9",
               "--param", "m=0.5"],
@@ -885,7 +899,7 @@ class TestMain:
             (["capacity", "--param", 'channel={"kind":"classical","rows":[[NaN,1.0],[0.5,0.5]]}'],
              "stochastic matrix weights must be nonnegative"),
         ],
-        ids=["resolvability", "tail-mc", "cover-sample", "capacity"],
+        ids=["resolvability", "resolvability-infinity", "tail-mc", "cover-sample", "capacity"],
     )
     def test_nan_weight_exits_3_naming_the_weights(self, args, message, capsys):
         assert cli.main(args + ["--seed", "1"]) == 3

@@ -141,10 +141,11 @@ class TestMarkov:
         for a, method in ((0.9 * np.eye(2), "markov"), (np.diag([1.0, 0.0]), "markov-trivial")):
             calls.clear()
             assert markov_tail(rv, a).method == method
-            # A's check, support and pseudo-inverse; the mean's check and
-            # tolerance; the event on every atom; the support containment
-            assert calls == [("eigh", (2, 2)), ("eigvalsh", (2, 2)), ("eigvalsh", (3, 2, 2)),
-                             ("eigvalsh", (2, 2))]
+            # A's check, support and pseudo-inverse; every atom's PSD check;
+            # the mean's check and tolerance; the event on every atom; the
+            # support containment
+            assert calls == [("eigh", (2, 2)), ("eigvalsh", (3, 2, 2)), ("eigvalsh", (2, 2)),
+                             ("eigvalsh", (3, 2, 2)), ("eigvalsh", (2, 2))]
 
 
 class TestChebyshev:

@@ -501,6 +501,23 @@ class TestOrbitGraph:
         assert g.basis is not None and g.span_dim == 6 and calls == [(2, 2)]
         assert all(np.abs(a - b).max() <= 1e-12 for a, b in zip(g.edges, edges))
 
+    @pytest.mark.parametrize("r", [2, 6])
+    def test_stacks_formed_on_first_read(self, monkeypatch, r):
+        # the edge count, span width and traces come from the factor; the
+        # span QR (narrow, r = 2) or the gather (r = 6) waits for a read
+        factor, weights, perms, edges = orbit(93, 8, r, 3)
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(np.shape(a)) or qr(a))
+        g = QuantumHypergraph.from_orbit(factor, weights, perms)
+        traces = g.edge_traces()
+        assert (g.num_edges, g.span_dim) == (3, 6 if r == 2 else 8)
+        assert "_span" not in vars(g) and not calls
+        assert np.abs(traces - [np.trace(e).real for e in edges]).max() <= 1e-12
+        assert np.abs(traces - [np.trace(c).real for c in g.compressed]).max() <= 1e-12
+        assert g.compressed.shape == (3, g.span_dim, g.span_dim)
+        assert calls == ([(8, 6)] if r == 2 else [])
+
     def test_orbits_validated(self):
         factor, weights, perms, _ = orbit(90, 4, 1, 2)
         with pytest.raises(ValueError, match="permutation"):

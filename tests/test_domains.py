@@ -151,6 +151,8 @@ CASES = [
     ("entries", lambda: identification.QIDCode(1, [({(2,): 1.0}, 0.5 * EYE)], alphabet_size=2)),
     # a tail's premises: on the random variable (rv) or on the mean's cap (m); _rv's mean is 0.4 I
     ("rv", lambda: concentration.markov_tail(OperatorRV.scalar([0.5, 0.5], [-1.0, 0.5]), np.eye(1))),
+    # a PSD mean (0.25) does not make every atom PSD
+    ("rv", lambda: concentration.markov_tail(OperatorRV.scalar([0.5, 0.5], [-1.0, 1.5]), 0.8 * np.eye(1))),
     ("rv", lambda: concentration.chernoff_tail(OperatorRV.scalar([0.5, 0.5], [0.0, 2.0]), 2, 0.9, 0.9)),
     ("m", lambda: concentration.chernoff_tail(_rv(), 2, 0.8, 0.3)),
     ("m", lambda: concentration.chernoff_tail(_rv(), 2, 0.2, 0.5, side="lower")),

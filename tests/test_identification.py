@@ -1,10 +1,13 @@
 """Identification codes, the resolvability pipeline, and counting bounds."""
 
+import collections
 import functools
 import hashlib
 import itertools
 import json
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +48,7 @@ from opcover.identification import (
 from opcover.linalg import BoundViolation
 from opcover.rng import make_rng, random_density, random_distribution, random_effect, seed_stream
 
-from oracles import assert_same_sample, dense_projector, range_basis
+from oracles import assert_same_sample, dense_projector, range_basis, spectral_walk
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -108,6 +111,12 @@ class TestSequenceDistributions:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError, match="nonnegative"):
             check_sequence_distribution({(0,): 1.5, (1,): -0.5})
+
+    @pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_weight(self, w):
+        # not an OverflowError from Fraction: a ValueError that names the weights
+        with pytest.raises(ValueError, match="sequence weights must be nonnegative and finite"):
+            check_sequence_distribution({(0,): w, (1,): 1.0})
 
     def test_rejects_symbol_outside_alphabet(self):
         with pytest.raises(ValueError, match="alphabet"):
@@ -870,11 +879,12 @@ class TestSingleMemberTypes:
         assert len(singles) == 2
         for g, row in singles:
             for seed in range(3):
-                counts, ln, attempts, details, *_ = covering._sample_in_span(
-                    g, [1.0], eps, tau, seed, draws=L)
-                assert counts.tolist() == [L] and ln == row["draws"] == L
-                assert attempts == row["attempts"] == 1
-                assert row["edges_drawn"] == int(np.count_nonzero(counts)) == 1
+                # the sampler's report: its core decides these counts without the spectral test
+                res = covering.quantum_covering_sample(g, [1.0], eps, tau, seed, draws=L)
+                details = res.details
+                assert res.edge_multiplicities == {0: L} and res.num_draws == row["draws"] == L
+                assert res.attempts == row["attempts"] == 1
+                assert row["edges_drawn"] == len(res.edge_multiplicities) == 1
                 assert details["draw_bound"] == row["formula_draws"]
                 assert row["beyond_bound"] == (L > details["draw_bound"])
                 assert row["covering_certified"] is True
@@ -976,6 +986,122 @@ class TestFamilyLadder:
         with pytest.raises(BoundViolation):
             resolution_probe(zero_plus_channel(), 4, 0.5, [self.P], seed=3, lambdas=(0.6,))
         assert len(calls) == 1
+
+
+class TestRatioCertificate:
+    """covering._sample_in_span decides an attempt from its draw counts where they suffice.
+
+    Against the spectral test alone (oracles.spectral_walk) it accepts the
+    same counts at the same attempt, or exhausts the same budget; an
+    attempt the certificate accepted also passes the spectral test, with
+    both slacks >= eps - beta and the l1 distance within the certificate's
+    bound sum_j |c_j / L - p_j| tr C_j.
+    """
+
+    @staticmethod
+    def decide(g, p, eps, tau, seed, draws) -> tuple:
+        """How _sample_in_span decided ("certified", "spectral" or "exhausted") and after how
+        many attempts, checked against the walk; every attempt but a certified last one was
+        decided spectrally."""
+        want = spectral_walk(g, p, eps, tau, seed, draws)
+        if want is None:
+            with pytest.raises(covering.SamplingExhausted):
+                covering._sample_in_span(g, p, eps, tau, seed, draws)
+            return "exhausted", covering.RETRY_SEEDS
+        counts, ln, attempts, _, measured = covering._sample_in_span(g, p, eps, tau, seed, draws)
+        want_counts, want_attempts, slacks, l1 = want
+        assert (attempts, ln, counts.tolist()) == (want_attempts, draws, want_counts.tolist())
+        if measured is not None:
+            return "spectral", attempts
+        q = linalg.check_distribution(p, g.num_edges)
+        on = q > 0
+        beta = float(np.abs(counts[on] / (draws * q[on]) - 1.0).max())
+        assert beta <= eps
+        assert min(slacks) >= eps - beta - linalg.PSD_TOL
+        assert l1 <= float(np.abs(counts / draws - q) @ g.edge_traces()) + 1e-12
+        return "certified", attempts
+
+    def test_agrees_with_the_spectral_test_on_dense_graphs(self):
+        seen = collections.Counter()
+        for seed in range(6):
+            g = covering.random_hypergraph(seed, 2 + seed % 3, 3 + seed % 4)
+            p = random_distribution(make_rng(100 + seed), g.num_edges)
+            for draws in (64, 400, 4_000, 40_000):
+                seen[self.decide(g, p, 0.3, 0.3, seed, draws)[0]] += 1
+        assert seen["certified"] and seen["spectral"]
+
+    @pytest.mark.parametrize("channel, n", [(zero_plus_channel, 6),
+                                            (lambda: channels.random_channel(11, 2, 2), 5)],
+                             ids=["zero-plus", "mixed"])
+    def test_agrees_with_the_spectral_test_on_orbit_graphs(self, monkeypatch, channel, n):
+        # paper constants (eps = tau = lambda^2 / 1200): small L exhausts, the formula's L certifies
+        types = type_graphs(monkeypatch, uniform_distribution(2, n), channel(), 0.6, 3)
+        seen = collections.Counter()
+        for seed, (*_, g, p, eps, tau) in enumerate(types):
+            paper = math.floor(covering.draw_bound(g.eta, g.dim, eps, tau))
+            for draws in (64, 10**6, paper):
+                outcome, _ = self.decide(g, p, eps, tau, seed, draws)
+                seen[outcome] += 1
+                if draws == paper:
+                    assert outcome == "certified"
+        assert seen["exhausted"]
+
+    def test_small_prescribed_draws_fall_back_to_the_spectral_decision(self, monkeypatch):
+        # the CI's prescribed-draws config: at L = 64 beta > eps on most attempts,
+        # and each of those gets the spectral test (which, on these linearly
+        # independent rank-1 edges, accepts none the certificate refuses)
+        kw = {"alpha": 3.0, "eps": 0.45, "tau": 0.45, "draws": 64}
+        types = type_graphs(monkeypatch, uniform_distribution(2, 5), zero_plus_channel(), 0.6, 4, **kw)
+        spectral = 0
+        for *_, g, p, eps, tau in types:
+            if g.num_edges > 1:
+                for seed in range(4):
+                    how, attempts = self.decide(g, p, eps, tau, seed, 64)
+                    spectral += attempts - (how == "certified")
+        assert spectral >= 20
+
+    @pytest.mark.parametrize("channel, n", [(zero_plus_channel, 7),
+                                            (lambda: channels.random_channel(11, 2, 2), 6)],
+                             ids=["zero-plus", "mixed"])
+    def test_paper_constants_need_no_spectral_test_and_no_stack(self, monkeypatch, channel, n):
+        seen = []
+
+        def spy(fn, name):
+            def wrapped(a):
+                # the innermost covering frame that asked for this eigensolve
+                frame = sys._getframe(1)
+                while frame is not None and frame.f_code.co_filename != covering.__file__:
+                    frame = frame.f_back
+                if frame is not None:
+                    seen.append((name, frame.f_code.co_name))
+                return fn(a)
+            return wrapped
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name), name))
+        for name in ("basis", "compressed"):
+            monkeypatch.setattr(covering.QuantumHypergraph, name,
+                                property(lambda g, name=name: pytest.fail(f"read {name}")))
+        reg = resolvability_regularize(uniform_distribution(2, n), channel(), 0.6, seed=7)
+        assert reg.details["constants_mode"] == "paper-constants"
+        assert reg.details["stages_used"] == 1
+        # one validating eigensolve per type, none for the sampler
+        active = sum(row["active"] for row in reg.per_type_details)
+        assert seen == [("eigvalsh", "from_orbit")] * active
+
+    def test_uniform_n10_working_memory(self):
+        # n = 10 is the largest uniform zero-plus law under the dense-matrix
+        # budget; with no edge stack the peak is the 1024 x 1024 output
+        # difference and its trace norm (about 57 MiB measured; a stack of the
+        # middle type alone took 256 MB before stacks were formed on first read)
+        tracemalloc.start()
+        try:
+            reg = resolvability_regularize(uniform_distribution(2, 10), zero_plus_channel(), 0.6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reg.details["stages_used"] == 1
+        assert peak < 96 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestTypeClassSharing:
