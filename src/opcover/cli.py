@@ -810,6 +810,49 @@ def validate_config(config: dict) -> None:
     _descend(_PARAMS_CHECKS[config["command"]], config["params"], "params")
 
 
+def _keep(v):
+    return v
+
+
+def _integral(schema: dict):
+    """coerce(v) for one schema node: v with every float at an "integer" node below it an int.
+
+    JSON Schema's "integer" admits 2.0, which numpy shapes, range and
+    Fraction refuse, so the handlers get 2; v has passed the schema.
+    Compiled once, like the checks, over properties, items and the oneOf
+    branch of v's kind.  A node with no "integer" node below it compiles
+    to _keep, and a container is copied only where something below it
+    changes, so the config keeps its floats.
+    """
+    if schema.get("type") == "integer":
+        return lambda v: int(v) if isinstance(v, float) else v
+    if "oneOf" in schema:
+        branches = {b.get("properties", {}).get("kind", {}).get("const"): _integral(b)
+                    for b in schema["oneOf"]}
+        if all(c is _keep for c in branches.values()):
+            return _keep
+        return lambda v: branches[v.get("kind")](v)
+    if "properties" in schema:
+        subs = [(k, c) for k, sub in schema["properties"].items() if (c := _integral(sub)) is not _keep]
+
+        def coerce_object(v):
+            changed = {k: x for k, c in subs if k in v and (x := c(v[k])) is not v[k]}
+            return {**v, **changed} if changed else v
+
+        return coerce_object if subs else _keep
+    if "items" in schema and (item := _integral(schema["items"])) is not _keep:
+
+        def coerce_array(v):
+            out = [item(x) for x in v]
+            return out if any(a is not b for a, b in zip(out, v)) else v
+
+        return coerce_array
+    return _keep
+
+
+_PARAMS_INTEGRAL = {command: _integral(s) for command, s in PARAMS_SCHEMAS.items()}
+
+
 @contextlib.contextmanager
 def _domain(*fields):
     """Turn a library DomainError into a ConfigError at ["params", *fields, param].
@@ -1110,8 +1153,10 @@ class RunRecord:
 
 def _execute(config: dict) -> tuple[RunRecord, list]:
     start = time.perf_counter()
+    command = config["command"]
+    params = _PARAMS_INTEGRAL[command](config["params"])
     with _domain():
-        results, rows = HANDLERS[config["command"]](config["params"], config["seed"])
+        results, rows = HANDLERS[command](params, int(config["seed"]))
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     record = RunRecord(config_hash(config), tool_version(), json_safe(results), elapsed_ms)
     return record, rows

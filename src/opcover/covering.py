@@ -49,6 +49,9 @@ LP_FEASIBILITY_TOL = 1e-10
 SIMPLEX_PIVOTS = 100_000  # per round; Bland's rule cannot cycle, rounding might
 # value <= value_upper is weak duality, exact up to this relative rounding
 BRACKET_ROUNDING = 1e-12
+# An orbit factor M with ||M^dagger M - I||_F max(1, max w) within this
+# takes its edge spectrum from its weights (QuantumHypergraph.from_orbit)
+ISOMETRY_TOL = 1e-12
 
 
 def _check_graph_header(dim, eta) -> int:
@@ -57,6 +60,19 @@ def _check_graph_header(dim, eta) -> int:
     if eta is not None:
         linalg.require_positive(eta=float(eta))
     return dim
+
+
+def _orbit_spectrum(factor: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Ascending nonzero spectrum of M diag(w) M^dagger, from w where M is an isometry (from_orbit)."""
+    dim, r = factor.shape
+    if 0 < r <= dim:
+        gram = factor.conj().T @ factor
+        if linalg.frobenius(gram - np.eye(r)) * max(1.0, float(weights.max())) <= ISOMETRY_TOL:
+            return np.sort(weights)
+    if 0 < r < dim:
+        f = factor * np.sqrt(weights)
+        return np.linalg.eigvalsh(linalg.hermitize(f.conj().T @ f))
+    return np.linalg.eigvalsh(linalg.hermitize((factor * weights) @ factor.conj().T))
 
 
 class QuantumHypergraph:
@@ -73,7 +89,8 @@ class QuantumHypergraph:
     spectra, traces and mixtures are computed on the C_j.  Graphs built
     from dense edges keep Q = identity (`basis` None, C_j = E_j).
     `from_orbit` builds edges that relabel one edge's indices and
-    validates them all with one eigensolve; it keeps only the factor,
+    validates them all on one spectrum, the factor's weights when the
+    factor is an isometry, else one eigensolve; it keeps only the factor,
     weights and permutations, and forms `basis` and `compressed` (one QR
     when the edges are narrow, else one gather) on their first read.
     `num_edges`, `span_dim` and `edge_traces` never need them.  The
@@ -102,17 +119,24 @@ class QuantumHypergraph:
 
         factor M is dim x r, the weights w >= 0 and every perms[j] a
         permutation of range(dim), so edge j has the factor M[perm_j], the
-        rows of M gathered, and the spectrum of E.  One eigensolve
-        therefore validates every edge and gives eta: of the r x r Gram
-        matrix F^dagger F, F = M diag(sqrt(w)), when r < dim (it has the
-        nonzero eigenvalues of E = F F^dagger, and the zeros it lacks
-        decide nothing), else of C = M diag(w) M^dagger.  Every edge has
-        the trace sum_k w_k ||M[:, k]||^2.  The span (_span) is formed on
-        first read: when 0 < m r < dim for m = len(perms), one QR of the
-        row gathers [M[perm_1] ... M[perm_m]] = Q R spans the edges, C_j =
-        R_j diag(w) R_j^dagger with R_j the j-th r columns of R; otherwise
-        Q = identity and C_j = C[perm_j][:, perm_j], an exact relabeling
-        of one float matrix.
+        rows of M gathered, and the spectrum of E.  That one spectrum
+        validates every edge and gives eta (_set_edges).  When 0 < r <= dim
+        it is first read off the r x r Gram matrix G = M^dagger M: with F =
+        M diag(sqrt(w)), E = F F^dagger has the nonzero eigenvalues of
+        F^dagger F = D^1/2 G D^1/2, D = diag(w), and by Weyl's inequality
+        each lies within max(w) ||G - I||_2 <= max(w) ||G - I||_F of sorted
+        w.  So when ||G - I||_F max(1, max w) <= ISOMETRY_TOL the spectrum
+        is sorted w, exact to ISOMETRY_TOL, far inside the PSD tolerance of
+        both decisions, and no eigensolve runs; this is the case whenever
+        the columns of M are orthonormal (a full mixture typical projector).
+        Otherwise one eigensolve gives it: of F^dagger F when r < dim (the
+        zeros it lacks decide nothing), else of C = M diag(w) M^dagger.
+        Every edge has the trace sum_k w_k ||M[:, k]||^2.  The span (_span)
+        is formed on first read: when 0 < m r < dim for m = len(perms), one
+        QR of the row gathers [M[perm_1] ... M[perm_m]] = Q R spans the
+        edges, C_j = R_j diag(w) R_j^dagger with R_j the j-th r columns of
+        R; otherwise Q = identity and C_j = C[perm_j][:, perm_j], an exact
+        relabeling of one float matrix.
         """
         factor = np.asarray(factor, dtype=np.complex128)
         weights = np.asarray(weights, dtype=float)
@@ -128,12 +152,7 @@ class QuantumHypergraph:
             raise ValueError("weights must be nonnegative")
         g = cls.__new__(cls)
         g.dim = _check_graph_header(dim, None)
-        if 0 < r < dim:
-            f = factor * np.sqrt(weights)
-            c = linalg.hermitize(f.conj().T @ f)
-        else:
-            c = linalg.hermitize((factor * weights) @ factor.conj().T)
-        g._set_edges(np.linalg.eigvalsh(c)[None], None)
+        g._set_edges(_orbit_spectrum(factor, weights)[None], None)
         g._orbit = (factor, weights, perms)
         m = len(perms)
         g.num_edges, g.span_dim = m, m * r if 0 < m * r < dim else dim
@@ -142,7 +161,8 @@ class QuantumHypergraph:
     def _set_edges(self, w: np.ndarray, eta: float | None) -> None:
         # One spectrum decides both orders: E >= 0 on the spectrum w, and
         # cap*I - E >= 0 on its spectrum cap - w, each with its own tolerance.
-        # w is a stack holding every edge's nonzero eigenvalues; the zeros
+        # w is a stack holding every edge's nonzero eigenvalues, computed or,
+        # for an isometric orbit factor, its weights (from_orbit); the zeros
         # it may lack (off the span, or off a low-rank factor) change neither
         # decision, nor the tolerances (both read max(1, |.|)), nor the tight eta.
         if (w[:, 0] < -linalg.spectral_tolerance(w)).any():
@@ -668,7 +688,10 @@ def sample_family(graphs, ps, eps: float, tau: float, seed: int, draws: int | No
     the counts are exact floats (8 L < 2^53 covers the whole ladder), and
     r_j carries a rounding error far inside the spectral test's PSD_TOL.
     An attempt it leaves undecided gets the spectral test, which then
-    decides exactly as it would alone (_sample_in_span).
+    decides exactly as it would alone (_sample_in_span).  That test forms
+    the graph's compressed edge stack; a from_orbit graph drops it once
+    sampled, so at most one graph's stack is alive at a time (a later
+    stage forms it again), while a dense graph keeps the edges it holds.
 
     Returns (L, stages used, the formulas, [(edge draw counts, attempts)]).
     """
@@ -692,6 +715,8 @@ def sample_family(graphs, ps, eps: float, tau: float, seed: int, draws: int | No
                 else:
                     counts, _, attempts, *_ = _sample_in_span(g, p, eps, tau, sub, L)
                     drawn.append((counts, attempts))
+                    if g._orbit is not None:
+                        vars(g).pop("_span", None)  # formed again if a later stage reads it
         except SamplingExhausted as exc:
             failure = exc
         else:

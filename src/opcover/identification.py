@@ -40,6 +40,9 @@ from .linalg import MAX_SEQUENCE_SPACE, MAX_TENSOR_DIM, DomainError
 from .rng import make_rng, random_distribution, random_effect, spawn_seeds
 
 DEFAULT_PROBE_LAMBDAS = (0.9, 0.75, 0.6, 0.45, 0.3)
+# A letter whose eigenvalues but the largest lie within this of zero is
+# pure for the measured distance (resolvability_regularize)
+PURITY_TOL = 1e-12
 
 
 def check_sequence_distribution(
@@ -377,6 +380,48 @@ def _sandwiched_edge(outer: TypicalProjector, digits: np.ndarray, overlaps) -> n
     return m
 
 
+def _pure_letters(channel: CQChannel):
+    """The a x d rows psi_x = sqrt(lambda_x) u_x of a channel of pure letters, else None.
+
+    A letter is pure when every eigenvalue but its largest, lambda_x with
+    eigenvector u_x, lies within PURITY_TOL of zero; then W_x - psi_x
+    psi_x^dagger has trace norm at most (d - 1) PURITY_TOL.
+    """
+    rows = []
+    for values, basis, _, _ in channel.systems:
+        top = int(np.argmax(values))
+        if np.abs(np.delete(values, top)).max(initial=0.0) > PURITY_TOL:
+            return None
+        rows.append(math.sqrt(values[top]) * basis[:, top])
+    return np.array(rows)
+
+
+def _gram_trace_norm(pure: np.ndarray, weights: dict) -> float:
+    """||sum_k c_k |Psi_k><Psi_k| ||_1 over product vectors Psi_k = psi_{x_1^k} (x) ... (x) psi_{x_n^k}.
+
+    With Psi the d^n x k matrix of the Psi_k and C = diag(c), Psi C
+    Psi^dagger has the nonzero eigenvalues of C G, G = Psi^dagger Psi,
+    and so of G^1/2 C G^1/2.  G_kl = prod_i <psi_{x_i^k}|psi_{x_i^l}> is
+    gathered from the a x a table of letter overlaps, and with G = V
+    diag(mu) V^dagger the eigenvalues are those of (V mu^1/2)^dagger C
+    (V mu^1/2): one k x k eigh and one k x k eigvalsh, no d^n x d^n
+    matrix.  Eigenvalues of G within its rounding, k eps max(mu), of
+    zero are taken as zero: they belong to product vectors that depend
+    linearly on the others (repeated letters), and their square roots
+    would be rounding noise.
+    """
+    seqs = np.array(list(weights), dtype=np.intp)
+    c = np.array(list(weights.values()))
+    table = pure.conj() @ pure.T
+    gram = np.ones((len(c), len(c)), dtype=np.complex128)
+    for column in seqs.T:
+        gram *= table[np.ix_(column, column)]
+    mu, v = np.linalg.eigh(linalg.hermitize(gram))
+    mu[mu <= len(c) * np.finfo(float).eps * mu.max()] = 0.0
+    half = v * np.sqrt(mu)
+    return linalg.trace_norm((half.conj().T * c) @ half)
+
+
 def resolvability_regularize(
     P,
     channel: CQChannel,
@@ -399,14 +444,25 @@ def resolvability_regularize(
     of its sorted sequence, and the mixture projector's range is
     invariant under moving tensor factors, so each member's sandwiched
     edge is the sorted sequence's with rows and columns relabeled: per
-    type one conditional projector, one edge factor and one
-    eigensolve; the members are index permutations, found by one
-    range_permutation call per type (QuantumHypergraph.from_orbit).
-    A type with a single member is a point mass: its graph is still
-    built (eta, range_dim and the draw formula enter L and the row),
-    and covering.sample_family does not sample it.  The measured
-    distance is half the trace norm of one signed product_mixture with
-    weights P - P_bar; no per-atom d^n x d^n output is formed.
+    type one conditional projector and one edge factor, whose spectrum
+    is its weights when the mixture projector is the whole space (an
+    isometric factor) and one eigensolve otherwise; the members are
+    index permutations, found by one range_permutation call per type
+    (QuantumHypergraph.from_orbit).  A type with a single member is a
+    point mass: its graph is still built (eta, range_dim and the draw
+    formula enter L and the row), and covering.sample_family does not
+    sample it.
+
+    The measured distance is half the trace norm of sum_xn c_xn W_xn,
+    c = P - P_bar on supp P (which holds supp P_bar); no per-atom d^n x
+    d^n output is formed.  When every letter is pure (_pure_letters)
+    and P has k < d^n atoms, it is a k x k Gram problem
+    (_gram_trace_norm), exact for the pure parts psi_x psi_x^dagger of
+    the letters: a letter moves from its pure part by at most (d - 1)
+    PURITY_TOL in trace norm, so each product output by at most n (d -
+    1) PURITY_TOL (1 + 2 (d - 1) PURITY_TOL)^(n - 1), and the measured
+    distance, with sum |c| <= 2, by at most that much.  Otherwise it is
+    half the trace norm of one signed product_mixture.
 
     With no overrides the constants are alpha = sqrt(600 a d)/lambda,
     eps = tau = lambda^2/1200 and the per-type draw count L comes from
@@ -497,11 +553,14 @@ def resolvability_regularize(
             sparse[xn] = sparse.get(xn, Fraction(0)) + quantized[i] * Fraction(int(counts[e_idx]), L)
 
     # supp(sparse) lies inside supp(P): the output difference is one
-    # signed product mixture, its weights P - P_bar exact until rounded
-    delta = product_mixture(
-        {xn: float(Fraction(w) - sparse.get(xn, 0)) for xn, w in P.items()}, channel
-    )
-    measured = 0.5 * linalg.trace_norm(delta)
+    # signed mixture of the outputs on supp(P), its weights P - P_bar
+    # exact until rounded
+    signed = {xn: float(Fraction(w) - sparse.get(xn, 0)) for xn, w in P.items()}
+    pure = _pure_letters(channel)
+    if pure is not None and len(P) < d**n:
+        measured = 0.5 * _gram_trace_norm(pure, signed)
+    else:
+        measured = 0.5 * linalg.trace_norm(product_mixture(signed, channel))
     certified = measured <= lam / 3.0
 
     rows = [

@@ -12,13 +12,14 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from opcover import cli, identification
+from opcover import cli, covering, identification
 from opcover.channels import CQChannel
 from opcover.cli import (
     CSV_COLUMNS,
@@ -32,6 +33,7 @@ from opcover.cli import (
     sweep,
     validate_config,
 )
+from opcover.linalg import MAX_TENSOR_DIM
 from opcover.rng import spawn_seeds
 
 BSC_CONFIG = {
@@ -1110,21 +1112,32 @@ class TestParameterDomains:
         assert payload["path"] == path
         assert elapsed < 0.1
 
-    def test_oversized_type_edge_stack_exits_2_at_P(self, capsys):
+    def test_oversized_type_edge_stack_exits_2_at_P(self, capsys, monkeypatch):
         # uniform P at n = 11 passes the sequence-space cap, but its
         # middle types would each need a members x s x s edge stack past
         # the MAX_TENSOR_DIM^2 budget; the smaller types run first, so
         # this is not a CAP_CASES row
+        members = []
+        from_orbit = covering.QuantumHypergraph.from_orbit.__func__
+        monkeypatch.setattr(covering.QuantumHypergraph, "from_orbit", classmethod(
+            lambda cls, factor, weights, perms: members.append(len(perms))
+            or from_orbit(cls, factor, weights, perms)))
         args = ["resolvability", "--seed", "1", "--param", f"channel={json.dumps(ZERO_PLUS)}",
                 "--param", 'P={"kind": "uniform", "n": 11}', "--param", "lambda=0.6"]
-        start = time.perf_counter()
-        code = cli.main(args)
-        elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            code = cli.main(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         payload = json.loads(capsys.readouterr().err)
         assert code == 2, payload
         assert payload["error"] == "schema-violation"
         assert payload["path"] == ["params", "P"]
-        assert elapsed < 2.0
+        # the refused type, C(11, 4) = 330 rank-1 members (a 330 x 330 x 330
+        # stack, 575 MB), never reaches from_orbit; the smaller types before it do
+        assert members and max(members) ** 3 <= MAX_TENSOR_DIM**2 and math.comb(11, 4) not in members
+        assert peak < 96 * 2**20, f"{peak / 2**20:.1f} MiB"  # 42 MiB measured
 
     def test_params_schemas_keep_only_decoded_field_ranges(self):
         range_keywords = {"minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"}
@@ -1339,3 +1352,62 @@ class TestSchemaChecks:
         assert len(calls) == without
         record = json.loads((tmp_path / "record.json").read_text())
         assert record["config_hash"] == config_hash(BSC_CONFIG)
+
+
+class TestIntegralNumbers:
+    """JSON Schema's "integer" admits 2.0: every integer field runs as if it were 2."""
+
+    # (command, params, the paths of the integer fields given as floats)
+    CASES = [
+        ("capacity", {"channel": {"kind": "random", "inputs": 2, "dim": 2}, "max_iter": 200000},
+         [("channel", "inputs"), ("channel", "dim"), ("max_iter",)]),
+        ("cover-sample", {"hypergraph": {"kind": "random", "dim": 2, "num_edges": 3},
+                          "eps": 0.3, "tau": 0.3, "draws": 3000},
+         [("hypergraph", "dim"), ("hypergraph", "num_edges"), ("draws",)]),
+        ("cover-capacity", {"hypergraph": {"kind": "random", "dim": 3, "num_edges": 4}},
+         [("hypergraph", "dim"), ("hypergraph", "num_edges")]),
+        ("product-cover", {"hypergraph": {"kind": "random", "dim": 2, "num_edges": 3}, "n_values": [1, 2]},
+         [("hypergraph", "dim"), ("hypergraph", "num_edges"), ("n_values", 0), ("n_values", 1)]),
+        ("tail-mc", {"rv": {"kind": "random", "dim": 2, "atoms": 3}, "method": "two-sided",
+                     "n": 10, "eps": 0.2, "trials": 500},
+         [("rv", "dim"), ("rv", "atoms"), ("n",), ("trials",)]),
+        ("typicality", {"mode": "state", "alpha": 2.0, "state": {"kind": "random", "dim": 2}, "n": 6},
+         [("state", "dim"), ("n",)]),
+        ("typicality", {"mode": "conditional", "alpha": 2.0, "channel": ZERO_PLUS, "sequence": [0, 1, 1]},
+         [("sequence", 0), ("sequence", 1), ("sequence", 2)]),
+        ("resolvability", {"channel": ZERO_PLUS, "P": {"kind": "uniform", "n": 4}, "lambda": 0.6},
+         [("P", "n")]),
+        ("resolvability", {"channel": {"kind": "random", "inputs": 2, "dim": 2},
+                           "P": {"kind": "random", "n": 5, "support": 6}, "lambda": 0.6,
+                           "draws": 2000, "eps": 0.3, "tau": 0.3},
+         [("channel", "inputs"), ("channel", "dim"), ("P", "n"), ("P", "support"), ("draws",)]),
+        ("conjecture-probe", {"which": 1, "dim": 2, "count": 5}, [("dim",), ("count",)]),
+        ("qid-eval", {"channel": ZERO_PLUS, "code": {"kind": "random", "n": 2, "messages": 2, "support": 2}},
+         [("code", "n"), ("code", "messages"), ("code", "support")]),
+    ]
+
+    @pytest.mark.parametrize("command, params, paths", CASES,
+                             ids=[f"{i:02d}-{c}" for i, (c, _, _) in enumerate(CASES)])
+    def test_float_integers_give_the_same_results(self, command, params, paths):
+        floated = json.loads(json.dumps(params))
+        for path in paths:
+            node = floated
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = float(node[path[-1]])
+        assert canonical_json(floated) != canonical_json(params)
+        want = run({"command": command, "seed": 3, "params": params}).results
+        got = run({"command": command, "seed": 3, "params": floated}).results
+        assert canonical_json(got) == canonical_json(want)
+
+    def test_config_keeps_its_floats(self):
+        config = {"command": "capacity", "seed": 1,
+                  "params": {"channel": {"kind": "random", "inputs": 2, "dim": 2.0}}}
+        record = run(config)
+        assert config["params"]["channel"]["dim"] == 2.0 and isinstance(config["params"]["channel"]["dim"], float)
+        assert record.config_hash == config_hash(config)
+
+    def test_entry_point_accepts_an_integral_float(self, capsys):
+        code = cli.main(["capacity", "--seed", "1", "--param",
+                         'channel={"kind": "random", "inputs": 2, "dim": 2.0}'])
+        assert code == 0, capsys.readouterr().err

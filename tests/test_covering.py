@@ -476,14 +476,19 @@ class TestSpanCompression:
 class TestOrbitGraph:
     @pytest.mark.parametrize("r", [2, 6])
     def test_full_rank_edges_are_exact_relabelings(self, monkeypatch, r):
-        # one eigensolve: of the r x r Gram matrix when r < dim, else of C
+        # an orthonormal factor takes its spectrum from its weights; the same
+        # edges from a scaled factor take one eigensolve: of the r x r Gram
+        # matrix when r < dim, else of C
         factor, weights, perms, edges = orbit(88, 6, r, 3)
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(np.shape(m)) or eigvalsh(m))
         g = QuantumHypergraph.from_orbit(factor, weights, perms)
+        assert calls == []
+        scaled = QuantumHypergraph.from_orbit(2.0 * factor, weights / 4.0, perms)
         monkeypatch.undo()
         assert g.basis is None and calls == [(r, r)]
+        assert abs(g.eta - scaled.eta) <= 1e-12
         c = linalg.hermitize((factor * weights) @ factor.conj().T)
         assert all(np.array_equal(cj, c[np.ix_(p, p)]) for cj, p in zip(g.compressed, perms))
         assert all(np.array_equal(e, cj) for e, cj in zip(g.edges, g.compressed))
@@ -498,7 +503,8 @@ class TestOrbitGraph:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(np.shape(m)) or eigvalsh(m))
         g = QuantumHypergraph.from_orbit(factor, weights, perms)
         monkeypatch.undo()
-        assert g.basis is not None and g.span_dim == 6 and calls == [(2, 2)]
+        # the factor is orthonormal: its spectrum is its weights, no eigensolve
+        assert g.basis is not None and g.span_dim == 6 and calls == []
         assert all(np.abs(a - b).max() <= 1e-12 for a, b in zip(g.edges, edges))
 
     @pytest.mark.parametrize("r", [2, 6])

@@ -46,7 +46,7 @@ from opcover.identification import (
     uniform_distribution,
 )
 from opcover.linalg import BoundViolation
-from opcover.rng import make_rng, random_density, random_distribution, random_effect, seed_stream
+from opcover.rng import haar_unitary, make_rng, random_density, random_distribution, random_effect, seed_stream
 
 from oracles import assert_same_sample, dense_projector, range_basis, spectral_walk
 
@@ -699,20 +699,24 @@ class TestSpanCompressedResolvability:
     # became relabelings of one reference edge with one eigensolve,
     # which moved only the last bits of eta and formula_draws (2.1e-15
     # relative); the cover-sample digests were retaken when the sandwich
-    # slacks became relative ones (only the two slack fields moved)
+    # slacks became relative ones (only the two slack fields moved); the
+    # seven resolvability digests were retaken when an isometric edge
+    # factor took its spectrum from its weights (eta and formula_draws
+    # moved by at most 4.8e-15 relative) and pure letters got the Gram
+    # distance (measured_distance of seed 15 moved by 4.1e-15 relative)
     RESULT_HASHES = [
         ({"command": "resolvability", "seed": 11, "params": {
             "channel": {"kind": "random", "dim": 2, "inputs": 2},
             "P": {"kind": "uniform", "n": 5}, "lambda": 0.6}},
-         "080d3d547086f68a81ddc4583945e78574d93ea7ebcc09cd10a4c8a4ff3d2189"),
+         "9f0f2075acf1d7cddec174bb38e76b8b6951010192dfa21d42c590f70a3159b6"),
         ({"command": "resolvability", "seed": 12, "params": {
             "channel": {"kind": "random", "dim": 2, "inputs": 2},
             "P": {"kind": "uniform", "n": 4}, "lambda": 0.5}},
-         "b87ab20ffbdb1d311563f6b4406754f2014d914e0c4e61bef4e6852aca92e6b2"),
+         "0954b56f2ff5111fbb236203e46e954ef843238c2aa6360f09da66fef1527046"),
         ({"command": "resolvability", "seed": 13, "params": {
             "channel": {"kind": "random", "dim": 2, "inputs": 2},
             "P": {"kind": "random", "n": 6, "support": 10}, "lambda": 0.7}},
-         "0e88a2831319853ab51ddd0fea04f0dd1495f7b375e8a0adfa26eae0957766cf"),
+         "523546a49cd1bbed81cb11ae09aa45b7669a05b41032d9265f84a33ccf589662"),
         ({"command": "cover-sample", "seed": 21, "params": {
             "hypergraph": {"kind": "random", "dim": 3, "num_edges": 4}, "eps": 0.3, "tau": 0.3}},
          "cce397ff933926e6f87c453ed663a6a94ba9c11be5a58db399d3c3243af51ff5"),
@@ -724,15 +728,15 @@ class TestSpanCompressedResolvability:
         # its draw counts off the sampler's span-coordinate core
         ({"command": "resolvability", "seed": 14, "params": {
             "channel": {"kind": "zero-plus"}, "P": {"kind": "uniform", "n": 6}, "lambda": 0.6}},
-         "877cd453e3bfe7c409037e3b894cf1a5aaa5622e5958400ddf2f09a8b51f4c1a"),
+         "9ef4dd75f4562924572ef5a351b49a6b15b3354a219226fff34677f1a1e362e9"),
         ({"command": "resolvability", "seed": 15, "params": {
             "channel": {"kind": "zero-plus"}, "P": {"kind": "random", "n": 7, "support": 12}, "lambda": 0.6}},
-         "0366fb50c3fc9a5e8fed93d9567e8da22bcae1ccb6919328fa9e6ec1311145ea"),
+         "b306a05aab7b396bd4062fdc943ed67ecff0a8ccdb58d996d5f5ccda25699d01"),
         # types of one member: taken while every active type was still sampled
         (SINGLE_MEMBER_CONFIGS[0],
-         "d154fc56fcc0b11495cfcc6cd644b591bb9c077d537118291493cafc83619449"),
+         "86e4bef8ef37aaf00c3407a74203e9d40db9a1faa7854a2e48ba81be86636fce"),
         (SINGLE_MEMBER_CONFIGS[1],
-         "7d836c95845674a0cae17545a243778e056c6836d24fc7ed66de4695afead8a0"),
+         "1b085b4954933e9f4829f9154015c8f074f3300159621300b192ed964151eecd"),
     ]
 
     @pytest.mark.parametrize("config, digest", RESULT_HASHES)
@@ -808,7 +812,7 @@ class TestTypeOrbits:
         assert len(types) == n + 1
         assert regimes == want_regimes and cut == want_cut
 
-    def test_one_edge_eigensolve_per_type_in_the_full_rank_regime(self, monkeypatch):
+    def test_no_edge_eigensolve_in_the_full_rank_regime(self, monkeypatch):
         builds = []
         eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
         from_orbit = covering.QuantumHypergraph.from_orbit.__func__
@@ -832,9 +836,11 @@ class TestTypeOrbits:
         reg = resolvability_regularize(uniform_distribution(2, 6), ch, 0.6, seed=11)
         assert len(builds) == sum(row["active"] for row in reg.per_type_details) == 7
         assert max(g.num_edges for g, _ in builds) == 20
+        # every mixture typical projector is the whole space, so each edge
+        # factor is an isometry and its weights are its spectrum
         for g, calls in builds:
             assert g.basis is None
-            assert calls == [("eigvalsh", (g.dim, g.dim))]
+            assert calls == []
 
 
 class TestSingleMemberTypes:
@@ -1085,9 +1091,9 @@ class TestRatioCertificate:
         reg = resolvability_regularize(uniform_distribution(2, n), channel(), 0.6, seed=7)
         assert reg.details["constants_mode"] == "paper-constants"
         assert reg.details["stages_used"] == 1
-        # one validating eigensolve per type, none for the sampler
-        active = sum(row["active"] for row in reg.per_type_details)
-        assert seen == [("eigvalsh", "from_orbit")] * active
+        # every edge factor is an isometry (the mixture typical projectors
+        # are the whole space): no eigensolve validates it, none samples
+        assert seen == []
 
     def test_uniform_n10_working_memory(self):
         # n = 10 is the largest uniform zero-plus law under the dense-matrix
@@ -1102,6 +1108,177 @@ class TestRatioCertificate:
             tracemalloc.stop()
         assert reg.details["stages_used"] == 1
         assert peak < 96 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def pure_channel(seed: int, inputs: int, dim: int) -> CQChannel:
+    """Seeded channel of `inputs` random pure states on C^dim."""
+    rng = make_rng(seed)
+    vs = rng.normal(size=(inputs, dim)) + 1j * rng.normal(size=(inputs, dim))
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    return CQChannel([np.outer(v, v.conj()) for v in vs])
+
+
+def signed_law(seed: int, a: int, n: int, k: int, balanced: bool) -> dict:
+    """k distinct length-n sequences with random signed weights, summing to 0 when balanced."""
+    rng = make_rng(seed)
+    picks = rng.choice(a**n, size=k, replace=False)
+    c = rng.normal(size=k)
+    if balanced:
+        c -= c.mean()
+    return {tuple(int(s) for s in np.unravel_index(i, (a,) * n)): float(w) for i, w in zip(picks, c)}
+
+
+class TestOrbitSpectrum:
+    """from_orbit reads an isometric factor's spectrum off its weights, else solves for it.
+
+    The oracle is the dense graph of the reference edge M diag(w) M^dagger,
+    validated by one eigvalsh: eta agrees to 1e-12, and the PSD and cap
+    errors are the same.
+    """
+
+    @staticmethod
+    def outcome(build):
+        try:
+            return build().eta
+        except ValueError as exc:
+            return str(exc)
+
+    def solves(self, monkeypatch, factor, weights, perms) -> bool:
+        """Check one factor against the oracle; return whether from_orbit ran an eigensolve."""
+        dim = factor.shape[0]
+        want = self.outcome(lambda: covering.QuantumHypergraph(
+            dim, [(factor * weights) @ factor.conj().T], None))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(np.shape(m)) or eigvalsh(m))
+        got = self.outcome(lambda: covering.QuantumHypergraph.from_orbit(factor, weights, perms))
+        monkeypatch.undo()
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-12
+        return bool(calls)
+
+    @pytest.mark.parametrize("name", sorted(TestTypeOrbits.CASES))
+    def test_agrees_with_eigvalsh_on_resolvability_factors(self, monkeypatch, name):
+        channel, n, overrides, *_ = TestTypeOrbits.CASES[name]
+        types = type_graphs(monkeypatch, uniform_distribution(2, n), channel(), 0.6, 3, **overrides)
+        solved = [self.solves(monkeypatch, factor, weights, perms)
+                  for factor, weights, perms, *_ in types]
+        # at paper constants every mixture typical projector is the whole
+        # space, so every factor is an isometry; the cut ranges are not
+        assert any(solved) == (name == "cut-mixture-range")
+
+    def test_agrees_with_eigvalsh_on_near_isometries(self, monkeypatch):
+        rng = make_rng(31)
+        solved = collections.Counter()
+        for dim, r in [(6, 2), (6, 6), (4, 1), (3, 5)]:
+            for noise in (0.0, 1e-16, 1e-14, 1e-13, 1e-12, 1e-9, 1e-3):
+                for top in (0.5, 1.0, 1.0 + 5e-10, 1.0 + 2e-9, 1.5):
+                    q = haar_unitary(rng, max(dim, r))[:dim, :r]
+                    factor = q + noise * (rng.normal(size=q.shape) + 1j * rng.normal(size=q.shape))
+                    weights = rng.uniform(0.2, 1.0, size=r)
+                    weights[rng.integers(r)] = top
+                    perms = [rng.permutation(dim) for _ in range(2)]
+                    solved[self.solves(monkeypatch, factor, weights, perms)] += 1
+        assert solved[True] and solved[False]
+
+
+class TestGramDistance:
+    """With pure letters and |supp P| < d^n the measured distance is a k x k Gram problem."""
+
+    # three letters in two dimensions and a repeated letter make product
+    # vectors that depend linearly on each other: G is singular
+    @pytest.mark.parametrize("channel", [zero_plus_channel(), pure_channel(41, 3, 2), pure_channel(42, 2, 3),
+                                         CQChannel([PLUS, PLUS])],
+                             ids=["zero-plus", "three-qubit-letters", "qutrit-letters", "repeated-letter"])
+    def test_agrees_with_the_dense_trace_norm(self, channel):
+        pure = identification._pure_letters(channel)
+        a, d = channel.alphabet_size, channel.dim
+        assert pure is not None
+        for n in range(1, 9):
+            if d**n > 2**8:
+                break
+            for seed in range(4):
+                k = min(a**n, max(1, (d**n - 1) * (seed + 1) // 4))
+                weights = signed_law(100 * n + seed, a, n, k, balanced=seed % 2 == 0)
+                dense = linalg.trace_norm(channels.product_mixture(weights, channel))
+                gram = identification._gram_trace_norm(pure, weights)
+                assert abs(gram - dense) <= 1e-12 * max(1.0, dense), (n, k)
+
+    def test_mixed_letters_are_not_pure(self):
+        assert identification._pure_letters(channels.random_channel(11, 2, 2)) is None
+        assert identification._pure_letters(identical_channel()) is None
+
+    def test_pure_sparse_resolvability_solves_nothing_larger_than_k(self, monkeypatch):
+        law = random_sparse_distribution(43, 2, 9, support=40)
+        sizes = []
+
+        def spy(fn):
+            def wrapped(m):
+                sizes.append(np.shape(m)[-1])
+                return fn(m)
+            return wrapped
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
+        monkeypatch.setattr(identification, "product_mixture",
+                            lambda *args: pytest.fail("dense output difference formed"))
+        reg = resolvability_regularize(law, zero_plus_channel(), 0.6, seed=44)
+        monkeypatch.undo()
+        assert sizes and max(sizes) <= len(law)
+        signed = {xn: float(Fraction(w) - reg.sparse_distribution.get(xn, 0)) for xn, w in law.items()}
+        dense = 0.5 * linalg.trace_norm(channels.product_mixture(signed, zero_plus_channel()))
+        assert abs(reg.measured_distance - dense) <= 1e-12
+
+    @pytest.mark.parametrize("law, channel", [
+        (uniform_distribution(2, 5), zero_plus_channel()),
+        (random_sparse_distribution(45, 2, 5, support=12), channels.random_channel(11, 2, 2)),
+    ], ids=["full-support", "mixed-letters"])
+    def test_full_support_and_mixed_letters_stay_dense(self, monkeypatch, law, channel):
+        calls = []
+        mixture = identification.product_mixture
+        monkeypatch.setattr(identification, "product_mixture",
+                            lambda *args: calls.append(1) or mixture(*args))
+        resolvability_regularize(law, channel, 0.6, seed=46)
+        assert calls == [1]
+
+
+class TestStackRelease:
+    CONFIG = {"command": "resolvability", "seed": 4, "params": {
+        "channel": {"kind": "random", "dim": 2, "inputs": 2}, "P": {"kind": "uniform", "n": 8},
+        "lambda": 0.6, "draws": 1000, "eps": 0.45, "tau": 0.45, "alpha": 3}}
+
+    def test_sampled_orbit_stacks_are_released(self, monkeypatch):
+        # mixed letters, uniform n = 8, draws = 1000, eps = tau = 0.45,
+        # alpha = 3: the certificate leaves attempts to the spectral test,
+        # which forms each type's edge stack; each is dropped once its graph
+        # is sampled, so the stacks of all types are never alive together
+        # (196 MiB when they were, 84 MiB measured with one at a time)
+        built, read = [], []
+        from_orbit = covering.QuantumHypergraph.from_orbit.__func__
+        compressed = covering.QuantumHypergraph.compressed
+
+        def record_orbit(cls, factor, weights, perms):
+            built.append(from_orbit(cls, factor, weights, perms))
+            return built[-1]
+
+        def record_read(g):
+            read.append(id(g))
+            return compressed.fget(g)
+
+        monkeypatch.setattr(covering.QuantumHypergraph, "from_orbit", classmethod(record_orbit))
+        monkeypatch.setattr(covering.QuantumHypergraph, "compressed", property(record_read))
+        tracemalloc.start()
+        try:
+            results = cli.run(self.CONFIG).results
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert results["L"] == 1000
+        assert len(set(read)) >= 2
+        assert all("_span" not in vars(g) for g in built if g.num_edges > 1)
+        assert peak < 128 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestTypeClassSharing:
