@@ -96,21 +96,6 @@ class CQChannel:
                 return False
         return True
 
-    def to_json(self) -> dict:
-        return {
-            "alphabet_size": self.alphabet_size,
-            "dim": self.dim,
-            "states": [linalg.matrix_to_json(w) for w in self.states],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CQChannel":
-        states = [linalg.matrix_from_json(s) for s in obj["states"]]
-        ch = cls(states)
-        if ch.alphabet_size != int(obj["alphabet_size"]) or ch.dim != int(obj["dim"]):
-            raise ValueError("channel payload dimensions do not match states")
-        return ch
-
 
 def random_channel(seed: int, inputs: int, dim: int) -> CQChannel:
     """Seeded channel of `inputs` random density operators on C^dim."""
@@ -126,7 +111,7 @@ def embed_classical(w) -> CQChannel:
     Row x becomes diag(w[x]) in the standard basis, so all outputs
     commute and the channel carries exactly the classical statistics.
     """
-    w = np.asarray(w, dtype=float)
+    w = linalg.float_rows(w, "stochastic matrix")
     if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
         raise ValueError("stochastic matrix must be 2-d and nonempty")
     # written so that a NaN weight fails both tests
@@ -203,22 +188,6 @@ def _check_sequence(xn, alphabet_size: int) -> tuple[int, ...]:
     if any(x < 0 or x >= alphabet_size for x in xn):
         raise DomainError(f"symbols must lie in 0..{alphabet_size - 1}", "sequence")
     return xn
-
-
-def holevo_information(p, channel: CQChannel) -> float:
-    """H(output mixture) - sum_x p(x) H(W_x), in bits.
-
-    Concavity of entropy makes this nonnegative; float dust below zero
-    is clamped.
-    """
-    p = check_distribution(p, channel.alphabet_size)
-    mixed = linalg.von_neumann_entropy(output_state(p, channel))
-    conditional = sum(
-        float(px) * linalg.von_neumann_entropy(w)
-        for px, w in zip(p, channel.states)
-        if px > 0.0
-    )
-    return max(0.0, mixed - conditional)
 
 
 @dataclass(frozen=True)
@@ -448,16 +417,6 @@ def type_enumerate(n: int, a: int) -> list[EmpiricalDistribution]:
     linalg.check_bound("types enumerated exceed C(n+a-1, a-1) or (n+1)^a",
                        len(out), min(total, (n + 1) ** a))
     return out
-
-
-def type_class_size(t: EmpiricalDistribution) -> int:
-    """Number of sequences with the given counts (exact integer)."""
-    size = 1
-    remaining = t.n
-    for c in t.counts:
-        size *= math.comb(remaining, c)
-        remaining -= c
-    return size
 
 
 def typical_set(p, n: int, alpha: float) -> set:

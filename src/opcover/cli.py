@@ -169,14 +169,23 @@ def csv_text(columns, rows) -> str:
 # decodes itself and no library entry point receives: a matrix payload's
 # dim and the bsc crossover probability p.
 
+_ROW = {"type": "array", "items": {"type": "number"}}
+# a sequence distribution's atom: [symbol sequence, weight]
+_ATOM = {
+    "type": "array",
+    "minItems": 2,
+    "maxItems": 2,
+    "prefixItems": [{"type": "array", "items": {"type": "integer"}}, {"type": "number"}],
+}
+
 _MATRIX = {
     "type": "object",
     "required": ["dim", "re"],
     "additionalProperties": False,
     "properties": {
         "dim": {"type": "integer", "minimum": 1},
-        "re": {"type": "array"},
-        "im": {"type": "array"},
+        "re": {"type": "array", "items": _ROW},
+        "im": {"type": "array", "items": _ROW},
     },
 }
 
@@ -297,11 +306,7 @@ _DISTRIBUTION = {
             "additionalProperties": False,
             "properties": {
                 "kind": {"const": "explicit"},
-                "atoms": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {"type": "array", "minItems": 2, "maxItems": 2},
-                },
+                "atoms": {"type": "array", "minItems": 1, "items": _ATOM},
             },
         },
     ]
@@ -511,11 +516,7 @@ PARAMS_SCHEMAS = {
                                     "required": ["P", "D"],
                                     "additionalProperties": False,
                                     "properties": {
-                                        "P": {
-                                            "type": "array",
-                                            "minItems": 1,
-                                            "items": {"type": "array", "minItems": 2, "maxItems": 2},
-                                        },
+                                        "P": {"type": "array", "minItems": 1, "items": _ATOM},
                                         "D": _MATRIX,
                                     },
                                 },
@@ -567,6 +568,9 @@ SWEEP_SCHEMA = {
 
 
 def _is_number(v) -> bool:
+    # JSON numbers parse to floats and ints: decided without the slower ABC check
+    if type(v) is float or type(v) is int:
+        return True
     return isinstance(v, numbers.Number) and not isinstance(v, bool)
 
 
@@ -649,10 +653,24 @@ def _properties(props, schema):
 
 def _items(sub_schema, schema):
     sub = _compile(sub_schema)
+    # items of a bare type (matrix entries) take one pass; a failure is
+    # then found again item by item, to report its index
+    is_type = _IS_TYPE[sub_schema["type"]] if sub_schema.keys() == {"type"} else None
+
+    def check(v):
+        if isinstance(v, list) and (is_type is None or not all(map(is_type, v))):
+            for index, item in enumerate(v):
+                _descend(sub, item, index)
+
+    return check
+
+
+def _prefix_items(subs, schema):
+    compiled = [_compile(sub) for sub in subs]
 
     def check(v):
         if isinstance(v, list):
-            for index, item in enumerate(v):
+            for index, (sub, item) in enumerate(zip(compiled, v)):
                 _descend(sub, item, index)
 
     return check
@@ -766,6 +784,7 @@ _KEYWORDS = {
     "additionalProperties": _additional_properties,
     "properties": _properties,
     "items": _items,
+    "prefixItems": _prefix_items,
     "minItems": _min_items,
     "maxItems": _max_items,
     "minLength": _min_length,
@@ -779,7 +798,7 @@ _KEYWORDS = {
 }
 # keywords read by another keyword's compiler, not checks of their own
 _COMPANIONS = {"then"}
-_DESCENDING = {"properties", "items"}
+_DESCENDING = {"properties", "items", "prefixItems"}
 
 
 def _chain(checks: list):
@@ -1124,8 +1143,7 @@ class RunRecord:
 
     results is the byte-reproducible part; wall_time_ms sits outside it
     on purpose and is the only field allowed to differ between reruns.
-    results is already JSON-safe: _execute converts it once, and
-    from_json reads it from JSON.
+    results is already JSON-safe: _execute converts it once.
     """
 
     config_hash: str
@@ -1140,15 +1158,6 @@ class RunRecord:
             "results": self.results,
             "wall_time_ms": self.wall_time_ms,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RunRecord":
-        return cls(
-            config_hash=obj["config_hash"],
-            tool_version=obj["tool_version"],
-            results=obj["results"],
-            wall_time_ms=obj["wall_time_ms"],
-        )
 
 
 def _execute(config: dict) -> tuple[RunRecord, list]:

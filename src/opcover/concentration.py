@@ -105,14 +105,6 @@ class OperatorRV:
         sq = np.tensordot(self.probs, self.values @ self.values, axes=1)
         return linalg.hermitize(sq - m @ m)
 
-    def convolve(self, other: "OperatorRV") -> "OperatorRV":
-        """Distribution of X + Y for independent X, Y."""
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch in convolution")
-        probs = np.outer(self.probs, other.probs).ravel()
-        values = (self.values[:, None] + other.values[None, :]).reshape(-1, self.dim, self.dim)
-        return OperatorRV(probs, list(values))
-
     def in_unit_interval(self) -> bool:
         return bool(linalg.relative_margin(self.values, 0.0, 1.0)[2].all())
 
@@ -125,16 +117,6 @@ class OperatorRV:
         out = copy.copy(self)
         out.values = linalg.hermitize(scale @ (self.values - shift) @ scale)
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "probs": self.probs.tolist(),
-            "values": [linalg.matrix_to_json(v) for v in self.values],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "OperatorRV":
-        return cls(obj["probs"], [linalg.matrix_from_json(v) for v in obj["values"]])
 
 
 # ---------------------------------------------------------------------------
@@ -362,22 +344,6 @@ def weak_law_tail(rv: OperatorRV, n: int, delta, trials: int = 0, seed: int = 0)
         return ~linalg.relative_margin(sums, -1.0, 1.0)[2]
 
     return _dispatch(white, n, trials, seed, event, bound, "weak-law", proven=True)
-
-
-def bernstein_bound(rv: OperatorRV, a, t, n: int) -> float:
-    """Exponential-moment bound d * || E exp(T(X - A)T) ||^n on the upper tail.
-
-    T must be Hermitian and invertible (T*T > 0); the polar reduction to
-    this case is the caller's business.
-    """
-    a = linalg.require_hermitian(a, name="A")
-    t = linalg.require_hermitian(t, name="T")
-    if min(abs(w) for w in np.linalg.eigvalsh(t)) <= linalg.PSD_TOL:
-        raise ValueError("T must be invertible")
-    acc = np.zeros((rv.dim, rv.dim), dtype=complex)
-    for p, x in zip(rv.probs, rv.values):
-        acc += p * linalg.herm_exp(t @ (x - a) @ t)
-    return rv.dim * linalg.spectral_norm(acc) ** n
 
 
 def chernoff_tail(rv: OperatorRV, n: int, a: float, m: float, side: str = "upper",

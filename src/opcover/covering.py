@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import (LN2, MAX_BRUTEFORCE_EDGES, MAX_BRUTEFORCE_MULTISETS, MAX_MATERIALIZED_DRAWS,
-                     MAX_TENSOR_DIM, DomainError, check_distribution as _check_distribution)
+from .linalg import (LN2, MAX_BRUTEFORCE_EDGES, MAX_BRUTEFORCE_MULTISETS, MAX_TENSOR_DIM, DomainError,
+                     check_distribution as _check_distribution)
 from .rng import make_rng, random_effect, seed_stream
 
 RETRY_SEEDS = 64
@@ -255,18 +255,16 @@ def random_hypergraph(seed: int, dim: int, num_edges: int, eta: float = 1.0) -> 
 class CoveringResult:
     """One sampled covering or mixture approximation.
 
-    edge_multiplicities maps edge index to how often it was drawn; the
-    draw list itself is only materialized on demand since prescribed
-    draw counts can be far too large to store one index per draw.
+    edge_multiplicities maps edge index to how often it was drawn, so a
+    prescribed draw count far too large to list one index per draw
+    costs one entry per edge.
     certified means every numerically checkable guarantee of the
     generating construction passed and the draw count was not escalated
     past the formula; beyond_bound records a draw count above the
     formula's value, whether by escalation or by the caller's choice.
     For randomized coverings `sampled_average` holds the multiset
     degree, for the sampler the multiset average, an operator either
-    way.  excluded_vertices is always empty: the sampler splits off an
-    eigenspace (pi0), not vertices, and the field stays for the payload
-    format.
+    way.
     """
 
     kind: str
@@ -277,7 +275,6 @@ class CoveringResult:
     seed: int
     beyond_bound: bool = False
     attempts: int = 1
-    excluded_vertices: tuple = ()
     pi0: np.ndarray | None = None
     pi1: np.ndarray | None = None
     details: dict = field(default_factory=dict)
@@ -285,21 +282,6 @@ class CoveringResult:
     def __post_init__(self):
         if sum(self.edge_multiplicities.values()) != self.num_draws:
             raise ValueError("edge multiplicities must sum to num_draws")
-
-    @property
-    def picked_edge_indices(self) -> list:
-        linalg.require_size("num_draws", self.num_draws, MAX_MATERIALIZED_DRAWS,
-                            "draw list too large to materialize, use edge_multiplicities")
-        out = []
-        for i in sorted(self.edge_multiplicities):
-            out.extend([i] * self.edge_multiplicities[i])
-        return out
-
-    def counts_vector(self, num_edges: int) -> np.ndarray:
-        counts = np.zeros(num_edges, dtype=np.int64)
-        for i, c in self.edge_multiplicities.items():
-            counts[int(i)] = c
-        return counts
 
     def to_json(self) -> dict:
         return {
@@ -311,28 +293,10 @@ class CoveringResult:
             "seed": int(self.seed),
             "beyond_bound": bool(self.beyond_bound),
             "attempts": int(self.attempts),
-            "excluded_vertices": [int(v) for v in self.excluded_vertices],
             "pi0": None if self.pi0 is None else linalg.matrix_to_json(self.pi0),
             "pi1": None if self.pi1 is None else linalg.matrix_to_json(self.pi1),
             "details": dict(self.details),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CoveringResult":
-        return cls(
-            kind=obj["kind"],
-            edge_multiplicities={int(i): int(c) for i, c in obj["edge_multiplicities"].items()},
-            num_draws=obj["num_draws"],
-            sampled_average=linalg.matrix_from_json(obj["sampled_average"]),
-            certified=obj["certified"],
-            seed=obj["seed"],
-            beyond_bound=obj["beyond_bound"],
-            attempts=obj["attempts"],
-            excluded_vertices=tuple(obj["excluded_vertices"]),
-            pi0=None if obj["pi0"] is None else linalg.matrix_from_json(obj["pi0"]),
-            pi1=None if obj["pi1"] is None else linalg.matrix_from_json(obj["pi1"]),
-            details=dict(obj["details"]),
-        )
 
 
 def degree(g: QuantumHypergraph, subset=None) -> np.ndarray:
@@ -447,7 +411,7 @@ def draw_bound(eta: float, size: int, eps: float, tau: float) -> float:
 
 
 def _sample_plan(formula: float, p: np.ndarray, draws):
-    """Base draw count and escalation depth of the sampler and its replay."""
+    """Base draw count and escalation depth of the sampler (the tests' covering replay reads them too)."""
     if draws is not None:
         linalg.require_positive(draws=draws)
         return int(draws), 1
@@ -722,51 +686,6 @@ def sample_family(graphs, ps, eps: float, tau: float, seed: int, draws: int | No
         else:
             return L, stage + 1, formulas, drawn
     raise SamplingExhausted(f"sampling failed at every draw count up to {L}") from failure
-
-
-def replay_covering_result(
-    g, result: CoveringResult, p=None, eps: float | None = None, tau: float | None = None
-) -> dict:
-    """Re-verify a (possibly deserialized) result against its hypergraph.
-
-    Returns named check booleans plus "all"; a certified result must
-    replay clean.  Sample results need the p, eps, tau they were drawn
-    with.
-    """
-    counts = result.counts_vector(g.num_edges)
-    if result.kind == "randomized-covering":
-        deg = _degree_from_counts(g, counts)
-        checks = {
-            "is_covering": linalg.psd_leq(np.eye(g.dim), deg),
-            "average_matches": bool(np.allclose(deg, result.sampled_average, atol=1e-10)),
-        }
-    elif result.kind == "quantum-sample":
-        if p is None or eps is None or tau is None:
-            raise ValueError("replaying a sample needs p, eps and tau")
-        formula = draw_bound(g.eta, g.dim, eps, tau)
-        # Infer whether the draw count was prescribed: the default path
-        # always lands on base * scale.  (A prescribed count's single
-        # stage spawns the same first RETRY_SEEDS sub-seeds as the
-        # escalating stages, so either way the replay walks the original
-        # attempt sequence.)
-        base, _ = _sample_plan(formula, _check_distribution(p, g.num_edges), None)
-        scale = 2 ** ((result.attempts - 1) // RETRY_SEEDS)
-        default_path = result.num_draws == base * scale
-        fresh = quantum_covering_sample(
-            g, p, eps, tau, result.seed, draws=None if default_path else result.num_draws
-        )
-        checks = {
-            "reproduces": fresh.edge_multiplicities == result.edge_multiplicities
-            and fresh.num_draws == result.num_draws,
-            "average_matches": bool(
-                np.allclose(fresh.sampled_average, result.sampled_average, atol=1e-10)
-            ),
-            "still_certifies": fresh.certified == result.certified,
-        }
-    else:
-        raise ValueError(f"unknown result kind {result.kind!r}")
-    checks["all"] = all(checks.values())
-    return checks
 
 
 def product_hypergraph(g: QuantumHypergraph, n: int) -> QuantumHypergraph:

@@ -290,22 +290,6 @@ def quantization_resolution(n: int, a: int, lam) -> int:
     return math.ceil(Fraction(3 * (int(n) + 1) ** int(a)) / lam_exact)
 
 
-def distributions_identical(p, q) -> bool:
-    """Exact equality of two sparse sequence distributions, no tolerance.
-
-    Weights are compared as exact rationals (floats convert exactly),
-    so pipeline outputs with denominators dividing K*L are decidably
-    distinct the moment any weight differs.
-    """
-
-    def canon(dist):
-        return {
-            tuple(int(s) for s in xn): Fraction(w) for xn, w in dict(dist).items() if w != 0
-        }
-
-    return canon(p) == canon(q)
-
-
 @dataclass(frozen=True)
 class RegularizationResult:
     """Sparse replacement for an input distribution, with its audit trail.
@@ -349,19 +333,6 @@ class RegularizationResult:
             "per_type_details": [dict(row) for row in self.per_type_details],
             "details": dict(self.details),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RegularizationResult":
-        sparse = {tuple(xn): Fraction(w) for xn, w in obj["sparse_distribution"]}
-        return cls(
-            sparse_distribution=sparse,
-            measured_distance=obj["measured_distance"],
-            K=obj["K"],
-            L=obj["L"],
-            per_type_details=tuple(obj["per_type_details"]),
-            certified=obj["certified"],
-            details=dict(obj.get("details", {})),
-        )
 
 
 def _sandwiched_edge(outer: TypicalProjector, digits: np.ndarray, overlaps) -> np.ndarray:

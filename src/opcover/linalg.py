@@ -25,7 +25,7 @@ LN2 = math.log(2.0)
 # Resource caps, all decided by require_size: the side D of one dense
 # matrix (a count of dim x dim matrices shares its D^2 entries), sequence
 # spaces a^n, types, exact-tail multisets, brute-force product edges and
-# multisets walked, conjecture-probe instances, and draws listed one by one.
+# multisets walked, and conjecture-probe instances.
 MAX_TENSOR_DIM = 4096
 MAX_SEQUENCE_SPACE = 1_000_000
 MAX_TYPES = 5_000_000
@@ -33,7 +33,6 @@ MAX_ENUMERATION = 2_000_000
 MAX_BRUTEFORCE_EDGES = 20
 MAX_BRUTEFORCE_MULTISETS = 5_000_000
 MAX_PROBE_COUNT = 100_000
-MAX_MATERIALIZED_DRAWS = 1_000_000
 
 
 class BoundViolation(RuntimeError):
@@ -296,14 +295,6 @@ def trace_distance(rho, sigma) -> float:
     return trace_norm(hermitize(_canonical_difference(rho, sigma)))
 
 
-def von_neumann_entropy(rho) -> float:
-    """Entropy of a density matrix in bits."""
-    w = np.linalg.eigvalsh(require_density(rho))
-    w = np.clip(w, 0.0, 1.0)
-    pos = w > 1e-15
-    return float(-(w[pos] * np.log2(w[pos])).sum())
-
-
 def shannon_entropy(p) -> float:
     p = np.asarray(p, dtype=float)
     pos = p > 1e-15
@@ -452,11 +443,20 @@ def matrix_to_json(a) -> dict:
     }
 
 
+def float_rows(rows, name: str) -> np.ndarray:
+    """Rows as a float array; a list of rows of unequal lengths raises a ValueError naming them."""
+    if isinstance(rows, list) and all(isinstance(r, list) for r in rows):
+        ragged = [i for i, r in enumerate(rows) if len(r) != len(rows[0])]
+        if ragged:
+            raise ValueError(f"ragged {name}: rows {ragged} differ in length from row 0 ({len(rows[0])})")
+    return np.asarray(rows, dtype=float)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     dim = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
+    re = float_rows(obj["re"], "re")
     # "im" may be omitted for real matrices.
-    im = np.asarray(obj.get("im", np.zeros((dim, dim))), dtype=float)
+    im = float_rows(obj["im"], "im") if "im" in obj else np.zeros((dim, dim))
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(f"matrix payload shape mismatch for dim {dim}")
     return re + 1j * im

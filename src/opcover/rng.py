@@ -70,13 +70,6 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return m / np.trace(m).real
 
 
-def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    linalg.require_matrices(dim)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
-
-
 def random_projector(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:
     u = haar_unitary(rng, dim)[:, :rank]
     return linalg.hermitize(u @ u.conj().T)

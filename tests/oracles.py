@@ -2,7 +2,10 @@
 
 These deliberately avoid the library's own code paths: exact rational
 binomial sums, brute-force product-space enumeration, direct grid
-searches.  Slow is fine here.
+searches.  Slow is fine here.  The last section holds the helpers only
+tests use (a replay of covering results, exact distribution equality,
+Holevo information, the exponential-moment bound, random pure states),
+kept out of the library because no command reaches them.
 """
 
 from __future__ import annotations
@@ -238,7 +241,7 @@ def vertex_covering_sample(weights, p, eps, tau, seed, eta, draws=None) -> dict:
                 "certified": not (ln > formula and draws is None),
                 "mixture": q,
                 "sampled_average": qbar,
-                "excluded_vertices": tuple(int(v) for v in np.flatnonzero(~keep)),
+                "cut_vertices": tuple(int(v) for v in np.flatnonzero(~keep)),
                 "excluded_mass": float(q[~keep].sum()),
                 "draw_bound": formula,
                 "l1_distance": float(np.abs(q - qbar).sum()),
@@ -443,3 +446,143 @@ def spectral_walk(g, p, eps, tau, seed, draws):
         if inside:
             return counts, attempts, (float(lower), float(upper)), linalg.trace_norm(rho - rhobar)
     return None
+
+
+# ---------------------------------------------------------------------------
+# helpers only tests use
+
+
+def counts_vector(result, num_edges: int) -> np.ndarray:
+    """A covering result's edge multiplicities as a length-num_edges count vector."""
+    counts = np.zeros(num_edges, dtype=np.int64)
+    for i, c in result.edge_multiplicities.items():
+        counts[int(i)] = c
+    return counts
+
+
+def replay_covering_result(g, result, p=None, eps: float | None = None, tau: float | None = None) -> dict:
+    """Re-verify a (possibly tampered) covering result against its hypergraph.
+
+    Returns named check booleans plus "all"; a certified result must
+    replay clean.  Sample results need the p, eps, tau they were drawn
+    with.
+    """
+    from opcover import covering, linalg
+
+    counts = counts_vector(result, g.num_edges)
+    if result.kind == "randomized-covering":
+        deg = covering._degree_from_counts(g, counts)
+        checks = {
+            "is_covering": linalg.psd_leq(np.eye(g.dim), deg),
+            "average_matches": bool(np.allclose(deg, result.sampled_average, atol=1e-10)),
+        }
+    elif result.kind == "quantum-sample":
+        if p is None or eps is None or tau is None:
+            raise ValueError("replaying a sample needs p, eps and tau")
+        formula = covering.draw_bound(g.eta, g.dim, eps, tau)
+        # Infer whether the draw count was prescribed: the default path
+        # always lands on base * scale.  (A prescribed count's single
+        # stage spawns the same first RETRY_SEEDS sub-seeds as the
+        # escalating stages, so either way the replay walks the original
+        # attempt sequence.)
+        base, _ = covering._sample_plan(formula, linalg.check_distribution(p, g.num_edges), None)
+        scale = 2 ** ((result.attempts - 1) // covering.RETRY_SEEDS)
+        default_path = result.num_draws == base * scale
+        fresh = covering.quantum_covering_sample(
+            g, p, eps, tau, result.seed, draws=None if default_path else result.num_draws
+        )
+        checks = {
+            "reproduces": fresh.edge_multiplicities == result.edge_multiplicities
+            and fresh.num_draws == result.num_draws,
+            "average_matches": bool(
+                np.allclose(fresh.sampled_average, result.sampled_average, atol=1e-10)
+            ),
+            "still_certifies": fresh.certified == result.certified,
+        }
+    else:
+        raise ValueError(f"unknown result kind {result.kind!r}")
+    checks["all"] = all(checks.values())
+    return checks
+
+
+def distributions_identical(p, q) -> bool:
+    """Exact equality of two sparse sequence distributions, no tolerance.
+
+    Weights are compared as exact rationals (floats convert exactly),
+    so pipeline outputs with denominators dividing K*L are decidably
+    distinct the moment any weight differs.
+    """
+
+    def canon(dist):
+        return {
+            tuple(int(s) for s in xn): Fraction(w) for xn, w in dict(dist).items() if w != 0
+        }
+
+    return canon(p) == canon(q)
+
+
+def von_neumann_entropy(rho) -> float:
+    """Entropy of a density matrix in bits."""
+    from opcover import linalg
+
+    w = np.linalg.eigvalsh(linalg.require_density(rho))
+    w = np.clip(w, 0.0, 1.0)
+    pos = w > 1e-15
+    return float(-(w[pos] * np.log2(w[pos])).sum())
+
+
+def holevo_information(p, channel) -> float:
+    """H(output mixture) - sum_x p(x) H(W_x), in bits.
+
+    Concavity of entropy makes this nonnegative; float dust below zero
+    is clamped.
+    """
+    from opcover.channels import output_state
+    from opcover.linalg import check_distribution
+
+    p = check_distribution(p, channel.alphabet_size)
+    mixed = von_neumann_entropy(output_state(p, channel))
+    conditional = sum(
+        float(px) * von_neumann_entropy(w)
+        for px, w in zip(p, channel.states)
+        if px > 0.0
+    )
+    return max(0.0, mixed - conditional)
+
+
+def type_class_size(t) -> int:
+    """Number of sequences with the given counts (exact integer)."""
+    size = 1
+    remaining = t.n
+    for c in t.counts:
+        size *= comb(remaining, c)
+        remaining -= c
+    return size
+
+
+def bernstein_bound(rv, a, t, n: int) -> float:
+    """Exponential-moment bound d * || E exp(T(X - A)T) ||^n on the upper tail.
+
+    T must be Hermitian and invertible (T*T > 0); the polar reduction to
+    this case is the caller's business.
+    """
+    from opcover import linalg
+
+    a = linalg.require_hermitian(a, name="A")
+    t = linalg.require_hermitian(t, name="T")
+    if min(abs(w) for w in np.linalg.eigvalsh(t)) <= linalg.PSD_TOL:
+        raise ValueError("T must be invertible")
+    acc = np.zeros((rv.dim, rv.dim), dtype=complex)
+    for p, x in zip(rv.probs, rv.values):
+        acc += p * linalg.herm_exp(t @ (x - a) @ t)
+    return rv.dim * linalg.spectral_norm(acc) ** n
+
+
+def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A random pure state |v><v| on C^dim, v from complex Gaussians; the stream is frozen in tests."""
+    from opcover import linalg
+
+    linalg.require_matrices(dim)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())

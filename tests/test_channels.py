@@ -15,21 +15,20 @@ from opcover.channels import (
     conditional_typical_projector,
     cross_typical_mass,
     embed_classical,
-    holevo_information,
     output_state,
     range_permutation,
     product_mixture,
     tensor_output,
-    type_class_size,
     type_enumerate,
     typical_projector,
     typical_set,
 )
-from opcover.rng import make_rng, random_density, random_distribution, random_state, spawn_seeds
+from opcover.rng import make_rng, random_density, random_distribution, spawn_seeds
 
 from oracles import (blahut_arimoto_capacity, classical_capacity_oracle,
-                     conditional_mask_all_factors, dense_mixture, dense_projector, range_basis,
-                     range_permutation_one_sequence, typical_set_by_loop)
+                     conditional_mask_all_factors, dense_mixture, dense_projector, holevo_information,
+                     random_state, range_basis, range_permutation_one_sequence, type_class_size,
+                     typical_set_by_loop)
 
 KET0 = np.diag([1.0, 0.0])
 KET1 = np.diag([0.0, 1.0])
@@ -71,12 +70,6 @@ class TestCQChannel:
         assert ch.alphabet_size == 2
         assert ch.dim == 2
         assert np.allclose(ch.state(1), PLUS)
-
-    def test_json_round_trip(self):
-        rng = make_rng(7)
-        ch = CQChannel([random_density(rng, 3) for _ in range(2)])
-        back = CQChannel.from_json(ch.to_json())
-        assert np.allclose(back.states, ch.states, atol=1e-12)
 
     def test_commutation_probe(self):
         assert embed_classical(np.eye(2)).is_commuting()

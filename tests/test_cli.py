@@ -227,11 +227,6 @@ class TestRun:
         b = canonical_json(run(BSC_CONFIG).results)
         assert a == b
 
-    def test_record_round_trips(self):
-        record = run(BSC_CONFIG)
-        rebuilt = RunRecord.from_json(json.loads(canonical_json(record.to_json())))
-        assert rebuilt.to_json() == record.to_json()
-
     def test_results_converted_once(self, monkeypatch):
         record = run(BSC_CONFIG)
         assert json_safe(record.results) == record.results
@@ -1176,6 +1171,49 @@ class TestParameterDomains:
             cli._execute(cfg)
         assert err.value.path == ["params", "tol"]
         assert str(err.value) == "tol must be positive"
+
+    # matrix rows hold numbers and atoms are [symbol sequence, weight] pairs,
+    # so a {} or null inside them is a shape error at its place
+    @pytest.mark.parametrize(
+        "args, path",
+        [
+            (["typicality", "--param", "mode=state", "--param", 'state={"dim":2,"re":[[1,{}],[0,0]]}',
+              "--param", "n=2", "--param", "alpha=2"],
+             ["params", "state", "re", 0, 1]),
+            (["resolvability", "--param", 'channel={"kind":"zero-plus"}', "--param",
+              'P={"kind":"explicit","atoms":[[[0,{}],1.0]]}', "--param", "lambda=0.6"],
+             ["params", "P", "atoms", 0, 0, 1]),
+            (["resolvability", "--param", 'channel={"kind":"zero-plus"}', "--param",
+              'P={"kind":"explicit","atoms":[[[0,1],null]]}', "--param", "lambda=0.6"],
+             ["params", "P", "atoms", 0, 1]),
+            (["qid-eval", "--param", 'channel={"kind":"zero-plus"}', "--param",
+              'code={"n":1,"entries":[{"P":[[[0],null]],"D":{"dim":2,"re":[[1,0],[0,0]]}}]}'],
+             ["params", "code", "entries", 0, "P", 0, 1]),
+        ],
+        ids=["matrix-row", "atom-symbol", "atom-weight", "code-weight"],
+    )
+    def test_malformed_item_exits_2_with_field_path(self, args, path, capsys):
+        assert cli.main(args + ["--seed", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "schema-violation"
+        assert err["path"] == path
+
+    # ragged rows are a data error: exit 3, with a message naming the rows
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["typicality", "--param", "mode=state", "--param", 'state={"dim":2,"re":[[1,0],[0]]}',
+              "--param", "n=2", "--param", "alpha=2"],
+             "ragged re: rows [1] differ in length from row 0 (2)"),
+            (["capacity", "--param", 'channel={"kind":"classical","rows":[[0.5,0.5],[1.0]]}'],
+             "ragged stochastic matrix: rows [1] differ in length from row 0 (2)"),
+        ],
+        ids=["matrix-from-json", "embed-classical"],
+    )
+    def test_ragged_rows_exit_3_naming_them(self, args, message, capsys):
+        assert cli.main(args + ["--seed", "1"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["type"], err["message"]) == ("numeric-failure", "ValueError", message)
 
 
 class TestColdStart:

@@ -11,7 +11,6 @@ from opcover.concentration import (
     MC_COMPARE_ATOMS,
     OperatorRV,
     TailReport,
-    bernstein_bound,
     chebyshev_tail,
     chernoff_tail,
     conjecture_probe,
@@ -23,8 +22,9 @@ from opcover.concentration import (
 )
 from opcover.rng import haar_unitary, make_rng, random_distribution, random_effect
 
-from oracles import (binom_tail_ge, binom_tail_le, brute_force_tail, half_integer_sum_pmf,
-                     in_operator_interval, markov_by_support_checks, per_trial_mc_tail)
+from oracles import (bernstein_bound, binom_tail_ge, binom_tail_le, brute_force_tail,
+                     half_integer_sum_pmf, in_operator_interval, markov_by_support_checks,
+                     per_trial_mc_tail)
 
 E0 = np.diag([1.0, 0.0])
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -49,19 +49,6 @@ class TestOperatorRV:
         assert rv.variance()[0, 0].real == pytest.approx(0.25)
         qubit = OperatorRV([0.5, 0.5], [E0, PLUS])
         np.testing.assert_allclose(qubit.mean(), (E0 + PLUS) / 2, atol=1e-12)
-
-    def test_convolution_mean_and_variance_add(self):
-        rng = make_rng(3)
-        a = OperatorRV([0.3, 0.7], [E0, PLUS])
-        b = OperatorRV([0.6, 0.4], [0.2 * np.eye(2), PLUS])
-        c = a.convolve(b)
-        np.testing.assert_allclose(c.mean(), a.mean() + b.mean(), atol=1e-12)
-        np.testing.assert_allclose(c.variance(), a.variance() + b.variance(), atol=1e-12)
-
-    def test_json_round_trip(self):
-        rv = OperatorRV([0.5, 0.5], [E0, PLUS])
-        back = OperatorRV.from_json(rv.to_json())
-        np.testing.assert_array_equal(back.values, rv.values)
 
 
 class TestMarkov:

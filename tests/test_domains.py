@@ -46,7 +46,7 @@ CASES = [
     ("dim", lambda: rng.random_psd(rng.make_rng(1), 0)),
     ("dim", lambda: rng.random_effect(rng.make_rng(1), 0)),
     ("dim", lambda: rng.random_density(rng.make_rng(1), -1)),
-    ("dim", lambda: rng.random_state(rng.make_rng(1), 0)),
+    ("dim", lambda: rng.random_density(rng.make_rng(1), 0)),
     ("dim", lambda: rng.random_projector(rng.make_rng(1), 0, 0)),
     ("k", lambda: rng.random_distribution(rng.make_rng(1), 0)),
     ("inputs", lambda: channels.random_channel(1, 0, 2)),

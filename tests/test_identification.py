@@ -33,7 +33,6 @@ from opcover.identification import (
     approximation_preserves_id,
     check_sequence_distribution,
     code_count_bound,
-    distributions_identical,
     evaluate_qid_code,
     quantization_resolution,
     quantize_distribution,
@@ -48,7 +47,7 @@ from opcover.identification import (
 from opcover.linalg import BoundViolation
 from opcover.rng import haar_unitary, make_rng, random_density, random_distribution, random_effect, seed_stream
 
-from oracles import assert_same_sample, dense_projector, range_basis, spectral_walk
+from oracles import assert_same_sample, dense_projector, distributions_identical, range_basis, spectral_walk
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -491,18 +490,12 @@ class TestRegularize:
         )
         assert reg.certified == expected
 
-    def test_deterministic_and_json_round_trip(self):
+    def test_deterministic(self):
         dist = random_sparse_distribution(53, 2, 3, support=4)
         first = resolvability_regularize(dist, zero_plus_channel(), 0.6, seed=47)
         second = resolvability_regularize(dist, zero_plus_channel(), 0.6, seed=47)
         assert distributions_identical(first.sparse_distribution, second.sparse_distribution)
         assert first.measured_distance == second.measured_distance
-        blob = json.dumps(first.to_json())
-        back = RegularizationResult.from_json(json.loads(blob))
-        assert distributions_identical(back.sparse_distribution, first.sparse_distribution)
-        assert back.measured_distance == first.measured_distance
-        assert back.certified == first.certified
-        assert back.K == first.K and back.L == first.L
 
     def test_per_type_rows_cover_every_type(self):
         dist = {(0, 0): 0.5, (1, 1): 0.5}
@@ -638,6 +631,13 @@ SINGLE_MEMBER_CONFIGS = [
 ]
 
 
+def _digest_id(config: dict) -> str:
+    """A digest pin's test id: command, typicality mode or law length, and seed; stable across retakes."""
+    params = config["params"]
+    detail = params.get("mode") or (f"n{params['P']['n']}" if "P" in params else None)
+    return "-".join(x for x in (config["command"], detail, f"seed{config['seed']}") if x)
+
+
 class TestSpanCompressedResolvability:
     LAWS = {
         5: lambda: uniform_distribution(2, 5),
@@ -699,7 +699,9 @@ class TestSpanCompressedResolvability:
     # became relabelings of one reference edge with one eigensolve,
     # which moved only the last bits of eta and formula_draws (2.1e-15
     # relative); the cover-sample digests were retaken when the sandwich
-    # slacks became relative ones (only the two slack fields moved); the
+    # slacks became relative ones (only the two slack fields moved), and
+    # when the always-empty excluded-vertex list left the payload (the
+    # earlier results without that key hash to the new digests); the
     # seven resolvability digests were retaken when an isometric edge
     # factor took its spectrum from its weights (eta and formula_draws
     # moved by at most 4.8e-15 relative) and pure letters got the Gram
@@ -719,10 +721,10 @@ class TestSpanCompressedResolvability:
          "523546a49cd1bbed81cb11ae09aa45b7669a05b41032d9265f84a33ccf589662"),
         ({"command": "cover-sample", "seed": 21, "params": {
             "hypergraph": {"kind": "random", "dim": 3, "num_edges": 4}, "eps": 0.3, "tau": 0.3}},
-         "cce397ff933926e6f87c453ed663a6a94ba9c11be5a58db399d3c3243af51ff5"),
+         "c3dbb361626596eb228dc67a53a42bf1677caab04022fda4996ee0c82bdba070"),
         ({"command": "cover-sample", "seed": 22, "params": {
             "hypergraph": {"kind": "random", "dim": 2, "num_edges": 3}, "eps": 0.2, "tau": 0.25}},
-         "d1eeda61cd5297b137e759dbb201becfdbae1ace0cc44ed9b0b2925255af48b7"),
+         "8b38a5a9faac4ce9d5138770b607e4911ec10abbe551780e2a0da31f6164dac7"),
         # zero-plus types take from_orbit's narrow (QR span) route, the one
         # where a lift is not the identity; taken before resolvability read
         # its draw counts off the sampler's span-coordinate core
@@ -739,7 +741,8 @@ class TestSpanCompressedResolvability:
          "1b085b4954933e9f4829f9154015c8f074f3300159621300b192ed964151eecd"),
     ]
 
-    @pytest.mark.parametrize("config, digest", RESULT_HASHES)
+    @pytest.mark.parametrize("config, digest", RESULT_HASHES,
+                             ids=[_digest_id(c) for c, _ in RESULT_HASHES])
     def test_mixed_letter_results_unchanged(self, config, digest):
         results = cli.run(config).results
         assert hashlib.sha256(cli.canonical_json(results).encode()).hexdigest() == digest
@@ -771,7 +774,8 @@ class TestSpanCompressedResolvability:
          "3aa514b33adc6cd9bb5b39055ed0e294eb0ba45f89b9dd5058786e51ec8e4436"),
     ]
 
-    @pytest.mark.parametrize("config, digest", DIAGONAL_LETTER_HASHES)
+    @pytest.mark.parametrize("config, digest", DIAGONAL_LETTER_HASHES,
+                             ids=[_digest_id(c) for c, _ in DIAGONAL_LETTER_HASHES])
     def test_diagonal_letter_results_unchanged(self, config, digest):
         results = cli.run(config).results
         assert hashlib.sha256(cli.canonical_json(results).encode()).hexdigest() == digest

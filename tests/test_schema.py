@@ -205,7 +205,7 @@ class TestSchemaSubset:
                 elif key in ("items", "if", "then"):
                     assert key == "items" or ("then" in node and "else" not in node)
                     walk(value)
-                elif key in ("allOf", "oneOf"):
+                elif key in ("allOf", "oneOf", "prefixItems"):
                     for sub in value:
                         walk(sub)
                 elif key == "type":
