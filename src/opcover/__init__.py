@@ -6,9 +6,11 @@ from .channels import (
     CQChannel,
     capacity,
     conditional_typical_projector,
+    conditional_typical_projectors,
     cross_typical_mass,
     embed_classical,
     typical_projector,
+    typical_projectors,
     typical_set,
 )
 from .cli import RunRecord, run, sweep
@@ -53,6 +55,7 @@ __all__ = [
     "chernoff_tail",
     "code_count_bound",
     "conditional_typical_projector",
+    "conditional_typical_projectors",
     "conjecture_probe",
     "covering_capacity",
     "cross_typical_mass",
@@ -69,6 +72,7 @@ __all__ = [
     "two_sided_chernoff",
     "uniform_distribution",
     "typical_projector",
+    "typical_projectors",
     "typical_set",
     "weak_law_tail",
 ]

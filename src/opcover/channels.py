@@ -16,6 +16,15 @@ Chebyshev bounds, so they hold on every instance, not just on average.
 A projector is diagonal in the product of its letter eigenbases, so it
 is stored factored (letter bases plus the admissible product-index
 mask) and no builder forms a d^n x d^n matrix.
+
+Both builders work on batches: typical_projectors takes a stack of
+states and conditional_typical_projectors a list of sequences, and the
+single-state and single-sequence builders are their one-element
+wrappers.  A batch diagonalizes its non-diagonal states in one eigh,
+reads each state's PSD decision off that same spectrum, shares the
+class counts of blocks with one eigenspace-class pattern and length,
+and stacks the running eigenvalue products, so the per-state numpy
+calls of a type-by-type loop are paid once per batch.
 """
 
 from __future__ import annotations
@@ -74,10 +83,10 @@ class CQChannel:
     def systems(self) -> tuple:
         """(eigenvalues, eigenbasis, class ids, class masses) of every letter, by symbol.
 
-        Made and checked by _factor_system on first use; every projector
-        built on this channel shares them.
+        Made and checked by _factor_systems, in one batch, on first use;
+        every projector built on this channel shares them.
         """
-        return tuple(_factor_system(w) for w in self.states)
+        return tuple(_factor_systems(self.states))
 
     @property
     def alphabet_size(self) -> int:
@@ -453,61 +462,113 @@ def typical_set(p, n: int, alpha: float) -> set:
 # Typical projectors
 
 
-def _merge_close(values) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenspace classes of a spectrum: near-equal values merge.
+def _merge_close(spectra) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Eigenspace classes of every spectrum (row) of a stack: near-equal values merge.
 
-    Returns (class id per input position, mass per class) with classes
-    numbered in ascending value order and masses clipped into [0, 1].
-    Adjacent gaps <= DEGENERACY_ATOL merge transitively.
+    Returns, per row, (class id per input position, mass per class) with
+    classes numbered in ascending value order and masses clipped into
+    [0, 1].  Adjacent gaps <= DEGENERACY_ATOL merge transitively, and a
+    class mass adds its values up in ascending order.
     """
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ids = np.empty(values.size, dtype=int)
-    masses: list[float] = []
-    prev = None
-    for idx in order:
-        if prev is None or values[idx] - prev > DEGENERACY_ATOL:
-            masses.append(0.0)
-        ids[idx] = len(masses) - 1
-        masses[-1] += float(values[idx])
-        prev = values[idx]
-    return ids, np.clip(np.asarray(masses), 0.0, 1.0)
+    spectra = np.asarray(spectra, dtype=float)
+    ids, masses, sizes = [], [], []
+    for values, order in zip(spectra.tolist(), np.argsort(spectra, axis=1, kind="stable").tolist()):
+        row, mass, prev = [0] * len(values), [], None
+        for idx in order:
+            if prev is None or values[idx] - prev > DEGENERACY_ATOL:
+                mass.append(0.0)
+            row[idx] = len(mass) - 1
+            mass[-1] += values[idx]
+            prev = values[idx]
+        ids.append(row)
+        sizes.append(len(mass))
+        masses.append(mass + [0.0] * (len(values) - len(mass)))
+    masses = np.clip(np.array(masses), 0.0, 1.0)
+    return [(i, w[:size]) for i, w, size in zip(np.array(ids, dtype=int), masses, sizes)]
 
 
-def _factor_system(state) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenbasis, class ids, class masses), the basis checked.
+def _factor_systems(states) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(eigenvalues, eigenbasis, class ids, class masses) of every Hermitian state of a stack.
 
-    The one maker of factor bases: each passes _check_factor here, once,
-    and no projector checks its factors again.  A diagonal state keeps
-    its diagonal and the standard basis np.eye(d) without an eigensolve;
-    products with an identity are exact, so downstream builders stay
-    exactly diagonal.
+    The one maker of factor bases: the whole stack passes _check_factors
+    here, once, and no projector checks its factors again.  A diagonal
+    state keeps its diagonal and the standard basis np.eye(d) without an
+    eigensolve; products with an identity are exact, so downstream
+    builders stay exactly diagonal.  All other states share one eigh.
     """
-    m = linalg.as_matrix(state)
-    diag = np.diagonal(m)
-    off = m - np.diag(diag)
-    if np.abs(off).max(initial=0.0) <= 1e-12 and np.abs(diag.imag).max(initial=0.0) <= 1e-12:
-        values, basis = diag.real.copy(), np.eye(len(diag))
+    m = np.asarray(states, dtype=np.complex128)
+    k, d = len(m), m.shape[-1]
+    diag = np.diagonal(m, axis1=1, axis2=2)
+    off = np.abs(m)
+    off.reshape(k, d * d)[:, ::d + 1] = 0.0
+    flat = ((off.max(axis=(1, 2), initial=0.0) <= 1e-12)
+            & (np.abs(diag.imag).max(axis=1, initial=0.0) <= 1e-12))
+    if flat.any():
+        values = diag.real.copy()
+        checked = np.zeros((k, d, d), dtype=np.complex128)
+        checked[:, range(d), range(d)] = 1.0
+        if not flat.all():
+            values[~flat], checked[~flat] = linalg.eigh(m[~flat])
     else:
-        values, basis = linalg.eigh(m)
-    _check_factor(basis, values, m)
-    ids, masses = _merge_close(values)
-    return values, basis, ids, masses
+        values, checked = linalg.eigh(m)
+    _check_factors(checked, values, m)
+    return [
+        (v, np.eye(d) if is_flat else u, ids, masses)
+        for v, u, is_flat, (ids, masses) in zip(values, checked, flat.tolist(), _merge_close(values))
+    ]
 
 
-def _check_factor(basis, values, letter) -> None:
-    """A factor basis must be unitary and diagonalize its letter state."""
-    w = linalg.as_matrix(letter)
-    d = w.shape[0]
-    if np.shape(values) != (d,):
+def _check_factors(bases, values, letters) -> None:
+    """Factor bases must be unitary and diagonalize their letter states: a stack, in one batch."""
+    w = np.asarray(letters)
+    if w.ndim != 3 or w.shape[1] != w.shape[2]:
+        raise ValueError("letter states must be a stack of square matrices")
+    k, d = w.shape[:2]
+    if np.shape(values) != (k, d):
         raise ValueError("factor spectrum length must match the letter dimension")
-    u = np.asarray(basis)
-    if u.shape != (d, d):
+    u = np.asarray(bases)
+    if u.shape != (k, d, d):
         raise ValueError("factor basis must be square of the letter dimension")
-    if np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-10:
+    if np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(d)).max(initial=0.0) > 1e-10:
         raise ValueError("factor basis is not unitary within 1e-10")
-    if linalg.frobenius(w @ u - u * values) > 1e-9:
+    if np.linalg.norm(w @ u - u * values[:, None, :], axis=(1, 2)).max(initial=0.0) > 1e-9:
         raise ValueError("factor basis does not diagonalize its letter state within 1e-9")
+
+
+def _density_systems(states) -> list:
+    """_factor_systems of a stack of density operators, each checked as require_density does.
+
+    Every state must be Hermitian within HERM_TOL, of trace 1 within
+    1e-9 and PSD at linalg.spectral_tolerance; the PSD decision reads the
+    spectrum the eigensolve of _factor_systems takes anyway, so a state
+    costs one eigensolve.  The first failing state raises the message of
+    the first check it fails, as a loop of require_density would.
+    """
+    raw = np.asarray(states, dtype=np.complex128)
+    if raw.ndim != 3 or raw.shape[1] != raw.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {raw.shape}")
+    adjoint = raw.conj().swapaxes(1, 2)
+    scale = np.maximum(1.0, np.abs(raw).max(axis=(1, 2), initial=0.0))
+    hermitian = np.abs(raw - adjoint).max(axis=(1, 2), initial=0.0) <= linalg.HERM_TOL * scale
+    m = (raw + adjoint) / 2  # linalg.hermitize
+    traces = np.trace(m, axis1=1, axis2=2).real
+    # written so that, as in require_density, only a trace off by more than 1e-9 fails
+    unit = ~(np.abs(traces - 1.0) > 1e-9)
+    ok = hermitian & unit
+    head = len(m) if ok.all() else int(np.argmin(ok))
+    systems = []
+    if head:
+        systems = _factor_systems(m[:head])
+        spectra = np.array([s[0] for s in systems])
+        ok[:head] &= spectra.min(axis=1) >= -linalg.spectral_tolerance(spectra)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if not hermitian[i]:
+            raise ValueError(f"rho is not Hermitian within {linalg.HERM_TOL}")
+        if not unit[i]:
+            raise ValueError(f"rho has trace {float(traces[i])}, expected 1")
+        raise ValueError("rho has a negative eigenvalue beyond tolerance")
+    return systems
 
 
 @dataclass(frozen=True)
@@ -527,7 +588,7 @@ class TypicalProjector:
 
     Validation is factored and runs at every size: factor bases were
     checked unitary and diagonalizing where they were made
-    (_factor_system), and an in-range increasing mask makes the product
+    (_factor_systems), and an in-range increasing mask makes the product
     projector Hermitian, idempotent and commuting with the reference
     state.  No dense dim x dim projector is ever built.
     """
@@ -583,38 +644,63 @@ class TypicalProjector:
 
 
 def _product_mask(values, ids, m: int, targets, widths) -> tuple[np.ndarray, np.ndarray]:
-    """Admissible eigenvectors of m copies of one letter and their reference eigenvalues.
+    """_product_masks of one block."""
+    return _product_masks([(values, ids, m, targets, widths)])[0]
 
-    A product eigenvector is admissible when, for every eigenspace class
-    c, the count of its m digits in class c (by `ids`) lies within
-    widths[c] of targets[c].  Flat indices run over mixed-radix digit
-    arrays, first factor most significant.  Returns (ascending flat
-    indices, eigenvalue products), each product a running product of
-    the clipped eigenvalues in factor order.
 
-    No m x a^m digit array is formed.  The class counts are built in
-    the smallest unsigned dtype that holds m (_class_counts), for up to
-    COUNT_BLOCK_ENTRIES // a^m classes at once.  The running products
-    grow one digit position at a time, as the outer product of the
-    products so far with the next factor's values, over every index;
-    the admissible ones are picked at the end.
+def _product_masks(blocks) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Admissible eigenvectors of m copies of a letter and their reference eigenvalues, per block.
+
+    A block is (values, ids, m, targets, widths).  A product eigenvector
+    is admissible when, for every eigenspace class c, the count of its m
+    digits in class c (by `ids`) lies within widths[c] of targets[c].
+    Flat indices run over mixed-radix digit arrays, first factor most
+    significant.  Returns, per block, (ascending flat indices,
+    eigenvalue products), each product a running product of the clipped
+    eigenvalues in factor order.
+
+    No m x a^m digit array is formed.  Blocks of one class-id pattern
+    and length are done together: they share their class counts, built
+    in the smallest unsigned dtype that holds m (_class_counts) for up
+    to COUNT_BLOCK_ENTRIES // a^m classes at once, look their windows up
+    in one stacked read, and grow their running products together, one
+    digit position at a time, as the outer product of the products so
+    far with the next factor's values, over every index; the admissible
+    ones are picked at the end.  A stacked step holds at most
+    COUNT_BLOCK_ENTRIES entries, or one block's.
     """
-    values, ids = np.asarray(values, dtype=float), np.asarray(ids)
-    size = len(values) ** m
-    count_dtype = np.min_scalar_type(m)
-    # allowed[c, j]: j digits in class c lie within its window
-    allowed = np.abs(np.arange(m + 1) - targets[:, None]) <= widths[:, None]
-    ok = np.ones(size, dtype=bool)
-    group = max(1, COUNT_BLOCK_ENTRIES // size)
-    for lo in range(0, len(allowed), group):
-        classes = np.arange(lo, min(lo + group, len(allowed)))[:, None]
-        ok &= allowed[classes, _class_counts((ids == classes).astype(count_dtype), m)].all(axis=0)
-    clipped = np.where(values > 0.0, values, 0.0)
-    probs = np.ones(1)
-    for _ in range(m):
-        probs = (probs[:, None] * clipped).ravel()
-    mask = np.flatnonzero(ok)
-    return mask, probs[mask]
+    out = [None] * len(blocks)
+    patterns: dict = {}
+    for i, (_, ids, m, _, _) in enumerate(blocks):
+        patterns.setdefault((tuple(np.asarray(ids).tolist()), m), []).append(i)
+    for (pattern, m), members in patterns.items():
+        ids, size, count = np.array(pattern), len(pattern) ** m, len(members)
+        targets = np.array([blocks[i][3] for i in members])
+        widths = np.array([blocks[i][4] for i in members])
+        # allowed[b, c * (m + 1) + j]: j digits in class c lie within block b's window
+        allowed = np.abs(np.arange(m + 1) - targets[:, :, None]) <= widths[:, :, None]
+        num_classes, allowed = allowed.shape[1], allowed.reshape(count, -1)
+        ok = np.ones((count, size), dtype=bool)
+        group = max(1, COUNT_BLOCK_ENTRIES // size)
+        for lo in range(0, num_classes, group):
+            classes = np.arange(lo, min(lo + group, num_classes))[:, None]
+            hits = (ids == classes).astype(np.min_scalar_type(m))
+            index = classes * (m + 1) + _class_counts(hits, m)
+            step = max(1, COUNT_BLOCK_ENTRIES // index.size)
+            for b in range(0, count, step):
+                ok[b:b + step] &= allowed[b:b + step].take(index, axis=1).all(axis=1)
+        values = np.array([blocks[i][0] for i in members], dtype=float)
+        factors = np.where(values > 0.0, values, 0.0)[:, None, :]
+        step = max(1, COUNT_BLOCK_ENTRIES // size)
+        for lo in range(0, count, step):
+            rows = min(step, count - lo)
+            probs = np.ones((rows, 1))
+            for _ in range(m):
+                probs = (probs[:, :, None] * factors[lo:lo + rows]).reshape(rows, -1)
+            for i, row, keep in zip(members[lo:lo + rows], probs, ok[lo:lo + rows]):
+                mask = np.flatnonzero(keep)
+                out[i] = mask, row[mask]
+    return out
 
 
 def _class_counts(hits: np.ndarray, m: int) -> np.ndarray:
@@ -636,15 +722,6 @@ def _class_counts(hits: np.ndarray, m: int) -> np.ndarray:
         if not m:
             return counts
         block = outer(block, block)
-
-
-def _running_product(factor_values, digits) -> np.ndarray:
-    """Product over factors, in factor order, of the clipped eigenvalue each digit picks."""
-    probs = np.ones(len(digits[0]))
-    for values, k in zip(factor_values, digits):
-        values = np.asarray(values, dtype=float)
-        probs = probs * np.where(values > 0.0, values, 0.0)[k]
-    return probs
 
 
 def _window(masses, n_block: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -681,90 +758,169 @@ def _exponent_report(probs, n, entropy_bits, denom) -> dict:
 
 
 def typical_projector(rho, n: int, alpha: float) -> TypicalProjector:
-    """Projector onto typical product eigenvectors of rho^(x n).
+    """Projector onto typical product eigenvectors of rho^(x n): typical_projectors of one state."""
+    return typical_projectors(linalg.as_matrix(rho)[None], n, alpha)[0]
+
+
+def typical_projectors(states, n: int, alpha: float) -> list[TypicalProjector]:
+    """Projectors onto typical product eigenvectors of rho^(x n), one per state of a stack.
 
     Eigenvalues of rho merge into eigenspace classes; a product
     eigenvector survives when its class occupation counts are all
     within alpha deviations.  The retained reference mass is at least
-    1 - d/alpha^2.
+    1 - d/alpha^2.  Every state is checked as a density operator, its
+    PSD decision read off its eigensolve (_density_systems); the batch
+    shares one eigensolve, the class counts and the stacked running
+    products (_product_masks).
     """
-    rho = linalg.require_density(rho)
-    d = rho.shape[0]
+    states = np.asarray(states, dtype=np.complex128)
+    systems = _density_systems(states)
+    d = states.shape[-1]
     _check_build_size(d, n, alpha)
-    values, basis, ids, masses = _factor_system(rho)
-    targets, widths = _window(masses, n, alpha)
-    mask, probs = _product_mask(values, ids, n, targets, widths)
+    built = _product_masks([(values, ids, n, *_window(masses, n, alpha))
+                            for values, _, ids, masses in systems])
     bound = 1.0 - d / alpha**2 if alpha > 0.0 else -math.inf
-    entropy = linalg.shannon_entropy(np.clip(values, 0.0, 1.0))
-    details = _exponent_report(probs, n, entropy, d * alpha * math.sqrt(n))
-    details["class_masses"] = masses.tolist()
-    return TypicalProjector(
-        factor_bases=(basis,) * n,
-        factor_values=(values,) * n,
-        mask=mask,
-        probs=probs,
-        alpha=float(alpha),
-        sequence=None,
-        mass_bound=bound,
-        details=details,
-    )
+    out = []
+    for (values, basis, _, masses), (mask, probs) in zip(systems, built):
+        entropy = linalg.shannon_entropy(np.clip(values, 0.0, 1.0))
+        details = _exponent_report(probs, n, entropy, d * alpha * math.sqrt(n))
+        details["class_masses"] = masses.tolist()
+        out.append(TypicalProjector(
+            factor_bases=(basis,) * n,
+            factor_values=(values,) * n,
+            mask=mask,
+            probs=probs,
+            alpha=float(alpha),
+            sequence=None,
+            mass_bound=bound,
+            details=details,
+        ))
+    return out
 
 
 def conditional_typical_projector(channel: CQChannel, xn, alpha: float) -> TypicalProjector:
     """Projector onto jointly typical eigenvectors of a product output.
+
+    conditional_typical_projectors of one sequence.
+    """
+    return conditional_typical_projectors(channel, [xn], alpha)[0]
+
+
+def conditional_typical_projectors(
+    channel: CQChannel, sequences, alpha: float
+) -> list[TypicalProjector]:
+    """Projectors onto jointly typical eigenvectors of product outputs, one per sequence.
 
     Tensor factors group into blocks by input symbol; each block gets
     the unconditional construction for its letter state at deviation
     alpha, and the blocks tensor together: the range is every choice
     of one admissible vector per block.  The retained mass is at least
     1 - a*d/alpha^2 by a union bound over blocks.  The letter
-    eigensystems are the channel's own `systems`.
+    eigensystems are the channel's own `systems`.  The batch builds one
+    block per distinct (symbol, block length) (_product_masks), and the
+    sequences of one length take their running products together
+    (_sequence_products).
     """
-    xn = _check_sequence(xn, channel.alphabet_size)
-    n = len(xn)
     d = channel.dim
-    _check_build_size(d, n, alpha, "sequence")
-    symbols = sorted(set(xn))
+    seqs = []
+    for xn in sequences:
+        xn = _check_sequence(xn, channel.alphabet_size)
+        _check_build_size(d, len(xn), alpha, "sequence")
+        seqs.append(xn)
     systems = channel.systems
-    strides = d ** np.arange(n - 1, -1, -1, dtype=np.intp)
-    mask = np.zeros(1, dtype=np.intp)
-    block_details = []
-    entropy = 0.0
-    for x in symbols:
-        values, _, ids, masses = systems[x]
-        positions = [i for i, s in enumerate(xn) if s == x]
-        targets, widths = _window(masses, len(positions), alpha)
-        entropy += len(positions) / n * linalg.shannon_entropy(np.clip(values, 0.0, 1.0))
-        bmask, bprobs = _product_mask(values, ids, len(positions), targets, widths)
-        # the admissible set factorizes across blocks: each block's digits
-        # land on its positions, the outer sum over blocks lists every
-        # admissible index once, and the block masses multiply to trace_mass
-        bdigits = np.array(np.unravel_index(bmask, (d,) * len(positions)))
-        mask = (mask[:, None] + strides[positions] @ bdigits).ravel()
-        block_details.append(
-            {
-                "symbol": x,
-                "length": len(positions),
-                "class_masses": masses.tolist(),
-                "block_mass": math.fsum(bprobs),
-            }
-        )
-    mask = np.sort(mask)
-    probs = _running_product([systems[x][0] for x in xn], np.unravel_index(mask, (d,) * n))
+    # positions of each symbol, by ascending symbol, per sequence
+    layouts = [{x: [i for i, s in enumerate(xn) if s == x] for x in sorted(set(xn))} for xn in seqs]
+    keys = sorted({(x, len(positions)) for layout in layouts for x, positions in layout.items()})
+    blocks = dict(zip(keys, _product_masks([
+        (systems[x][0], systems[x][2], m, *_window(systems[x][3], m, alpha)) for x, m in keys
+    ])))
+    entropies = {x: linalg.shannon_entropy(np.clip(systems[x][0], 0.0, 1.0)) for x, _ in keys}
+    masks, reports = [], []
+    for xn, layout in zip(seqs, layouts):
+        n = len(xn)
+        strides = d ** np.arange(n - 1, -1, -1, dtype=np.intp)
+        mask = np.zeros(1, dtype=np.intp)
+        block_details = []
+        entropy = 0.0
+        for x, positions in layout.items():
+            bmask, bprobs = blocks[x, len(positions)]
+            entropy += len(positions) / n * entropies[x]
+            # the admissible set factorizes across blocks: each block's digits
+            # land on its positions, the outer sum over blocks lists every
+            # admissible index once, and the block masses multiply to trace_mass
+            bdigits = np.array(np.unravel_index(bmask, (d,) * len(positions)))
+            mask = (mask[:, None] + strides[positions] @ bdigits).ravel()
+            block_details.append(
+                {
+                    "symbol": x,
+                    "length": len(positions),
+                    "class_masses": systems[x][3].tolist(),
+                    "block_mass": math.fsum(bprobs),
+                }
+            )
+        masks.append(np.sort(mask))
+        reports.append((entropy, block_details))
+
     a = channel.alphabet_size
     bound = 1.0 - a * d / alpha**2 if alpha > 0.0 else -math.inf
-    details = _exponent_report(probs, n, entropy, d * a * alpha * math.sqrt(n))
-    details["blocks"] = block_details
-    return TypicalProjector(
-        factor_bases=tuple(systems[x][1] for x in xn),
-        factor_values=tuple(systems[x][0] for x in xn),
-        mask=mask,
-        probs=probs,
-        alpha=float(alpha),
-        sequence=xn,
-        mass_bound=bound,
-        details=details,
-    )
+    out = []
+    for xn, mask, probs, (entropy, block_details) in zip(
+            seqs, masks, _sequence_products(systems, seqs, masks), reports):
+        n = len(xn)
+        details = _exponent_report(probs, n, entropy, d * a * alpha * math.sqrt(n))
+        details["blocks"] = block_details
+        out.append(TypicalProjector(
+            factor_bases=tuple(systems[x][1] for x in xn),
+            factor_values=tuple(systems[x][0] for x in xn),
+            mask=mask,
+            probs=probs,
+            alpha=float(alpha),
+            sequence=xn,
+            mass_bound=bound,
+            details=details,
+        ))
+    return out
+
+
+def _sequence_products(systems, seqs, masks) -> list[np.ndarray]:
+    """Per sequence, the running product in factor order of the clipped eigenvalues its mask picks.
+
+    Sequences of one length multiply together, one position at a time,
+    with at most COUNT_BLOCK_ENTRIES mask digits (or one mask's) at once.
+    """
+    d = len(systems[0][0])
+    table = np.array([np.where(v > 0.0, v, 0.0) for v, *_ in systems])
+    out = [None] * len(seqs)
+    lengths: dict = {}
+    for j, xn in enumerate(seqs):
+        lengths.setdefault(len(xn), []).append(j)
+    for n, members in lengths.items():
+        for chunk in _runs(members, [masks[j].size * n for j in members], COUNT_BLOCK_ENTRIES):
+            sizes = [masks[j].size for j in chunk]
+            owner = np.repeat(np.arange(len(chunk)), sizes)
+            # lookup[s, i]: the clipped eigenvalues of letter i of chunk sequence s
+            lookup = table[[seqs[j] for j in chunk]]
+            probs = np.ones(sum(sizes))
+            digits = np.unravel_index(np.concatenate([masks[j] for j in chunk]), (d,) * n)
+            for i, digit in enumerate(digits):
+                probs = probs * lookup[:, i][owner, digit]
+            start = 0
+            for j, size in zip(chunk, sizes):
+                out[j], start = probs[start:start + size], start + size
+    return out
+
+
+def _runs(items, sizes, budget: int):
+    """Consecutive runs of items whose sizes add up to at most budget, or single items."""
+    run, total = [], 0
+    for item, size in zip(items, sizes):
+        if run and total + size > budget:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += size
+    if run:
+        yield run
 
 
 def range_permutation(proj: TypicalProjector, xns, ys) -> np.ndarray:

@@ -89,13 +89,28 @@ class ConfigError(ValueError):
 # canonical serialization
 
 
+# types json_safe returns unchanged when an object is exactly of one of them
+_PLAIN_TYPES = frozenset((str, int, bool, type(None)))
+
+
 def json_safe(obj):
     """Recursively convert to types json.dumps handles deterministically.
 
     Non-finite floats become the strings "inf" / "-inf" / "nan" since
     bare JSON has no encoding for them; Fractions stringify exactly;
     numpy scalars and arrays collapse to Python numbers and lists.
+    The exact built-in types come first, so a payload of plain values
+    takes one type lookup per node; everything else (Fractions, numpy
+    values, non-finite floats, subclasses, non-string keys) goes through
+    the isinstance chain below.
     """
+    kind = type(obj)
+    if kind in _PLAIN_TYPES or (kind is float and math.isfinite(obj)):
+        return obj
+    if kind is list or kind is tuple:
+        return [json_safe(v) for v in obj]
+    if kind is dict and all(type(k) is str for k in obj):
+        return {k: json_safe(v) for k, v in obj.items()}
     if isinstance(obj, dict):
         return {str(k): json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

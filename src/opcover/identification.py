@@ -27,13 +27,13 @@ from . import linalg
 from .channels import (
     CQChannel,
     TypicalProjector,
-    conditional_typical_projector,
+    conditional_typical_projectors,
     output_state,
     product_mixture,
     range_permutation,
     tensor_output,
     type_enumerate,
-    typical_projector,
+    typical_projectors,
 )
 from .covering import QuantumHypergraph, SamplingExhausted, sample_family
 from .linalg import MAX_SEQUENCE_SPACE, MAX_TENSOR_DIM, DomainError
@@ -414,10 +414,13 @@ def resolvability_regularize(
     to multiples of 1/K; remix.  A type's sequences are rearrangements
     of its sorted sequence, and the mixture projector's range is
     invariant under moving tensor factors, so each member's sandwiched
-    edge is the sorted sequence's with rows and columns relabeled: per
-    type one conditional projector and one edge factor, whose spectrum
-    is its weights when the mixture projector is the whole space (an
-    isometric factor) and one eigensolve otherwise; the members are
+    edge is the sorted sequence's with rows and columns relabeled: all
+    active types' mixture projectors, and their sorted sequences'
+    conditional projectors, come from two batched builds
+    (channels.typical_projectors, conditional_typical_projectors), and
+    per type there is one edge factor, whose spectrum is its weights
+    when the mixture projector is the whole space (an isometric factor)
+    and one eigensolve otherwise; the members are
     index permutations, found by one range_permutation call per type
     (QuantumHypergraph.from_orbit).  A type with a single member is a
     point mass: its graph is still built (eta, range_dim and the draw
@@ -482,27 +485,31 @@ def resolvability_regularize(
     linalg.check_bound("type quantization moved mass over the lambda/3 budget",
                        quantization_tv, lam_exact / 3)
 
-    sqrt_a = math.sqrt(a)
+    # every active type's mixture projector and sorted-sequence reference
+    # projector, each kind built in one batch
+    live = [i for i in range(len(types)) if quantized[i] != 0]
+    mix_projs = typical_projectors(
+        [output_state(types[i].probabilities(), channel) for i in live], n, alpha * math.sqrt(a)
+    )
+    refs = conditional_typical_projectors(
+        channel, [[x for x, c in enumerate(types[i].counts) for _ in range(c)] for i in live], alpha
+    )
     active, graphs, ps = [], [], []
-    for i, t in enumerate(types):
-        if quantized[i] == 0:
-            continue
-        cond = classes[t.counts][1]
+    for k, i in enumerate(live):
+        # a type's projectors, and the digits they cache, go once its graph is built
+        mix_proj, ref = mix_projs[k], refs[k]
+        mix_projs[k] = refs[k] = None
+        cond = classes[types[i].counts][1]
         seqs = sorted(cond)
-        mixture = output_state(t.probabilities(), channel)
-        mix_proj = typical_projector(mixture, n, alpha * sqrt_a)
         if mix_proj.rank == 0:
             raise DomainError("mixture typical projector has empty range; alpha too small", "alpha")
         v_mix = mix_proj.factor_bases[0]
         overlaps = [v_mix.conj().T @ basis for _, basis, _, _ in channel.systems]
         # the type's members are rearrangements of its sorted sequence ref,
         # and the mixture range is invariant under moving factors: each
-        # member's edge factor is ref's with its rows relabeled
-        ref = conditional_typical_projector(
-            channel, [x for x, c in enumerate(t.counts) for _ in range(c)], alpha
-        )
-        # the type's edge stack, m x s x s with from_orbit's span width s,
-        # is refused before it is allocated
+        # member's edge factor is ref's with its rows relabeled; the type's
+        # edge stack, m x s x s with from_orbit's span width s, is refused
+        # before it is allocated
         width = len(seqs) * ref.rank
         linalg.require_matrices(width if 0 < width < mix_proj.rank else mix_proj.rank, len(seqs), "P")
         graph = QuantumHypergraph.from_orbit(

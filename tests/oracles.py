@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import comb, floor, log, log2, sqrt
+from math import comb, floor, fsum, log, log2, sqrt
 
 import numpy as np
 from scipy.optimize import linprog
@@ -586,3 +586,146 @@ def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     return np.outer(v, v.conj())
+
+
+# ---------------------------------------------------------------------------
+# Typical projectors built one state at a time: the batched builders of
+# opcover.channels must reproduce these bit for bit.  Each state takes its
+# own density checks, eigensolve, factor check, eigenspace classes, class
+# counts and running products; only the window, the exponent report, the
+# size checks and TypicalProjector are shared with the library.
+
+
+def _per_state_classes(values):
+    from opcover.channels import DEGENERACY_ATOL
+
+    values = np.asarray(values, dtype=float)
+    ids = np.empty(values.size, dtype=int)
+    masses: list[float] = []
+    prev = None
+    for idx in np.argsort(values, kind="stable"):
+        if prev is None or values[idx] - prev > DEGENERACY_ATOL:
+            masses.append(0.0)
+        ids[idx] = len(masses) - 1
+        masses[-1] += float(values[idx])
+        prev = values[idx]
+    return ids, np.clip(np.asarray(masses), 0.0, 1.0)
+
+
+def _per_state_system(state):
+    from opcover import linalg
+
+    m = linalg.as_matrix(state)
+    diag = np.diagonal(m)
+    off = m - np.diag(diag)
+    if np.abs(off).max(initial=0.0) <= 1e-12 and np.abs(diag.imag).max(initial=0.0) <= 1e-12:
+        values, basis = diag.real.copy(), np.eye(len(diag))
+    else:
+        values, basis = linalg.eigh(m)
+    d = m.shape[0]
+    if np.abs(basis.conj().T @ basis - np.eye(d)).max() > 1e-10:
+        raise ValueError("factor basis is not unitary within 1e-10")
+    if linalg.frobenius(m @ basis - basis * values) > 1e-9:
+        raise ValueError("factor basis does not diagonalize its letter state within 1e-9")
+    ids, masses = _per_state_classes(values)
+    return values, basis, ids, masses
+
+
+def _per_state_class_counts(hits, m):
+    def outer(head, tail):
+        return (head[:, :, None] + tail[:, None, :]).reshape(len(hits), -1)
+
+    counts, block = np.zeros((len(hits), 1), dtype=hits.dtype), hits
+    while True:
+        if m & 1:
+            counts = outer(counts, block)
+        m >>= 1
+        if not m:
+            return counts
+        block = outer(block, block)
+
+
+def per_state_product_mask(values, ids, m, targets, widths):
+    """Admissible flat indices of one block and their running eigenvalue products."""
+    from opcover.channels import COUNT_BLOCK_ENTRIES
+
+    values, ids = np.asarray(values, dtype=float), np.asarray(ids)
+    size = len(values) ** m
+    count_dtype = np.min_scalar_type(m)
+    allowed = np.abs(np.arange(m + 1) - targets[:, None]) <= widths[:, None]
+    ok = np.ones(size, dtype=bool)
+    group = max(1, COUNT_BLOCK_ENTRIES // size)
+    for lo in range(0, len(allowed), group):
+        classes = np.arange(lo, min(lo + group, len(allowed)))[:, None]
+        ok &= allowed[classes, _per_state_class_counts((ids == classes).astype(count_dtype), m)].all(axis=0)
+    clipped = np.where(values > 0.0, values, 0.0)
+    probs = np.ones(1)
+    for _ in range(m):
+        probs = (probs[:, None] * clipped).ravel()
+    mask = np.flatnonzero(ok)
+    return mask, probs[mask]
+
+
+def per_state_typical_projector(rho, n: int, alpha: float):
+    """One state's frequency-typical projector, built on its own."""
+    from opcover import linalg
+    from opcover.channels import TypicalProjector, _check_build_size, _exponent_report, _window
+
+    rho = linalg.require_density(rho)
+    d = rho.shape[0]
+    _check_build_size(d, n, alpha)
+    values, basis, ids, masses = _per_state_system(rho)
+    targets, widths = _window(masses, n, alpha)
+    mask, probs = per_state_product_mask(values, ids, n, targets, widths)
+    bound = 1.0 - d / alpha**2 if alpha > 0.0 else -np.inf
+    entropy = linalg.shannon_entropy(np.clip(values, 0.0, 1.0))
+    details = _exponent_report(probs, n, entropy, d * alpha * sqrt(n))
+    details["class_masses"] = masses.tolist()
+    return TypicalProjector(factor_bases=(basis,) * n, factor_values=(values,) * n, mask=mask,
+                            probs=probs, alpha=float(alpha), sequence=None, mass_bound=bound,
+                            details=details)
+
+
+def per_state_conditional_typical_projector(channel, xn, alpha: float):
+    """One sequence's conditional typical projector, its letters diagonalized one by one."""
+    from opcover import linalg
+    from opcover.channels import (
+        TypicalProjector,
+        _check_build_size,
+        _check_sequence,
+        _exponent_report,
+        _window,
+    )
+
+    xn = _check_sequence(xn, channel.alphabet_size)
+    n = len(xn)
+    d = channel.dim
+    _check_build_size(d, n, alpha, "sequence")
+    systems = {x: _per_state_system(channel.states[x]) for x in sorted(set(xn))}
+    strides = d ** np.arange(n - 1, -1, -1, dtype=np.intp)
+    mask = np.zeros(1, dtype=np.intp)
+    block_details = []
+    entropy = 0.0
+    for x in sorted(set(xn)):
+        values, _, ids, masses = systems[x]
+        positions = [i for i, s in enumerate(xn) if s == x]
+        targets, widths = _window(masses, len(positions), alpha)
+        entropy += len(positions) / n * linalg.shannon_entropy(np.clip(values, 0.0, 1.0))
+        bmask, bprobs = per_state_product_mask(values, ids, len(positions), targets, widths)
+        bdigits = np.array(np.unravel_index(bmask, (d,) * len(positions)))
+        mask = (mask[:, None] + strides[positions] @ bdigits).ravel()
+        block_details.append({"symbol": x, "length": len(positions),
+                              "class_masses": masses.tolist(), "block_mass": fsum(bprobs)})
+    mask = np.sort(mask)
+    probs = np.ones(mask.size)
+    for x, k in zip(xn, np.unravel_index(mask, (d,) * n)):
+        values = np.asarray(systems[x][0], dtype=float)
+        probs = probs * np.where(values > 0.0, values, 0.0)[k]
+    a = channel.alphabet_size
+    bound = 1.0 - a * d / alpha**2 if alpha > 0.0 else -np.inf
+    details = _exponent_report(probs, n, entropy, d * a * alpha * sqrt(n))
+    details["blocks"] = block_details
+    return TypicalProjector(factor_bases=tuple(systems[x][1] for x in xn),
+                            factor_values=tuple(systems[x][0] for x in xn), mask=mask,
+                            probs=probs, alpha=float(alpha), sequence=xn, mass_bound=bound,
+                            details=details)

@@ -38,6 +38,9 @@ from opcover.concentration import (
 from opcover.covering import (
     QuantumHypergraph,
     covering_capacity,
+    covering_randomized,
+    covering_size_bounds,
+    is_covering,
     product_covering_table,
     quantum_covering_sample,
     random_hypergraph,
@@ -485,3 +488,37 @@ def test_12_harness_determinism(monkeypatch):
             records, text = cli.sweep(template, "params.n_values", [[1], [2], [3]])
             outputs.append((text, [cli.canonical_json(r.results) for r in records]))
         assert outputs[0] == outputs[1]
+
+
+def test_13_randomized_covering_lemma():
+    start = time.perf_counter()
+    with criterion(13, "randomized covering: i.i.d. draws cover, within the mixture size bound"):
+        within = 0
+        for i, seed in enumerate(spawn_seeds(965, 40)):
+            rng = make_rng(seed)
+            dim, k = 2 + i % 2, 2 + i % 3
+            if i % 2 == 0:
+                g = random_hypergraph(seed, dim, k)
+            else:
+                g = QuantumHypergraph(dim, [random_projector(rng, dim, 1 + j % dim) for j in range(k)], 1.0)
+            p = np.full(k, 1.0 / k) if i % 4 < 2 else random_distribution(rng, k)
+            mix = sum(w * e for w, e in zip(p, g.edges))
+            mu = float(np.linalg.eigvalsh(linalg.hermitize(mix))[0])
+            result = covering_randomized(g, p, seed)
+            drawn = [e for e, c in sorted(result.edge_multiplicities.items()) for _ in range(c)]
+            assert len(drawn) == result.num_draws
+            assert is_covering(g, drawn)
+            # independently: the drawn edges sum above the identity
+            total = sum(g.edges[e] for e in drawn)
+            assert float(np.linalg.eigvalsh(linalg.hermitize(total - np.eye(dim)))[0]) >= -1e-9
+            # the size guarantee, recomputed from the mixture's least eigenvalue
+            bounds = covering_size_bounds(g, p)
+            assert bounds["min_eig"] == pytest.approx(1.0 + 8.0 * LN2 * math.log2(dim) / mu, rel=1e-9)
+            if not result.beyond_bound:
+                within += 1
+                assert result.num_draws <= bounds["min_eig"]
+            if i % 4 < 2:
+                assert bounds["uniform_degree"] == pytest.approx(bounds["min_eig"], rel=1e-9)
+        assert within >= 30
+        elapsed = time.perf_counter() - start
+        assert elapsed < 60.0, f"took {elapsed:.1f}s"

@@ -13,6 +13,7 @@ from opcover.channels import (
     EmpiricalDistribution,
     capacity,
     conditional_typical_projector,
+    conditional_typical_projectors,
     cross_typical_mass,
     embed_classical,
     output_state,
@@ -21,12 +22,14 @@ from opcover.channels import (
     tensor_output,
     type_enumerate,
     typical_projector,
+    typical_projectors,
     typical_set,
 )
 from opcover.rng import make_rng, random_density, random_distribution, spawn_seeds
 
 from oracles import (blahut_arimoto_capacity, classical_capacity_oracle,
                      conditional_mask_all_factors, dense_mixture, dense_projector, holevo_information,
+                     per_state_conditional_typical_projector, per_state_typical_projector,
                      random_state, range_basis, range_permutation_one_sequence, type_class_size,
                      typical_set_by_loop)
 
@@ -647,13 +650,13 @@ class TestLetterSystems:
 
     def test_one_eigensystem_per_letter_per_channel(self, monkeypatch):
         calls = []
-        make = channels._factor_system
+        make = channels._factor_systems
 
-        def spy(state):
-            calls.append(state)
-            return make(state)
+        def spy(states):
+            calls.extend(states)
+            return make(states)
 
-        monkeypatch.setattr(channels, "_factor_system", spy)
+        monkeypatch.setattr(channels, "_factor_systems", spy)
         ch = CQChannel(self.STATES)
         capacity(ch)
         assert calls == []  # the density checks and capacity make no eigensystem
@@ -737,7 +740,7 @@ class TestFactoredProjector:
         diag = typical_projector(np.diag([0.7, 0.3]), 3, 2.0)
         assert all(np.array_equal(b, np.eye(2)) for b in diag.factor_bases)
         with pytest.raises(ValueError, match="diagonalize"):
-            channels._check_factor(np.eye(2), np.array([0.3, 0.7]), np.diag([0.7, 0.3]))
+            channels._check_factors(np.eye(2)[None], np.array([[0.3, 0.7]]), np.diag([0.7, 0.3])[None])
 
     def test_mask_must_increase_inside_dim(self):
         proj = typical_projector(np.diag([0.7, 0.3]), 3, 1e9)
@@ -777,13 +780,13 @@ class TestFactoredProjector:
 
     def test_one_block_mask_per_distinct_symbol(self, monkeypatch):
         calls = []
-        build = channels._product_mask
+        build = channels._product_masks
 
-        def spy(values, ids, m, targets, widths):
-            calls.append(m)
-            return build(values, ids, m, targets, widths)
+        def spy(blocks):
+            calls.extend(m for _, _, m, _, _ in blocks)
+            return build(blocks)
 
-        monkeypatch.setattr(channels, "_product_mask", spy)
+        monkeypatch.setattr(channels, "_product_masks", spy)
         ch = channels.random_channel(79, 3, 2)
         conditional_typical_projector(ch, (2, 0, 2, 2, 1, 0, 2), 2.0)
         assert sorted(calls) == [1, 2, 4]
@@ -801,7 +804,7 @@ class TestFactoredProjector:
             if i % 4 == 0:
                 values[-1] = -1e-17  # clipped to zero in the products
             alpha = float(rng.uniform(0.0, 3.0))
-            ids, masses = channels._merge_close(values)
+            [(ids, masses)] = channels._merge_close(values[None])
             mask, probs = channels._product_mask(values, ids, m, *channels._window(masses, m, alpha))
             systems = {0: (values, np.eye(a), ids, masses)}
             want_mask, want_probs = conditional_mask_all_factors(systems, (0,) * m, alpha)
@@ -811,7 +814,7 @@ class TestFactoredProjector:
     def test_block_mask_memory_is_bounded(self):
         # 2^19 indices: the result is 8 MB; m x a^m int64 digit arrays were 80 MB each
         values = np.array([0.5, 0.5])
-        ids, masses = channels._merge_close(values)
+        [(ids, masses)] = channels._merge_close(values[None])
         tracemalloc.start()
         try:
             mask, probs = channels._product_mask(values, ids, 19, *channels._window(masses, 19, 3.0))
@@ -857,3 +860,122 @@ class TestCrossTypicalMass:
             mass, proj = cross_typical_mass(ch, xn, alpha)
             assert mass + 1e-9 >= 1.0 - 2 * 2 / alpha**2
             assert proj.n == 4
+
+
+def assert_same_projector(got, want):
+    """Bit for bit: mask, probs, factor bases and values (dtypes too), details and scalars."""
+    for a, b in [(got.mask, want.mask), (got.probs, want.probs),
+                 *zip(got.factor_bases, want.factor_bases), *zip(got.factor_values, want.factor_values)]:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert len(got.factor_bases) == len(want.factor_bases) == len(got.factor_values)
+    assert got.details == want.details
+    assert (got.alpha, got.sequence, got.mass_bound) == (want.alpha, want.sequence, want.mass_bound)
+
+
+class TestBatchedBuilders:
+    """The batched builders against the per-state builders of tests/oracles.py."""
+
+    @staticmethod
+    def count_eigensolves(monkeypatch):
+        calls = []
+        eigh = linalg.eigh
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigh(a)
+
+        monkeypatch.setattr(linalg, "eigh", counted)
+        return calls
+
+    @staticmethod
+    def merged_state(rng):
+        # two eigenvalues 5e-10 apart merge into one eigenspace class
+        u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        return u @ np.diag([0.3, 0.35, 0.35 + 5e-10]) @ u.conj().T
+
+    def test_states_match_per_state_builds(self, monkeypatch):
+        rng = make_rng(401)
+        for d in (2, 3):
+            stack = [random_density(rng, d) for _ in range(5)]
+            stack.insert(2, np.diag(random_distribution(rng, d)))
+            if d == 3:
+                stack.append(self.merged_state(rng))
+            for n, alpha in [(1, 1.0), (4, 1.5), (6, 2.5)]:
+                calls = self.count_eigensolves(monkeypatch)
+                got = typical_projectors(stack, n, alpha)
+                monkeypatch.undo()
+                # one eigensolve for every non-diagonal state
+                assert calls == [(len(stack) - 1, d, d)]
+                for proj, rho in zip(got, stack):
+                    assert_same_projector(proj, per_state_typical_projector(rho, n, alpha))
+        merged = typical_projector(self.merged_state(make_rng(402)), 3, 2.0)
+        assert len(merged.details["class_masses"]) == 2
+
+    def test_diagonal_states_take_no_eigensolve(self, monkeypatch):
+        stack = [np.diag([0.7, 0.3]), np.diag([0.2, 0.8]), np.diag([0.5, 0.5])]
+        calls = self.count_eigensolves(monkeypatch)
+        got = typical_projectors(stack, 5, 2.0)
+        assert calls == []
+        for proj, rho in zip(got, stack):
+            assert_same_projector(proj, per_state_typical_projector(rho, 5, 2.0))
+        CQChannel(stack).systems
+        assert calls == []
+
+    def test_empty_range_matches(self):
+        # alpha = 0 keeps only exact class counts, and 3 * 0.7 is no count
+        rng = make_rng(403)
+        u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        stack = [u @ np.diag([0.7, 0.3]) @ u.conj().T, np.diag([0.5, 0.5])]
+        got = typical_projectors(stack, 3, 0.0)
+        assert got[0].rank == 0 and got[1].rank > 0
+        for proj, rho in zip(got, stack):
+            assert_same_projector(proj, per_state_typical_projector(rho, 3, 0.0))
+
+    def test_unsorted_sequences_match_per_sequence_builds(self):
+        rng = make_rng(404)
+        for d in (2, 3):
+            ch = CQChannel([random_density(rng, d), np.diag(random_distribution(rng, d)),
+                            random_density(rng, d)])
+            seqs = [(2, 0, 1, 0, 2), (1, 1, 0, 2, 0), (0, 2, 2), (2, 2, 2, 2), (1,), (0, 1, 2, 2, 1, 0)]
+            for alpha in (0.0, 1.0, 2.5):
+                got = conditional_typical_projectors(ch, seqs, alpha)
+                for proj, xn in zip(got, seqs):
+                    assert_same_projector(proj, per_state_conditional_typical_projector(ch, xn, alpha))
+
+    @pytest.mark.parametrize("block_entries", [1, 64])
+    def test_chunked_batches_match(self, monkeypatch, block_entries):
+        # small budgets split the class counts, the stacked products and the sequence runs
+        monkeypatch.setattr(channels, "COUNT_BLOCK_ENTRIES", block_entries)
+        rng = make_rng(406)
+        stack = [random_density(rng, 2) for _ in range(4)] + [np.diag([0.6, 0.4])]
+        for proj, rho in zip(typical_projectors(stack, 5, 1.5), stack):
+            assert_same_projector(proj, per_state_typical_projector(rho, 5, 1.5))
+        ch = CQChannel([random_density(rng, 3) for _ in range(3)])
+        seqs = [(0, 1, 2, 2), (2, 1, 0, 0), (1, 1, 1, 0), (0, 2), (2, 0, 1, 1)]
+        for proj, xn in zip(conditional_typical_projectors(ch, seqs, 2.0), seqs):
+            assert_same_projector(proj, per_state_conditional_typical_projector(ch, xn, 2.0))
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.array([[0.5, 0.3], [0.1, 0.5]]), "not Hermitian"),
+        (np.diag([1.5, 0.5]), "has trace 2.0"),
+        (np.array([[1.1, 0.0], [0.0, -0.1]]), "negative eigenvalue"),
+    ])
+    def test_bad_state_in_a_stack_raises_as_alone(self, bad, message):
+        with pytest.raises(ValueError, match=message) as alone:
+            per_state_typical_projector(bad, 3, 2.0)
+        rng = make_rng(405)
+        stack = [random_density(rng, 2), bad, random_density(rng, 2)]
+        with pytest.raises(ValueError, match=message) as batched:
+            typical_projectors(stack, 3, 2.0)
+        assert str(batched.value) == str(alone.value)
+        with pytest.raises(ValueError) as scalar:
+            typical_projector(bad, 3, 2.0)
+        assert str(scalar.value) == str(alone.value)
+
+    def test_first_failing_state_decides_the_message(self):
+        # the loop of per-state builds meets the non-PSD state first
+        stack = [np.diag([0.5, 0.5]), np.array([[1.1, 0.0], [0.0, -0.1]]), np.diag([1.5, 0.5])]
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            typical_projectors(stack, 3, 2.0)
+        with pytest.raises(ValueError, match="has trace"):
+            typical_projectors(stack[::-1], 3, 2.0)

@@ -73,6 +73,44 @@ class TestCanonicalJson:
         with pytest.raises(TypeError):
             json_safe({"f": object()})
 
+    def test_exact_type_dispatch_keeps_the_isinstance_walk(self):
+        def walk(obj):
+            # the isinstance chain alone, as json_safe read before its exact-type dispatch
+            if isinstance(obj, dict):
+                return {str(k): walk(v) for k, v in obj.items()}
+            if isinstance(obj, (list, tuple)):
+                return [walk(v) for v in obj]
+            if isinstance(obj, Fraction):
+                return str(obj)
+            if isinstance(obj, np.generic):
+                obj = obj.item()
+            if isinstance(obj, float):
+                if math.isnan(obj):
+                    return "nan"
+                if math.isinf(obj):
+                    return "inf" if obj > 0 else "-inf"
+                return obj
+            if isinstance(obj, np.ndarray):
+                return walk(obj.tolist())
+            return obj
+
+        class Real(float):
+            pass
+
+        class Name(str):
+            pass
+
+        payload = {
+            "plain": [1, 2.5, "s", None, True, (3, [4.0, {"k": -0.0}])],
+            "nonfinite": [math.inf, -math.inf, math.nan, Real(math.inf), np.float64(math.nan)],
+            "subclasses": [Real(0.25), Name("x"), np.int64(7), np.bool_(True)],
+            "keys": {1: "int", True: "bool", None: "none", Name("n"): 1.5, 2.5: [Fraction(2, 4)]},
+            "arrays": np.array([[1.0, math.inf], [0.5, -2.0]]),
+        }
+        got = json_safe(payload)
+        assert repr(got) == repr(walk(payload))
+        assert canonical_json(payload) == json.dumps(walk(payload), sort_keys=True, separators=(",", ":"))
+
 
 class TestConfigHash:
     def test_ignores_output_fields(self):

@@ -1288,13 +1288,13 @@ class TestStackRelease:
 class TestTypeClassSharing:
     def test_one_conditional_projector_per_active_type(self, monkeypatch):
         calls = []
-        build = identification.conditional_typical_projector
+        build = identification.conditional_typical_projectors
 
-        def spy(channel, xn, alpha, **kwargs):
-            calls.append(tuple(xn))
-            return build(channel, xn, alpha, **kwargs)
+        def spy(channel, sequences, alpha):
+            calls.extend(tuple(xn) for xn in sequences)
+            return build(channel, sequences, alpha)
 
-        monkeypatch.setattr(identification, "conditional_typical_projector", spy)
+        monkeypatch.setattr(identification, "conditional_typical_projectors", spy)
         dist = random_sparse_distribution(5, 2, 6, support=20)
         reg = resolvability_regularize(dist, identical_channel(), 0.6, seed=3)
         active = [row["type"] for row in reg.per_type_details if row["active"]]
@@ -1305,35 +1305,62 @@ class TestTypeClassSharing:
         )
 
     def test_every_factor_basis_is_checked_once_where_it_is_made(self, monkeypatch):
-        made, checked, built = [], [], []
-        make, check = channels._factor_system, channels._check_factor
+        made, checked, built, batches = [], [], [], []
+        make, check = channels._factor_systems, channels._check_factors
 
-        def spy_make(state):
-            system = make(state)
-            made.append(system[1])
-            return system
+        def spy_make(states):
+            batches.append(len(checked))
+            systems = make(states)
+            made.extend(system[1] for system in systems)
+            return systems
 
-        def spy_check(basis, values, letter):
-            checked.append(basis)
-            check(basis, values, letter)
+        def spy_check(bases, values, letters):
+            checked.extend(bases)
+            check(bases, values, letters)
 
         def record(build):
             def wrapped(*args):
-                built.append(build(*args))
-                return built[-1]
+                projs = build(*args)
+                built.extend(projs)
+                return projs
             return wrapped
 
-        monkeypatch.setattr(channels, "_factor_system", spy_make)
-        monkeypatch.setattr(channels, "_check_factor", spy_check)
-        for name in ("typical_projector", "conditional_typical_projector"):
+        monkeypatch.setattr(channels, "_factor_systems", spy_make)
+        monkeypatch.setattr(channels, "_check_factors", spy_check)
+        for name in ("typical_projectors", "conditional_typical_projectors"):
             monkeypatch.setattr(identification, name, record(getattr(identification, name)))
         ch = channels.random_channel(11, 2, 2)
         resolvability_regularize(uniform_distribution(2, 6), ch, 0.6, seed=3)
         # one eigensystem per letter and one per type's mixture, each checked once
         mixtures = sum(proj.kind == "unconditional" for proj in built)
         assert mixtures == 7 and len(made) == ch.alphabet_size + mixtures
-        assert [id(b) for b in checked] == [id(b) for b in made]
+        # the mixtures' batch, then the letters', each checked as a whole where it is made
+        assert batches == [0, mixtures]
+        assert len(checked) == len(made)
+        assert all(np.array_equal(c, b) for c, b in zip(checked, made))
         assert {id(b) for proj in built for b in proj.factor_bases} <= {id(b) for b in made}
+
+    def test_many_type_law_memory_ceiling(self):
+        # one sequence per type of n = 8 over 4 inputs: all 165 types are
+        # active.  The law peaks at 169.7 MiB, nearly all of it the types'
+        # edge factors; both projector batches are built before the per-type
+        # loop, and holding every type's pair (with the digits it caches)
+        # until the loop ends would add 6.7 MiB.
+        ch = channels.random_channel(5, 4, 2)
+        rng = make_rng(7)
+        types = type_enumerate(8, 4)
+        law = {}
+        for t in types:
+            ordered = [x for x, c in enumerate(t.counts) for _ in range(c)]
+            law[tuple(int(x) for x in rng.permutation(ordered))] = 1.0 / len(types)
+        tracemalloc.start()
+        try:
+            reg = resolvability_regularize(law, ch, 0.6, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(row["active"] for row in reg.per_type_details) == len(types) == 165
+        assert peak < 172 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_validates_the_input_law_once(self, monkeypatch):
         calls = []
