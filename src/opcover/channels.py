@@ -20,11 +20,11 @@ mask) and no builder forms a d^n x d^n matrix.
 Both builders work on batches: typical_projectors takes a stack of
 states and conditional_typical_projectors a list of sequences, and the
 single-state and single-sequence builders are their one-element
-wrappers.  A batch diagonalizes its non-diagonal states in one eigh,
-reads each state's PSD decision off that same spectrum, shares the
-class counts of blocks with one eigenspace-class pattern and length,
-and stacks the running eigenvalue products, so the per-state numpy
-calls of a type-by-type loop are paid once per batch.
+wrappers.  A batch checks its states as density operators in one
+linalg.require_density, diagonalizes its non-diagonal states in one
+eigh, shares the class counts of blocks with one eigenspace-class
+pattern and length, and stacks the running eigenvalue products, so the
+per-state numpy calls of a type-by-type loop are paid once per batch.
 """
 
 from __future__ import annotations
@@ -69,13 +69,12 @@ class CQChannel:
     """
 
     def __init__(self, states):
-        arr = np.array(states, dtype=np.complex128)
+        arr = np.asarray(states, dtype=np.complex128)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError("states must be a stack of square matrices")
         if arr.shape[0] < 1:
             raise ValueError("channel needs at least one input symbol")
-        for x in range(arr.shape[0]):
-            arr[x] = linalg.require_density(arr[x], name=f"state {x}")
+        arr = linalg.require_density(arr, name="state {}")
         arr.flags.writeable = False
         self.states = arr
 
@@ -445,7 +444,7 @@ def typical_set(p, n: int, alpha: float) -> set:
         f"sequence space {a}^{n} exceeds {MAX_SEQUENCE_SPACE}"))
     # one factor per position, one eigenspace class per symbol
     targets, widths = _window(p, n, alpha)
-    mask, member_probs = _product_mask(p, np.arange(a), n, targets, widths)
+    mask, member_probs = _product_masks([(p, np.arange(a), n, targets, widths)])[0]
     members = set()
     for lo in range(0, mask.size, MEMBER_CHUNK):
         digits = np.unravel_index(mask[lo:lo + MEMBER_CHUNK], (a,) * n)
@@ -535,42 +534,6 @@ def _check_factors(bases, values, letters) -> None:
         raise ValueError("factor basis does not diagonalize its letter state within 1e-9")
 
 
-def _density_systems(states) -> list:
-    """_factor_systems of a stack of density operators, each checked as require_density does.
-
-    Every state must be Hermitian within HERM_TOL, of trace 1 within
-    1e-9 and PSD at linalg.spectral_tolerance; the PSD decision reads the
-    spectrum the eigensolve of _factor_systems takes anyway, so a state
-    costs one eigensolve.  The first failing state raises the message of
-    the first check it fails, as a loop of require_density would.
-    """
-    raw = np.asarray(states, dtype=np.complex128)
-    if raw.ndim != 3 or raw.shape[1] != raw.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {raw.shape}")
-    adjoint = raw.conj().swapaxes(1, 2)
-    scale = np.maximum(1.0, np.abs(raw).max(axis=(1, 2), initial=0.0))
-    hermitian = np.abs(raw - adjoint).max(axis=(1, 2), initial=0.0) <= linalg.HERM_TOL * scale
-    m = (raw + adjoint) / 2  # linalg.hermitize
-    traces = np.trace(m, axis1=1, axis2=2).real
-    # written so that, as in require_density, only a trace off by more than 1e-9 fails
-    unit = ~(np.abs(traces - 1.0) > 1e-9)
-    ok = hermitian & unit
-    head = len(m) if ok.all() else int(np.argmin(ok))
-    systems = []
-    if head:
-        systems = _factor_systems(m[:head])
-        spectra = np.array([s[0] for s in systems])
-        ok[:head] &= spectra.min(axis=1) >= -linalg.spectral_tolerance(spectra)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        if not hermitian[i]:
-            raise ValueError(f"rho is not Hermitian within {linalg.HERM_TOL}")
-        if not unit[i]:
-            raise ValueError(f"rho has trace {float(traces[i])}, expected 1")
-        raise ValueError("rho has a negative eigenvalue beyond tolerance")
-    return systems
-
-
 @dataclass(frozen=True)
 class TypicalProjector:
     """Frequency-typical subspace projector for a product state, stored factored.
@@ -641,11 +604,6 @@ class TypicalProjector:
     def digits(self) -> np.ndarray:
         """Per-factor eigenvector index of every range vector, shape (n, rank)."""
         return np.array(np.unravel_index(self.mask, self.factor_dims)).reshape(self.n, self.rank)
-
-
-def _product_mask(values, ids, m: int, targets, widths) -> tuple[np.ndarray, np.ndarray]:
-    """_product_masks of one block."""
-    return _product_masks([(values, ids, m, targets, widths)])[0]
 
 
 def _product_masks(blocks) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -768,13 +726,14 @@ def typical_projectors(states, n: int, alpha: float) -> list[TypicalProjector]:
     Eigenvalues of rho merge into eigenspace classes; a product
     eigenvector survives when its class occupation counts are all
     within alpha deviations.  The retained reference mass is at least
-    1 - d/alpha^2.  Every state is checked as a density operator, its
-    PSD decision read off its eigensolve (_density_systems); the batch
-    shares one eigensolve, the class counts and the stacked running
-    products (_product_masks).
+    1 - d/alpha^2.  The stack is checked as density operators in one
+    batch (linalg.require_density); it shares one eigensolve, the class
+    counts and the stacked running products (_product_masks).
     """
     states = np.asarray(states, dtype=np.complex128)
-    systems = _density_systems(states)
+    if states.ndim != 3:
+        raise ValueError(f"expected a stack of square matrices, got shape {states.shape}")
+    systems = _factor_systems(linalg.require_density(states, "rho"))
     d = states.shape[-1]
     _check_build_size(d, n, alpha)
     built = _product_masks([(values, ids, n, *_window(masses, n, alpha))

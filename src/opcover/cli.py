@@ -99,22 +99,18 @@ def json_safe(obj):
     Non-finite floats become the strings "inf" / "-inf" / "nan" since
     bare JSON has no encoding for them; Fractions stringify exactly;
     numpy scalars and arrays collapse to Python numbers and lists.
-    The exact built-in types come first, so a payload of plain values
-    takes one type lookup per node; everything else (Fractions, numpy
-    values, non-finite floats, subclasses, non-string keys) goes through
-    the isinstance chain below.
+    The exact plain types come first, so a plain leaf takes one type
+    lookup, and an exact list or tuple takes no isinstance call;
+    everything else (Fractions, numpy values, non-finite floats,
+    subclasses) goes through the isinstance chain below.
     """
     kind = type(obj)
     if kind in _PLAIN_TYPES or (kind is float and math.isfinite(obj)):
         return obj
-    if kind is list or kind is tuple:
+    if kind is list or kind is tuple or isinstance(obj, (list, tuple)):
         return [json_safe(v) for v in obj]
-    if kind is dict and all(type(k) is str for k in obj):
-        return {k: json_safe(v) for k, v in obj.items()}
     if isinstance(obj, dict):
         return {str(k): json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_safe(v) for v in obj]
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, np.generic):

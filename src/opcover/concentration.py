@@ -68,13 +68,13 @@ class OperatorRV:
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probs must be a nonempty vector")
         self.probs = linalg.check_distribution(p, p.size)
-        vals = [linalg.require_hermitian(v, name=f"values[{i}]") for i, v in enumerate(values)]
+        vals = [linalg.as_matrix(v) for v in values]
         if len(vals) != p.size:
             raise ValueError("probs and values must have equal length")
         dims = {v.shape[0] for v in vals}
         if len(dims) != 1:
             raise ValueError(f"values have mixed dimensions {sorted(dims)}")
-        self.values = np.stack(vals)
+        self.values = linalg.require_hermitian(np.stack(vals), name="values[{}]")
 
     @classmethod
     def scalar(cls, probs, values) -> "OperatorRV":

@@ -99,15 +99,12 @@ class QuantumHypergraph:
 
     def __init__(self, dim: int, edges, eta: float | None):
         self.dim = _check_graph_header(dim, eta)
-        mats = []
-        for e in edges:
-            m = linalg.require_hermitian(e, name="edge")
-            if m.shape != (self.dim, self.dim):
-                raise ValueError("edge dimension mismatch")
-            mats.append(m)
+        mats = [linalg.as_matrix(e) for e in edges]
+        if any(m.shape != (self.dim, self.dim) for m in mats):
+            raise ValueError("edge dimension mismatch")
         if not mats:
             raise ValueError("at least one edge required")
-        stack = np.stack(mats)
+        stack = linalg.require_hermitian(np.stack(mats), name="edge")
         self._set_edges(np.linalg.eigvalsh(stack), eta)
         self._orbit = None
         self._span = (None, stack)

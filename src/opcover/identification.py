@@ -130,22 +130,19 @@ class QIDCode:
     def __init__(self, n: int, entries, alphabet_size: int | None = None):
         self.n = int(n)
         linalg.require_positive(n=self.n)
-        checked = []
-        dim = None
+        dists, effects = [], []
         for dist, effect in entries:
-            dist = check_sequence_distribution(dist, self.n, alphabet_size, "entries")
-            m = linalg.require_hermitian(effect, name="test effect")
-            if dim is None:
-                dim = m.shape[0]
-            if m.shape != (dim, dim):
+            dists.append(check_sequence_distribution(dist, self.n, alphabet_size, "entries"))
+            effects.append(linalg.as_matrix(effect))
+            if effects[-1].shape != effects[0].shape:
                 raise ValueError("test effects must share one dimension")
-            if not linalg.relative_margin(m, 0.0, 1.0)[2]:
-                raise ValueError("test effect falls outside the operator interval [0, identity]")
-            checked.append((dist, m))
-        if not checked:
+        if not effects:
             raise ValueError("at least one code entry required")
-        self.entries = tuple(checked)
-        self.test_dim = dim
+        stack = linalg.require_hermitian(np.stack(effects), name="test effect")
+        if not linalg.relative_margin(stack, 0.0, 1.0)[2].all():
+            raise ValueError("test effect falls outside the operator interval [0, identity]")
+        self.entries = tuple(zip(dists, stack))
+        self.test_dim = stack.shape[1]
 
     @property
     def num_messages(self) -> int:

@@ -112,17 +112,38 @@ def hermitize(a) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def is_hermitian(a, tol: float = HERM_TOL) -> bool:
-    m = as_matrix(a)
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    return bool(np.abs(m - m.conj().T).max(initial=0.0) <= tol * scale)
+def _hermitian(m: np.ndarray, tol: float):
+    """Whether each matrix of (..., d, d) lies within tol * max(1, max |entry|) of its adjoint.
+
+    A NaN entry fails.
+    """
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0) <= tol * scale
+
+
+def _stack(a) -> tuple[np.ndarray, bool]:
+    """a as a complex (k, d, d) stack, and whether a was one already (else one matrix)."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 3:
+        return as_matrix(m)[None], False
+    if m.shape[1] != m.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
+    return m, True
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
-    m = as_matrix(a)
-    if not is_hermitian(m, HERM_TOL):
-        raise ValueError(f"{name} is not Hermitian within {HERM_TOL}")
-    return hermitize(m)
+    """a hermitized, one matrix or a (k, d, d) stack, each matrix checked Hermitian within HERM_TOL.
+
+    The first matrix that fails raises a ValueError naming it by
+    name.format(index): "values[{}]" names values[2], and a name without
+    {} reads as it is.
+    """
+    m, stacked = _stack(a)
+    bad = np.flatnonzero(~_hermitian(m, HERM_TOL))
+    if bad.size:
+        raise ValueError(f"{name.format(bad[0])} is not Hermitian within {HERM_TOL}")
+    m = hermitize(m)
+    return m if stacked else m[0]
 
 
 def eigh(a) -> tuple[np.ndarray, np.ndarray]:
@@ -211,13 +232,34 @@ def compositions(n: int, k: int, chunk: int):
 
 
 def require_density(rho, name: str = "rho") -> np.ndarray:
-    m = require_hermitian(rho, name=name)
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > 1e-9:
-        raise ValueError(f"{name} has trace {tr}, expected 1")
-    if not is_psd(m):
-        raise ValueError(f"{name} has a negative eigenvalue beyond tolerance")
-    return m
+    """rho hermitized, one matrix or a (k, d, d) stack, each matrix checked a density operator.
+
+    Each must be Hermitian within HERM_TOL, of trace 1 within 1e-9 and
+    PSD (psd_margin).  Each check runs once over the stack, and the
+    first failing matrix raises the message of the first check it fails,
+    named as in require_hermitian; only the matrices before the first
+    Hermitian or trace failure are solved.
+    """
+    raw, stacked = _stack(rho)
+    hermitian = _hermitian(raw, HERM_TOL)
+    m = hermitize(raw)
+    traces = np.trace(m, axis1=1, axis2=2).real
+    # written so that only a trace off by more than 1e-9 fails
+    unit = ~(np.abs(traces - 1.0) > 1e-9)
+    ok = hermitian & unit
+    head = len(ok) if ok.all() else int(np.argmin(ok))
+    if head:
+        least, tol = psd_margin(m[:head])
+        ok[:head] = least >= -tol
+    if not ok.all():
+        i = int(np.argmin(ok))
+        label = name.format(i)
+        if not hermitian[i]:
+            raise ValueError(f"{label} is not Hermitian within {HERM_TOL}")
+        if not unit[i]:
+            raise ValueError(f"{label} has trace {float(traces[i])}, expected 1")
+        raise ValueError(f"{label} has a negative eigenvalue beyond tolerance")
+    return m if stacked else m[0]
 
 
 def _clamped_eigs(a, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -372,7 +414,7 @@ def operator_divergence(a, m) -> np.ndarray:
 
 def is_projector(p) -> bool:
     m = as_matrix(p)
-    if not is_hermitian(m, 1e-9):
+    if not _hermitian(m, 1e-9):
         return False
     scale = max(1.0, spectral_norm(m))
     return spectral_norm(m @ m - m) <= 1e-9 * scale

@@ -25,6 +25,9 @@ from opcover.channels import (
     typical_projectors,
     typical_set,
 )
+from opcover.concentration import OperatorRV
+from opcover.covering import QuantumHypergraph
+from opcover.identification import QIDCode
 from opcover.rng import make_rng, random_density, random_distribution, spawn_seeds
 
 from oracles import (blahut_arimoto_capacity, classical_capacity_oracle,
@@ -67,6 +70,10 @@ class TestCQChannel:
             CQChannel(np.array([[[1.5, 0.0], [0.0, -0.5]]]))  # not PSD
         with pytest.raises(ValueError):
             CQChannel(np.zeros((2, 2, 3)))
+        # the batched projector builder takes stacks only, as the channel does
+        for shape in [(2, 2), (2, 2, 3)]:
+            with pytest.raises(ValueError, match="expected a stack of square matrices"):
+                typical_projectors(np.zeros(shape), 2, 1.0)
 
     def test_shape_and_access(self):
         ch = CQChannel([KET0, PLUS])
@@ -805,7 +812,7 @@ class TestFactoredProjector:
                 values[-1] = -1e-17  # clipped to zero in the products
             alpha = float(rng.uniform(0.0, 3.0))
             [(ids, masses)] = channels._merge_close(values[None])
-            mask, probs = channels._product_mask(values, ids, m, *channels._window(masses, m, alpha))
+            mask, probs = channels._product_masks([(values, ids, m, *channels._window(masses, m, alpha))])[0]
             systems = {0: (values, np.eye(a), ids, masses)}
             want_mask, want_probs = conditional_mask_all_factors(systems, (0,) * m, alpha)
             assert mask.dtype == want_mask.dtype and probs.dtype == want_probs.dtype
@@ -817,7 +824,7 @@ class TestFactoredProjector:
         [(ids, masses)] = channels._merge_close(values[None])
         tracemalloc.start()
         try:
-            mask, probs = channels._product_mask(values, ids, 19, *channels._window(masses, 19, 3.0))
+            mask, probs = channels._product_masks([(values, ids, 19, *channels._window(masses, 19, 3.0))])[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -955,22 +962,47 @@ class TestBatchedBuilders:
         for proj, xn in zip(conditional_typical_projectors(ch, seqs, 2.0), seqs):
             assert_same_projector(proj, per_state_conditional_typical_projector(ch, xn, 2.0))
 
-    @pytest.mark.parametrize("bad, message", [
-        (np.array([[0.5, 0.3], [0.1, 0.5]]), "not Hermitian"),
-        (np.diag([1.5, 0.5]), "has trace 2.0"),
-        (np.array([[1.1, 0.0], [0.0, -0.1]]), "negative eigenvalue"),
+    SKEW = "is not Hermitian within 1e-10"
+    OUTSIDE = "falls outside the operator interval [0, identity]"
+
+    @pytest.mark.parametrize("bad, message, edge, effect", [
+        pytest.param(np.array([[0.5, 0.3], [0.1, 0.5]]), f"rho {SKEW}", f"edge {SKEW}", f"test effect {SKEW}",
+                     id="bad0-not Hermitian"),
+        pytest.param(np.diag([1.5, 0.5]), "rho has trace 2.0, expected 1", "edge exceeds the eta cap",
+                     f"test effect {OUTSIDE}", id="bad1-has trace 2.0"),
+        pytest.param(np.array([[1.1, 0.0], [0.0, -0.1]]), "rho has a negative eigenvalue beyond tolerance",
+                     "edge is not positive semidefinite", f"test effect {OUTSIDE}", id="bad2-negative eigenvalue"),
+        pytest.param(np.array([[0.5, np.nan], [0.5, 0.5]]), f"rho {SKEW}", f"edge {SKEW}", f"test effect {SKEW}",
+                     id="bad3-NaN entry"),
     ])
-    def test_bad_state_in_a_stack_raises_as_alone(self, bad, message):
-        with pytest.raises(ValueError, match=message) as alone:
+    def test_bad_state_in_a_stack_raises_as_alone(self, bad, message, edge, effect):
+        with pytest.raises(ValueError) as alone:
             per_state_typical_projector(bad, 3, 2.0)
+        assert str(alone.value) == message
         rng = make_rng(405)
         stack = [random_density(rng, 2), bad, random_density(rng, 2)]
-        with pytest.raises(ValueError, match=message) as batched:
+        with pytest.raises(ValueError) as batched:
             typical_projectors(stack, 3, 2.0)
-        assert str(batched.value) == str(alone.value)
+        assert str(batched.value) == message
         with pytest.raises(ValueError) as scalar:
             typical_projector(bad, 3, 2.0)
-        assert str(scalar.value) == str(alone.value)
+        assert str(scalar.value) == message
+        # each constructor of a matrix family raises what its loop over the
+        # family raised, naming the matrix by its index where it did
+        value = f"values[1] {self.SKEW}" if self.SKEW in message else None
+        builds = [
+            (CQChannel, message.replace("rho", "state 1")),
+            (lambda s: QuantumHypergraph(2, s, eta=1.0), edge),
+            (lambda s: OperatorRV([0.25, 0.5, 0.25], s), value),
+            (lambda s: QIDCode(1, [({(0,): 1.0}, m) for m in s]), effect),
+        ]
+        for build, want in builds:
+            if want is None:
+                build(stack)
+                continue
+            with pytest.raises(ValueError) as err:
+                build(stack)
+            assert str(err.value) == want
 
     def test_first_failing_state_decides_the_message(self):
         # the loop of per-state builds meets the non-PSD state first
@@ -979,3 +1011,18 @@ class TestBatchedBuilders:
             typical_projectors(stack, 3, 2.0)
         with pytest.raises(ValueError, match="has trace"):
             typical_projectors(stack[::-1], 3, 2.0)
+        with pytest.raises(ValueError, match=r"^state 1 has a negative eigenvalue"):
+            CQChannel(stack)
+        with pytest.raises(ValueError, match=r"^state 0 has trace 2\.0"):
+            CQChannel(stack[::-1])
+        # a NaN letter fails as not Hermitian, and only where no earlier letter fails
+        nan = np.array([[0.5, np.nan], [0.5, 0.5]])
+        with pytest.raises(ValueError, match=r"^state 1 is not Hermitian"):
+            CQChannel([stack[0], nan, stack[1]])
+        with pytest.raises(ValueError, match=r"^state 1 has a negative eigenvalue"):
+            CQChannel([stack[0], stack[1], nan])
+        skew = np.array([[0.5, 0.3], [0.1, 0.5]])
+        with pytest.raises(ValueError, match=r"^values\[1\] is not Hermitian"):
+            OperatorRV([0.25, 0.5, 0.25], [stack[0], nan, skew])
+        with pytest.raises(ValueError, match=r"^values\[0\] is not Hermitian"):
+            OperatorRV([0.25, 0.5, 0.25], [skew, nan, stack[0]])

@@ -8,11 +8,14 @@ single-field mutants of the tests' own configs, both must agree on
 validity everywhere and on the error path wherever the mutated field
 lies outside a oneOf.  Inside a oneOf the interpreter names the field
 in the branch the instance's kind selects, where best_match often
-blamed another branch.
+blamed another branch.  The same corpus checks the exit-code contract:
+every schema-valid mutant runs, or fails with a named library error.
 """
 
 import copy
 import math
+import re
+import signal
 from functools import cache
 
 import numpy as np
@@ -23,6 +26,7 @@ import test_cli
 from test_cli import BOUNDARY_CASES, CAP_CASES, HALF_DIAG, ZERO_PLUS
 
 from opcover import cli
+from opcover.covering import SamplingExhausted
 
 SCHEMAS = {"config": cli.CONFIG_SCHEMA, "sweep": cli.SWEEP_SCHEMA, **cli.PARAMS_SCHEMAS}
 
@@ -253,3 +257,72 @@ class TestSchemaSubset:
     def test_outside_the_subset_fails_to_compile(self, schema):
         with pytest.raises((KeyError, ValueError)):
             cli._compile(schema)
+
+
+# library ValueErrors a schema-valid config may raise: data that the
+# schema cannot judge (weights, Hermiticity, traces, ragged rows, shapes)
+VALUE_ERRORS = [re.compile(p) for p in (
+    r"(distribution|sequence) weights sum to \S+, expected 1",
+    r"(distribution|stochastic matrix) weights must be nonnegative numbers",
+    r"sequence weights must be nonnegative and finite",
+    r"distribution has length \d+, expected \d+",
+    r"sequence \(.*\) has length \d+, expected \d+",
+    r"sequences must be nonempty",
+    r"rows must sum to 1 within 1e-12, got \[.*\]",
+    r"ragged (re|im|stochastic matrix): rows \[[\d, ]+\] differ in length from row 0 \(\d+\)",
+    r"matrix payload shape mismatch for dim \d+",
+    r"(edge|values\[\d+\]|state \d+|rho|test effect) is not Hermitian within 1e-10",
+    r"(state \d+|rho) has trace \S+, expected 1",
+    r"(state \d+|rho) has a negative eigenvalue beyond tolerance",
+    r"edge is not positive semidefinite",
+    r"edge exceeds the eta cap",
+    r"edge dimension mismatch",
+    r"probs and values must have equal length",
+)]
+
+
+class Overrun(Exception):
+    pass
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs signal.alarm")
+class TestExitCodeContract:
+    def test_schema_valid_mutants_run_or_fail_by_name(self, tmp_path, monkeypatch):
+        # a config either runs or fails with a named error: exit 2
+        # (ConfigError), a named data-validity ValueError, the missing CSV
+        # file of classical-csv or an exhausted sampler (exit 3); never a
+        # TypeError, a BoundViolation or a run past 4 s
+        monkeypatch.chdir(tmp_path)
+
+        def overrun(*_):
+            raise Overrun("ran past 4 s")
+
+        previous = signal.signal(signal.SIGALRM, overrun)
+        outcomes = {}
+        try:
+            for location, mutant in corpus():
+                try:
+                    cli.validate_config(mutant)
+                except cli.ConfigError:
+                    continue
+                signal.alarm(4)
+                try:
+                    cli._execute(mutant)
+                    outcome = "ran"
+                except cli.ConfigError:
+                    outcome = "exit 2"
+                except SamplingExhausted:
+                    outcome = "exhausted"
+                except FileNotFoundError:
+                    assert mutant["params"]["channel"]["kind"] == "classical-csv", (location, mutant)
+                    outcome = "no file"
+                except ValueError as exc:
+                    assert type(exc) is ValueError, (location, mutant, exc)
+                    assert any(p.fullmatch(str(exc)) for p in VALUE_ERRORS), (location, mutant, exc)
+                    outcome = "value error"
+                finally:
+                    signal.alarm(0)
+                outcomes[outcome] = outcomes.get(outcome, 0) + 1
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        assert sum(outcomes.values()) > 1_000 and outcomes["ran"] > 100, outcomes
