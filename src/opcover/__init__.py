@@ -34,7 +34,6 @@ from .identification import (
     approximation_preserves_id,
     code_count_bound,
     evaluate_qid_code,
-    resolution_probe,
     resolvability_regularize,
     strong_converse_bound,
     uniform_distribution,
@@ -64,7 +63,6 @@ __all__ = [
     "markov_tail",
     "product_covering_table",
     "quantum_covering_sample",
-    "resolution_probe",
     "resolvability_regularize",
     "run",
     "strong_converse_bound",

@@ -49,8 +49,9 @@ LP_FEASIBILITY_TOL = 1e-10
 SIMPLEX_PIVOTS = 100_000  # per round; Bland's rule cannot cycle, rounding might
 # value <= value_upper is weak duality, exact up to this relative rounding
 BRACKET_ROUNDING = 1e-12
-# An orbit factor M with ||M^dagger M - I||_F max(1, max w) within this
-# takes its edge spectrum from its weights (QuantumHypergraph.from_orbit)
+# An orbit factor M takes its edge spectrum from its weights when its
+# product bound on ||M^dagger M - I||_2 (ProductFactor.isometry_gap), times
+# max(1, max w), is within this (QuantumHypergraph.from_orbit)
 ISOMETRY_TOL = 1e-12
 
 
@@ -62,17 +63,74 @@ def _check_graph_header(dim, eta) -> int:
     return dim
 
 
-def _orbit_spectrum(factor: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Ascending nonzero spectrum of M diag(w) M^dagger, from w where M is an isometry (from_orbit)."""
+class ProductFactor:
+    """A matrix M[j, k] = prod_i overlaps[letters[i]][j_i, columns[i, k]], held as that product.
+
+    Every overlap has s rows and row j of M is the digit tuple (j_1, ...,
+    j_n) in lexicographic order (first position most significant), so M
+    is s^n x r; the r columns are distinct digit tuples.  A dense matrix
+    is the one-position case (of_matrix).  G = M^dagger M is then a
+    principal submatrix of the tensor product over positions of the
+    letter Grams A_x = O_x^dagger O_x, O_x the overlap restricted to the
+    columns letter x uses, and A (x) B - I = (A - I) (x) B + I (x) (B - I)
+    gives ||G - I||_2 <= prod_x (1 + ||A_x - I||_F)^(c_x) - 1, c_x the
+    letter's position count (isometry_gap; ||G - I||_F for one position).
+    The column norms are prod_i A_{x_i}[k_i, k_i].  Only dense() forms M.
+    """
+
+    def __init__(self, overlaps, letters, columns):
+        self.overlaps = [np.asarray(o, dtype=np.complex128) for o in overlaps]
+        self.letters = np.asarray(letters, dtype=np.intp)
+        self.columns = np.asarray(columns, dtype=np.intp)
+        if (any(o.ndim != 2 or len(o) != len(self.overlaps[0]) for o in self.overlaps)
+                or self.columns.ndim != 2 or self.columns.shape[:1] != self.letters.shape):
+            raise ValueError("factor dimension mismatch")
+        self.shape = (self.overlaps[0].shape[0] ** len(self.letters), self.columns.shape[1])
+
+    @classmethod
+    def of_matrix(cls, m) -> "ProductFactor":
+        return cls([m], [0], np.arange(np.shape(m)[-1])[None])
+
+    def dense(self) -> np.ndarray:
+        """M, each entry's factors multiplied in position order."""
+        m = np.ones((1, self.shape[1]), dtype=np.complex128)
+        for x, cols in zip(self.letters, self.columns):
+            o = self.overlaps[x]
+            m = (m[:, None, :] * o[:, cols]).reshape(len(m) * len(o), self.shape[1])
+        return m
+
+    def isometry_gap(self) -> float:
+        """prod_x (1 + ||A_x - I||_F)^(c_x) - 1 >= ||M^dagger M - I||_2, one small Gram per letter."""
+        gap = 0.0
+        for x in set(self.letters.tolist()):
+            on = self.letters == x
+            used = np.zeros(self.overlaps[x].shape[1], dtype=bool)
+            used[self.columns[on]] = True
+            o = self.overlaps[x][:, used]
+            e = linalg.frobenius(o.conj().T @ o - np.eye(o.shape[1]))
+            for _ in range(int(on.sum())):
+                gap = gap + e + gap * e  # (1 + gap)(1 + e) - 1, exactly e after one step
+        return gap
+
+    def column_norms(self) -> np.ndarray:
+        """||M[:, k]||^2 = prod_i sum_j |O_i[j, k_i]|^2 per column."""
+        squares = [(np.abs(o) ** 2).sum(axis=0) for o in self.overlaps]
+        norms = np.ones(self.shape[1])
+        for x, cols in zip(self.letters, self.columns):
+            norms = norms * squares[x][cols]
+        return norms
+
+
+def _orbit_spectrum(factor: ProductFactor, weights: np.ndarray) -> np.ndarray:
+    """Ascending nonzero spectrum of M diag(w) M^dagger: w where M is an isometry by its bound (from_orbit)."""
     dim, r = factor.shape
-    if 0 < r <= dim:
-        gram = factor.conj().T @ factor
-        if linalg.frobenius(gram - np.eye(r)) * max(1.0, float(weights.max())) <= ISOMETRY_TOL:
-            return np.sort(weights)
+    if 0 < r <= dim and factor.isometry_gap() * max(1.0, float(weights.max())) <= ISOMETRY_TOL:
+        return np.sort(weights)
+    m = factor.dense()
     if 0 < r < dim:
-        f = factor * np.sqrt(weights)
+        f = m * np.sqrt(weights)
         return np.linalg.eigvalsh(linalg.hermitize(f.conj().T @ f))
-    return np.linalg.eigvalsh(linalg.hermitize((factor * weights) @ factor.conj().T))
+    return np.linalg.eigvalsh(linalg.hermitize((m * weights) @ m.conj().T))
 
 
 class QuantumHypergraph:
@@ -90,9 +148,10 @@ class QuantumHypergraph:
     from dense edges keep Q = identity (`basis` None, C_j = E_j).
     `from_orbit` builds edges that relabel one edge's indices and
     validates them all on one spectrum, the factor's weights when the
-    factor is an isometry, else one eigensolve; it keeps only the factor,
-    weights and permutations, and forms `basis` and `compressed` (one QR
-    when the edges are narrow, else one gather) on their first read.
+    factor is an isometry by its product bound, else one eigensolve; it
+    keeps only the factor (a ProductFactor), weights and permutations,
+    and forms `basis` and `compressed` (one QR when the edges are narrow,
+    else one gather) from the dense factor on their first read.
     `num_edges`, `span_dim` and `edge_traces` never need them.  The
     dense `edges` are lifted on first access.
     """
@@ -114,33 +173,36 @@ class QuantumHypergraph:
     def from_orbit(cls, factor, weights, perms) -> "QuantumHypergraph":
         """Edges E_j = E[perm_j][:, perm_j], relabelings of one E = M diag(w) M^dagger.
 
-        factor M is dim x r, the weights w >= 0 and every perms[j] a
+        factor M is a dim x r ProductFactor or a dense matrix (its
+        one-position case), the weights w >= 0 and every perms[j] a
         permutation of range(dim), so edge j has the factor M[perm_j], the
         rows of M gathered, and the spectrum of E.  That one spectrum
-        validates every edge and gives eta (_set_edges).  When 0 < r <= dim
-        it is first read off the r x r Gram matrix G = M^dagger M: with F =
-        M diag(sqrt(w)), E = F F^dagger has the nonzero eigenvalues of
-        F^dagger F = D^1/2 G D^1/2, D = diag(w), and by Weyl's inequality
-        each lies within max(w) ||G - I||_2 <= max(w) ||G - I||_F of sorted
-        w.  So when ||G - I||_F max(1, max w) <= ISOMETRY_TOL the spectrum
-        is sorted w, exact to ISOMETRY_TOL, far inside the PSD tolerance of
-        both decisions, and no eigensolve runs; this is the case whenever
-        the columns of M are orthonormal (a full mixture typical projector).
-        Otherwise one eigensolve gives it: of F^dagger F when r < dim (the
-        zeros it lacks decide nothing), else of C = M diag(w) M^dagger.
-        Every edge has the trace sum_k w_k ||M[:, k]||^2.  The span (_span)
-        is formed on first read: when 0 < m r < dim for m = len(perms), one
-        QR of the row gathers [M[perm_1] ... M[perm_m]] = Q R spans the
-        edges, C_j = R_j diag(w) R_j^dagger with R_j the j-th r columns of
-        R; otherwise Q = identity and C_j = C[perm_j][:, perm_j], an exact
-        relabeling of one float matrix.
+        validates every edge and gives eta (_set_edges).  With F = M
+        diag(sqrt(w)), E = F F^dagger has the nonzero eigenvalues of
+        F^dagger F = D^1/2 G D^1/2, G = M^dagger M, D = diag(w), and by
+        Weyl's inequality each lies within max(w) ||G - I||_2 of sorted w.
+        So when 0 < r <= dim and the factor's bound on ||G - I||_2
+        (isometry_gap) times max(1, max w) is within ISOMETRY_TOL, the
+        spectrum is sorted w, exact to ISOMETRY_TOL, far inside the PSD
+        tolerance of both decisions, and neither M nor G is formed; this
+        is the case whenever the columns of M are orthonormal (a full
+        mixture typical projector).  Otherwise one eigensolve of the dense
+        M gives it: of F^dagger F when r < dim (the zeros it lacks decide
+        nothing), else of C = M diag(w) M^dagger.  Every edge has the
+        trace sum_k w_k ||M[:, k]||^2.  The span (_span) is formed from
+        the dense M on first read: when 0 < m r < dim for m = len(perms),
+        one QR of the row gathers [M[perm_1] ... M[perm_m]] = Q R spans
+        the edges, C_j = R_j diag(w) R_j^dagger with R_j the j-th r
+        columns of R; otherwise Q = identity and C_j = C[perm_j][:,
+        perm_j], an exact relabeling of one float matrix.
         """
-        factor = np.asarray(factor, dtype=np.complex128)
+        if not isinstance(factor, ProductFactor):
+            factor = ProductFactor.of_matrix(factor)
         weights = np.asarray(weights, dtype=float)
         perms = np.asarray(perms, dtype=np.intp)
-        if factor.ndim != 2 or weights.shape != (factor.shape[1],):
-            raise ValueError("factor dimension mismatch")
         dim, r = factor.shape
+        if weights.shape != (r,):
+            raise ValueError("factor dimension mismatch")
         if perms.ndim != 2 or not len(perms):
             raise ValueError("at least one edge required")
         if perms.shape[1] != dim or (np.sort(perms, axis=1) != np.arange(dim)).any():
@@ -173,6 +235,7 @@ class QuantumHypergraph:
     def _span(self) -> tuple:
         """(basis, compressed) of a from_orbit graph (see from_orbit), formed on first read."""
         factor, weights, perms = self._orbit
+        factor = factor.dense()
         if self.span_dim == self.dim:
             c = linalg.hermitize((factor * weights) @ factor.conj().T)
             return None, c[perms[:, :, None], perms[:, None, :]]
@@ -223,7 +286,7 @@ class QuantumHypergraph:
         if self._orbit is None:
             return np.array([float(np.trace(c).real) for c in self.compressed])
         factor, weights, perms = self._orbit
-        return np.full(len(perms), float(weights @ (np.abs(factor) ** 2).sum(axis=0)))
+        return np.full(len(perms), float(weights @ factor.column_norms()))
 
     def to_json(self) -> dict:
         return {
@@ -508,8 +571,8 @@ def quantum_covering_sample(
 class _SpectralTest:
     """The sampler's spectral test of one call: rhobar against rho on rho's kept eigenspace.
 
-    Its set-up (`mixture`: rho, one eigh, the zero and excluded-mass
-    checks, the whitening) is formed on first need, so a call whose
+    Its set-up (`mixture`: rho, one eigh, the excluded-mass check, the
+    whitening) is formed on first need, so a call whose
     attempts the ratio certificate decides makes none of it.
     """
 
@@ -521,8 +584,6 @@ class _SpectralTest:
         """(rho, its eigenbasis u, the mask of kept eigenvalues, the excluded mass, U_k D^-1/2)."""
         rho = linalg.hermitize(self.g.span_combination(self.p))
         w, u = linalg.eigh(rho)
-        if not np.abs(w).max() > 0.0:
-            raise ValueError("edge mixture is zero")
         small = w < self.tau / self.g.dim  # strict: eigenvalues at the threshold stay
         excluded_mass = float(w[small].sum())
         linalg.check_bound("excluded eigenspace carries mass over tau", excluded_mass, self.tau, 1e-12)
@@ -571,8 +632,9 @@ def _sample_in_span(g: QuantumHypergraph, p, eps: float, tau: float, seed: int, 
     An attempt the certificate accepts is thus one the spectral test
     accepts too, and the attempt returned is the one the spectral test
     alone would accept; the test runs only on the attempts the
-    certificate leaves undecided.  A zero mixture (zero trace) is left
-    to the spectral test, which refuses it.
+    certificate leaves undecided.  A zero mixture is refused before any
+    attempt, as a DomainError at hypergraph when every edge is zero, else
+    at p, which then weighs only zero edges.
 
     Tolerance and rounding.  The C_j are PSD only up to the tolerance
     _set_edges accepts, C_j >= -delta with delta = PSD_TOL max(1, |w|)
@@ -600,6 +662,8 @@ def _sample_in_span(g: QuantumHypergraph, p, eps: float, tau: float, seed: int, 
     spread = 1.0 + 2.0 * delta * g.dim / tau
     norms = traces + 2.0 * g.span_dim * delta
     certify = float(p @ traces) > 0.0
+    if not certify and not np.abs(g.span_combination(p)).max() > 0.0:
+        raise DomainError("edge mixture is zero", "p" if np.abs(g.compressed).max() > 0.0 else "hypergraph")
     for attempts, scale, sub in _attempt_schedule(seed, stages):
         ln = base * scale
         counts = make_rng(sub).multinomial(ln, p)
@@ -658,6 +722,7 @@ def sample_family(graphs, ps, eps: float, tau: float, seed: int, draws: int | No
     """
     if len(graphs) != len(ps):
         raise ValueError("one edge distribution per graph required")
+    linalg.require_positive(eps=eps, tau=tau)
     formulas = [draw_bound(g.eta, g.dim, eps, tau) for g in graphs]
     if draws is not None:
         linalg.require_positive(draws=draws)

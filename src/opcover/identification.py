@@ -31,15 +31,13 @@ from .channels import (
     output_state,
     product_mixture,
     range_permutation,
-    tensor_output,
     type_enumerate,
     typical_projectors,
 )
-from .covering import QuantumHypergraph, SamplingExhausted, sample_family
+from .covering import ProductFactor, QuantumHypergraph, sample_family
 from .linalg import MAX_SEQUENCE_SPACE, MAX_TENSOR_DIM, DomainError
 from .rng import make_rng, random_distribution, random_effect, spawn_seeds
 
-DEFAULT_PROBE_LAMBDAS = (0.9, 0.75, 0.6, 0.45, 0.3)
 # A letter whose eigenvalues but the largest lie within this of zero is
 # pure for the measured distance (resolvability_regularize)
 PURITY_TOL = 1e-12
@@ -332,20 +330,28 @@ class RegularizationResult:
         }
 
 
-def _sandwiched_edge(outer: TypicalProjector, digits: np.ndarray, overlaps) -> np.ndarray:
+def _orbit_factor(outer: TypicalProjector, ref: TypicalProjector, channel: CQChannel) -> ProductFactor:
     """Factor M of the compression of Pi W Pi to the range of `outer`.
 
-    Pi is a conditional typical projector with range digits `digits`
-    (shape (n, rank)) and W its product output, diagonal in Pi's product
-    eigenbasis, so Pi W Pi = sum_k probs_k |u_k><u_k| over Pi's range
-    vectors.  With M[j, k] = <v_j|u_k> = prod_i overlaps[i][j_i, k_i]
-    over outer's range vectors v_j, the edge is M diag(probs)
-    M^dagger: no dim x dim matrix is formed.
+    Pi = ref is a conditional typical projector and W its product
+    output, diagonal in Pi's product eigenbasis, so Pi W Pi = sum_k
+    probs_k |u_k><u_k| over Pi's range vectors.  With M[j, k] = <v_j|u_k>
+    = prod_i O_{x_i}[j_i, k_i] over outer's range vectors v_j, O_x =
+    V^dagger U_x, the edge is M diag(probs) M^dagger.  When outer's range
+    is S^n (at paper constants the whole space, or one pure product
+    vector), M stays that product of the O_x[S]; a range the window cuts
+    is gathered densely, the same products in the same order.
     """
-    m = np.ones((outer.rank, digits.shape[1]), dtype=np.complex128)
-    for o, j, k in zip(overlaps, outer.digits, digits):
-        m = m * o[np.ix_(j, k)]
-    return m
+    v = outer.factor_bases[0]
+    overlaps = [v.conj().T @ basis for _, basis, _, _ in channel.systems]
+    # the range lies in S^n for S the digits it uses, so it is S^n when the ranks agree
+    rows = np.flatnonzero(np.bincount(outer.digits.ravel(), minlength=len(v)))
+    if outer.rank == len(rows) ** outer.n:
+        return ProductFactor([o[rows] for o in overlaps], ref.sequence, ref.digits)
+    m = np.ones((outer.rank, ref.rank), dtype=np.complex128)
+    for x, j, k in zip(ref.sequence, outer.digits, ref.digits):
+        m = m * overlaps[x][np.ix_(j, k)]
+    return ProductFactor.of_matrix(m)
 
 
 def _pure_letters(channel: CQChannel):
@@ -415,11 +421,13 @@ def resolvability_regularize(
     active types' mixture projectors, and their sorted sequences'
     conditional projectors, come from two batched builds
     (channels.typical_projectors, conditional_typical_projectors), and
-    per type there is one edge factor, whose spectrum is its weights
-    when the mixture projector is the whole space (an isometric factor)
-    and one eigensolve otherwise; the members are
-    index permutations, found by one range_permutation call per type
-    (QuantumHypergraph.from_orbit).  A type with a single member is a
+    per type there is one edge factor (_orbit_factor), at paper
+    constants a covering.ProductFactor of per-letter overlaps that is an
+    isometry by its product bound, so its spectrum is its weights and
+    no dense factor or Gram matrix is formed (nor held while the types
+    wait for sampling); otherwise one eigensolve gives the spectrum.
+    The members are index permutations, found by one range_permutation
+    call per type (QuantumHypergraph.from_orbit).  A type with a single member is a
     point mass: its graph is still built (eta, range_dim and the draw
     formula enter L and the row), and covering.sample_family does not
     sample it.
@@ -493,15 +501,13 @@ def resolvability_regularize(
     )
     active, graphs, ps = [], [], []
     for k, i in enumerate(live):
-        # a type's projectors, and the digits they cache, go once its graph is built
+        # a type's projectors go once its graph is built; its factor keeps the reference digits
         mix_proj, ref = mix_projs[k], refs[k]
         mix_projs[k] = refs[k] = None
         cond = classes[types[i].counts][1]
         seqs = sorted(cond)
         if mix_proj.rank == 0:
             raise DomainError("mixture typical projector has empty range; alpha too small", "alpha")
-        v_mix = mix_proj.factor_bases[0]
-        overlaps = [v_mix.conj().T @ basis for _, basis, _, _ in channel.systems]
         # the type's members are rearrangements of its sorted sequence ref,
         # and the mixture range is invariant under moving factors: each
         # member's edge factor is ref's with its rows relabeled; the type's
@@ -510,9 +516,7 @@ def resolvability_regularize(
         width = len(seqs) * ref.rank
         linalg.require_matrices(width if 0 < width < mix_proj.rank else mix_proj.rank, len(seqs), "P")
         graph = QuantumHypergraph.from_orbit(
-            _sandwiched_edge(mix_proj, ref.digits, [overlaps[x] for x in ref.sequence]),
-            ref.probs,
-            range_permutation(mix_proj, seqs, ref.sequence),
+            _orbit_factor(mix_proj, ref, channel), ref.probs, range_permutation(mix_proj, seqs, ref.sequence)
         )
         if graph.eta <= 0.0:
             raise DomainError("typical projection annihilated every edge; alpha too small", "alpha")
@@ -651,71 +655,3 @@ def strong_converse_bound(n: int, c_bits, delta) -> Fraction:
         raise DomainError("capacity must be nonnegative", "c_bits")
     linalg.require_positive(delta=slack)
     return int(n) * (capacity_bits + slack)
-
-
-def resolution_probe(
-    channel: CQChannel,
-    n: int,
-    eps: float,
-    candidate_Ps,
-    seed: int,
-    lambdas=DEFAULT_PROBE_LAMBDAS,
-) -> list:
-    """Desk-scale scan for small-support output approximations.
-
-    For each candidate input distribution: measure the best
-    single-atom approximation by enumerating the sequence space, then
-    run the regularizer across a lambda grid, and report the smallest
-    support among certified runs whose full trace-norm output distance
-    lands within eps.  This probes achievable resolutions for the
-    given candidates only; it is not an infimum over all inputs.
-    """
-    linalg.require_positive(eps=eps)
-    n = int(n)
-    a = channel.alphabet_size
-    linalg.require_size("n", a * channel.dim**2, MAX_TENSOR_DIM**2, exponent=n, message=(
-        f"probe enumerates the sequence space; {a}^{n} outputs of dimension "
-        f"{channel.dim}^{n} are too large"))
-    lambdas = tuple(float(v) for v in lambdas)
-    candidates = [check_sequence_distribution(P, n=n, alphabet_size=a) for P in candidate_Ps]
-    seeds = spawn_seeds(seed, max(1, len(candidates) * len(lambdas)))
-    atoms = list(itertools.product(range(a), repeat=n))
-    outputs = {xn: tensor_output(xn, channel) for xn in atoms}
-    report = []
-    for ci, P in enumerate(candidates):
-        sigma = linalg.hermitize(product_mixture(P, channel))
-        atom_distances = [linalg.trace_distance(sigma, outputs[xn]) for xn in atoms]
-        best = int(np.argmin(atom_distances))
-        atom_distance = float(atom_distances[best])
-        rows = []
-        feasible = [1] if atom_distance <= eps else []
-        for li, lam in enumerate(lambdas):
-            sub = seeds[ci * len(lambdas) + li]
-            try:
-                reg = resolvability_regularize(P, channel, lam, sub)
-            except SamplingExhausted as exc:
-                rows.append({"lambda": lam, "error": str(exc)})
-                continue
-            distance = 2.0 * reg.measured_distance
-            qualifies = reg.certified and distance <= eps
-            rows.append(
-                {
-                    "lambda": lam,
-                    "support": reg.support_size,
-                    "distance": distance,
-                    "certified": reg.certified,
-                    "qualifies": qualifies,
-                }
-            )
-            if qualifies:
-                feasible.append(reg.support_size)
-        report.append(
-            {
-                "candidate": ci,
-                "atom_sequence": list(atoms[best]),
-                "atom_distance": atom_distance,
-                "rows": rows,
-                "minimal_support": min(feasible) if feasible else None,
-            }
-        )
-    return report

@@ -860,6 +860,29 @@ class TestMain:
         assert err["error"] == "schema-violation"
         assert err["path"] == path
 
+    ZERO_EDGE = {"dim": 2, "re": [[0, 0], [0, 0]]}
+
+    @pytest.mark.parametrize(
+        "edges, p, path",
+        [
+            ([ZERO_EDGE, ZERO_EDGE], None, ["params", "hypergraph"]),
+            ([ZERO_EDGE, {"dim": 2, "re": [[1, 0], [0, 0]]}], [1.0, 0.0], ["params", "p"]),
+        ],
+        ids=["every-edge-zero", "p-on-zero-edges"],
+    )
+    def test_zero_edge_mixture_exits_2_at_its_field(self, edges, p, path, capsys, monkeypatch):
+        # no attempt can pass on a zero mixture: refused before the first draw
+        monkeypatch.setattr(covering, "make_rng", lambda seed: pytest.fail("an attempt was drawn"))
+        args = ["cover-sample", "--param", "hypergraph=" + json.dumps({"dim": 2, "eta": 1.0, "edges": edges}),
+                "--param", "eps=0.3", "--param", "tau=0.3", "--seed", "1"]
+        if p is not None:
+            args += ["--param", f"p={json.dumps(p)}"]
+        assert cli.main(args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "schema-violation"
+        assert err["path"] == path
+        assert err["message"] == "edge mixture is zero"
+
     @pytest.mark.parametrize(
         "args, path",
         [

@@ -541,6 +541,46 @@ class TestOrbitGraph:
             QuantumHypergraph.from_orbit(2.0 * np.eye(4)[:, :2], np.ones(2), perms[:1])
 
 
+class TestProductFactorAlgebra:
+    @staticmethod
+    def factor(seed, s, d, letters, r, scale):
+        """Random overlaps (s x d, near-isometric up to scale), columns r distinct digit tuples."""
+        rng = make_rng(seed)
+        overlaps = [haar_unitary(rng, d)[:s] + scale * rng.normal(size=(s, d)) for _ in range(2)]
+        picks = rng.choice(d ** len(letters), size=r, replace=False)
+        columns = np.array(np.unravel_index(picks, (d,) * len(letters)))
+        return covering.ProductFactor(overlaps, letters, columns)
+
+    def oracle(self, f):
+        """M entry by entry: row j runs over the digit tuples of the overlaps' rows, lexicographically."""
+        s = f.overlaps[0].shape[0]
+        rows = list(itertools.product(range(s), repeat=len(f.letters)))
+        return np.array([[np.prod([f.overlaps[x][j[i], f.columns[i, k]] for i, x in enumerate(f.letters)])
+                          for k in range(f.shape[1])] for j in rows])
+
+    @pytest.mark.parametrize("seed, s, letters, r, scale", [
+        (1, 3, [0, 1, 1], 9, 0.0),    # 3 of 4 rows: the columns are not orthonormal
+        (2, 3, [1, 0, 1], 12, 1e-3),
+        (3, 1, [0, 0, 1, 1], 1, 0.0),  # one row: a rank-1 mixture
+        (4, 4, [0, 1, 0, 1], 20, 1e-9),  # every row: near-isometric
+    ])
+    def test_dense_norms_and_bound_against_the_entries(self, seed, s, letters, r, scale):
+        f = self.factor(seed, s, 4, letters, r, scale)
+        m = self.oracle(f)
+        assert f.shape == m.shape == (s ** len(letters), r)
+        assert np.abs(f.dense() - m).max() <= 1e-14
+        assert np.abs(f.column_norms() - (np.abs(m) ** 2).sum(axis=0)).max() <= 1e-13
+        gap = np.linalg.norm(m.conj().T @ m - np.eye(r), 2)
+        assert gap <= f.isometry_gap() * (1 + 1e-12) + 1e-15
+        flat = covering.ProductFactor.of_matrix(m)
+        assert flat.isometry_gap() == linalg.frobenius(m.conj().T @ m - np.eye(r))
+
+    def test_whole_rows_of_unitary_overlaps_are_an_isometry(self):
+        f = self.factor(5, 3, 3, [0, 1, 1, 0], 30, 0.0)
+        assert f.isometry_gap() <= covering.ISOMETRY_TOL
+        assert np.abs(f.column_norms() - 1.0).max() <= 1e-14
+
+
 class TestNarrowOrbitSample:
     def test_lifted_result_unchanged(self):
         # sha256 of the payload, taken when the lifts were still formed on

@@ -143,7 +143,7 @@ CASES = [
     ("code", lambda: identification.evaluate_qid_code(
         identification.QIDCode(13, [({(0,) * 13: 1.0}, 0.5 * EYE)]), _channel())),
     ("P", lambda: identification.resolvability_regularize({(0,) * 13: 1.0}, _channel(), 0.6, 1)),
-    ("n", lambda: identification.resolution_probe(_channel(), 9, 0.5, [], 1)),
+    ("n", lambda: identification.code_count_bound(2, 2, 2, 0)),
     ("sequence", lambda: channels.product_mixture({(0,) * 13: 1.0}, _channel())),
     ("sequence", lambda: channels.product_mixture({(0, 2): 1.0}, _channel())),
     ("atoms", lambda: identification.check_sequence_distribution({(0, 2): 1.0}, alphabet_size=2)),
@@ -173,7 +173,7 @@ CASES = [
     ("n", lambda: identification.strong_converse_bound(0, 0.5, 0.1)),
     ("c_bits", lambda: identification.strong_converse_bound(2, -0.5, 0.1)),
     ("delta", lambda: identification.strong_converse_bound(2, 0.5, 0.0)),
-    ("eps", lambda: identification.resolution_probe(_channel(), 2, 0.0, [], 1)),
+    ("eps", lambda: covering.sample_family([_graph()], [[0.5, 0.5]], 0.0, 0.3, 1)),
     ("n", lambda: channels.EmpiricalDistribution(0, (0,))),
     ("side", lambda: concentration.chernoff_tail(_rv(), 2, 0.8, 0.5, side="middle")),
 ]

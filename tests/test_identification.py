@@ -28,7 +28,7 @@ from opcover.channels import (
 )
 from opcover.identification import (
     QIDCode,
-    _sandwiched_edge,
+    _orbit_factor,
     RegularizationResult,
     approximation_preserves_id,
     check_sequence_distribution,
@@ -38,7 +38,6 @@ from opcover.identification import (
     quantize_distribution,
     random_qid_code,
     random_sparse_distribution,
-    resolution_probe,
     resolvability_regularize,
     strong_converse_bound,
     type_class_conditionals,
@@ -566,10 +565,7 @@ class TestFactoredSandwich:
                 t = EmpiricalDistribution.from_sequence(xn, a)
                 mix = typical_projector(output_state(t.probabilities(), ch), n, 2.0 * math.sqrt(a))
                 cond = conditional_typical_projector(ch, xn, 2.0)
-                overlaps = [
-                    mix.factor_bases[i].conj().T @ cond.factor_bases[i] for i in range(n)
-                ]
-                factor = _sandwiched_edge(mix, cond.digits, overlaps)
+                factor = _orbit_factor(mix, cond, ch).dense()
                 edge = (factor * cond.probs) @ factor.conj().T
                 pi, basis = dense_projector(cond), range_basis(mix)
                 dense = basis.conj().T @ pi @ tensor_output(xn, ch) @ pi @ basis
@@ -587,8 +583,9 @@ def type_graphs(monkeypatch, P, channel, lam, seed, **overrides):
     """Per active type, in type order: (factor, weights, perms, graph, p, eps, tau).
 
     The first three are what a resolvability run hands from_orbit, the
-    rest what it hands the sampler for the graph built from them.  A
-    type with one member is not sampled; its p is the point mass [1.0].
+    factor as its dense matrix, the rest what it hands the sampler for
+    the graph built from them.  A type with one member is not sampled;
+    its p is the point mass [1.0].
     """
     built, sampled = [], {}
     from_orbit = covering.QuantumHypergraph.from_orbit.__func__
@@ -610,7 +607,7 @@ def type_graphs(monkeypatch, P, channel, lam, seed, **overrides):
     monkeypatch.undo()
     eps, tau = reg.details["eps"], reg.details["tau"]
     return [
-        (factor, weights, perms, g, sampled[id(g)] if g.num_edges > 1 else np.array([1.0]), eps, tau)
+        (factor.dense(), weights, perms, g, sampled[id(g)] if g.num_edges > 1 else np.array([1.0]), eps, tau)
         for factor, weights, perms, g in built
     ]
 
@@ -808,8 +805,7 @@ class TestTypeOrbits:
             assert g.num_edges == len(seqs) and g.dim == mix.rank
             for edge, xn in zip(g.edges, seqs):
                 cond = conditional_typical_projector(ch, xn, alpha)
-                overlaps = [mix.factor_bases[0].conj().T @ ch.systems[x][1] for x in xn]
-                factor = _sandwiched_edge(mix, cond.digits, overlaps)
+                factor = _orbit_factor(mix, cond, ch).dense()
                 assert np.abs(edge - (factor * cond.probs) @ factor.conj().T).max() <= 1e-13, xn
             regimes.add(g.basis is None)
             cut += mix.rank < mix.dim
@@ -984,18 +980,6 @@ class TestFamilyLadder:
     def test_bound_violation_is_not_retried(self, monkeypatch):
         with pytest.raises(BoundViolation):
             self.run(monkeypatch, lambda _: BoundViolation("trace-norm bound missed"))
-
-    def test_bound_violation_is_not_a_probe_error_row(self, monkeypatch):
-        calls = []
-
-        def violate(*args, **kwargs):
-            calls.append(args)
-            raise BoundViolation("sampled operator misses the trace-norm bound")
-
-        monkeypatch.setattr(covering, "_sample_in_span", violate)
-        with pytest.raises(BoundViolation):
-            resolution_probe(zero_plus_channel(), 4, 0.5, [self.P], seed=3, lambdas=(0.6,))
-        assert len(calls) == 1
 
 
 class TestRatioCertificate:
@@ -1285,6 +1269,146 @@ class TestStackRelease:
         assert peak < 128 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
+def orbit_factors(monkeypatch, P, channel, lam, seed, **overrides):
+    """Per active type, in type order: (mixture projector, reference projector, factor, weights, perms)."""
+    made, built = [], []
+    make = identification._orbit_factor
+    from_orbit = covering.QuantumHypergraph.from_orbit.__func__
+
+    def record_factor(outer, ref, ch):
+        made.append((outer, ref, make(outer, ref, ch)))
+        return made[-1][2]
+
+    def record_orbit(cls, factor, weights, perms):
+        built.append((weights, perms))
+        return from_orbit(cls, factor, weights, perms)
+
+    monkeypatch.setattr(identification, "_orbit_factor", record_factor)
+    monkeypatch.setattr(covering.QuantumHypergraph, "from_orbit", classmethod(record_orbit))
+    resolvability_regularize(P, channel, lam, seed=seed, **overrides)
+    monkeypatch.undo()
+    return [(*m, *b) for m, b in zip(made, built)]
+
+
+class TestProductFactor:
+    """A type's edge factor held as a product over positions (covering.ProductFactor).
+
+    The oracle is the dense route: M as range_basis(mixture)^dagger
+    range_basis(reference), and its one-position factor, whose bound is
+    the Frobenius norm of its Gram deviation.
+    """
+
+    CASES = {
+        # rank-1 references; the all-zeros and all-plus types have a rank-1 mixture
+        "zero-plus": (zero_plus_channel, uniform_distribution(2, 6), {}),
+        "mixed-letters": (lambda: channels.random_channel(11, 2, 2),
+                          random_sparse_distribution(47, 2, 6, support=12), {}),
+        # the window cuts the mixture ranges: proper subspaces, not S^n
+        "cut-mixture-range": (lambda: channels.random_channel(17, 2, 2), uniform_distribution(2, 6),
+                              {"alpha": 3.0}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_product_and_dense_routes_agree(self, monkeypatch, name):
+        channel, law, overrides = self.CASES[name]
+        kinds = collections.Counter()
+        for outer, ref, factor, weights, perms in orbit_factors(monkeypatch, law, channel(), 0.6, 3,
+                                                                **overrides):
+            n = outer.n
+            dense = factor.dense()
+            assert factor.shape == dense.shape == (outer.rank, ref.rank)
+            assert np.abs(dense - range_basis(outer).conj().T @ range_basis(ref)).max() <= 1e-12
+            flat = covering.ProductFactor.of_matrix(dense)
+            gram = dense.conj().T @ dense - np.eye(ref.rank)
+            # the one-position bound is exactly the Frobenius test; the product bound holds
+            assert flat.isometry_gap() == linalg.frobenius(gram)
+            if ref.rank <= outer.rank:
+                assert np.linalg.norm(gram, 2) <= factor.isometry_gap() + 1e-15
+            spectrum = covering._orbit_spectrum(factor, weights)
+            assert np.abs(spectrum - covering._orbit_spectrum(flat, weights)).max() <= 1e-12
+            g = covering.QuantumHypergraph.from_orbit(factor, weights, perms)
+            h = covering.QuantumHypergraph.from_orbit(dense, weights, perms)
+            assert abs(g.eta - h.eta) <= 1e-12
+            assert np.abs(g.edge_traces() - h.edge_traces()).max() <= 1e-12 * h.edge_traces().max()
+            if len(factor.letters) == 1 and n > 1:
+                kinds["dense"] += 1
+            else:
+                kinds["product", outer.rank == 2**n, outer.rank == 1] += 1
+                assert np.array_equal(factor.letters, ref.sequence)
+        if name == "cut-mixture-range":
+            assert kinds["dense"] > 0
+        else:
+            assert set(kinds) <= {("product", True, False), ("product", False, True)}
+            # whole-space mixtures, and (zero-plus) the rank-deficient pure ones
+            assert kinds["product", False, True] == (2 if name == "zero-plus" else 0)
+
+    def test_dense_form_is_the_gathered_product(self, monkeypatch):
+        # the dense M multiplies each entry's factors in position order, as the
+        # gather over the mixture's digits does: the same floats, bit for bit
+        ch = channels.random_channel(12, 2, 2)
+        for outer, ref, factor, *_ in orbit_factors(
+                monkeypatch, random_sparse_distribution(48, 2, 6, support=12), ch, 0.6, 4):
+            overlaps = [outer.factor_bases[0].conj().T @ b for _, b, _, _ in ch.systems]
+            m = np.ones((outer.rank, ref.rank), dtype=complex)
+            for x, j, k in zip(ref.sequence, outer.digits, ref.digits):
+                m = m * overlaps[x][np.ix_(j, k)]
+            assert np.array_equal(factor.dense(), m)
+
+    @pytest.mark.parametrize("law, channel", [
+        (random_sparse_distribution(49, 2, 7, support=12), channels.random_channel(11, 2, 2)),
+        (uniform_distribution(2, 8), zero_plus_channel()),
+    ], ids=["mixed-n7-sparse", "zero-plus-uniform-n8"])
+    def test_paper_constants_form_no_dense_factor(self, monkeypatch, law, channel):
+        # the ratio certificate decides every attempt of these laws, so the
+        # spectral fallback never reads a span; then no type forms M, so no
+        # r x r Gram of M either, and every factor stays a product
+        factors = []
+        make = identification._orbit_factor
+        monkeypatch.setattr(identification, "_orbit_factor",
+                            lambda *args: factors.append(make(*args)) or factors[-1])
+        monkeypatch.setattr(covering.ProductFactor, "dense", lambda f: pytest.fail("dense M formed"))
+        monkeypatch.setattr(covering.ProductFactor, "of_matrix",
+                            classmethod(lambda cls, m: pytest.fail("dense M gathered")))
+        monkeypatch.setattr(covering._SpectralTest, "__call__",
+                            lambda *args: pytest.fail("spectral fallback ran"))
+        reg = resolvability_regularize(law, channel, 0.6, seed=50)
+        assert factors and all(len(f.letters) == reg.details["n"] for f in factors)
+
+    def test_a_bound_past_the_tolerance_runs_the_eigensolve(self, monkeypatch):
+        outer, ref, factor, weights, perms = orbit_factors(
+            monkeypatch, uniform_distribution(2, 5), channels.random_channel(11, 2, 2), 0.6, 5)[2]
+        overlaps = [o.copy() for o in factor.overlaps]
+        overlaps[ref.sequence[0]][0, 0] += 1e-9
+        bent = covering.ProductFactor(overlaps, factor.letters, factor.columns)
+        assert factor.isometry_gap() <= covering.ISOMETRY_TOL < bent.isometry_gap()
+        for f, solves in ((factor, 0), (bent, 1)):
+            calls = []
+            eigvalsh = np.linalg.eigvalsh
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(np.shape(m)) or eigvalsh(m))
+            g = covering.QuantumHypergraph.from_orbit(f, weights, perms)
+            monkeypatch.undo()
+            assert len(calls) == solves
+            m = f.dense()
+            oracle = covering.QuantumHypergraph(len(m), [(m * weights) @ m.conj().T], None)
+            assert abs(g.eta - oracle.eta) <= 1e-12
+
+    def test_one_sequence_per_type_law_memory(self):
+        # 165 types of one member each (n = 8, 4 inputs); each type's dense
+        # factor was 256 x 256 complex and all stayed alive until sampling
+        # ended: 169.7 MiB peak, against 7.5 MiB measured with products
+        law = {tuple(x for x, c in enumerate(t.counts) for _ in range(c)): Fraction(1, 165)
+               for t in type_enumerate(8, 4)}
+        assert len(law) == 165
+        tracemalloc.start()
+        try:
+            reg = resolvability_regularize(law, channels.random_channel(5, 4, 2), 0.6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(row["active"] for row in reg.per_type_details) == 165
+        assert peak < 24 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
 class TestTypeClassSharing:
     def test_one_conditional_projector_per_active_type(self, monkeypatch):
         calls = []
@@ -1379,7 +1503,8 @@ class TestTypeClassSharing:
             raise AssertionError("dense per-atom output built")
 
         monkeypatch.setattr(channels, "tensor_output", refuse)
-        monkeypatch.setattr(identification, "tensor_output", refuse)
+        # identification no longer imports it at all
+        assert not hasattr(identification, "tensor_output")
         dist = random_sparse_distribution(9, 2, 5, support=12)
         reg = resolvability_regularize(dist, zero_plus_channel(), 0.6, seed=5)
         assert 0.0 < reg.measured_distance <= 1.0
@@ -1507,52 +1632,3 @@ class TestDistinctness:
             random_sparse_distribution(82, 2, 3, support=5), channel, 0.6, seed=400
         )
         assert not distributions_identical(first.sparse_distribution, second.sparse_distribution)
-
-
-class TestResolutionProbe:
-    def test_identical_channel_needs_one_atom(self):
-        report = resolution_probe(
-            identical_channel(),
-            2,
-            eps=0.25,
-            candidate_Ps=[uniform_distribution(2, 2), {(0, 1): 1.0}],
-            seed=500,
-        )
-        assert all(entry["minimal_support"] == 1 for entry in report)
-        assert all(entry["atom_distance"] <= 1e-9 for entry in report)
-
-    def test_point_mass_needs_one_atom(self):
-        report = resolution_probe(
-            zero_plus_channel(), 3, eps=0.1, candidate_Ps=[{(0, 1, 0): 1.0}], seed=501
-        )
-        assert report[0]["minimal_support"] == 1
-        assert report[0]["atom_sequence"] == [0, 1, 0]
-
-    def test_uniform_candidate_grid(self):
-        report = resolution_probe(
-            zero_plus_channel(), 4, eps=0.5, candidate_Ps=[uniform_distribution(2, 4)], seed=502
-        )
-        entry = report[0]
-        assert {row["lambda"] for row in entry["rows"]} == {0.9, 0.75, 0.6, 0.45, 0.3}
-        qualifying = [row for row in entry["rows"] if row.get("qualifies")]
-        assert qualifying, "paper constants should certify at desk scale here"
-        feasible = [row["support"] for row in qualifying]
-        if entry["atom_distance"] <= 0.5:
-            feasible.append(1)
-        assert entry["minimal_support"] == min(feasible)
-
-    def test_monotone_in_eps(self):
-        channel = zero_plus_channel()
-        candidates = [uniform_distribution(2, 3)]
-        supports = []
-        for eps in (0.25, 0.5, 1.0):
-            report = resolution_probe(channel, 3, eps=eps, candidate_Ps=candidates, seed=503)
-            minimal = report[0]["minimal_support"]
-            supports.append(math.inf if minimal is None else minimal)
-        assert supports[0] >= supports[1] >= supports[2]
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="eps"):
-            resolution_probe(zero_plus_channel(), 2, eps=0.0, candidate_Ps=[], seed=1)
-        with pytest.raises(ValueError, match="too large"):
-            resolution_probe(zero_plus_channel(), 13, eps=0.5, candidate_Ps=[], seed=1)
