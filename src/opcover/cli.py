@@ -662,14 +662,35 @@ def _properties(props, schema):
     return check
 
 
+# the exact types of parsed JSON that pass each type check: a set of the
+# types in a list settles most lists in one C-level pass
+_EXACT_TYPES = {"object": {dict}, "array": {list}, "string": {str}, "number": {float, int}, "integer": {int}}
+
+
+def _all_pass(schema):
+    """A test that every item of a list passes schema, in one pass.
+
+    Made for a bare type (matrix entries) and an array of such items (a
+    matrix's rows); None for any other schema.
+    """
+    if schema.keys() == {"type"}:
+        is_type, exact = _IS_TYPE[schema["type"]], _EXACT_TYPES[schema["type"]]
+        return lambda items: {*map(type, items)} <= exact or all(map(is_type, items))
+    if schema.keys() == {"type", "items"} and schema["type"] == "array":
+        inner = _all_pass(schema["items"])
+        if inner is not None:
+            return lambda items: all(isinstance(v, list) and inner(v) for v in items)
+    return None
+
+
 def _items(sub_schema, schema):
     sub = _compile(sub_schema)
-    # items of a bare type (matrix entries) take one pass; a failure is
-    # then found again item by item, to report its index
-    is_type = _IS_TYPE[sub_schema["type"]] if sub_schema.keys() == {"type"} else None
+    # a list _all_pass settles takes one pass; a failure is then found
+    # again item by item, to report its path
+    all_pass = _all_pass(sub_schema)
 
     def check(v):
-        if isinstance(v, list) and (is_type is None or not all(map(is_type, v))):
+        if isinstance(v, list) and (all_pass is None or not all_pass(v)):
             for index, item in enumerate(v):
                 _descend(sub, item, index)
 

@@ -66,26 +66,27 @@ def _check_graph_header(dim, eta) -> int:
 class ProductFactor:
     """A matrix M[j, k] = prod_i overlaps[letters[i]][j_i, columns[i, k]], held as that product.
 
-    Every overlap has s rows and row j of M is the digit tuple (j_1, ...,
-    j_n) in lexicographic order (first position most significant), so M
-    is s^n x r; the r columns are distinct digit tuples.  A dense matrix
-    is the one-position case (of_matrix).  G = M^dagger M is then a
-    principal submatrix of the tensor product over positions of the
-    letter Grams A_x = O_x^dagger O_x, O_x the overlap restricted to the
-    columns letter x uses, and A (x) B - I = (A - I) (x) B + I (x) (B - I)
-    gives ||G - I||_2 <= prod_x (1 + ||A_x - I||_F)^(c_x) - 1, c_x the
-    letter's position count (isometry_gap; ||G - I||_F for one position).
-    The column norms are prod_i A_{x_i}[k_i, k_i].  Only dense() forms M.
+    The overlaps are one a x s x t stack and row j of M is the digit
+    tuple (j_1, ..., j_n) in lexicographic order (first position most
+    significant), so M is s^n x r; the r columns are distinct digit
+    tuples.  A dense matrix is the one-position case (of_matrix).  G =
+    M^dagger M is then a principal submatrix of the tensor product over
+    positions of the letter Grams A_x = O_x^dagger O_x, O_x the overlap
+    restricted to the columns letter x uses, and A (x) B - I = (A - I)
+    (x) B + I (x) (B - I) gives ||G - I||_2 <= prod_x (1 + ||A_x -
+    I||_F)^(c_x) - 1, c_x the letter's position count (isometry_gap;
+    ||G - I||_F for one position).  The column norms are prod_i
+    A_{x_i}[k_i, k_i].  Only dense() forms M.
     """
 
     def __init__(self, overlaps, letters, columns):
-        self.overlaps = [np.asarray(o, dtype=np.complex128) for o in overlaps]
+        self.overlaps = np.asarray(overlaps, dtype=np.complex128)
         self.letters = np.asarray(letters, dtype=np.intp)
         self.columns = np.asarray(columns, dtype=np.intp)
-        if (any(o.ndim != 2 or len(o) != len(self.overlaps[0]) for o in self.overlaps)
-                or self.columns.ndim != 2 or self.columns.shape[:1] != self.letters.shape):
+        if (self.overlaps.ndim != 3 or self.columns.ndim != 2
+                or self.columns.shape[:1] != self.letters.shape):
             raise ValueError("factor dimension mismatch")
-        self.shape = (self.overlaps[0].shape[0] ** len(self.letters), self.columns.shape[1])
+        self.shape = (self.overlaps.shape[1] ** len(self.letters), self.columns.shape[1])
 
     @classmethod
     def of_matrix(cls, m) -> "ProductFactor":
@@ -100,17 +101,16 @@ class ProductFactor:
         return m
 
     def isometry_gap(self) -> float:
-        """prod_x (1 + ||A_x - I||_F)^(c_x) - 1 >= ||M^dagger M - I||_2, one small Gram per letter."""
-        gap = 0.0
-        for x in set(self.letters.tolist()):
-            on = self.letters == x
-            used = np.zeros(self.overlaps[x].shape[1], dtype=bool)
-            used[self.columns[on]] = True
-            o = self.overlaps[x][:, used]
-            e = linalg.frobenius(o.conj().T @ o - np.eye(o.shape[1]))
-            for _ in range(int(on.sum())):
-                gap = gap + e + gap * e  # (1 + gap)(1 + e) - 1, exactly e after one step
-        return gap
+        """prod_x (1 + ||A_x - I||_F)^(c_x) - 1 >= ||M^dagger M - I||_2, all letter Grams in one product."""
+        if len(self.letters) == 1:  # M itself: its Frobenius norm
+            o = self.overlaps[self.letters[0]][:, np.sort(self.columns[0])]
+            return linalg.frobenius(o.conj().T @ o - np.eye(o.shape[1]))
+        used = np.zeros(self.overlaps.shape[::2])
+        used[self.letters[:, None], self.columns] = 1.0
+        g = self.overlaps.conj().transpose(0, 2, 1) @ self.overlaps - np.eye(self.overlaps.shape[2])
+        # ||A_x - I||_F over the used columns, and the c_x steps folded into one power
+        e = np.sqrt(np.einsum("xij,xi,xj->x", (g * g.conj()).real, used, used))
+        return math.expm1(float(np.bincount(self.letters, minlength=len(used)) @ np.log1p(e)))
 
     def column_norms(self) -> np.ndarray:
         """||M[:, k]||^2 = prod_i sum_j |O_i[j, k_i]|^2 per column."""

@@ -20,6 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,20 +44,43 @@ from .rng import make_rng, random_distribution, random_effect, spawn_seeds
 PURITY_TOL = 1e-12
 
 
+class SequenceLaw(NamedTuple):
+    """A validated law on length-n sequences: sequence xn has weight numerators[xn] / denominator.
+
+    The numerators are positive ints, in the input's order, over the
+    least common denominator of the input weights, so every exact sum,
+    split and comparison of weights stays in integers.
+    """
+
+    numerators: dict
+    denominator: int
+
+    def floats(self) -> dict:
+        """Each weight as a float: one correctly rounded int / int division, float(Fraction)'s."""
+        d = self.denominator
+        return {xn: p / d for xn, p in self.numerators.items()}
+
+
 def check_sequence_distribution(
     entries, n: int | None = None, alphabet_size: int | None = None, param: str = "atoms"
-) -> dict:
+) -> SequenceLaw:
     """Validate a sparse distribution on length-n symbol sequences.
 
-    Keys become tuples of ints, zero-weight atoms are dropped, a NaN or
-    infinite weight is refused, and the total weight must be 1 within
-    1e-12.  Fraction weights pass through untouched so exact
-    distributions stay exact; float weights are kept as floats.  A
-    symbol outside the alphabet is a DomainError naming `param`.
+    entries maps sequences to float, int or Fraction weights, or is a
+    SequenceLaw (this function's own output).  Keys become tuples of
+    ints, zero-weight atoms are dropped, a NaN or infinite weight is
+    refused, and the total weight must be 1 within 1e-12.  A float
+    weight is read exactly (float.as_integer_ratio), so the law comes
+    back exact as integer numerators over the least common denominator.
+    A symbol outside the alphabet is a DomainError naming `param`.
     """
-    out = {}
-    for key, w in dict(entries).items():
-        xn = tuple(int(s) for s in key)
+    if isinstance(entries, SequenceLaw):
+        items, shared = entries.numerators.items(), entries.denominator
+    else:
+        items, shared = dict(entries).items(), None
+    ratios = []
+    for key, w in items:
+        xn = tuple(map(int, key))
         if n is None:
             n = len(xn)
         if len(xn) != n:
@@ -68,21 +92,25 @@ def check_sequence_distribution(
                 raise DomainError("sequence symbols must be nonnegative", param)
             if alphabet_size is not None and s >= alphabet_size:
                 raise DomainError(f"symbol {s} outside the alphabet of size {alphabet_size}", param)
-        if not isinstance(w, Fraction):
+        if shared is not None or isinstance(w, Fraction):
+            p, q = (w, shared) if shared is not None else (w.numerator, w.denominator)
+            if p < 0:
+                raise ValueError("sequence weights must be nonnegative")
+        else:
             w = float(w)
             if not -1e-12 <= w < math.inf:  # NaN fails too
                 raise ValueError("sequence weights must be nonnegative and finite")
-            w = max(0.0, w)
-        elif w < 0:
-            raise ValueError("sequence weights must be nonnegative")
-        if w != 0:
-            out[xn] = w
-    if not out:
+            p, q = max(0.0, w).as_integer_ratio()
+        if p:
+            ratios.append((xn, p, q))
+    if not ratios:
         raise ValueError("distribution has no support")
-    total = sum(Fraction(w) for w in out.values())
-    if abs(total - 1) > Fraction(1, 10**12):
-        raise ValueError(f"sequence weights sum to {float(total)}, expected 1")
-    return out
+    denominator = shared or math.lcm(*{q for _, _, q in ratios})
+    numerators = {xn: p * (denominator // q) for xn, p, q in ratios}
+    total = sum(numerators.values())
+    if abs(total - denominator) * 10**12 > denominator:
+        raise ValueError(f"sequence weights sum to {total / denominator}, expected 1")
+    return SequenceLaw(numerators, denominator)
 
 
 def uniform_distribution(alphabet_size: int, n: int) -> dict:
@@ -118,11 +146,11 @@ class QIDCode:
     """Identification code: input distributions paired with test effects.
 
     Entry i is (P_i, D_i) where P_i is a sparse distribution on
-    length-n sequences and D_i is an effect (0 <= D_i <= identity) on
-    the n-fold output space.  No structure ties the D_i to a common
-    measurement; arbitrary effect families are in scope.  Given an
-    alphabet_size, every symbol is checked against it (a DomainError
-    naming "entries").
+    length-n sequences, held as a SequenceLaw, and D_i is an effect
+    (0 <= D_i <= identity) on the n-fold output space.  No structure
+    ties the D_i to a common measurement; arbitrary effect families are
+    in scope.  Given an alphabet_size, every symbol is checked against
+    it (a DomainError naming "entries").
     """
 
     def __init__(self, n: int, entries, alphabet_size: int | None = None):
@@ -151,7 +179,7 @@ class QIDCode:
             "n": self.n,
             "entries": [
                 {
-                    "P": [[list(xn), float(w)] for xn, w in sorted(dist.items())],
+                    "P": [[list(xn), w] for xn, w in sorted(dist.floats().items())],
                     "D": linalg.matrix_to_json(effect),
                 }
                 for dist, effect in self.entries
@@ -196,7 +224,7 @@ def evaluate_qid_code(code: QIDCode, channel: CQChannel) -> tuple[float, float, 
         f"output dimension {channel.dim}^{code.n} exceeds {MAX_TENSOR_DIM}"))
     if code.test_dim != dn:
         raise ValueError(f"test effects act on dimension {code.test_dim}, channel needs {dn}")
-    outputs = [linalg.hermitize(product_mixture(dist, channel)) for dist, _ in code.entries]
+    outputs = [linalg.hermitize(product_mixture(dist.floats(), channel)) for dist, _ in code.entries]
     size = code.num_messages
     acceptance = np.zeros((size, size))
     for i in range(size):
@@ -215,57 +243,54 @@ def evaluate_qid_code(code: QIDCode, channel: CQChannel) -> tuple[float, float, 
 def type_class_conditionals(P, alphabet_size: int) -> dict:
     """Split a sequence distribution by empirical type, in one pass over P.
 
-    P is validated first (zero-weight atoms dropped).  Maps each type's
-    counts to (mass, conditional) for the types that carry mass.
-    Weights are exact Fractions, so remixing the conditionals with the
-    masses reproduces P exactly, not merely to rounding.
+    P is validated first (zero-weight atoms dropped) into numerators
+    over one denominator D (check_sequence_distribution).  Maps each
+    type's counts to (mass, members) for the types that carry mass:
+    members maps the type's sequences to their numerators, mass is
+    their sum, so the type weighs mass / D and its conditional law is
+    members[xn] / mass, and remixing reproduces P exactly.
     """
-    return _split_by_type(check_sequence_distribution(P, alphabet_size=alphabet_size), alphabet_size)
+    return _split_by_type(check_sequence_distribution(P, alphabet_size=alphabet_size).numerators,
+                          alphabet_size)
 
 
-def _split_by_type(P: dict, alphabet_size: int) -> dict:
-    """type_class_conditionals for a P that check_sequence_distribution already passed."""
+def _split_by_type(numerators: dict, alphabet_size: int) -> dict:
+    """type_class_conditionals for the numerators of a law check_sequence_distribution already passed."""
     members: dict[tuple, dict] = {}
-    for xn, w in P.items():
-        counts = [0] * alphabet_size
-        for s in xn:
-            counts[s] += 1
-        members.setdefault(tuple(counts), {})[xn] = Fraction(w)
-    out = {}
-    for counts, cls in members.items():
-        mass = sum(cls.values())
-        out[counts] = (mass, {xn: w / mass for xn, w in cls.items()})
-    return out
+    symbols = range(alphabet_size)
+    for xn, p in numerators.items():
+        members.setdefault(tuple(map(xn.count, symbols)), {})[xn] = p
+    return {counts: (sum(cls.values()), cls) for counts, cls in members.items()}
 
 
-def quantize_distribution(weights, K: int) -> list:
-    """Round a distribution to exact multiples of 1/K, preserving the total.
+def quantize_distribution(masses, K: int) -> list:
+    """Round integer masses to K quanta: the numerators of weights that are multiples of 1/K.
 
-    Floor the scaled weights, then hand the leftover quanta to the
-    largest fractional parts (ties by lowest index).  Every output
-    weight sits within 1/K of its input, so the total variation moved
-    is at most len(weights)/K.
+    The masses are numerators over any common denominator; mass m of
+    total T gets floor(m K / T) quanta, and the leftover quanta go to
+    the largest remainders (m K) % T, ties by lowest index: the largest
+    fractional parts, which all share the denominator T.  Every output
+    weight sits within 1/K of m / T, so the total variation moved is
+    at most len(masses)/K.
     """
     K = int(K)
     if K < 1:
         raise DomainError("K must be a positive integer", "K")
-    exact = [Fraction(w) for w in weights]
-    if any(w < 0 for w in exact):
+    if any(m < 0 for m in masses):
         raise ValueError("weights must be nonnegative")
-    total = sum(exact)
+    total = sum(masses)
     if total <= 0:
         raise ValueError("weights must carry positive total mass")
-    scaled = [w / total * K for w in exact]
-    floors = [math.floor(s) for s in scaled]
-    fractional = [s - f for s, f in zip(scaled, floors)]
+    floors, remainders = zip(*(divmod(m * K, total) for m in masses))
+    floors = list(floors)
     leftover = K - sum(floors)
-    order = sorted(range(len(exact)), key=lambda i: (-fractional[i], i))
+    order = sorted(range(len(floors)), key=lambda i: (-remainders[i], i))
     linalg.check_bound("leftover quanta are negative", 0, leftover)
     linalg.check_bound("leftover quanta exceed the fractional weights", leftover,
-                       sum(1 for f in fractional if f > 0))
+                       sum(1 for r in remainders if r > 0))
     for i in order[:leftover]:
         floors[i] += 1
-    return [Fraction(f, K) for f in floors]
+    return floors
 
 
 def quantization_resolution(n: int, a: int, lam) -> int:
@@ -285,12 +310,18 @@ def quantization_resolution(n: int, a: int, lam) -> int:
     return math.ceil(Fraction(3 * (int(n) + 1) ** int(a)) / lam_exact)
 
 
+def _ratio(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for p >= 0, q > 0 without a Fraction: "p/q" reduced, "p" when q divides p."""
+    g = math.gcd(p, q)
+    return f"{p // g}" if q == g else f"{p // g}/{q // g}"
+
+
 @dataclass(frozen=True)
 class RegularizationResult:
     """Sparse replacement for an input distribution, with its audit trail.
 
-    sparse_distribution maps sequences to exact Fraction weights whose
-    denominators divide K*L; measured_distance is half the trace-norm
+    sparse_numerators maps sequences to integer numerators over K*L,
+    the sparse law's weights; measured_distance is half the trace-norm
     distance between the channel outputs of the input and the
     replacement; certified means that distance met the lambda/3 budget
     (every per-type covering_certified is true: covering.sample_family,
@@ -298,7 +329,7 @@ class RegularizationResult:
     hold them by construction, and raises otherwise).
     """
 
-    sparse_distribution: dict
+    sparse_numerators: dict
     measured_distance: float
     K: int
     L: int
@@ -307,23 +338,24 @@ class RegularizationResult:
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        weights = [Fraction(w) for w in self.sparse_distribution.values()]
+        numerators = self.sparse_numerators.values()
         linalg.check_bound("support size exceeds the K*L budget", self.support_size, self.K * self.L)
-        linalg.check_bound("a sparse weight is negative", 0, min(weights, default=0))
-        linalg.check_bound("sparse weights do not sum to 1", abs(float(sum(weights) - 1)), 1e-10)
+        linalg.check_bound("a sparse weight is negative", 0, min(numerators, default=0))
+        linalg.check_bound("sparse weights do not sum to 1", abs(sum(numerators) - self.K * self.L), 0)
 
     @property
     def support_size(self) -> int:
-        return sum(1 for w in self.sparse_distribution.values() if w != 0)
+        return sum(1 for p in self.sparse_numerators.values() if p != 0)
 
     def to_json(self) -> dict:
+        lattice = self.K * self.L
         return {
             "measured_distance": self.measured_distance,
             "K": self.K,
             "L": self.L,
             "certified": self.certified,
             "sparse_distribution": [
-                [list(xn), str(Fraction(w))] for xn, w in sorted(self.sparse_distribution.items())
+                [list(xn), _ratio(p, lattice)] for xn, p in sorted(self.sparse_numerators.items())
             ],
             "per_type_details": [dict(row) for row in self.per_type_details],
             "details": dict(self.details),
@@ -463,7 +495,7 @@ def resolvability_regularize(
         linalg.require_positive(draws=draws)
     a = channel.alphabet_size
     d = channel.dim
-    P = check_sequence_distribution(P, alphabet_size=a)
+    P, D = check_sequence_distribution(P, alphabet_size=a)
     n = len(next(iter(P)))
     linalg.require_size("P", d, MAX_TENSOR_DIM, exponent=n, message=(
         f"output dimension {d}^{n} exceeds {MAX_TENSOR_DIM}"))
@@ -483,12 +515,13 @@ def resolvability_regularize(
 
     types = type_enumerate(n, a)
     classes = _split_by_type(P, a)
-    masses = [classes[t.counts][0] if t.counts in classes else Fraction(0) for t in types]
+    masses = [classes[t.counts][0] if t.counts in classes else 0 for t in types]
     total = sum(masses)
     quantized = quantize_distribution(masses, K)
-    quantization_tv = sum(abs(m / total - r) for m, r in zip(masses, quantized))
+    # sum_t |m_t / total - q_t / K| = moved / (total K), held to lambda / 3 cross-multiplied
+    moved = sum(abs(m * K - q * total) for m, q in zip(masses, quantized))
     linalg.check_bound("type quantization moved mass over the lambda/3 budget",
-                       quantization_tv, lam_exact / 3)
+                       3 * moved * lam_exact.denominator, lam_exact.numerator * total * K)
 
     # every active type's mixture projector and sorted-sequence reference
     # projector, each kind built in one batch
@@ -504,7 +537,7 @@ def resolvability_regularize(
         # a type's projectors go once its graph is built; its factor keeps the reference digits
         mix_proj, ref = mix_projs[k], refs[k]
         mix_projs[k] = refs[k] = None
-        cond = classes[types[i].counts][1]
+        mass, cond = classes[types[i].counts]
         seqs = sorted(cond)
         if mix_proj.rank == 0:
             raise DomainError("mixture typical projector has empty range; alpha too small", "alpha")
@@ -522,19 +555,21 @@ def resolvability_regularize(
             raise DomainError("typical projection annihilated every edge; alpha too small", "alpha")
         active.append((i, seqs))
         graphs.append(graph)
-        ps.append(np.array([float(cond[xn]) for xn in seqs]))
+        ps.append(np.array([cond[xn] / mass for xn in seqs]))
     L, stages_used, formulas, drawn = sample_family(graphs, ps, eps, tau, seed, draws)
 
-    sparse: dict[tuple, Fraction] = {}
+    # P_bar's numerators over K L: type i's quanta times each member's
+    # draw count (a sequence has one type, so each is set once)
+    sparse: dict[tuple, int] = {}
     for (i, seqs), (counts, _) in zip(active, drawn):
         for e_idx in np.flatnonzero(counts):
-            xn = seqs[e_idx]
-            sparse[xn] = sparse.get(xn, Fraction(0)) + quantized[i] * Fraction(int(counts[e_idx]), L)
+            sparse[seqs[e_idx]] = quantized[i] * int(counts[e_idx])
 
     # supp(sparse) lies inside supp(P): the output difference is one
     # signed mixture of the outputs on supp(P), its weights P - P_bar
-    # exact until rounded
-    signed = {xn: float(Fraction(w) - sparse.get(xn, 0)) for xn, w in P.items()}
+    # exact in integers over D K L until one division each
+    lattice = K * L
+    signed = {xn: (p * lattice - sparse.get(xn, 0) * D) / (D * lattice) for xn, p in P.items()}
     pure = _pure_letters(channel)
     if pure is not None and len(P) < d**n:
         measured = 0.5 * _gram_trace_norm(pure, signed)
@@ -545,8 +580,8 @@ def resolvability_regularize(
     rows = [
         {
             "type": list(t.counts),
-            "probability_mass": float(masses[i]),
-            "quantized_weight": str(quantized[i]),
+            "probability_mass": masses[i] / D,
+            "quantized_weight": _ratio(quantized[i], K),
             "active": quantized[i] != 0,
         }
         for i, t in enumerate(types)
@@ -565,7 +600,7 @@ def resolvability_regularize(
         )
 
     return RegularizationResult(
-        sparse_distribution=sparse,
+        sparse_numerators=sparse,
         measured_distance=float(measured),
         K=int(K),
         L=int(L),
@@ -584,7 +619,7 @@ def resolvability_regularize(
             "base_draws": L // 2 ** (stages_used - 1),
             "stages_used": stages_used,
             "distance_budget": lam / 3.0,
-            "quantization_tv": float(quantization_tv),
+            "quantization_tv": moved / (total * K),
         },
     )
 
@@ -606,7 +641,7 @@ def approximation_preserves_id(
     swapped = QIDCode(
         code.n,
         [
-            ({xn: float(w) for xn, w in reg.sparse_distribution.items()}, effect)
+            (SequenceLaw(reg.sparse_numerators, reg.K * reg.L), effect)
             for reg, (_, effect) in zip(regularized, code.entries)
         ],
     )

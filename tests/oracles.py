@@ -4,6 +4,7 @@ These deliberately avoid the library's own code paths: exact rational
 binomial sums, brute-force product-space enumeration, direct grid
 searches.  Slow is fine here.  The last section holds the helpers only
 tests use (a replay of covering results, exact distribution equality,
+the resolvability stages in Fraction arithmetic,
 Holevo information, the exponential-moment bound, random pure states),
 kept out of the library because no command reaches them.
 """
@@ -519,6 +520,93 @@ def distributions_identical(p, q) -> bool:
         }
 
     return canon(p) == canon(q)
+
+
+def sparse_weights(reg) -> dict:
+    """A RegularizationResult's sparse law as exact Fraction weights, numerators over K*L."""
+    return {xn: Fraction(p, reg.K * reg.L) for xn, p in reg.sparse_numerators.items()}
+
+
+# The resolvability stages in Fraction arithmetic, as the library ran them
+# before it carried laws as integer numerators over one denominator: the
+# integer path must agree with these exactly.
+
+
+def fraction_law(entries) -> dict:
+    """Validated sequence law: Fraction weights kept, others read as floats, zeros dropped."""
+    out = {}
+    for key, w in dict(entries).items():
+        xn = tuple(int(s) for s in key)
+        if not isinstance(w, Fraction):
+            w = float(w)
+            if not -1e-12 <= w < float("inf"):
+                raise ValueError("sequence weights must be nonnegative and finite")
+            w = max(0.0, w)
+        elif w < 0:
+            raise ValueError("sequence weights must be nonnegative")
+        if w != 0:
+            out[xn] = w
+    if not out:
+        raise ValueError("distribution has no support")
+    total = sum(Fraction(w) for w in out.values())
+    if abs(total - 1) > Fraction(1, 10**12):
+        raise ValueError(f"sequence weights sum to {float(total)}, expected 1")
+    return out
+
+
+def fraction_split(law: dict, alphabet_size: int) -> dict:
+    """Type counts -> (Fraction mass, Fraction conditional law) for the types that carry mass."""
+    members: dict[tuple, dict] = {}
+    for xn, w in law.items():
+        counts = tuple(xn.count(s) for s in range(alphabet_size))
+        members.setdefault(counts, {})[xn] = Fraction(w)
+    out = {}
+    for counts, cls in members.items():
+        mass = sum(cls.values())
+        out[counts] = (mass, {xn: w / mass for xn, w in cls.items()})
+    return out
+
+
+def fraction_quantize(weights, K: int) -> list[Fraction]:
+    """Multiples of 1/K: floors of the scaled weights, leftover quanta to the largest fractional parts."""
+    exact = [Fraction(w) for w in weights]
+    total = sum(exact)
+    scaled = [w / total * K for w in exact]
+    floors = [floor(s) for s in scaled]
+    order = sorted(range(len(exact)), key=lambda i: (-(scaled[i] - floors[i]), i))
+    for i in order[: K - sum(floors)]:
+        floors[i] += 1
+    return [Fraction(f, K) for f in floors]
+
+
+def fraction_remix(law: dict, alphabet_size: int, n: int, K: int, L: int, drawn) -> dict:
+    """The resolvability stages on Fractions, given sample_family's draw counts.
+
+    Returns the type masses, quantized weights and quantization_tv, the
+    sparse law (quantized type weight times draw count / L per member of
+    each active type, members sorted) and the signed float weights P - P_bar.
+    """
+    from opcover.channels import type_enumerate
+
+    classes = fraction_split(law, alphabet_size)
+    types = type_enumerate(n, alphabet_size)
+    masses = [classes[t.counts][0] if t.counts in classes else Fraction(0) for t in types]
+    quantized = fraction_quantize(masses, K)
+    total = sum(masses)
+    live = [i for i, q in enumerate(quantized) if q != 0]
+    sparse: dict[tuple, Fraction] = {}
+    for i, (counts, _) in zip(live, drawn):
+        seqs = sorted(classes[types[i].counts][1])
+        for e_idx in np.flatnonzero(counts):
+            xn = seqs[e_idx]
+            sparse[xn] = sparse.get(xn, Fraction(0)) + quantized[i] * Fraction(int(counts[e_idx]), L)
+    return {
+        "masses": masses,
+        "quantized": quantized,
+        "quantization_tv": sum(abs(m / total - r) for m, r in zip(masses, quantized)),
+        "sparse": sparse,
+        "signed": {xn: float(Fraction(w) - sparse.get(xn, 0)) for xn, w in law.items()},
+    }
 
 
 def von_neumann_entropy(rho) -> float:

@@ -48,6 +48,7 @@ from opcover.covering import (
 from opcover.identification import (
     QIDCode,
     approximation_preserves_id,
+    check_sequence_distribution,
     code_count_bound,
     quantization_resolution,
     random_sparse_distribution,
@@ -427,6 +428,7 @@ def test_10_resolvability_pipeline():
 
         recombined = {}
         classes = type_class_conditionals(P, 2)
+        denominator = check_sequence_distribution(P).denominator
         for t in type_enumerate(4, 2):
             if t.counts not in classes:
                 continue
@@ -434,9 +436,10 @@ def test_10_resolvability_pipeline():
                 Fraction(w) for xn, w in P.items()
                 if EmpiricalDistribution.from_sequence(xn, 2).counts == t.counts
             )
-            assert classes[t.counts][0] == mass
-            for xn, w in classes[t.counts][1].items():
-                recombined[xn] = recombined.get(xn, Fraction(0)) + mass * w
+            got_mass, members = classes[t.counts]
+            assert Fraction(got_mass, denominator) == mass
+            for xn, p in members.items():
+                recombined[xn] = recombined.get(xn, Fraction(0)) + mass * Fraction(p, got_mass)
         assert recombined == {xn: Fraction(w) for xn, w in P.items()}
 
 

@@ -30,6 +30,7 @@ from opcover.identification import (
     QIDCode,
     _orbit_factor,
     RegularizationResult,
+    SequenceLaw,
     approximation_preserves_id,
     check_sequence_distribution,
     code_count_bound,
@@ -46,7 +47,18 @@ from opcover.identification import (
 from opcover.linalg import BoundViolation
 from opcover.rng import haar_unitary, make_rng, random_density, random_distribution, random_effect, seed_stream
 
-from oracles import assert_same_sample, dense_projector, distributions_identical, range_basis, spectral_walk
+from oracles import (
+    assert_same_sample,
+    dense_projector,
+    distributions_identical,
+    fraction_law,
+    fraction_quantize,
+    fraction_remix,
+    fraction_split,
+    range_basis,
+    sparse_weights,
+    spectral_walk,
+)
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]])
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -88,9 +100,9 @@ def direct_acceptance(code: QIDCode, states) -> np.ndarray:
     for i, (_, effect) in enumerate(code.entries):
         for j, (dist, _) in enumerate(code.entries):
             total = 0.0
-            for xn, w in dist.items():
+            for xn, p in dist.numerators.items():
                 block = functools.reduce(np.kron, [states[s] for s in xn])
-                total += float(w) * float(np.trace(effect @ block).real)
+                total += p / dist.denominator * float(np.trace(effect @ block).real)
             out[i, j] = total
     return out
 
@@ -99,8 +111,8 @@ class TestSequenceDistributions:
     def test_coerces_keys_and_drops_zeros(self):
         key = (np.int64(1), np.int64(0))
         dist = check_sequence_distribution({(0, 1): 0.5, key: 0.5, (1, 1): 0.0})
-        assert set(dist) == {(0, 1), (1, 0)}
-        assert all(isinstance(s, int) for k in dist for s in k)
+        assert dist == SequenceLaw({(0, 1): 1, (1, 0): 1}, 2)
+        assert all(isinstance(s, int) for k in dist.numerators for s in k)
 
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError, match="sum to"):
@@ -132,7 +144,8 @@ class TestSequenceDistributions:
 
     def test_fraction_weights_stay_exact(self):
         dist = check_sequence_distribution({(0,): Fraction(1, 3), (1,): Fraction(2, 3)})
-        assert dist[(0,)] == Fraction(1, 3) and isinstance(dist[(0,)], Fraction)
+        assert dist == SequenceLaw({(0,): 1, (1,): 2}, 3)
+        assert all(type(p) is int for p in dist.numerators.values())
 
     def test_uniform_distribution_exact(self):
         dist = uniform_distribution(2, 2)
@@ -249,8 +262,9 @@ class TestPerTypeConditional:
     def test_distribution_on_one_class_is_unchanged(self):
         dist = {(0, 0, 1): 0.25, (0, 1, 0): 0.5, (1, 0, 0): 0.25}
         (mass, cond), = type_class_conditionals(dist, 2).values()
-        assert mass == 1
-        assert cond == {xn: Fraction(w) for xn, w in dist.items()}
+        assert mass == check_sequence_distribution(dist).denominator == 4
+        assert {xn: Fraction(p, mass) for xn, p in cond.items()} == {
+            xn: Fraction(w) for xn, w in dist.items()}
 
     def test_distribution_validated(self):
         # a zero-weight atom alone in its type class is dropped, not divided by
@@ -263,7 +277,8 @@ class TestPerTypeConditional:
 
     def test_uniform_conditional_on_balanced_type(self):
         classes = type_class_conditionals(uniform_distribution(2, 2), 2)
-        assert classes[(1, 1)] == (Fraction(1, 2), {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)})
+        # numerators over the law's denominator 4: mass 2/4, each member 1/2 of it
+        assert classes[(1, 1)] == (2, {(0, 1): 1, (1, 0): 1})
         assert set(classes) == {(2, 0), (1, 1), (0, 2)}
 
     def test_recombination_is_exact(self):
@@ -274,6 +289,7 @@ class TestPerTypeConditional:
                 for xn, w in zip(itertools.product(range(2), repeat=3), weights)
             }
             mixed = {}
+            denominator = check_sequence_distribution(dist).denominator
             for t in type_enumerate(3, 2):
                 mass = sum(
                     Fraction(w)
@@ -283,9 +299,9 @@ class TestPerTypeConditional:
                 if mass == 0:
                     continue
                 got_mass, cond = type_class_conditionals(dist, 2)[t.counts]
-                assert got_mass == mass
-                for xn, w in cond.items():
-                    mixed[xn] = mixed.get(xn, Fraction(0)) + mass * w
+                assert Fraction(got_mass, denominator) == mass
+                for xn, p in cond.items():
+                    mixed[xn] = mixed.get(xn, Fraction(0)) + mass * Fraction(p, got_mass)
             assert set(mixed) == {xn for xn, w in dist.items() if w}
             for xn, w in mixed.items():
                 assert w == Fraction(dist[xn])  # exact, not approximate
@@ -293,26 +309,24 @@ class TestPerTypeConditional:
 
 class TestQuantize:
     def test_halves_with_odd_quanta(self):
-        assert quantize_distribution([0.5, 0.5], 7) == [Fraction(4, 7), Fraction(3, 7)]
+        # quanta over K: 4/7 and 3/7
+        assert quantize_distribution([1, 1], 7) == [4, 3]
 
     def test_exact_multiples_unchanged(self):
-        assert quantize_distribution([Fraction(1, 4), Fraction(3, 4)], 4) == [
-            Fraction(1, 4),
-            Fraction(3, 4),
-        ]
+        assert quantize_distribution([1, 3], 4) == [1, 3]
 
     def test_zeros_stay_zero(self):
-        quantized = quantize_distribution([0.0, 0.3, 0.0, 0.7], 9)
+        quantized = quantize_distribution([0, 3, 0, 7], 9)
         assert quantized[0] == 0 and quantized[2] == 0
-        assert sum(quantized) == 1
+        assert sum(quantized) == 9
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            quantize_distribution([0.5, -0.5], 3)
+            quantize_distribution([1, -1], 3)
         with pytest.raises(ValueError, match="positive"):
-            quantize_distribution([0.5, 0.5], 0)
+            quantize_distribution([1, 1], 0)
         with pytest.raises(ValueError, match="total mass"):
-            quantize_distribution([0.0, 0.0], 3)
+            quantize_distribution([0, 0], 3)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8).filter(
@@ -322,7 +336,11 @@ class TestQuantize:
     )
     @settings(deadline=None, max_examples=150)
     def test_total_variation_budget(self, weights, quanta):
-        quantized = quantize_distribution(weights, quanta)
+        # float weights as numerators over their least common denominator
+        denominator = math.lcm(*(Fraction(w).denominator for w in weights))
+        numerators = [int(Fraction(w) * denominator) for w in weights]
+        quantized = [Fraction(q, quanta) for q in quantize_distribution(numerators, quanta)]
+        assert quantized == fraction_quantize(weights, quanta)
         assert sum(quantized) == 1
         total = sum(Fraction(w) for w in weights)
         moved = sum(
@@ -413,7 +431,7 @@ class TestRegularize:
     def test_point_mass_comes_back_exactly(self):
         dist = {(0, 1, 1): 1.0}
         reg = resolvability_regularize(dist, zero_plus_channel(), 0.6, seed=41)
-        assert distributions_identical(reg.sparse_distribution, dist)
+        assert distributions_identical(sparse_weights(reg), dist)
         assert reg.measured_distance <= 1e-9
 
     def test_end_to_end_support_and_lattice(self):
@@ -421,11 +439,10 @@ class TestRegularize:
         reg = resolvability_regularize(dist, zero_plus_channel(), 0.6, seed=42)
         assert reg.K == 125 == quantization_resolution(4, 2, 0.6)
         assert reg.support_size <= reg.K * reg.L
-        total = sum(reg.sparse_distribution.values())
-        assert total == 1  # exact Fraction arithmetic end to end
         lattice = reg.K * reg.L
-        for w in reg.sparse_distribution.values():
-            assert (Fraction(w) * lattice).denominator == 1  # multiples of 1/(K L)
+        # exact integer numerators over K L end to end: multiples of 1/(K L) summing to 1
+        assert all(type(p) is int for p in reg.sparse_numerators.values())
+        assert sum(reg.sparse_numerators.values()) == lattice
         assert reg.details["quantization_tv"] <= 0.6 / 3 + 1e-15
         assert reg.measured_distance >= 0.0
 
@@ -476,7 +493,7 @@ class TestRegularize:
         channel = embed_classical(rows)
         dist = random_sparse_distribution(101, 2, 3, support=6)
         reg = resolvability_regularize(dist, channel, 0.5, seed=45)
-        sparse_float = {xn: float(w) for xn, w in reg.sparse_distribution.items()}
+        sparse_float = {xn: float(w) for xn, w in sparse_weights(reg).items()}
         oracle = classical_output_tv(rows, dist, sparse_float)
         assert reg.measured_distance == pytest.approx(oracle, abs=1e-9)
 
@@ -493,7 +510,7 @@ class TestRegularize:
         dist = random_sparse_distribution(53, 2, 3, support=4)
         first = resolvability_regularize(dist, zero_plus_channel(), 0.6, seed=47)
         second = resolvability_regularize(dist, zero_plus_channel(), 0.6, seed=47)
-        assert distributions_identical(first.sparse_distribution, second.sparse_distribution)
+        assert first.sparse_numerators == second.sparse_numerators
         assert first.measured_distance == second.measured_distance
 
     def test_per_type_rows_cover_every_type(self):
@@ -523,7 +540,7 @@ class TestRegularize:
     def test_result_invariants_enforced(self):
         with pytest.raises(BoundViolation, match="exceeds the K\\*L budget"):
             RegularizationResult(
-                sparse_distribution={(0,): Fraction(1, 2), (1,): Fraction(1, 2)},
+                sparse_numerators={(0,): 1, (1,): 1},
                 measured_distance=0.0,
                 K=1,
                 L=1,
@@ -532,7 +549,7 @@ class TestRegularize:
             )
         with pytest.raises(BoundViolation, match="sum to"):
             RegularizationResult(
-                sparse_distribution={(0,): Fraction(1, 2)},
+                sparse_numerators={(0,): 2},
                 measured_distance=0.0,
                 K=2,
                 L=2,
@@ -631,7 +648,9 @@ SINGLE_MEMBER_CONFIGS = [
 def _digest_id(config: dict) -> str:
     """A digest pin's test id: command, typicality mode or law length, and seed; stable across retakes."""
     params = config["params"]
-    detail = params.get("mode") or (f"n{params['P']['n']}" if "P" in params else None)
+    law = params.get("P", {})
+    n = law["n"] if "n" in law else len(law["atoms"][0][0]) if "atoms" in law else None
+    detail = params.get("mode") or (f"n{n}" if n else None)
     return "-".join(x for x in (config["command"], detail, f"seed{config['seed']}") if x)
 
 
@@ -736,6 +755,30 @@ class TestSpanCompressedResolvability:
          "86e4bef8ef37aaf00c3407a74203e9d40db9a1faa7854a2e48ba81be86636fce"),
         (SINGLE_MEMBER_CONFIGS[1],
          "1b085b4954933e9f4829f9154015c8f074f3300159621300b192ed964151eecd"),
+        # taken while laws were still validated and split in Fraction
+        # arithmetic: an explicit law with a subnormal weight (denominator
+        # 2^1074) whose total sits 8e-13 under 1, a float law at n = 7 on
+        # three mixed letters, and a code of explicit non-dyadic atoms
+        ({"command": "resolvability", "seed": 17, "params": {
+            "channel": {"kind": "random", "dim": 2, "inputs": 2},
+            "P": {"kind": "explicit", "atoms": [
+                [[0, 0, 0], 0.5], [[0, 1, 1], 0.25], [[1, 0, 1], 5e-324], [[1, 1, 0], 0.125],
+                [[1, 1, 1], 0.125 - 8e-13]]},
+            "lambda": 0.6}},
+         "30257493fdd6e036857e2d0961237edbaf95ac4178ad0ab08aaec930b559526d"),
+        ({"command": "resolvability", "seed": 18, "params": {
+            "channel": {"kind": "random", "dim": 2, "inputs": 3},
+            "P": {"kind": "random", "n": 7, "support": 16}, "lambda": 0.7}},
+         "7073c6ba040aa9f3e91d9f65ab443cc53284f8fe4167b4847d10e0b0296e45de"),
+        ({"command": "qid-eval", "seed": 19, "params": {
+            "channel": {"kind": "zero-plus"},
+            "code": {"n": 2, "entries": [
+                {"P": [[[0, 1], 0.1], [[1, 0], 0.2], [[1, 1], 0.7]],
+                 "D": {"dim": 4, "re": np.diag([0.5] * 4).tolist()}},
+                {"P": [[[0, 0], 1]], "D": {"dim": 4, "re": np.diag([1.0, 0.0, 1.0, 0.0]).tolist()}},
+                {"P": [[[0, 1], 0.3], [[1, 1], 0.7 - 5e-13]],
+                 "D": {"dim": 4, "re": np.diag([1.0, 0.0, 1.0, 0.0]).tolist()}}]}}},
+         "00ae07514dad04ec0da5e388923b688ae0e5ecb99a62d3020aaa044282aec3a0"),
     ]
 
     @pytest.mark.parametrize("config, digest", RESULT_HASHES,
@@ -1215,7 +1258,7 @@ class TestGramDistance:
         reg = resolvability_regularize(law, zero_plus_channel(), 0.6, seed=44)
         monkeypatch.undo()
         assert sizes and max(sizes) <= len(law)
-        signed = {xn: float(Fraction(w) - reg.sparse_distribution.get(xn, 0)) for xn, w in law.items()}
+        signed = {xn: float(Fraction(w) - sparse_weights(reg).get(xn, 0)) for xn, w in law.items()}
         dense = 0.5 * linalg.trace_norm(channels.product_mixture(signed, zero_plus_channel()))
         assert abs(reg.measured_distance - dense) <= 1e-12
 
@@ -1516,7 +1559,7 @@ class TestTypeClassSharing:
         ch = CQChannel([random_density(make_rng(s), 2) for s in (7, 8)])
         for xn in [(0, 1, 1), (1, 0, 1, 0)]:
             reg = resolvability_regularize({xn: 1.0}, ch, 0.6, seed=6)
-            assert distributions_identical(reg.sparse_distribution, {xn: 1.0})
+            assert distributions_identical(sparse_weights(reg), {xn: 1.0})
             assert reg.measured_distance == 0.0
 
 
@@ -1538,7 +1581,7 @@ class TestApproximation:
         )
         regs = [
             RegularizationResult(
-                sparse_distribution={xn: Fraction(w) for xn, w in dist.items()},
+                sparse_numerators={xn: 16 * p // dist.denominator for xn, p in dist.numerators.items()},
                 measured_distance=0.0,
                 K=4,
                 L=4,
@@ -1557,15 +1600,15 @@ class TestApproximation:
         code = self._orthogonal_code()
         regs = [
             RegularizationResult(
-                sparse_distribution={(0,): Fraction(9, 10), (1,): Fraction(1, 10)},
+                sparse_numerators={(0,): 9, (1,): 1},
                 measured_distance=0.1,
                 K=2,
-                L=2,
+                L=5,
                 per_type_details=(),
                 certified=True,
             ),
             RegularizationResult(
-                sparse_distribution={(1,): Fraction(1)},
+                sparse_numerators={(1,): 4},
                 measured_distance=0.0,
                 K=2,
                 L=2,
@@ -1603,7 +1646,7 @@ class TestApproximation:
         channel = embed_classical(np.eye(2))
         code = QIDCode(1, [({(0,): 1.0}, np.diag([1.0, 0.0]))])
         lying_reg = RegularizationResult(
-            sparse_distribution={(1,): Fraction(1)},
+            sparse_numerators={(1,): 4},
             measured_distance=0.0,  # claims zero distance while moving all mass
             K=2,
             L=2,
@@ -1631,4 +1674,132 @@ class TestDistinctness:
         second = resolvability_regularize(
             random_sparse_distribution(82, 2, 3, support=5), channel, 0.6, seed=400
         )
-        assert not distributions_identical(first.sparse_distribution, second.sparse_distribution)
+        assert not distributions_identical(sparse_weights(first), sparse_weights(second))
+
+
+def fraction_weights_law(seed: int, a: int, n: int, support: int) -> dict:
+    """Seeded Fraction law whose weights k_i / sum k carry many distinct denominators."""
+    rng = make_rng(seed)
+    seqs = sorted(set(map(tuple, rng.integers(0, a, size=(support, n)).tolist())))
+    k = rng.integers(1, 1000, size=len(seqs)).tolist()
+    return {xn: Fraction(ki, sum(k)) for xn, ki in zip(seqs, k)}
+
+
+class TestIntegerLaws:
+    LAWS = {
+        # float weights, all dyadic
+        "dyadic-a2-n4": lambda: random_sparse_distribution(31, 2, 4, 9),
+        "dyadic-a3-n3": lambda: random_sparse_distribution(32, 3, 3, 14),
+        "dyadic-a2-n5": lambda: random_sparse_distribution(33, 2, 5, 20),
+        "fraction-a2-n4": lambda: fraction_weights_law(34, 2, 4, 10),
+        "fraction-a3-n3": lambda: fraction_weights_law(35, 3, 3, 12),
+        "fraction-a2-n5": lambda: fraction_weights_law(36, 2, 5, 24),
+        "uniform-a2-n4": lambda: uniform_distribution(2, 4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_stages_agree_with_the_fraction_oracle(self, name):
+        law = self.LAWS[name]()
+        a = 1 + max(max(xn) for xn in law)
+        got = check_sequence_distribution(law)
+        want = fraction_law(law)
+        assert list(got.numerators) == list(want)
+        assert {xn: Fraction(p, got.denominator) for xn, p in got.numerators.items()} == {
+            xn: Fraction(w) for xn, w in want.items()}
+        assert check_sequence_distribution(got) == got  # its own output passes unchanged
+        classes, oracle = type_class_conditionals(law, a), fraction_split(want, a)
+        assert classes.keys() == oracle.keys()
+        for counts, (mass, members) in classes.items():
+            assert Fraction(mass, got.denominator) == oracle[counts][0]
+            assert {xn: Fraction(p, mass) for xn, p in members.items()} == oracle[counts][1]
+        masses = [mass for mass, _ in classes.values()]
+        for quanta in (1, 7, 125, 3000):
+            assert ([Fraction(q, quanta) for q in quantize_distribution(masses, quanta)]
+                    == fraction_quantize([Fraction(m, got.denominator) for m in masses], quanta))
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    @pytest.mark.parametrize("channel", [
+        lambda: channels.random_channel(11, 3, 2), lambda: pure_channel(12, 3, 2),
+    ], ids=["mixed-letters", "pure-letters"])
+    def test_pipeline_agrees_with_the_fraction_oracle(self, monkeypatch, name, channel):
+        # three letters: the two-letter laws leave one unused; pure letters
+        # take the Gram distance unless the law fills the output space
+        law = self.LAWS[name]()
+        ch = channel()
+        sampled, signed = [], []
+        sample = identification.sample_family
+
+        def record_sample(*args):
+            sampled.append(sample(*args))
+            return sampled[-1]
+
+        def record_signed(distance, at):
+            def wrapped(*args):
+                signed.append(args[at])
+                return distance(*args)
+            return wrapped
+
+        monkeypatch.setattr(identification, "sample_family", record_sample)
+        monkeypatch.setattr(identification, "product_mixture", record_signed(channels.product_mixture, 0))
+        monkeypatch.setattr(identification, "_gram_trace_norm",
+                            record_signed(identification._gram_trace_norm, 1))
+        reg = resolvability_regularize(law, ch, 0.6, seed=7)
+        (L, _, _, drawn), = sampled
+        n = len(next(iter(law)))
+        want = fraction_remix(fraction_law(law), ch.alphabet_size, n, reg.K, L, drawn)
+        rows = reg.per_type_details
+        assert [row["probability_mass"] for row in rows] == [float(m) for m in want["masses"]]
+        assert [row["quantized_weight"] for row in rows] == [str(q) for q in want["quantized"]]
+        assert reg.details["quantization_tv"] == float(want["quantization_tv"])
+        assert sparse_weights(reg) == want["sparse"]
+        assert reg.to_json()["sparse_distribution"] == [
+            [list(xn), str(w)] for xn, w in sorted(want["sparse"].items())]
+        assert list(signed[0].items()) == list(want["signed"].items())
+
+    def test_edge_weights(self):
+        # a subnormal weight: the denominator is 2^1074 and the atom keeps numerator 1
+        law = check_sequence_distribution({(0, 0): 0.5, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 5e-324})
+        assert law.denominator == 2**1074 and law.numerators[(1, 1)] == 1
+        assert law.numerators[(0, 0)] == 2**1073
+        # a weight within 1e-12 under zero is clamped and dropped
+        assert check_sequence_distribution({(0,): 1.0, (1,): -5e-13}) == SequenceLaw({(0,): 1}, 1)
+        # coprime denominators: their least common multiple
+        coprime = {(0, 0): Fraction(1, 3), (0, 1): Fraction(1, 5), (1, 0): Fraction(1, 7)}
+        coprime[(1, 1)] = 1 - sum(coprime.values())
+        assert check_sequence_distribution(coprime) == SequenceLaw(
+            {(0, 0): 35, (0, 1): 21, (1, 0): 15, (1, 1): 34}, 105)
+        # an int point mass and numpy float weights
+        assert check_sequence_distribution({(0, 1, 1): 1}) == SequenceLaw({(0, 1, 1): 1}, 1)
+        assert check_sequence_distribution(
+            {(0,): np.float64(0.25), (1,): np.float64(0.75)}) == SequenceLaw({(0,): 1, (1,): 3}, 4)
+
+    def test_total_tolerance_at_its_boundary(self):
+        inside = {(0,): 0.5, (1,): 0.5 - 9e-13}
+        assert check_sequence_distribution(inside).numerators.keys() == inside.keys()
+        outside = {(0,): 0.5, (1,): 0.5 - 2e-12}
+        with pytest.raises(ValueError) as oracle:
+            fraction_law(outside)
+        assert str(oracle.value).startswith("sequence weights sum to 0.99999999999")
+        with pytest.raises(ValueError) as got:
+            check_sequence_distribution(outside)
+        assert str(got.value) == str(oracle.value)
+
+    def test_no_fraction_per_atom_or_type(self, monkeypatch):
+        made = []
+
+        class Counting(Fraction):
+            def __new__(cls, *args, **kwargs):
+                made.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(identification, "Fraction", Counting)
+        counts = []
+        for n in (4, 6):  # 16 atoms in 5 types, 64 atoms in 7 types
+            made.clear()
+            reg = resolvability_regularize(uniform_distribution(2, n), channels.random_channel(11, 2, 2),
+                                           0.6, seed=5)
+            reg.to_json()
+            assert reg.details["constants_mode"] == "paper-constants"
+            counts.append(len(made))
+        # the uniform law's one weight, lambda read twice and the quanta formula's constant
+        assert counts[0] == counts[1] <= 4
